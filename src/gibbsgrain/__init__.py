@@ -83,7 +83,7 @@ from .points import (
     tame_statistic,
     window_contains,
 )
-from .rng import stream, substreams
+from .rng import stream
 from .sampler import (
     BoundaryCondition,
     ChainResult,

@@ -4,7 +4,11 @@ A DiscreteInstance places at most one atom per cell of a small lattice, with
 marks drawn from a finite table. Its state space is small enough to
 enumerate, so the target distribution is available in closed form and the
 birth-death-move-remark chain can be validated against it (total variation
-after many steps) without trusting any sampler output.
+after many steps) without trusting any sampler output. The acceptance tables
+come from ``sampler.hastings_ratio``, the rule the continuum chain
+``bdm_step`` applies, and the energies from the model's own
+``conditional_energy``, so the check covers the acceptance rule and the
+energy code the continuum chain uses.
 
 The same enumeration drives the kernel compatibility check: conditioning the
 big-window kernel on its own moat configuration must reproduce the
@@ -19,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampler
 from .errors import PreconditionError
-from .points import MarkedPoint
+from .points import Configuration, MarkedPoint
 
 __all__ = ["DiscreteInstance", "tv_distance", "kernel_compatibility_check"]
 
@@ -72,7 +77,7 @@ class DiscreteInstance:
             raise ValueError("mark_probs must be positive and sum to 1")
         self.z = float(z)
         self.n_max = n_max
-        self.env = tuple(env)
+        self.env = Configuration(env, dimension=len(self.centers[0]))
         self.n_cells = C = len(self.centers)
         self.n_marks = M = len(self.mark_values)
         self.n_states = (M + 1) ** C
@@ -101,16 +106,8 @@ class DiscreteInstance:
         return code
 
     def state_energy(self, code: int) -> float:
-        digits = self.digits(code)
-        atoms = [self._atom(i, d) for i, d in enumerate(digits) if d > 0]
-        total = 0.0
-        for k, p in enumerate(atoms):
-            total += self.model.self_term(p)
-            for q in atoms[k + 1 :]:
-                total += self.model.pair_term(p, q)
-            for q in self.env:
-                total += self.model.pair_term(p, q)
-        return total
+        atoms = [self._atom(i, d) for i, d in enumerate(self.digits(code)) if d > 0]
+        return self.model.conditional_energy(Configuration(atoms, self.env.dimension), self.env)
 
     def _build_tables(self):
         C, M, S = self.n_cells, self.n_marks, self.n_states
@@ -131,8 +128,8 @@ class DiscreteInstance:
         ]
         powers = [base**i for i in range(C)]
 
-        def ratio_clip(r: float) -> float:
-            return 1.0 if r > 1.0 else r
+        def accept(kind: str, n: int, dh: float) -> float:
+            return min(1.0, sampler.hastings_ratio(kind, zv, n, dh))
 
         # birth_t[code][cell][mark-1] -> new code or -1; birth_a -> acceptance
         birth_t = [[[-1] * M for _ in range(C)] for _ in range(S)]
@@ -159,17 +156,13 @@ class DiscreteInstance:
                         continue
                     dh = energies[new] - h
                     birth_t[code][cell][a - 1] = new
-                    birth_a[code][cell][a - 1] = ratio_clip(
-                        zv / (n + 1) * math.exp(-min(max(dh, -700.0), 700.0))
-                    )
+                    birth_a[code][cell][a - 1] = accept("birth", n, dh)
             for k, cell in enumerate(self.occupied[code]):
                 a = digs[cell]
                 new = code - a * powers[cell]
                 dh = energies[new] - h
                 death_t[code].append(new)
-                death_a[code].append(
-                    ratio_clip(n / zv * math.exp(-min(max(dh, -700.0), 700.0)))
-                )
+                death_a[code].append(accept("death", n, dh))
                 for tgt in range(C):
                     if digs[tgt] != 0:
                         continue
@@ -178,18 +171,14 @@ class DiscreteInstance:
                         continue
                     dh2 = energies[new2] - h
                     move_t[code][k][tgt] = new2
-                    move_a[code][k][tgt] = ratio_clip(
-                        math.exp(-min(max(dh2, -700.0), 700.0))
-                    )
+                    move_a[code][k][tgt] = accept("move", n, dh2)
                 for b in range(1, M + 1):
                     new3 = code - a * powers[cell] + b * powers[cell]
                     if not valid[new3]:
                         continue
                     dh3 = energies[new3] - h
                     remark_t[code][k][b - 1] = new3
-                    remark_a[code][k][b - 1] = ratio_clip(
-                        math.exp(-min(max(dh3, -700.0), 700.0))
-                    )
+                    remark_a[code][k][b - 1] = accept("remark", n, dh3)
         self.birth_t, self.birth_a = birth_t, birth_a
         self.death_t, self.death_a = death_t, death_a
         self.move_t, self.move_a = move_t, move_a
@@ -230,7 +219,9 @@ class DiscreteInstance:
         cell and a table mark, death a uniform atom, move a uniform atom and
         a uniform target cell, remark a uniform atom and a fresh mark.
         Invalid proposals (occupied cell, cap, hard core) are rejected after
-        their draws are consumed.
+        their draws are consumed. A valid proposal is accepted with
+        probability min(1, ``sampler.hastings_ratio``), tabulated at
+        construction with z|W| = z * cell_volume * n_cells.
         """
         if abs(mix[0] - mix[1]) > 1e-12:
             raise ValueError("birth and death must be proposed equally often")
@@ -364,7 +355,7 @@ def kernel_compatibility_check(instance: DiscreteInstance, lam_cells) -> float:
                 instance.mark_probs,
                 instance.z,
                 n_max=None,
-                env=instance.env + extra,
+                env=instance.env.points + extra,
             )
             cond_cache[moat_digits] = sub.exact_distribution()
         return cond_cache[moat_digits]

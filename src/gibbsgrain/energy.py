@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,31 +104,42 @@ class EnergyModel:
 class _PairwiseModel(EnergyModel):
     pairwise = True
 
+    def interaction(
+        self, p: MarkedPoint, others: Iterable[MarkedPoint], total: float = 0.0
+    ) -> float:
+        """Add p's pair terms with ``others`` to ``total``, one at a time in
+        iteration order; +inf at the first infinite term.
+
+        Every pairwise sum in the package goes through here: total and
+        conditional energies, the chain's increments and the lattice
+        instances' state energies all add their terms the same way.
+        """
+        for q in others:
+            v = self.pair_term(p, q)
+            if v == math.inf:
+                return math.inf
+            total += v
+        return total
+
     def energy(self, config: Configuration) -> float:
         self.validate_config(config)
         pts = config.points
         total = 0.0
         for p in pts:
             total += self.self_term(p)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                v = self.pair_term(pts[i], pts[j])
-                if v == math.inf:
-                    return math.inf
-                total += v
+        for i, p in enumerate(pts):
+            total = self.interaction(p, pts[i + 1 :], total)
+            if total == math.inf:
+                break
         return total
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         self.validate_config(interior)
         total = self.energy(interior)
-        if total == math.inf:
-            return math.inf
         for p in interior.points:
-            for q in environment.points:
-                v = self.pair_term(p, q)
-                if v == math.inf:
-                    return math.inf
-                total += v
+            if total == math.inf:
+                break
+            total = self.interaction(p, environment.points, total)
         return total
 
 

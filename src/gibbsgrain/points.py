@@ -107,17 +107,6 @@ class Configuration:
     def empty(dimension: int) -> "Configuration":
         return Configuration((), dimension=dimension)
 
-    @staticmethod
-    def from_arrays(locations, marks) -> "Configuration":
-        locations = np.asarray(locations, dtype=float)
-        if locations.ndim != 2:
-            raise ValueError("locations must be an (n, d) array")
-        if len(locations) != len(marks):
-            raise ValueError("locations and marks length mismatch")
-        return Configuration(
-            MarkedPoint.make(loc, mark) for loc, mark in zip(locations, marks)
-        )
-
     def locations(self) -> np.ndarray:
         if self._locs is None:
             arr = (

@@ -22,8 +22,3 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
         raise ValueError("seed and stream_id must be non-negative integers")
     key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def substreams(seed: int, n: int, base: int = 0) -> list[np.random.Generator]:
-    """n independent generators, ids base..base+n-1."""
-    return [stream(seed, base + k) for k in range(n)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain
 
 import numpy as np
 
@@ -42,8 +42,7 @@ __all__ = [
     "ChainResult",
     "run_chain",
     "sample_cutoff_kernel",
-    "birth_ratio",
-    "death_ratio",
+    "hastings_ratio",
 ]
 
 
@@ -208,24 +207,25 @@ class BoundaryCondition:
         return self.xi is None
 
 
-def birth_ratio(z_volume: float, n_after: int, dh: float) -> float:
-    """Unclipped Hastings ratio for adding a point (n_after = n + 1)."""
+def hastings_ratio(kind: str, z_volume: float, n: int, dh: float) -> float:
+    """Unclipped Hastings ratio of a proposal made from a state with n points.
+
+    Birth z|W| e^{-dH} / (n+1), death n e^{-dH} / z|W|, move and remark
+    e^{-dH}; 0 for an infinite increment, +inf when e^{-dH} overflows. The
+    continuum chain accepts when its uniform falls below this value, and the
+    lattice chain of ``DiscreteInstance`` tabulates min(1, ratio) from it.
+    """
     if dh == math.inf:
         return 0.0
     try:
-        return z_volume / n_after * math.exp(-dh)
+        weight = math.exp(-dh)
     except OverflowError:
         return math.inf
-
-
-def death_ratio(z_volume: float, n_before: int, dh: float) -> float:
-    """Unclipped Hastings ratio for removing a point from n_before points."""
-    if dh == math.inf:
-        return 0.0
-    try:
-        return n_before / z_volume * math.exp(-dh)
-    except OverflowError:
-        return math.inf
+    if kind == "birth":
+        return z_volume / (n + 1) * weight
+    if kind == "death":
+        return n / z_volume * weight
+    return weight
 
 
 _KINDS = ("birth", "death", "move", "remark")
@@ -272,68 +272,43 @@ def init_chain(
     )
 
 
+def _occupied(state: ChainState, loc: tuple[float, ...], skip: int = -1) -> bool:
+    """Whether an interior atom other than index ``skip`` sits at loc.
+
+    Births and moves onto an occupied location are rejected, which keeps every
+    chain state a simple configuration; remarks keep their location.
+    """
+    return any(q.location == loc for i, q in enumerate(state.points) if i != skip)
+
+
 def _delta_add(model, state: ChainState, p: MarkedPoint, skip: int = -1) -> float:
-    """Energy increment for inserting p (skip hides one interior index)."""
+    """Energy increment for inserting p; ``skip`` hides one interior index
+    (pairwise models only, for swaps and removals)."""
     if model.pairwise:
-        total = model.self_term(p)
-        for i, q in enumerate(state.points):
-            if i == skip:
-                continue
-            if q.location == p.location:
-                return math.inf
-            v = model.pair_term(p, q)
-            if v == math.inf:
-                return math.inf
-            total += v
-        for q in state.env.points:
-            v = model.pair_term(p, q)
-            if v == math.inf:
-                return math.inf
-            total += v
-        return total
-    pts = [q for i, q in enumerate(state.points) if i != skip]
-    if any(q.location == p.location for q in pts):
-        return math.inf
-    trial = Configuration(pts + [p], dimension=state.window.dimension)
-    base = (
-        state.cached_energy
-        if skip < 0
-        else model.conditional_energy(
-            Configuration(pts, dimension=state.window.dimension), state.env
-        )
-    )
-    return model.conditional_energy(trial, state.env) - base
+        pts = state.points if skip < 0 else state.points[:skip] + state.points[skip + 1 :]
+        return model.interaction(p, chain(pts, state.env.points), model.self_term(p))
+    trial = Configuration(state.points + [p], dimension=state.window.dimension)
+    return model.conditional_energy(trial, state.env) - state.cached_energy
 
 
 def _delta_remove(model, state: ChainState, idx: int) -> float:
     """Energy increment for deleting interior point idx (finite by invariant)."""
-    p = state.points[idx]
     if model.pairwise:
-        total = model.self_term(p)
-        for i, q in enumerate(state.points):
-            if i != idx:
-                total += model.pair_term(p, q)
-        for q in state.env.points:
-            total += model.pair_term(p, q)
-        return -total
-    pts = [q for i, q in enumerate(state.points) if i != idx]
+        return -_delta_add(model, state, state.points[idx], skip=idx)
+    pts = state.points[:idx] + state.points[idx + 1 :]
     trial = Configuration(pts, dimension=state.window.dimension)
     return model.conditional_energy(trial, state.env) - state.cached_energy
 
 
 def _delta_swap(model, state: ChainState, idx: int, new_p: MarkedPoint) -> float:
+    """Energy increment for replacing interior point idx by new_p."""
     if model.pairwise:
         gain = _delta_add(model, state, new_p, skip=idx)
         if gain == math.inf:
             return math.inf
-        loss = _delta_add(model, state, state.points[idx], skip=idx)
-        return gain - loss
+        return gain + _delta_remove(model, state, idx)
     pts = list(state.points)
     pts[idx] = new_p
-    if any(
-        q.location == new_p.location for i, q in enumerate(pts) if i != idx
-    ):
-        return math.inf
     trial = Configuration(pts, dimension=state.window.dimension)
     return model.conditional_energy(trial, state.env) - state.cached_energy
 
@@ -348,71 +323,63 @@ def bdm_step(
 ) -> ChainState:
     """One Metropolis-Hastings proposal, mutating the state in place.
 
-    Acceptance probabilities: birth min(1, z|W| e^{-dH} / (n+1)), death
-    min(1, n e^{-dH} / z|W|), move and remark min(1, e^{-dH}). Proposals
-    whose increment is +inf are rejected after consuming their full draw
-    schedule, as are births and remarks exceeding the mark cap.
+    Each kind draws its full schedule first; a proposal is accepted when its
+    acceptance uniform falls below ``hastings_ratio``, i.e. with probability
+    min(1, ratio). Proposals whose increment is +inf are rejected, as are
+    births and remarks exceeding the mark cap, moves leaving the window, and
+    births or moves onto an occupied location.
     """
     u_kind = rng.random()
     n = len(state.points)
-    zv = z * state.volume
+    # The proposal replaces points[idx : idx + 1] by `added`; idx == n appends.
+    idx, added, dh = n, [], math.inf
     if u_kind < mix.birth:
         kind = "birth"
         loc = _draw_location(state.window, rng)
         mark = mark_law.sample(rng)
         u_acc = rng.random()
-        state.proposals[kind] += 1
         p = MarkedPoint.make(loc, mark)
-        if state.mark_cap is None or p.mark_norm <= state.mark_cap:
+        capped = state.mark_cap is not None and p.mark_norm > state.mark_cap
+        if not capped and not _occupied(state, p.location):
+            added = [p]
             dh = _delta_add(model, state, p)
-            if u_acc < birth_ratio(zv, n + 1, dh):
-                state.points.append(p)
-                state.cached_energy += dh
-                state.accepts[kind] += 1
     elif u_kind < mix.birth + mix.death:
         kind = "death"
         u_sel = rng.random()
         u_acc = rng.random()
-        state.proposals[kind] += 1
         if n > 0:
             idx = min(int(u_sel * n), n - 1)
             dh = _delta_remove(model, state, idx)
-            if u_acc < death_ratio(zv, n, dh):
-                state.points.pop(idx)
-                state.cached_energy += dh
-                state.accepts[kind] += 1
     elif u_kind < mix.birth + mix.death + mix.move:
         kind = "move"
         u_sel = rng.random()
         disp = rng.standard_normal(state.window.dimension) * mix.move_scale
         u_acc = rng.random()
-        state.proposals[kind] += 1
         if n > 0:
             idx = min(int(u_sel * n), n - 1)
             old = state.points[idx]
             new_loc = tuple(float(c + d) for c, d in zip(old.location, disp))
-            if bool(state.window.contains(np.array(new_loc))[0]):
-                new_p = MarkedPoint(new_loc, old.mark, old.mark_norm)
-                dh = _delta_swap(model, state, idx, new_p)
-                if dh < math.inf and u_acc < math.exp(-max(dh, -700.0)):
-                    state.points[idx] = new_p
-                    state.cached_energy += dh
-                    state.accepts[kind] += 1
+            inside = bool(state.window.contains(np.array(new_loc))[0])
+            if inside and not _occupied(state, new_loc, skip=idx):
+                added = [MarkedPoint(new_loc, old.mark, old.mark_norm)]
+                dh = _delta_swap(model, state, idx, added[0])
     else:
         kind = "remark"
         u_sel = rng.random()
         mark = mark_law.sample(rng)
         u_acc = rng.random()
-        state.proposals[kind] += 1
         if n > 0:
             idx = min(int(u_sel * n), n - 1)
-            new_p = MarkedPoint.make(state.points[idx].location, mark)
-            if state.mark_cap is None or new_p.mark_norm <= state.mark_cap:
-                dh = _delta_swap(model, state, idx, new_p)
-                if dh < math.inf and u_acc < math.exp(-max(dh, -700.0)):
-                    state.points[idx] = new_p
-                    state.cached_energy += dh
-                    state.accepts[kind] += 1
+            p = MarkedPoint.make(state.points[idx].location, mark)
+            capped = state.mark_cap is not None and p.mark_norm > state.mark_cap
+            if not capped:
+                added = [p]
+                dh = _delta_swap(model, state, idx, p)
+    state.proposals[kind] += 1
+    if u_acc < hastings_ratio(kind, z * state.volume, n, dh):
+        state.points[idx : idx + 1] = added
+        state.cached_energy += dh
+        state.accepts[kind] += 1
     state.step_count += 1
     return state
 

@@ -56,9 +56,6 @@ class TemperednessReport:
     minimal_t: int
     rows: tuple[tuple[int, float, float, float], ...]
 
-    def worst_l(self) -> int:
-        return min(self.rows, key=lambda r: r[3])[0] if self.rows else 1
-
 
 def _scan_radii(config: Configuration) -> int:
     if len(config) == 0:

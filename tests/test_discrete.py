@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 
 from gibbsgrain import (
+    Box,
     HardSphereModel,
     IdealModel,
     PairPotentialModel,
     PreconditionError,
     QuermassModel,
+    UniformLaw,
+    run_chain,
     stream,
 )
+from gibbsgrain import sampler
 from gibbsgrain.discrete import (
     DiscreteInstance,
     kernel_compatibility_check,
@@ -323,6 +327,47 @@ class TestKernel:
             inst.run_chain(10, stream(703, 0), mix=(0.4, 0.3, 0.2, 0.1))
         with pytest.raises(PreconditionError):
             inst.run_chain(10, stream(703, 0), start=inst.encode((2, 2, 0, 0)))
+
+
+def plant_wrong_birth_factor(monkeypatch):
+    """Patch the shared ratio to use z|W| / n instead of z|W| / (n + 1) for
+    births into a non-empty state, where both chains look it up."""
+    true_ratio = sampler.hastings_ratio
+
+    def wrong(kind, z_volume, n, dh):
+        if kind == "birth" and n > 0:
+            return true_ratio(kind, z_volume, n - 1, dh)
+        return true_ratio(kind, z_volume, n, dh)
+
+    monkeypatch.setattr(sampler, "hastings_ratio", wrong)
+
+
+class TestPlantedRatioBug:
+    """Both chains take their acceptance from one ``hastings_ratio``, so a
+    planted ratio bug must show up in each of them."""
+
+    def test_lattice_detailed_balance_fails(self, monkeypatch):
+        plant_wrong_birth_factor(monkeypatch)
+        inst = pair_instance()
+        P = transition_matrix(inst, (0.35, 0.35, 0.2, 0.1))
+        flux = inst.exact_distribution()[:, None] * P
+        with pytest.raises(AssertionError):
+            np.testing.assert_allclose(flux, flux.T, atol=1e-15)
+
+    def test_continuum_chain_decisions_change(self, monkeypatch):
+        def accepts():
+            return run_chain(
+                PairPotentialModel(soft_bump, phi_id="bump"),
+                Box.centered_cube(1.5, 2),
+                0.8,
+                UniformLaw(0.6),
+                2000,
+                stream(704, 0),
+            ).stats.accepts
+
+        honest = accepts()
+        plant_wrong_birth_factor(monkeypatch)
+        assert accepts() != honest
 
 
 class TestCompatibility:

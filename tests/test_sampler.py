@@ -30,8 +30,7 @@ from gibbsgrain import (
 from gibbsgrain.sampler import (
     BoundaryCondition,
     bdm_step,
-    birth_ratio,
-    death_ratio,
+    hastings_ratio,
     init_chain,
 )
 from conftest import config, mp
@@ -157,8 +156,8 @@ class TestAcceptanceRatios:
             n = int(rng.integers(0, 12))
             dh = float(rng.uniform(-6.0, 6.0))
             r = zv * math.exp(-dh) / (n + 1)
-            raw_birth = birth_ratio(zv, n + 1, dh)
-            raw_death = death_ratio(zv, n + 1, -dh)
+            raw_birth = hastings_ratio("birth", zv, n, dh)
+            raw_death = hastings_ratio("death", zv, n + 1, -dh)
             assert raw_birth == pytest.approx(r, rel=1e-12)
             assert raw_birth * raw_death == pytest.approx(1.0, rel=1e-12)
             a_birth = min(1.0, raw_birth)
@@ -168,8 +167,21 @@ class TestAcceptanceRatios:
             assert a_birth == pytest.approx(r * a_death, rel=1e-12)
 
     def test_infinite_proposals_rejected(self):
-        assert birth_ratio(1.0, 1, math.inf) == 0.0
-        assert death_ratio(1.0, 1, math.inf) == 0.0
+        for kind in ("birth", "death", "move", "remark"):
+            assert hastings_ratio(kind, 1.0, 1, math.inf) == 0.0
+
+    def test_move_and_remark_ratio_is_boltzmann_factor(self):
+        # Moves and remarks are symmetric proposals: neither z|W| nor n enters.
+        rng = stream(611, 0)
+        for _ in range(200):
+            zv = float(rng.uniform(0.05, 8.0))
+            n = int(rng.integers(1, 12))
+            dh = float(rng.uniform(-6.0, 6.0))
+            for kind in ("move", "remark"):
+                assert hastings_ratio(kind, zv, n, dh) == math.exp(-dh)
+        # a very negative increment overflows e^{-dH}; the ratio saturates
+        for kind in ("birth", "death", "move", "remark"):
+            assert hastings_ratio(kind, 1.0, 1, -1000.0) == math.inf
 
     def test_proposal_mix_validation(self):
         with pytest.raises(ValueError):
