@@ -72,11 +72,8 @@ from .points import (
     Ball,
     Box,
     Configuration,
-    DilatedWindow,
     MarkedPoint,
-    ModelParams,
     Window,
-    dilate,
     mark_sup,
     restrict,
     restrict_complement,

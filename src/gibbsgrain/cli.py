@@ -1,7 +1,8 @@
 """Command-line harness: declarative run configs, manifests, reports.
 
 One config file (or flags overriding it) describes a run; the manifest is
-written before any sampling so every output is traceable to its hash. Exit
+written before any sampling so every output is traceable to its hash, and
+record.json is written after the run whether it succeeded or failed. Exit
 codes: 0 ok, 2 config error, 3 precondition violation, 4 numerical failure.
 """
 
@@ -13,6 +14,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -133,32 +135,6 @@ def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
 
 _COMMON_KEYS = {"seed", "name", "out"}
 
-_SCHEMAS = {
-    "sample": _COMMON_KEYS
-    | {
-        "model", "window", "z", "mark_law", "steps", "burn_in", "thin",
-        "chains", "boundary", "drift_check_every",
-    },
-    "geometry": _COMMON_KEYS | {"n_systems", "n_discs", "extent", "margin", "grid", "mc_points"},
-    "temper": _COMMON_KEYS | {"input", "t", "delta"},
-    "audit": _COMMON_KEYS
-    | {
-        "model", "mark_law", "window", "z", "n_trials", "exponent",
-        "two_sided", "delta", "local",
-    },
-    "entropy": _COMMON_KEYS
-    | {
-        "model", "mark_law", "d", "n_list", "z", "delta",
-        "n_energy_samples", "n_partition_samples", "chain_steps", "stat_exponent",
-    },
-    "dlr": _COMMON_KEYS
-    | {"model", "mark_law", "d", "lam_n", "lam", "z", "delta", "n_outer", "n_inner"},
-    "compat": _COMMON_KEYS | {"flavor"},
-    "diffusion": _COMMON_KEYS
-    | {"window_n", "z", "steps", "burn_in", "thin", "step_count", "potential"},
-    "plot-data": _COMMON_KEYS | {"input", "series", "u_min", "u_max", "count"},
-}
-
 
 def load_config(args, command: str) -> dict:
     cfg: dict = {}
@@ -172,9 +148,10 @@ def load_config(args, command: str) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    _reject_unknown(cfg, _SCHEMAS[command], f"{command} config")
-    for key in _SCHEMAS[command]:
-        flag = getattr(args, key.replace("-", "_"), None)
+    allowed = _COMMON_KEYS | set(_COMMANDS[command][2])
+    _reject_unknown(cfg, allowed, f"{command} config")
+    for key in allowed:
+        flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
     if cfg.get("seed") is None:
@@ -197,13 +174,42 @@ def _manifest(out: Path, cfg: dict) -> str:
     return write_manifest(out, hashed, __version__, cfg["seed"])
 
 
+def _input_path(cfg: dict, missing: str) -> Path:
+    if "input" not in cfg:
+        raise ConfigError(missing)
+    path = Path(cfg["input"])
+    if not path.exists():
+        raise ConfigError(f"input file {path} not found")
+    return path
+
+
+def _report(out: Path, name: str, rows) -> dict:
+    write_report_csv(out / name, rows)
+    return {"outputs": [name]}
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: prepare(cfg) validates and builds everything the config alone
+# determines, then returns body(out, manifest_hash) -> extra record fields.
 # ---------------------------------------------------------------------------
 
 
-def cmd_sample(args) -> int:
-    cfg = load_config(args, "sample")
+def _boundary(spec) -> BoundaryCondition:
+    if spec == "free":
+        return BoundaryCondition.free()
+    if not isinstance(spec, dict) or "file" not in spec:
+        raise ConfigError("boundary must be 'free' or {file, t, delta}")
+    _reject_unknown(spec, {"file", "t", "delta"}, "boundary")
+    path = Path(spec["file"])
+    if not path.exists():
+        raise ConfigError(f"boundary file {path} not found")
+    xi = next(iter(read_configs_jsonl(path)), None)
+    if xi is None:
+        raise ConfigError(f"boundary file {path} holds no configuration")
+    return BoundaryCondition.conditioned(xi, int(spec["t"]), float(spec["delta"]))
+
+
+def _prepare_sample(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "ideal"}))
     window = build_window(cfg.get("window", {"kind": "box", "n": 1, "d": 2}))
@@ -217,62 +223,33 @@ def cmd_sample(args) -> int:
     chains = int(cfg.get("chains", 1))
     if chains < 1:
         raise ConfigError("chains must be >= 1")
-    boundary = cfg.get("boundary", "free")
-    if boundary == "free":
-        bc = BoundaryCondition.free()
-    else:
-        if not isinstance(boundary, dict) or "file" not in boundary:
-            raise ConfigError("boundary must be 'free' or {file, t, delta}")
-        _reject_unknown(boundary, {"file", "t", "delta"}, "boundary")
-        bc_path = Path(boundary["file"])
-        if not bc_path.exists():
-            raise ConfigError(f"boundary file {bc_path} not found")
-        xi = next(iter(read_configs_jsonl(bc_path)), None)
-        if xi is None:
-            raise ConfigError(f"boundary file {bc_path} holds no configuration")
-        bc = BoundaryCondition.conditioned(
-            xi, int(boundary["t"]), float(boundary["delta"])
-        )
-    out = _out_dir(cfg, "sample")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-    outputs = []
-    counts = []
-    for chain in range(chains):
-        result = run_chain(
-            model, window, z, law, steps, stream(seed, chain),
-            bc=bc, burn_in=burn_in, thin=thin,
-            drift_check_every=int(cfg.get("drift_check_every", 10_000)),
-        )
-        fname = f"samples_chain{chain}.jsonl"
-        write_configs_jsonl(
-            out / fname,
-            result.samples,
-            meta={
-                "seed": seed,
-                "model_id": model.model_id,
-                "chain": chain,
-                "manifest": digest,
-            },
-        )
-        outputs.append(fname)
-        counts.append(len(result.samples))
-    write_record(
-        out,
-        {
-            "status": "ok",
-            "manifest": digest,
-            "wall_clock_s": time.time() - t0,
-            "outputs": outputs,
-            "n_samples": counts,
-        },
-    )
-    print(f"wrote {sum(counts)} configurations to {out}")
-    return 0
+    drift_check_every = int(cfg.get("drift_check_every", 10_000))
+    bc = _boundary(cfg.get("boundary", "free"))
+
+    def body(out: Path, digest: str) -> dict:
+        outputs, counts, stats = [], [], []
+        for chain in range(chains):
+            result = run_chain(
+                model, window, z, law, steps, stream(seed, chain),
+                bc=bc, burn_in=burn_in, thin=thin, drift_check_every=drift_check_every,
+            )
+            fname = f"samples_chain{chain}.jsonl"
+            write_configs_jsonl(
+                out / fname,
+                result.samples,
+                meta={"seed": seed, "model_id": model.model_id, "chain": chain,
+                      "manifest": digest},
+            )
+            outputs.append(fname)
+            counts.append(len(result.samples))
+            stats.append(asdict(result.stats))
+        print(f"wrote {sum(counts)} configurations to {out}")
+        return {"outputs": outputs, "n_samples": counts, "chain_stats": stats}
+
+    return body
 
 
-def cmd_geometry(args) -> int:
-    cfg = load_config(args, "geometry")
+def _prepare_geometry(cfg: dict):
     seed = cfg["seed"]
     n_systems = int(cfg.get("n_systems", 5))
     n_discs = int(cfg.get("n_discs", 12))
@@ -280,65 +257,55 @@ def cmd_geometry(args) -> int:
     margin = float(cfg.get("margin", 0.03))
     grid = int(cfg.get("grid", 2048))
     mc_points = int(cfg.get("mc_points", 200_000))
-    out = _out_dir(cfg, "geometry")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-    rows = []
-    for i in range(n_systems):
-        system = random_disc_system(stream(seed, i), n_discs, extent=extent, margin=margin)
-        area = union_area(system)
-        perim = union_perimeter(system)
-        chi = euler_characteristic(system)
-        oracle = mc_geometry_oracle(system, mc_points, stream(seed, 1000 + i), grid=grid)
-        rows += [
-            ReportRow(f"area_exact[{i}]", area, 0.0, system.n, "geometry", seed),
-            ReportRow(f"area_mc[{i}]", oracle.area, oracle.area_stderr, system.n, "geometry", seed),
-            ReportRow(f"perimeter_exact[{i}]", perim, 0.0, system.n, "geometry", seed),
-            ReportRow(f"chi_nerve[{i}]", float(chi), 0.0, system.n, "geometry", seed),
-            ReportRow(f"chi_raster[{i}]", float(oracle.chi), 0.0, system.n, "geometry", seed),
-        ]
-        if not oracle.chi_consensus:
-            print(f"warning: raster consensus not reached on system {i}", file=sys.stderr)
-    write_report_csv(out / "geometry.csv", rows)
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0, "outputs": ["geometry.csv"]})
-    print(f"checked {n_systems} disc systems -> {out/'geometry.csv'}")
-    return 0
+
+    def body(out: Path, digest: str) -> dict:
+        rows = []
+        for i in range(n_systems):
+            system = random_disc_system(stream(seed, i), n_discs, extent=extent, margin=margin)
+            area = union_area(system)
+            perim = union_perimeter(system)
+            chi = euler_characteristic(system)
+            oracle = mc_geometry_oracle(system, mc_points, stream(seed, 1000 + i), grid=grid)
+            rows += [
+                ReportRow(f"area_exact[{i}]", area, 0.0, system.n, "geometry", seed),
+                ReportRow(f"area_mc[{i}]", oracle.area, oracle.area_stderr, system.n, "geometry", seed),
+                ReportRow(f"perimeter_exact[{i}]", perim, 0.0, system.n, "geometry", seed),
+                ReportRow(f"chi_nerve[{i}]", float(chi), 0.0, system.n, "geometry", seed),
+                ReportRow(f"chi_raster[{i}]", float(oracle.chi), 0.0, system.n, "geometry", seed),
+            ]
+            if not oracle.chi_consensus:
+                print(f"warning: raster consensus not reached on system {i}", file=sys.stderr)
+        print(f"checked {n_systems} disc systems -> {out/'geometry.csv'}")
+        return _report(out, "geometry.csv", rows)
+
+    return body
 
 
-def cmd_temper(args) -> int:
-    cfg = load_config(args, "temper")
+def _prepare_temper(cfg: dict):
     seed = cfg["seed"]
-    if "input" not in cfg:
-        raise ConfigError("temper needs an 'input' JSONL path")
-    path = Path(cfg["input"])
-    if not path.exists():
-        raise ConfigError(f"input file {path} not found")
+    path = _input_path(cfg, "temper needs an 'input' JSONL path")
     t = int(cfg.get("t", 1))
     delta = float(cfg.get("delta", 1.0))
-    out = _out_dir(cfg, "temper")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-    rows = []
-    for i, config in enumerate(read_configs_jsonl(path)):
-        ok, report = is_tempered(config, t, delta)
-        sep_ok, _witness = range_separation_check(config, report.minimal_t, delta)
-        rows += [
-            ReportRow(f"tempered[{i}]", float(ok), 0.0, len(config), "temper", seed),
-            ReportRow(f"minimal_t[{i}]", float(report.minimal_t), 0.0, len(config), "temper", seed),
-            ReportRow(f"range_separation[{i}]", float(sep_ok), 0.0, len(config), "temper", seed),
-        ]
-    if not rows:
-        raise ConfigError(f"input file {path} holds no configurations")
-    write_report_csv(out / "temper.csv", rows)
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0, "outputs": ["temper.csv"]})
-    print(f"tempered report for {len(rows) // 3} configurations -> {out/'temper.csv'}")
-    return 0
+
+    def body(out: Path, digest: str) -> dict:
+        rows = []
+        for i, config in enumerate(read_configs_jsonl(path)):
+            ok, report = is_tempered(config, t, delta)
+            sep_ok, _witness = range_separation_check(config, report.minimal_t, delta)
+            rows += [
+                ReportRow(f"tempered[{i}]", float(ok), 0.0, len(config), "temper", seed),
+                ReportRow(f"minimal_t[{i}]", float(report.minimal_t), 0.0, len(config), "temper", seed),
+                ReportRow(f"range_separation[{i}]", float(sep_ok), 0.0, len(config), "temper", seed),
+            ]
+        if not rows:
+            raise ConfigError(f"input file {path} holds no configurations")
+        print(f"tempered report for {len(rows) // 3} configurations -> {out/'temper.csv'}")
+        return _report(out, "temper.csv", rows)
+
+    return body
 
 
-def cmd_audit(args) -> int:
-    cfg = load_config(args, "audit")
+def _prepare_audit(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.8}))
@@ -349,19 +316,6 @@ def cmd_audit(args) -> int:
     exponent = cfg.get("exponent")
     exponent = float(exponent) if exponent is not None else window.dimension + delta
     two_sided = bool(cfg.get("two_sided", False))
-    out = _out_dir(cfg, "audit")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-
-    def sampler(rng):
-        return sample_poisson(window, z, law, rng)
-
-    rows = []
-    report = stability_audit(model, sampler, n_trials, stream(seed, 0), exponent, two_sided)
-    rows.append(ReportRow("c_hat_global", report.c_hat, 0.0, report.n_used,
-                          model.model_id, seed))
-    rows.append(ReportRow("n_infinite_global", float(report.n_infinite), 0.0,
-                          report.n_trials, model.model_id, seed))
     local = cfg.get("local")
     if local is not None:
         _reject_unknown(local, {"t", "env_z", "env_n"}, "audit.local")
@@ -369,26 +323,36 @@ def cmd_audit(args) -> int:
         env_win = build_window({"kind": "box", "n": int(local.get("env_n", 3)),
                                 "d": window.dimension})
         env_z = float(local.get("env_z", z))
-        lrep = local_stability_audit(
-            model, window, t, n_trials, stream(seed, 1),
-            interior_sampler=lambda r: sample_poisson(window, z, law, r),
-            env_sampler=lambda r: sample_poisson(env_win, env_z, law, r),
-            delta=delta, exponent=exponent,
-        )
-        rows.append(ReportRow("c_hat_local", lrep.c_hat, 0.0, lrep.n_used,
-                              model.model_id, seed))
-        rows.append(ReportRow("n_env_rejected", float(lrep.n_env_rejected), 0.0,
-                              lrep.n_trials, model.model_id, seed))
-    write_report_csv(out / "audit.csv", rows)
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0, "outputs": ["audit.csv"]})
-    for r in rows:
-        print(f"{r.quantity} = {r.estimate}")
-    return 0
+
+    def body(out: Path, digest: str) -> dict:
+        def sampler(rng):
+            return sample_poisson(window, z, law, rng)
+
+        report = stability_audit(model, sampler, n_trials, stream(seed, 0), exponent, two_sided)
+        rows = [
+            ReportRow("c_hat_global", report.c_hat, 0.0, report.n_used, model.model_id, seed),
+            ReportRow("n_infinite_global", float(report.n_infinite), 0.0,
+                      report.n_trials, model.model_id, seed),
+        ]
+        if local is not None:
+            lrep = local_stability_audit(
+                model, window, t, n_trials, stream(seed, 1),
+                interior_sampler=sampler,
+                env_sampler=lambda r: sample_poisson(env_win, env_z, law, r),
+                delta=delta, exponent=exponent,
+            )
+            rows.append(ReportRow("c_hat_local", lrep.c_hat, 0.0, lrep.n_used,
+                                  model.model_id, seed))
+            rows.append(ReportRow("n_env_rejected", float(lrep.n_env_rejected), 0.0,
+                                  lrep.n_trials, model.model_id, seed))
+        for r in rows:
+            print(f"{r.quantity} = {r.estimate}")
+        return _report(out, "audit.csv", rows)
+
+    return body
 
 
-def cmd_entropy(args) -> int:
-    cfg = load_config(args, "entropy")
+def _prepare_entropy(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.5}))
@@ -398,11 +362,7 @@ def cmd_entropy(args) -> int:
         n_list = [int(x) for x in n_list.split(",")]
     z = float(cfg.get("z", 0.3))
     delta = float(cfg.get("delta", 1.0))
-    out = _out_dir(cfg, "entropy")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-    curve = specific_entropy_curve(
-        model, d, n_list, z, law, delta, seed,
+    options = dict(
         n_energy_samples=int(cfg.get("n_energy_samples", 300)),
         n_partition_samples=int(cfg.get("n_partition_samples", 2000)),
         chain_steps=int(cfg.get("chain_steps", 30_000)),
@@ -410,105 +370,97 @@ def cmd_entropy(args) -> int:
             float(cfg["stat_exponent"]) if cfg.get("stat_exponent") is not None else None
         ),
     )
-    rows = []
-    for p in curve.points:
-        rows += [
-            ReportRow("i_per_volume", p.per_volume, p.per_volume_stderr, p.n,
-                      model.model_id, seed),
-            ReportRow("ceiling", p.ceiling, 0.0, p.n, model.model_id, seed),
-            ReportRow("a1_hat", p.a1_hat, 0.0, p.n, model.model_id, seed),
-        ]
-    write_report_csv(out / "entropy.csv", rows)
-    write_plot_csv(
-        out / "plot_entropy.csv",
-        [(p.n, p.per_volume, p.per_volume_stderr) for p in curve.points],
-    )
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0,
-                       "outputs": ["entropy.csv", "plot_entropy.csv"],
-                       "under_ceiling": curve.under_ceiling,
-                       "trend_ok": curve.trend_ok})
-    print(f"entropy curve ({len(curve.points)} volumes) under ceiling: "
-          f"{curve.under_ceiling}, trend ok: {curve.trend_ok} -> {out}")
-    return 0
+
+    def body(out: Path, digest: str) -> dict:
+        curve = specific_entropy_curve(model, d, n_list, z, law, delta, seed, **options)
+        rows = []
+        for p in curve.points:
+            rows += [
+                ReportRow("i_per_volume", p.per_volume, p.per_volume_stderr, p.n,
+                          model.model_id, seed),
+                ReportRow("ceiling", p.ceiling, 0.0, p.n, model.model_id, seed),
+                ReportRow("a1_hat", p.a1_hat, 0.0, p.n, model.model_id, seed),
+            ]
+        write_report_csv(out / "entropy.csv", rows)
+        write_plot_csv(
+            out / "plot_entropy.csv",
+            [(p.n, p.per_volume, p.per_volume_stderr) for p in curve.points],
+        )
+        print(f"entropy curve ({len(curve.points)} volumes) under ceiling: "
+              f"{curve.under_ceiling}, trend ok: {curve.trend_ok} -> {out}")
+        return {"outputs": ["entropy.csv", "plot_entropy.csv"],
+                "under_ceiling": curve.under_ceiling, "trend_ok": curve.trend_ok}
+
+    return body
 
 
-def cmd_dlr(args) -> int:
-    cfg = load_config(args, "dlr")
+def _prepare_dlr(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "point", "value": 0.3}))
     d = int(cfg.get("d", 2))
-    lam_n = int(cfg.get("lam_n", 4))
+    big = Box.centered_cube(int(cfg.get("lam_n", 4)), d)
     lam_half = float(cfg.get("lam", 2.0))
+    lam = Box([[-lam_half, lam_half]] * d)
     z = float(cfg.get("z", 0.2))
     delta = float(cfg.get("delta", 1.0))
     n_outer = int(cfg.get("n_outer", 200))
     n_inner = int(cfg.get("n_inner", 100))
-    out = _out_dir(cfg, "dlr")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-    big = Box.centered_cube(lam_n, d)
-    lam = Box([[-lam_half, lam_half]] * d)
-    outer = rejection_sample(model, big, z, law, n_outer, stream(seed, 0)).samples
-    lib = build_library(d, delta)
-    reports = dlr_residual(model, lam, z, law, outer, lib, n_inner, stream(seed, 1))
-    rows = [
-        ReportRow(f"dlr_residual[{r.functional}]", r.residual, r.stderr,
-                  r.n_outer, model.model_id, seed)
-        for r in reports
-    ]
-    write_report_csv(out / "dlr.csv", rows)
-    n_pass = sum(r.passed for r in reports)
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0, "outputs": ["dlr.csv"],
-                       "passed": n_pass, "total": len(reports)})
-    print(f"dlr residuals: {n_pass}/{len(reports)} within 3 stderr -> {out/'dlr.csv'}")
-    return 0
+
+    def body(out: Path, digest: str) -> dict:
+        outer = rejection_sample(model, big, z, law, n_outer, stream(seed, 0)).samples
+        lib = build_library(d, delta)
+        reports = dlr_residual(model, lam, z, law, outer, lib, n_inner, stream(seed, 1))
+        rows = [
+            ReportRow(f"dlr_residual[{r.functional}]", r.residual, r.stderr,
+                      r.n_outer, model.model_id, seed)
+            for r in reports
+        ]
+        n_pass = sum(r.passed for r in reports)
+        print(f"dlr residuals: {n_pass}/{len(reports)} within 3 stderr -> {out/'dlr.csv'}")
+        return dict(_report(out, "dlr.csv", rows), passed=n_pass, total=len(reports))
+
+    return body
 
 
-def cmd_compat(args) -> int:
-    cfg = load_config(args, "compat")
+def _prepare_compat(cfg: dict):
     seed = cfg["seed"]
     flavor = cfg.get("flavor", "both")
     if flavor not in ("hardcore", "pair", "both"):
         raise ConfigError("flavor must be hardcore, pair, or both")
-    out = _out_dir(cfg, "compat")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-    rows = []
-    if flavor in ("hardcore", "both"):
-        inst = DiscreteInstance(
-            HardSphereModel(),
-            cell_centers=[(0.0,), (0.9,), (1.8,), (2.7,)],
-            cell_volume=0.9,
-            mark_values=(0.3, 0.55),
-            mark_probs=(0.5, 0.5),
-            z=1.1,
-        )
-        gap = kernel_compatibility_check(inst, lam_cells=[0, 1])
-        rows.append(ReportRow("compat_max_gap", gap, 0.0, inst.n_states, "hardcore", seed))
-    if flavor in ("pair", "both"):
-        inst = DiscreteInstance(
-            PairPotentialModel(_phi_soft_bump, phi_id="soft_bump"),
-            cell_centers=[(0.0,), (1.0,), (2.0,)],
-            cell_volume=1.0,
-            mark_values=(0.4, 0.9),
-            mark_probs=(0.6, 0.4),
-            z=0.7,
-        )
-        gap = kernel_compatibility_check(inst, lam_cells=[1, 2])
-        rows.append(ReportRow("compat_max_gap", gap, 0.0, inst.n_states, "nonnegpair", seed))
-    write_report_csv(out / "compat.csv", rows)
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0, "outputs": ["compat.csv"]})
-    for r in rows:
-        print(f"{r.model_id}: max deviation {r.estimate:.3e}")
-    return 0
+
+    def body(out: Path, digest: str) -> dict:
+        rows = []
+        if flavor in ("hardcore", "both"):
+            inst = DiscreteInstance(
+                HardSphereModel(),
+                cell_centers=[(0.0,), (0.9,), (1.8,), (2.7,)],
+                cell_volume=0.9,
+                mark_values=(0.3, 0.55),
+                mark_probs=(0.5, 0.5),
+                z=1.1,
+            )
+            gap = kernel_compatibility_check(inst, lam_cells=[0, 1])
+            rows.append(ReportRow("compat_max_gap", gap, 0.0, inst.n_states, "hardcore", seed))
+        if flavor in ("pair", "both"):
+            inst = DiscreteInstance(
+                PairPotentialModel(_phi_soft_bump, phi_id="soft_bump"),
+                cell_centers=[(0.0,), (1.0,), (2.0,)],
+                cell_volume=1.0,
+                mark_values=(0.4, 0.9),
+                mark_probs=(0.6, 0.4),
+                z=0.7,
+            )
+            gap = kernel_compatibility_check(inst, lam_cells=[1, 2])
+            rows.append(ReportRow("compat_max_gap", gap, 0.0, inst.n_states, "nonnegpair", seed))
+        for r in rows:
+            print(f"{r.model_id}: max deviation {r.estimate:.3e}")
+        return _report(out, "compat.csv", rows)
+
+    return body
 
 
-def cmd_diffusion(args) -> int:
-    cfg = load_config(args, "diffusion")
+def _prepare_diffusion(cfg: dict):
     seed = cfg["seed"]
     window = Box.centered_cube(int(cfg.get("window_n", 1)), 2)
     z = float(cfg.get("z", 0.3))
@@ -518,78 +470,138 @@ def cmd_diffusion(args) -> int:
     law = LangevinSpec.named(cfg.get("potential", "quartic"),
                              int(cfg.get("step_count", 256)))
     model = DiffusionModel()
-    out = _out_dir(cfg, "diffusion")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
-    result = run_chain(model, window, z, law, steps, stream(seed, 0),
-                       burn_in=burn_in, thin=thin)
-    write_configs_jsonl(
-        out / "samples_chain0.jsonl", result.samples,
-        meta={"seed": seed, "model_id": model.model_id, "chain": 0, "manifest": digest},
-    )
-    counts = [len(c) for c in result.samples]
-    sups = [mark_sup(c) for c in result.samples if len(c)]
-    rows = [
-        ReportRow("mean_count", float(np.mean(counts)),
-                  float(np.std(counts) / math.sqrt(len(counts))),
-                  len(counts), model.model_id, seed),
-        ReportRow("mean_mark_sup", float(np.mean(sups)) if sups else 0.0, 0.0,
-                  len(sups), model.model_id, seed),
-        ReportRow("final_energy", result.stats.final_energy, 0.0,
-                  len(result.final), model.model_id, seed),
-    ]
-    write_report_csv(out / "diffusion.csv", rows)
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0,
-                       "outputs": ["samples_chain0.jsonl", "diffusion.csv"]})
-    print(f"diffusion run: mean count {rows[0].estimate:.3f} -> {out}")
-    return 0
+
+    def body(out: Path, digest: str) -> dict:
+        result = run_chain(model, window, z, law, steps, stream(seed, 0),
+                           burn_in=burn_in, thin=thin)
+        write_configs_jsonl(
+            out / "samples_chain0.jsonl", result.samples,
+            meta={"seed": seed, "model_id": model.model_id, "chain": 0, "manifest": digest},
+        )
+        counts = [len(c) for c in result.samples]
+        sups = [mark_sup(c) for c in result.samples if len(c)]
+        rows = [
+            ReportRow("mean_count", float(np.mean(counts)),
+                      float(np.std(counts) / math.sqrt(len(counts))),
+                      len(counts), model.model_id, seed),
+            ReportRow("mean_mark_sup", float(np.mean(sups)) if sups else 0.0, 0.0,
+                      len(sups), model.model_id, seed),
+            ReportRow("final_energy", result.stats.final_energy, 0.0,
+                      len(result.final), model.model_id, seed),
+        ]
+        write_report_csv(out / "diffusion.csv", rows)
+        print(f"diffusion run: mean count {rows[0].estimate:.3f} -> {out}")
+        return {"outputs": ["samples_chain0.jsonl", "diffusion.csv"],
+                "chain_stats": [asdict(result.stats)]}
+
+    return body
 
 
-def cmd_plot_data(args) -> int:
-    cfg = load_config(args, "plot-data")
-    seed = cfg["seed"]
+def _prepare_plot_data(cfg: dict):
     series = cfg.get("series", "entropy")
-    out = _out_dir(cfg, "plot-data")
-    digest = _manifest(out, cfg)
-    t0 = time.time()
     if series == "entropy":
-        if "input" not in cfg:
-            raise ConfigError("plot-data series 'entropy' needs an 'input' report CSV")
-        path = Path(cfg["input"])
-        if not path.exists():
-            raise ConfigError(f"input file {path} not found")
-        rows = [r for r in read_report_csv(path) if r.quantity == "i_per_volume"]
-        write_plot_csv(out / "plot_entropy.csv",
-                       [(r.n, r.estimate, r.stderr) for r in rows])
-        outputs = ["plot_entropy.csv"]
+        path = _input_path(cfg, "plot-data series 'entropy' needs an 'input' report CSV")
+
+        def points():
+            rows = [r for r in read_report_csv(path) if r.quantity == "i_per_volume"]
+            return [(r.n, r.estimate, r.stderr) for r in rows]
     elif series == "lj":
         u_min = float(cfg.get("u_min", 1.2))
         u_max = float(cfg.get("u_max", 3.0))
         count = int(cfg.get("count", 60))
         if not (0.0 < u_min < u_max):
             raise ConfigError("need 0 < u_min < u_max")
-        grid = sorted(set(np.linspace(u_min, u_max, count).tolist()) | {1.5})
-        write_plot_csv(out / "plot_lj.csv", [(u, lj_pair(u), 0.0) for u in grid])
-        outputs = ["plot_lj.csv"]
+
+        def points():
+            grid = sorted(set(np.linspace(u_min, u_max, count).tolist()) | {1.5})
+            return [(u, lj_pair(u), 0.0) for u in grid]
     else:
         raise ConfigError(f"unknown series {series!r}; have entropy, lj")
-    write_record(out, {"status": "ok", "manifest": digest,
-                       "wall_clock_s": time.time() - t0, "outputs": outputs})
-    print(f"plot data -> {out/outputs[0]}")
-    return 0
+    fname = f"plot_{series}.csv"
+
+    def body(out: Path, digest: str) -> dict:
+        write_plot_csv(out / fname, points())
+        print(f"plot data -> {out/fname}")
+        return {"outputs": [fname]}
+
+    return body
 
 
 # ---------------------------------------------------------------------------
-# Parser and entry point
+# Command table, run wrapper and entry point
 # ---------------------------------------------------------------------------
 
+# command -> (help, prepare, keys); each key maps to its flag type, or to
+# None when it is set only in the config file. Every command also takes
+# --config, --seed, --out and --name.
+_COMMANDS = {
+    "sample": ("run Metropolis chains, write JSONL samples", _prepare_sample, {
+        "model": None, "window": None, "z": float, "mark_law": None, "steps": int,
+        "burn_in": int, "thin": int, "chains": int, "boundary": None,
+        "drift_check_every": None}),
+    "geometry": ("exact vs oracle disc-union geometry", _prepare_geometry, {
+        "n_systems": int, "n_discs": int, "extent": None, "margin": None, "grid": int,
+        "mc_points": None}),
+    "temper": ("temperedness report for stored samples", _prepare_temper, {
+        "input": str, "t": int, "delta": float}),
+    "audit": ("stability constants from random trials", _prepare_audit, {
+        "model": None, "mark_law": None, "window": None, "z": None, "n_trials": int,
+        "exponent": None, "two_sided": None, "delta": None, "local": None}),
+    "entropy": ("specific entropy curve across volumes", _prepare_entropy, {
+        "model": None, "mark_law": None, "d": None, "n_list": str, "z": float,
+        "delta": None, "n_energy_samples": None, "n_partition_samples": None,
+        "chain_steps": None, "stat_exponent": None}),
+    "dlr": ("kernel consistency residuals", _prepare_dlr, {
+        "model": None, "mark_law": None, "d": None, "lam_n": None, "lam": None,
+        "z": None, "delta": None, "n_outer": int, "n_inner": int}),
+    "compat": ("exact kernel compatibility on micro instances", _prepare_compat, {
+        "flavor": str}),
+    "diffusion": ("path-marked model demo run", _prepare_diffusion, {
+        "window_n": None, "steps": int, "z": float, "burn_in": None, "thin": None,
+        "step_count": None, "potential": None}),
+    "plot-data": ("emit (x, y, err) series from reports", _prepare_plot_data, {
+        "input": str, "series": str, "u_min": float, "u_max": float, "count": None}),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON run config; flags override its keys")
-    p.add_argument("--seed", type=int, help="run seed (mandatory here or in config)")
-    p.add_argument("--out", help="output root (default $GIBBSGRAIN_OUT or ./runs)")
-    p.add_argument("--name", help="run directory name")
+# ConfigError is a ValueError; stray ValueErrors from numerical code fed a bad
+# config value (temper --t 0, too few oracle points) are config errors too.
+_EXIT_CODES = (
+    (ValueError, 2, "config error"),
+    (PreconditionError, 3, "precondition violated"),
+    (NumericalFailure, 4, "numerical failure"),
+)
+
+
+def _exit_code(e: Exception) -> tuple[int, str]:
+    """Exit code and label for an exception; 1 (as for a traceback) if unmapped."""
+    for exc, code, label in _EXIT_CODES:
+        if isinstance(e, exc):
+            return code, label
+    return 1, "error"
+
+
+def _run(command: str, args) -> None:
+    """Load the config, prepare, and run the body in its run directory.
+
+    Nothing is written until prepare has accepted the config. From the
+    manifest on, record.json is always written: status "ok" with the body's
+    fields, or status "failed" with the exit code and error, re-raised.
+    """
+    cfg = load_config(args, command)
+    body = _COMMANDS[command][1](cfg)
+    out = _out_dir(cfg, command)
+    digest = _manifest(out, cfg)
+    record = {"manifest": digest}
+    t0 = time.time()
+    try:
+        record.update(body(out, digest), status="ok")
+    except Exception as e:
+        record.update(status="failed", exit_code=_exit_code(e)[0],
+                      error=f"{type(e).__name__}: {e}")
+        raise
+    finally:
+        record["wall_clock_s"] = time.time() - t0
+        write_record(out, record)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -599,85 +611,27 @@ def _parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="run Metropolis chains, write JSONL samples")
-    _add_common(p)
-    p.add_argument("--z", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--chains", type=int)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("geometry", help="exact vs oracle disc-union geometry")
-    _add_common(p)
-    p.add_argument("--n-systems", dest="n_systems", type=int)
-    p.add_argument("--n-discs", dest="n_discs", type=int)
-    p.add_argument("--grid", type=int)
-    p.set_defaults(func=cmd_geometry)
-
-    p = sub.add_parser("temper", help="temperedness report for stored samples")
-    _add_common(p)
-    p.add_argument("--input")
-    p.add_argument("--t", type=int)
-    p.add_argument("--delta", type=float)
-    p.set_defaults(func=cmd_temper)
-
-    p = sub.add_parser("audit", help="stability constants from random trials")
-    _add_common(p)
-    p.add_argument("--n-trials", dest="n_trials", type=int)
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("entropy", help="specific entropy curve across volumes")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list")
-    p.add_argument("--z", type=float)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("dlr", help="kernel consistency residuals")
-    _add_common(p)
-    p.add_argument("--n-outer", dest="n_outer", type=int)
-    p.add_argument("--n-inner", dest="n_inner", type=int)
-    p.set_defaults(func=cmd_dlr)
-
-    p = sub.add_parser("compat", help="exact kernel compatibility on micro instances")
-    _add_common(p)
-    p.add_argument("--flavor", choices=["hardcore", "pair", "both"])
-    p.set_defaults(func=cmd_compat)
-
-    p = sub.add_parser("diffusion", help="path-marked model demo run")
-    _add_common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--z", type=float)
-    p.set_defaults(func=cmd_diffusion)
-
-    p = sub.add_parser("plot-data", help="emit (x, y, err) series from reports")
-    _add_common(p)
-    p.add_argument("--input")
-    p.add_argument("--series", choices=["entropy", "lj"])
-    p.add_argument("--u-min", dest="u_min", type=float)
-    p.add_argument("--u-max", dest="u_max", type=float)
-    p.set_defaults(func=cmd_plot_data)
-
+    for command, (help_text, _prepare, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON run config; flags override its keys")
+        p.add_argument("--seed", type=int, help="run seed (mandatory here or in config)")
+        p.add_argument("--out", help="output root (default $GIBBSGRAIN_OUT or ./runs)")
+        p.add_argument("--name", help="run directory name")
+        for key, kind in keys.items():
+            if kind is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
     return top
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except PreconditionError as e:
-        print(f"precondition violated: {e}", file=sys.stderr)
-        return 3
-    except NumericalFailure as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 4
+        _run(args.command, args)
+    except tuple(exc for exc, _code, _label in _EXIT_CODES) as e:
+        code, label = _exit_code(e)
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -89,11 +89,19 @@ def write_configs_jsonl(
 
 
 def read_configs_jsonl(path) -> Iterator[Configuration]:
+    """Configurations in file order; a line that is not one raises ConfigError."""
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield record_to_config(json.loads(line))
+            if not line:
+                continue
+            try:
+                config = record_to_config(json.loads(line))
+            except (ValueError, KeyError, TypeError) as e:
+                raise ConfigError(
+                    f"{path} line {lineno} is not a configuration record ({e!r})"
+                ) from e
+            yield config
 
 
 @dataclass(frozen=True)

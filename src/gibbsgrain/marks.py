@@ -17,7 +17,6 @@ from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "PathMark",
-    "sup_norm",
     "MarkLaw",
     "PointMassLaw",
     "UniformLaw",
@@ -25,7 +24,6 @@ __all__ = [
     "TableLaw",
     "LangevinSpec",
     "named_potential",
-    "sample_mark",
     "MomentAudit",
     "super_exp_moment_estimate",
     "InvariantCheck",
@@ -55,11 +53,6 @@ class PathMark:
     @property
     def step_count(self) -> int:
         return self.samples.shape[0] - 1
-
-
-def sup_norm(path: PathMark) -> float:
-    """Sup of |X_s| on the sample grid (downward-biased for the continuous path)."""
-    return path.sup_norm
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +257,6 @@ class LangevinSpec(MarkLaw):
 
     def descriptor(self) -> dict:
         return {"kind": "langevin", "potential": self.name, "step_count": self.step_count}
-
-
-def sample_mark(law: MarkLaw, rng: np.random.Generator):
-    """Draw one mark from the law using the supplied stream."""
-    return law.sample(rng)
 
 
 def law_from_descriptor(desc: dict) -> MarkLaw:

@@ -21,14 +21,11 @@ __all__ = [
     "Window",
     "Box",
     "Ball",
-    "DilatedWindow",
-    "dilate",
     "window_contains",
     "restrict",
     "restrict_complement",
     "tame_statistic",
     "mark_sup",
-    "ModelParams",
 ]
 
 _NORM_RTOL = 1e-12
@@ -157,16 +154,12 @@ class Window:
     """Bounded observation region: membership test plus box bounds.
 
     ``contains`` follows each concrete window's own boundary convention
-    (half-open boxes, open balls, closed dilations); ``distance`` is the
-    Euclidean distance to the closure, which is what dilation needs.
+    (half-open boxes, open balls).
     """
 
     dimension: int
 
     def contains(self, locations: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def distance(self, locations: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def bounding_box(self) -> "Box":
@@ -214,12 +207,6 @@ class Box(Window):
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         return np.all((x >= lo) & (x < hi), axis=-1)
 
-    def distance(self, locations) -> np.ndarray:
-        x = _as_points(locations, self.dimension)
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        return np.linalg.norm(gap, axis=-1)
-
     def bounding_box(self) -> "Box":
         return self
 
@@ -254,10 +241,6 @@ class Ball(Window):
         x = _as_points(locations, self.dimension)
         return np.linalg.norm(x - self.center, axis=-1) < self.radius
 
-    def distance(self, locations) -> np.ndarray:
-        x = _as_points(locations, self.dimension)
-        return np.maximum(np.linalg.norm(x - self.center, axis=-1) - self.radius, 0.0)
-
     def bounding_box(self) -> Box:
         lo = self.center - self.radius
         hi = self.center + self.radius
@@ -269,52 +252,6 @@ class Ball(Window):
 
     def __repr__(self) -> str:
         return f"Ball(center={tuple(self.center)}, radius={self.radius:g})"
-
-
-class DilatedWindow(Window):
-    """Closed r-neighbourhood of a base window (Minkowski sum with a closed ball).
-
-    Membership only: the exact volume of a dilated box is not needed anywhere,
-    so ``volume`` raises rather than approximating.
-    """
-
-    def __init__(self, base: Window, margin: float):
-        if margin < 0:
-            raise ValueError("dilation margin must be non-negative")
-        self.base = base
-        self.margin = float(margin)
-        self.dimension = base.dimension
-
-    def contains(self, locations) -> np.ndarray:
-        return self.base.distance(locations) <= self.margin
-
-    def distance(self, locations) -> np.ndarray:
-        return np.maximum(self.base.distance(locations) - self.margin, 0.0)
-
-    def bounding_box(self) -> Box:
-        inner = self.base.bounding_box().bounds
-        return Box(np.stack([inner[:, 0] - self.margin, inner[:, 1] + self.margin], axis=1))
-
-    def volume(self) -> float:
-        raise NotImplementedError("dilated windows support membership tests only")
-
-    def __repr__(self) -> str:
-        return f"DilatedWindow({self.base!r}, margin={self.margin:g})"
-
-
-def dilate(window: Window, r: float) -> Window:
-    """Minkowski dilation of a window by the closed ball of radius r.
-
-    Balls dilate to balls; anything else becomes a membership-only
-    ``DilatedWindow``. r = 0 gives the closure of the base window.
-    """
-    if r < 0:
-        raise ValueError(f"dilation radius must be non-negative, got {r}")
-    if isinstance(window, Ball):
-        return Ball(window.center, window.radius + r)
-    if isinstance(window, DilatedWindow):
-        return DilatedWindow(window.base, window.margin + r)
-    return DilatedWindow(window, r)
 
 
 def window_contains(outer: Window, inner: Window) -> bool:
@@ -385,24 +322,3 @@ def mark_sup(config: Configuration) -> float:
     if len(config) == 0:
         return 0.0
     return float(config.mark_norms().max())
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Shared scalar parameters: dimension, tail exponent offset, activity."""
-
-    d: int
-    delta: float
-    z: float
-
-    def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("d must be a positive integer")
-        if not (self.delta > 0):
-            raise ValueError("delta must be positive")
-        if not (self.z > 0):
-            raise ValueError("z must be positive")
-
-    @property
-    def tail_exponent(self) -> float:
-        return self.d + self.delta

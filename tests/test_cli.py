@@ -134,6 +134,16 @@ class TestSampleCommand:
         c0 = (tmp_path / "mc" / "samples_chain0.jsonl").read_text()
         c1 = (tmp_path / "mc" / "samples_chain1.jsonl").read_text()
         assert c0 != c1
+        record = json.loads((tmp_path / "mc" / "record.json").read_text())
+        stats = record["chain_stats"]
+        assert len(stats) == 2
+        for st in stats:
+            assert st["steps"] == 3000
+            assert sum(st["proposals"].values()) == 3000
+            assert all(st["accepts"][k] <= n for k, n in st["proposals"].items())
+            assert st["drift_checks"] == 0 and st["max_drift"] == 0.0
+            assert math.isfinite(st["final_energy"])
+        assert stats[0] != stats[1]
 
 
 class TestGeometryCommand:
@@ -344,10 +354,64 @@ class TestPlotDataCommand:
         lines = (tmp_path / "pd" / "plot_entropy.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "2.0"]
 
-    def test_unknown_series_exits_2(self, tmp_path):
+    def test_missing_entropy_input_exits_2(self, tmp_path):
         rc = main(
             ["plot-data", "--seed", "93", "--series", "entropy",
              "--input", str(tmp_path / "absent.csv"),
              "--out", str(tmp_path), "--name", "x"]
         )
         assert rc == 2
+
+
+class TestRunWrapper:
+    """Config errors stop before the run directory; later failures leave a
+    record.json that says what went wrong."""
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["audit"], {"local": {"t": 2, "radius": 1.0}}),
+            (["plot-data", "--series", "entropy"], {}),
+            (["temper"], {}),
+            (["compat", "--flavor", "bogus"], {}),
+            (["plot-data", "--series", "bogus"], {}),
+        ],
+        ids=["audit-local-key", "plot-data-no-input", "temper-no-input",
+             "bogus-flavor", "bogus-series"],
+    )
+    def test_config_errors_exit_2_without_run_dir(self, tmp_path, argv, payload):
+        cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))
+        rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "root")])
+        assert rc == 2
+        assert not (tmp_path / "root").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, code, error",
+        [
+            ("sample", {"z": 0.2, "steps": 1000, "burn_in": 1000}, 3, "PreconditionError"),
+            ("geometry", {"n_systems": 1, "n_discs": 3, "mc_points": 100}, 2, "ValueError"),
+        ],
+    )
+    def test_failed_run_leaves_record(self, tmp_path, command, payload, code, error):
+        cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=4))
+        rc = main([command, "--config", cfg, "--out", str(tmp_path), "--name", "f"])
+        assert rc == code
+        manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        record = json.loads((tmp_path / "f" / "record.json").read_text())
+        assert record["status"] == "failed"
+        assert record["exit_code"] == code
+        assert record["error"].startswith(error + ": ")
+        assert record["manifest"] == manifest["hash"]
+
+    def test_input_that_is_not_a_sample_file_exits_2(self, tmp_path):
+        run_cfg = write_cfg(tmp_path, "run.json", {"seed": 1, "z": 0.5})
+        rc = main(["temper", "--input", run_cfg, "--seed", "1",
+                   "--out", str(tmp_path), "--name", "t"])
+        assert rc == 2
+        record = json.loads((tmp_path / "t" / "record.json").read_text())
+        assert record["exit_code"] == 2
+        assert "run.json line 1" in record["error"]
+        boundary = {"file": run_cfg, "t": 1, "delta": 1.0}
+        cfg = write_cfg(tmp_path, "bc.json", {"seed": 1, "boundary": boundary})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()

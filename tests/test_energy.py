@@ -19,7 +19,6 @@ from gibbsgrain import (
     QuermassModel,
     additivity_check,
     conditional_energy,
-    dilate,
     energy,
     euler_characteristic,
     interaction_range,
@@ -31,7 +30,7 @@ from gibbsgrain import (
     union_area,
     union_perimeter,
 )
-from gibbsgrain.marks import LangevinSpec, PathMark, sample_mark
+from gibbsgrain.marks import LangevinSpec, PathMark
 from conftest import config, mp, random_scalar_config
 
 
@@ -227,7 +226,7 @@ class TestTranslationInvariance:
         pts = []
         for _ in range(4):
             loc = tuple(rng.uniform(-2, 2, size=2))
-            pts.append(MarkedPoint.make(loc, sample_mark(spec, rng)))
+            pts.append(MarkedPoint.make(loc, spec.sample(rng)))
         g = Configuration(pts)
         v = rng.uniform(-20, 20, size=2)
         shifted = Configuration(
@@ -358,7 +357,7 @@ class TestConditionalEnergy:
             xi_out = restrict_complement(xi, w)
             increments = []
             for k in (8.0, 12.0):
-                big = dilate(w, k)
+                big = Box.centered_cube(1.0 + k, 2)
                 xi_k = restrict(xi_out, big)
                 joint = energy(model, g.union(xi_k))
                 alone = energy(model, xi_k)
@@ -424,7 +423,7 @@ class TestAdditivity:
                 loc = (float(rng.uniform(lo_x, hi_x)), float(rng.uniform(lo_y, hi_y)))
                 if all(math.dist(loc, q) >= sep for q in taken):
                     taken.append(loc)
-                    return MarkedPoint.make(loc, sample_mark(spec, rng))
+                    return MarkedPoint.make(loc, spec.sample(rng))
             raise RuntimeError("could not place a separated atom")
 
         for _ in range(20):

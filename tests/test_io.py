@@ -92,6 +92,15 @@ class TestJsonlRoundTrip:
         with pytest.raises(ConfigError):
             record_to_config(rec)
 
+    @pytest.mark.parametrize("line", ['{"seed": 1, "z": 0.5}', "[1, 2]", "{not json"])
+    def test_non_configuration_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "mixed.jsonl"
+        write_configs_jsonl(path, [config([mp((0.0, 0.0), 0.5)])])
+        with open(path, "a") as fh:
+            fh.write("\n" + line + "\n")
+        with pytest.raises(ValueError, match=r"mixed\.jsonl line 3 "):
+            list(read_configs_jsonl(path))
+
 
 class TestReportCsv:
     rows = [

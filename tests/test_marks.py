@@ -19,8 +19,6 @@ from gibbsgrain import (
 from gibbsgrain.marks import (
     LangevinSpec,
     langevin_invariant_check,
-    sample_mark,
-    sup_norm,
 )
 
 
@@ -28,19 +26,19 @@ class TestRadiusLaws:
     def test_point_mass_constant(self):
         rng = stream(301, 0)
         law = PointMassLaw(1.0)
-        assert all(sample_mark(law, rng) == 1.0 for _ in range(50))
+        assert all(law.sample(rng) == 1.0 for _ in range(50))
 
     def test_uniform_mean(self):
         rng = stream(302, 0)
         law = UniformLaw(1.0)
-        draws = np.array([sample_mark(law, rng) for _ in range(100_000)])
+        draws = np.array([law.sample(rng) for _ in range(100_000)])
         assert abs(draws.mean() - 0.5) < 0.01
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
     def test_table_law_frequencies(self):
         rng = stream(303, 0)
         law = TableLaw([0.5, 1.0, 2.0], [0.2, 0.5, 0.3])
-        draws = np.array([sample_mark(law, rng) for _ in range(20_000)])
+        draws = np.array([law.sample(rng) for _ in range(20_000)])
         for v, p in zip([0.5, 1.0, 2.0], [0.2, 0.5, 0.3]):
             frac = np.mean(draws == v)
             assert abs(frac - p) < 3.0 * math.sqrt(p * (1 - p) / len(draws))
@@ -48,7 +46,7 @@ class TestRadiusLaws:
     def test_subbotin_between_zero_and_cutoff(self):
         rng = stream(304, 0)
         law = TruncatedSubbotinLaw(exponent=6.0, cutoff=2.0)
-        draws = np.array([sample_mark(law, rng) for _ in range(5_000)])
+        draws = np.array([law.sample(rng) for _ in range(5_000)])
         assert draws.min() >= 0.0 and draws.max() <= 2.0
 
     def test_subbotin_mean_matches_quadrature(self):
@@ -57,7 +55,7 @@ class TestRadiusLaws:
         target, _ = integrate.quad(lambda x: x * math.exp(-(x**p)) / norm, 0.0, cutoff)
         rng = stream(305, 0)
         law = TruncatedSubbotinLaw(exponent=p, cutoff=cutoff)
-        draws = np.array([sample_mark(law, rng) for _ in range(50_000)])
+        draws = np.array([law.sample(rng) for _ in range(50_000)])
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - target) < 3.0 * se + 1e-5
 
@@ -85,8 +83,8 @@ class TestRadiusLaws:
             TruncatedSubbotinLaw(exponent=5.0, cutoff=1.8),
         ):
             clone = law_from_descriptor(law.descriptor())
-            a = [sample_mark(law, rng1) for _ in range(200)]
-            b = [sample_mark(clone, rng2) for _ in range(200)]
+            a = [law.sample(rng1) for _ in range(200)]
+            b = [clone.sample(rng2) for _ in range(200)]
             assert a == b
 
 
@@ -95,18 +93,18 @@ class TestPathMarks:
         rng = stream(307, 0)
         spec = LangevinSpec.named("quartic", step_count=64)
         for _ in range(10):
-            m = sample_mark(spec, rng)
+            m = spec.sample(rng)
             assert isinstance(m, PathMark)
             assert np.all(m.samples[0] == 0.0)
             assert m.samples.shape == (65, 2)
 
     def test_sup_norm_examples(self):
         zero = PathMark(np.zeros((9, 2)))
-        assert sup_norm(zero) == 0.0
+        assert zero.sup_norm == 0.0
         visiting = PathMark(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]]))
-        assert sup_norm(visiting) >= 5.0
+        assert visiting.sup_norm >= 5.0
         seg = PathMark(np.stack([np.linspace(0, 1, 17), np.zeros(17)], axis=1))
-        assert sup_norm(seg) == pytest.approx(1.0, rel=1e-12)
+        assert seg.sup_norm == pytest.approx(1.0, rel=1e-12)
 
     def test_free_motion_endpoint_second_moment(self):
         # With no potential the scheme telescopes to a sum of Gaussian
@@ -121,7 +119,7 @@ class TestPathMarks:
     def test_increment_variance_is_step_size(self):
         spec = LangevinSpec(potential=lambda x: 0.0 * x[..., 0], grad=lambda x: 0.0 * x, step_count=64, name="free")
         rng = stream(309, 0)
-        paths = [sample_mark(spec, rng).samples for _ in range(2_000)]
+        paths = [spec.sample(rng).samples for _ in range(2_000)]
         incs = np.concatenate([np.diff(p, axis=0).ravel() for p in paths])
         h = 1.0 / 64
         se = math.sqrt(2.0) * h / math.sqrt(len(incs))  # var of sample variance of N(0, h)

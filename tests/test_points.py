@@ -1,4 +1,4 @@
-"""Configurations, windows, restriction, dilation, and the tame statistic."""
+"""Configurations, windows, restriction, and the tame statistic."""
 
 import math
 
@@ -10,8 +10,6 @@ from gibbsgrain import (
     Box,
     Configuration,
     MarkedPoint,
-    ModelParams,
-    dilate,
     mark_sup,
     restrict,
     restrict_complement,
@@ -155,54 +153,3 @@ class TestWindows:
     def test_ball_volume(self):
         assert Ball((0.0, 0.0), 2.0).volume() == pytest.approx(math.pi * 4.0)
         assert Ball((0.0,), 1.0).volume() == pytest.approx(2.0)
-
-
-class TestDilate:
-    def test_zero_margin_keeps_membership(self):
-        w = Box.unit(2)
-        d0 = dilate(w, 0.0)
-        assert d0.contains((0.5, 0.5))
-        assert not d0.contains((1.5, 0.5))
-
-    def test_ball_dilation_is_bigger_ball(self):
-        d = dilate(Ball((0.0, 0.0), 1.0), 2.0)
-        assert d.contains((2.9, 0.0))
-        assert not d.contains((3.1, 0.0))
-
-    def test_rounded_corner_membership(self):
-        d = dilate(Box.centered_cube(1.0, 2), 1.0)
-        assert d.contains((2.0, 0.0))
-        assert not d.contains((2.0, 2.0))  # corner distance sqrt(2) > 1
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            dilate(Box.unit(2), -0.1)
-
-    def test_monotone_in_margin(self):
-        rng = stream(105, 0)
-        w = Box([(-1.0, 0.5), (0.0, 2.0)])
-        small = dilate(w, 0.4)
-        big = dilate(w, 1.3)
-        for _ in range(300):
-            x = tuple(rng.uniform(-3, 4, size=2))
-            if small.contains(x):
-                assert big.contains(x)
-
-
-class TestModelParams:
-    def test_valid(self):
-        p = ModelParams(d=2, delta=1.0, z=0.5)
-        assert p.d == 2
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(d=0, delta=1.0, z=0.5),
-            dict(d=2, delta=0.0, z=0.5),
-            dict(d=2, delta=1.0, z=0.0),
-            dict(d=2, delta=-1.0, z=0.5),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ModelParams(**kwargs)
