@@ -197,16 +197,20 @@ def _report(out: Path, name: str, rows) -> dict:
 def _boundary(spec) -> BoundaryCondition:
     if spec == "free":
         return BoundaryCondition.free()
-    if not isinstance(spec, dict) or "file" not in spec:
+    if not isinstance(spec, dict) or not {"file", "t", "delta"} <= set(spec):
         raise ConfigError("boundary must be 'free' or {file, t, delta}")
     _reject_unknown(spec, {"file", "t", "delta"}, "boundary")
+    try:
+        t, delta = int(spec["t"]), float(spec["delta"])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad boundary block: {e}") from e
     path = Path(spec["file"])
     if not path.exists():
         raise ConfigError(f"boundary file {path} not found")
     xi = next(iter(read_configs_jsonl(path)), None)
     if xi is None:
         raise ConfigError(f"boundary file {path} holds no configuration")
-    return BoundaryCondition.conditioned(xi, int(spec["t"]), float(spec["delta"]))
+    return BoundaryCondition.conditioned(xi, t, delta)
 
 
 def _prepare_sample(cfg: dict):
@@ -228,11 +232,14 @@ def _prepare_sample(cfg: dict):
 
     def body(out: Path, digest: str) -> dict:
         outputs, counts, stats = [], [], []
+        chain_s = 0.0
         for chain in range(chains):
+            t0 = time.perf_counter()
             result = run_chain(
                 model, window, z, law, steps, stream(seed, chain),
                 bc=bc, burn_in=burn_in, thin=thin, drift_check_every=drift_check_every,
             )
+            chain_s += time.perf_counter() - t0
             fname = f"samples_chain{chain}.jsonl"
             write_configs_jsonl(
                 out / fname,
@@ -244,7 +251,8 @@ def _prepare_sample(cfg: dict):
             counts.append(len(result.samples))
             stats.append(asdict(result.stats))
         print(f"wrote {sum(counts)} configurations to {out}")
-        return {"outputs": outputs, "n_samples": counts, "chain_stats": stats}
+        return {"outputs": outputs, "n_samples": counts, "chain_stats": stats,
+                "steps_per_s": steps * chains / chain_s}
 
     return body
 
@@ -318,11 +326,16 @@ def _prepare_audit(cfg: dict):
     two_sided = bool(cfg.get("two_sided", False))
     local = cfg.get("local")
     if local is not None:
+        if not isinstance(local, dict):
+            raise ConfigError("audit.local must be an object {t, env_z, env_n}")
         _reject_unknown(local, {"t", "env_z", "env_n"}, "audit.local")
-        t = int(local.get("t", 2))
-        env_win = build_window({"kind": "box", "n": int(local.get("env_n", 3)),
-                                "d": window.dimension})
-        env_z = float(local.get("env_z", z))
+        try:
+            t = int(local.get("t", 2))
+            env_n = int(local.get("env_n", 3))
+            env_z = float(local.get("env_z", z))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad audit.local block: {e}") from e
+        env_win = build_window({"kind": "box", "n": env_n, "d": window.dimension})
 
     def body(out: Path, digest: str) -> dict:
         def sampler(rng):
@@ -472,8 +485,10 @@ def _prepare_diffusion(cfg: dict):
     model = DiffusionModel()
 
     def body(out: Path, digest: str) -> dict:
+        t0 = time.perf_counter()
         result = run_chain(model, window, z, law, steps, stream(seed, 0),
                            burn_in=burn_in, thin=thin)
+        chain_s = time.perf_counter() - t0
         write_configs_jsonl(
             out / "samples_chain0.jsonl", result.samples,
             meta={"seed": seed, "model_id": model.model_id, "chain": 0, "manifest": digest},
@@ -492,7 +507,8 @@ def _prepare_diffusion(cfg: dict):
         write_report_csv(out / "diffusion.csv", rows)
         print(f"diffusion run: mean count {rows[0].estimate:.3f} -> {out}")
         return {"outputs": ["samples_chain0.jsonl", "diffusion.csv"],
-                "chain_stats": [asdict(result.stats)]}
+                "chain_stats": [asdict(result.stats)],
+                "steps_per_s": steps / chain_s}
 
     return body
 

@@ -121,6 +121,11 @@ class _PairwiseModel(EnergyModel):
             total += v
         return total
 
+    def reach(self, norm_p: float, norm_q: float) -> float:
+        """Distance beyond which ``pair_term`` of two atoms with these mark
+        norms is exactly 0.0; non-decreasing in both norms."""
+        raise NotImplementedError
+
     def energy(self, config: Configuration) -> float:
         self.validate_config(config)
         pts = config.points
@@ -155,6 +160,9 @@ class IdealModel(_PairwiseModel):
     def pair_term(self, p, q) -> float:
         return 0.0
 
+    def reach(self, norm_p, norm_q) -> float:
+        return 0.0
+
     def params(self) -> dict:
         return {}
 
@@ -177,6 +185,9 @@ class HardSphereModel(_PairwiseModel):
             return 0.0
         d = math.dist(p.location, q.location)
         return math.inf if d < p.mark_norm + q.mark_norm else 0.0
+
+    def reach(self, norm_p, norm_q) -> float:
+        return norm_p + norm_q
 
     def params(self) -> dict:
         return {}
@@ -209,6 +220,9 @@ class PairPotentialModel(_PairwiseModel):
         if d > p.mark_norm + q.mark_norm:
             return 0.0
         return self.phi(d)
+
+    def reach(self, norm_p, norm_q) -> float:
+        return norm_p + norm_q
 
     def params(self) -> dict:
         return {"phi": self.phi_id}
@@ -337,6 +351,9 @@ class DiffusionModel(_PairwiseModel):
         sep = np.linalg.norm(p.mark.samples - q.mark.samples, axis=1)
         path_part = float(np.trapezoid(self.phi_tilde(sep), dx=1.0 / p.mark.step_count))
         return float(self.phi(d)) + path_part
+
+    def reach(self, norm_p, norm_q) -> float:
+        return self.a0 + norm_p + norm_q
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         self.validate_config(environment)

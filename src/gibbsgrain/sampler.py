@@ -7,13 +7,31 @@ so two chains driven by the same stream stay coupled step for step as long as
 their decisions agree; the cut-off kernel sampler relies on this to be
 bit-identical to the full kernel once the cap and the environment window are
 past their thresholds.
+
+Pairwise increments read a neighbour index instead of every atom. The index
+is a sparse uniform grid (cell lists): a dict from integer cell key
+floor(x / side) to the (stamp, atom) entries in that cell, over the interior
+atoms and the fixed environment. Interior atoms are stamped in birth order
+and keep their stamp through moves and remarks, which replace in place, so
+stamp order is ``ChainState.points`` order; environment atoms are stamped
+after every interior atom, in environment order. A query collects the cells
+within reach(|p|, bound) of p (padded against roundoff), sorts the entries
+by stamp and hands them to ``model.interaction``, so the interacting terms
+are added in the same order as the plain loop over points then environment,
+and only pairs whose term is an exact 0.0 are left out: the increments are
+bit for bit those of the plain loop (but for the sign of an all-zero sum,
+which neither the acceptance test nor the cached energy can see). ``bound``
+is the largest mark norm indexed so far (interior or environment) and never
+decreases; the cell side is reach(bound, bound), and the grid is rebuilt,
+in O(n), whenever an accepted atom raises the bound. Quermass increments
+stay global; every model checks occupancy in a set of interior locations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import product
 
 import numpy as np
 
@@ -230,10 +248,81 @@ def hastings_ratio(kind: str, z_volume: float, n: int, dh: float) -> float:
 
 _KINDS = ("birth", "death", "move", "remark")
 
+# Environment stamps start here, above any interior stamp a chain reaches.
+_ENV_STAMP = 1 << 62
+
+
+class _CellIndex:
+    """Cell-list neighbour index of a pairwise chain (see module docstring).
+
+    ``interior`` holds the (stamp, atom) entries parallel to
+    ``ChainState.points``; ``replace`` mirrors every change to that list.
+    """
+
+    def __init__(self, reach, env: Configuration):
+        self.reach = reach
+        self.interior: list[tuple[int, MarkedPoint]] = []
+        self.env = [(_ENV_STAMP + j, q) for j, q in enumerate(env.points)]
+        self.births = 0
+        self.bound = max((q.mark_norm for q in env.points), default=0.0)
+        self._build()
+
+    def _build(self) -> None:
+        # A zero reach leaves only coincident atoms interacting: one cell.
+        self.side = self.reach(self.bound, self.bound) or math.inf
+        self.cells: dict[tuple[int, ...], list] = {}
+        for entry in self.interior + self.env:
+            self.cells.setdefault(self._key(entry[1].location), []).append(entry)
+
+    def _key(self, loc: tuple[float, ...]) -> tuple[int, ...]:
+        return tuple(math.floor(c / self.side) for c in loc)
+
+    def replace(self, idx: int, added: list[MarkedPoint]) -> None:
+        """Mirror ``points[idx : idx + 1] = added`` (at most one atom each)."""
+        old = self.interior[idx : idx + 1]
+        for entry in old:
+            self.cells[self._key(entry[1].location)].remove(entry)
+        if old:
+            stamp = old[0][0]
+        else:
+            stamp, self.births = self.births, self.births + 1
+        new = [(stamp, p) for p in added]
+        self.interior[idx : idx + 1] = new
+        grown = max((p.mark_norm for p in added), default=0.0)
+        if grown > self.bound:
+            self.bound = grown
+            self._build()
+            return
+        for entry in new:
+            self.cells.setdefault(self._key(entry[1].location), []).append(entry)
+
+    def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint]:
+        """Atoms within reach of p, interior index ``skip`` left out, in
+        list order: interior atoms first, then the environment."""
+        r = self.reach(p.mark_norm, self.bound)
+        side = self.side
+        spans = []
+        for c in p.location:
+            # the slack covers roundoff in distances and cell keys
+            slack = r + 1e-9 * (r + abs(c))
+            spans.append(range(math.floor((c - slack) / side), math.floor((c + slack) / side) + 1))
+        found = []
+        for key in product(*spans):
+            cell = self.cells.get(key)
+            if cell:
+                found += cell
+        found.sort()
+        hidden = self.interior[skip][0] if skip >= 0 else -1
+        return [q for stamp, q in found if stamp != hidden]
+
 
 @dataclass
 class ChainState:
-    """Mutable chain state: interior atoms, fixed environment, cached energy."""
+    """Mutable chain state: interior atoms, fixed environment, cached energy.
+
+    ``occupied`` holds the interior locations and ``index`` (pairwise models
+    only) the neighbour cells; ``replace`` keeps both in step with ``points``.
+    """
 
     window: Window
     points: list[MarkedPoint]
@@ -244,9 +333,21 @@ class ChainState:
     step_count: int = 0
     proposals: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
     accepts: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
+    occupied: set = field(default_factory=set)
+    index: _CellIndex | None = None
 
     def snapshot(self) -> Configuration:
         return Configuration(list(self.points), dimension=self.window.dimension)
+
+    def replace(self, idx: int, added: list[MarkedPoint]) -> None:
+        """``points[idx : idx + 1] = added``, with the location set and the
+        neighbour index updated to match."""
+        for q in self.points[idx : idx + 1]:
+            self.occupied.discard(q.location)
+        self.occupied.update(q.location for q in added)
+        if self.index is not None:
+            self.index.replace(idx, added)
+        self.points[idx : idx + 1] = added
 
 
 def init_chain(
@@ -269,6 +370,7 @@ def init_chain(
         cached_energy=0.0,
         volume=_window_volume(window),
         mark_cap=mark_cap,
+        index=_CellIndex(model.reach, env) if model.pairwise else None,
     )
 
 
@@ -278,15 +380,14 @@ def _occupied(state: ChainState, loc: tuple[float, ...], skip: int = -1) -> bool
     Births and moves onto an occupied location are rejected, which keeps every
     chain state a simple configuration; remarks keep their location.
     """
-    return any(q.location == loc for i, q in enumerate(state.points) if i != skip)
+    return loc in state.occupied and (skip < 0 or state.points[skip].location != loc)
 
 
 def _delta_add(model, state: ChainState, p: MarkedPoint, skip: int = -1) -> float:
     """Energy increment for inserting p; ``skip`` hides one interior index
     (pairwise models only, for swaps and removals)."""
     if model.pairwise:
-        pts = state.points if skip < 0 else state.points[:skip] + state.points[skip + 1 :]
-        return model.interaction(p, chain(pts, state.env.points), model.self_term(p))
+        return model.interaction(p, state.index.neighbours(p, skip), model.self_term(p))
     trial = Configuration(state.points + [p], dimension=state.window.dimension)
     return model.conditional_energy(trial, state.env) - state.cached_energy
 
@@ -377,7 +478,7 @@ def bdm_step(
                 dh = _delta_swap(model, state, idx, p)
     state.proposals[kind] += 1
     if u_acc < hastings_ratio(kind, z * state.volume, n, dh):
-        state.points[idx : idx + 1] = added
+        state.replace(idx, added)
         state.cached_energy += dh
         state.accepts[kind] += 1
     state.step_count += 1

@@ -5,8 +5,14 @@ test is reproducible in isolation regardless of execution order.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from gibbsgrain import Configuration, MarkedPoint
+
+# Property tests replay the same examples on every run, so tier-1 stays
+# deterministic; no example database is written.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def mp(loc, norm=0.0, mark=None):

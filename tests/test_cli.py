@@ -144,6 +144,8 @@ class TestSampleCommand:
             assert st["drift_checks"] == 0 and st["max_drift"] == 0.0
             assert math.isfinite(st["final_energy"])
         assert stats[0] != stats[1]
+        # a rate, kept out of chain_stats so those stay deterministic
+        assert record["steps_per_s"] > 0 and "steps_per_s" not in stats[0]
 
 
 class TestGeometryCommand:
@@ -317,6 +319,8 @@ class TestDiffusionCommand:
         by_q = {r.quantity: r for r in rows}
         assert by_q["mean_count"].estimate >= 0.0
         assert math.isfinite(by_q["final_energy"].estimate)
+        record = json.loads((tmp_path / "df" / "record.json").read_text())
+        assert record["steps_per_s"] > 0
 
 
 class TestPlotDataCommand:
@@ -375,9 +379,12 @@ class TestRunWrapper:
             (["temper"], {}),
             (["compat", "--flavor", "bogus"], {}),
             (["plot-data", "--series", "bogus"], {}),
+            (["audit"], {"local": 5}),
+            (["audit"], {"local": {"t": [2]}}),
         ],
         ids=["audit-local-key", "plot-data-no-input", "temper-no-input",
-             "bogus-flavor", "bogus-series"],
+             "bogus-flavor", "bogus-series", "audit-local-not-object",
+             "audit-local-bad-value"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, argv, payload):
         cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))
@@ -415,3 +422,14 @@ class TestRunWrapper:
         cfg = write_cfg(tmp_path, "bc.json", {"seed": 1, "boundary": boundary})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("missing", ["t", "delta"])
+    def test_boundary_without_t_or_delta_exits_2(self, tmp_path, missing, capsys):
+        xi = tmp_path / "xi.jsonl"
+        write_configs_jsonl(xi, [config([mp((3.0, 0.0), 0.5)])])
+        boundary = {k: v for k, v in {"file": str(xi), "t": 1, "delta": 1.0}.items()
+                    if k != missing}
+        cfg = write_cfg(tmp_path, "bc.json", {"seed": 1, "boundary": boundary})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        assert "boundary must be" in capsys.readouterr().err

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from gibbsgrain import (
+    Ball,
     Box,
     Configuration,
+    DiffusionModel,
     HardSphereModel,
     IdealModel,
+    LangevinSpec,
     MarkedPoint,
     NumericalFailure,
     PairPotentialModel,
@@ -18,6 +23,7 @@ from gibbsgrain import (
     PreconditionError,
     ProposalMix,
     QuermassModel,
+    TableLaw,
     UniformLaw,
     energy,
     rejection_sample,
@@ -29,6 +35,10 @@ from gibbsgrain import (
 )
 from gibbsgrain.sampler import (
     BoundaryCondition,
+    _delta_add,
+    _delta_remove,
+    _delta_swap,
+    _draw_location,
     bdm_step,
     hastings_ratio,
     init_chain,
@@ -397,3 +407,144 @@ class TestCutoffKernel:
         for a, b in zip(full.samples, cut.samples):
             assert tuple(p.location for p in a.points) == tuple(p.location for p in b.points)
             assert tuple(p.mark_norm for p in a.points) == tuple(p.mark_norm for p in b.points)
+
+
+# ---------------------------------------------------------------------------
+# Neighbour index: indexed increments equal the plain insertion-order loop
+# ---------------------------------------------------------------------------
+
+INDEX_MODELS = {
+    "hardcore": HardSphereModel(),
+    "nonnegpair": PairPotentialModel(soft_bump, phi_id="soft_bump"),
+    "diffusion": DiffusionModel(),
+}
+# One rare large mark spreads the norms over two orders of magnitude.
+SPREAD_LAW = TableLaw([0.05, 0.3, 0.6, 4.0], [0.3, 0.4, 0.27, 0.03])
+PATH_LAW = LangevinSpec.named("quartic", 8)
+
+
+def plain_add(model, state, p, skip=-1):
+    """The unindexed increment: every interior atom, then the environment."""
+    pts = state.points if skip < 0 else state.points[:skip] + state.points[skip + 1 :]
+    return model.interaction(p, list(pts) + list(state.env.points), model.self_term(p))
+
+
+def plain_remove(model, state, idx):
+    return -plain_add(model, state, state.points[idx], skip=idx)
+
+
+def plain_swap(model, state, idx, new_p):
+    gain = plain_add(model, state, new_p, skip=idx)
+    return math.inf if gain == math.inf else gain + plain_remove(model, state, idx)
+
+
+def assert_increments_match(model, state, rng, law, queries=12):
+    """Indexed _delta_add/_delta_remove/_delta_swap against the plain loop,
+    bit for bit, for fresh atoms, every removal and moves plus remarks."""
+    assert [q for _stamp, q in state.index.interior] == state.points
+    for _ in range(queries):
+        p = MarkedPoint.make(_draw_location(state.window, rng), law.sample(rng))
+        assert _delta_add(model, state, p).hex() == plain_add(model, state, p).hex()
+    for idx in range(len(state.points)):
+        assert _delta_remove(model, state, idx).hex() == plain_remove(model, state, idx).hex()
+        old = state.points[idx]
+        for new_p in (
+            MarkedPoint.make(_draw_location(state.window, rng), old.mark),
+            MarkedPoint.make(old.location, law.sample(rng)),
+        ):
+            got = _delta_swap(model, state, idx, new_p)
+            assert got.hex() == plain_swap(model, state, idx, new_p).hex()
+
+
+def scramble(state, rng, law, n_ops):
+    """Births, deaths, moves and remarks through ChainState.replace."""
+    for _ in range(n_ops):
+        n = len(state.points)
+        op = int(rng.integers(0, 4)) if n else 0
+        idx = int(rng.integers(0, n)) if n else 0
+        if op == 0:
+            loc = _draw_location(state.window, rng)
+            state.replace(n, [MarkedPoint.make(loc, law.sample(rng))])
+        elif op == 1:
+            state.replace(idx, [])
+        elif op == 2:
+            loc = _draw_location(state.window, rng)
+            state.replace(idx, [MarkedPoint.make(loc, state.points[idx].mark)])
+        else:
+            state.replace(idx, [MarkedPoint.make(state.points[idx].location, law.sample(rng))])
+
+
+class TestNeighbourIndex:
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(sorted(INDEX_MODELS)),
+        d=st.integers(1, 3),
+        ball=st.booleans(),
+        half=st.sampled_from([1.0, 3.0, 6.0]),
+        spread=st.booleans(),
+        n_ops=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_increments_match_plain_loop(self, name, d, ball, half, spread, n_ops, seed):
+        model = INDEX_MODELS[name]
+        rng = np.random.default_rng(seed)
+        law = PATH_LAW if name == "diffusion" else (SPREAD_LAW if spread else UniformLaw(0.6))
+        window = Ball([0.0] * d, half) if ball else Box.centered_cube(half, d)
+        # environment: a shell just outside the window plus far-away atoms
+        near = [_draw_location(Box.centered_cube(half + 2.0, d), rng) for _ in range(20)]
+        far = [tuple(float(c) for c in rng.uniform(-1.0, 1.0, d) * 50.0 + 60.0) for _ in range(3)]
+        xi = Configuration(
+            [MarkedPoint.make(loc, law.sample(rng)) for loc in near + far], dimension=d
+        )
+        state = init_chain(model, window, BoundaryCondition(xi, None))
+        scramble(state, rng, law, n_ops)
+        assert_increments_match(model, state, rng, law)
+
+    def test_remark_that_raises_the_bound_rebuilds_the_grid(self):
+        model = INDEX_MODELS["nonnegpair"]
+        rng = stream(624, 0)
+        state = init_chain(model, Box.centered_cube(6.0, 2))
+        scramble(state, rng, UniformLaw(0.3), 80)
+        side = state.index.side
+        assert side <= 0.6
+        idx = len(state.points) // 2
+        state.replace(idx, [MarkedPoint.make(state.points[idx].location, 2.5)])
+        assert state.index.bound == 2.5
+        assert state.index.side == model.reach(2.5, 2.5) > side
+        assert_increments_match(model, state, rng, UniformLaw(0.3))
+        assert_increments_match(model, state, rng, UniformLaw(3.0))
+
+    def test_contact_at_exactly_the_reach_interacts(self):
+        # nonnegpair gates on d <= |m_p| + |m_q|: the pair at equality counts,
+        # and here it sits in the next cell over.
+        model = INDEX_MODELS["nonnegpair"]
+        state = init_chain(model, Box.centered_cube(4.0, 2))
+        state.replace(0, [mp((1.0, 0.0), 0.5)])
+        assert state.index.side == 1.0
+        p = mp((0.0, 0.0), 0.5)
+        assert math.dist(p.location, state.points[0].location) == model.reach(0.5, 0.5)
+        expected = soft_bump(1.0)
+        assert expected > 0.0
+        assert _delta_add(model, state, p) == plain_add(model, state, p) == expected
+
+    @settings(max_examples=200)
+    @given(
+        name=st.sampled_from(sorted(INDEX_MODELS)),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        excess=st.floats(0.0, 5.0, exclude_min=True),
+    )
+    def test_pair_term_vanishes_beyond_reach(self, name, d, seed, excess):
+        model = INDEX_MODELS[name]
+        rng = np.random.default_rng(seed)
+        law = PATH_LAW if name == "diffusion" else SPREAD_LAW
+        p = MarkedPoint.make(tuple(rng.uniform(-3.0, 3.0, d)), law.sample(rng))
+        q_mark = law.sample(rng)
+        q_norm = MarkedPoint.make((0.0,) * d, q_mark).mark_norm
+        direction = rng.standard_normal(d)
+        direction /= np.linalg.norm(direction)
+        dist = model.reach(p.mark_norm, q_norm) + excess
+        q = MarkedPoint.make(tuple(np.asarray(p.location) + dist * direction), q_mark)
+        if math.dist(p.location, q.location) > model.reach(p.mark_norm, q.mark_norm):
+            assert model.pair_term(p, q) == 0.0
+            assert model.pair_term(q, p) == 0.0

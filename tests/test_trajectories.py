@@ -47,6 +47,18 @@ ENV = config(
     ]
 )
 
+# ENV moved out by 4.5 along its outward axis, so it sits just outside
+# [-6, 6)^2 as ENV does outside [-1.5, 1.5)^2 (ENV itself would lie inside
+# the wider window and be dropped).
+ENV_W6 = config(
+    [
+        mp((6.3, 0.1), 0.6),
+        mp((-6.2, 1.2), 0.5),
+        mp((0.3, -6.4), 0.7),
+        mp((7.1, 6.9), 0.4),
+    ]
+)
+
 CASES = {
     "ideal": dict(
         model=IdealModel(), half=1.5, z=0.8, law=UniformLaw(0.5), steps=20_000, env=ENV
@@ -65,6 +77,12 @@ CASES = {
     "diffusion": dict(
         model=DiffusionModel(), half=2.0, z=0.4, law=LangevinSpec.named("quartic", 32),
         steps=2000, env=None,
+    ),
+    # Wide enough (~140 atoms) that the chain's neighbour cells tile the
+    # window; the name sorts last so the other cases keep their streams.
+    "wide-nonnegpair": dict(
+        model=PairPotentialModel(soft_bump, phi_id="soft_bump"),
+        half=6.0, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_W6,
     ),
 }
 
@@ -98,6 +116,12 @@ PINNED = {
         "proposals": {"birth": 1075, "death": 1050, "move": 588, "remark": 287},
         "accepts": {"birth": 781, "death": 776, "move": 416, "remark": 241},
         "final_energy": "0x1.5b94e8db24650p-3",
+    },
+    "wide-nonnegpair": {
+        "samples": "d847fa5c46433aa2735b36aa260d081f6b40089550a4175cf8eb464d0bd75a9c",
+        "proposals": {"birth": 7074, "death": 6907, "move": 3980, "remark": 2039},
+        "accepts": {"birth": 6094, "death": 5951, "move": 3492, "remark": 1834},
+        "final_energy": "0x1.404a7a4217708p+4",
     },
 }
 
