@@ -232,14 +232,15 @@ def _prepare_sample(cfg: dict):
 
     def body(out: Path, digest: str) -> dict:
         outputs, counts, stats = [], [], []
-        chain_s = 0.0
+        chain_s = write_s = 0.0
         for chain in range(chains):
             t0 = time.perf_counter()
             result = run_chain(
                 model, window, z, law, steps, stream(seed, chain),
                 bc=bc, burn_in=burn_in, thin=thin, drift_check_every=drift_check_every,
             )
-            chain_s += time.perf_counter() - t0
+            t1 = time.perf_counter()
+            chain_s += t1 - t0
             fname = f"samples_chain{chain}.jsonl"
             write_configs_jsonl(
                 out / fname,
@@ -247,12 +248,13 @@ def _prepare_sample(cfg: dict):
                 meta={"seed": seed, "model_id": model.model_id, "chain": chain,
                       "manifest": digest},
             )
+            write_s += time.perf_counter() - t1
             outputs.append(fname)
             counts.append(len(result.samples))
             stats.append(asdict(result.stats))
         print(f"wrote {sum(counts)} configurations to {out}")
         return {"outputs": outputs, "n_samples": counts, "chain_stats": stats,
-                "steps_per_s": steps * chains / chain_s}
+                "steps_per_s": steps * chains / chain_s, "write_s": write_s}
 
     return body
 
@@ -488,11 +490,12 @@ def _prepare_diffusion(cfg: dict):
         t0 = time.perf_counter()
         result = run_chain(model, window, z, law, steps, stream(seed, 0),
                            burn_in=burn_in, thin=thin)
-        chain_s = time.perf_counter() - t0
+        t1 = time.perf_counter()
         write_configs_jsonl(
             out / "samples_chain0.jsonl", result.samples,
             meta={"seed": seed, "model_id": model.model_id, "chain": 0, "manifest": digest},
         )
+        write_s = time.perf_counter() - t1
         counts = [len(c) for c in result.samples]
         sups = [mark_sup(c) for c in result.samples if len(c)]
         rows = [
@@ -508,7 +511,7 @@ def _prepare_diffusion(cfg: dict):
         print(f"diffusion run: mean count {rows[0].estimate:.3f} -> {out}")
         return {"outputs": ["samples_chain0.jsonl", "diffusion.csv"],
                 "chain_stats": [asdict(result.stats)],
-                "steps_per_s": steps / chain_s}
+                "steps_per_s": steps / (t1 - t0), "write_s": write_s}
 
     return body
 

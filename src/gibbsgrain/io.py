@@ -41,7 +41,7 @@ __all__ = [
 
 def _mark_payload(mark) -> dict:
     if isinstance(mark, PathMark):
-        return {"kind": "path", "samples": [[float(a), float(b)] for a, b in mark.samples]}
+        return {"kind": "path", "samples": mark.samples.tolist()}
     return {"kind": "scalar", "value": float(mark)}
 
 

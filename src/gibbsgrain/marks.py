@@ -4,6 +4,17 @@ Scalar laws produce non-negative radii. Path marks are Euler-Maruyama
 discretisations of a Langevin diffusion on [0, 1] started at the origin; their
 norm is the supremum of |X_s| over the sample grid, which underestimates the
 true path supremum by the amount the path wanders between grid points.
+
+A path is drawn by one Euler loop over Python floats, not numpy arrays: a
+two-element array costs far more per step in call overhead than the
+arithmetic itself. The noise block is drawn in one call as before, so the
+stream is consumed identically, and each coordinate is updated as
+``x - (0.5 * h) * g + noise``, the same IEEE double operations in the same
+order as the array expression ``x - 0.5 * h * grad(x) + noise[i]``. The
+built-in gradients have float twins that repeat their array arithmetic
+operation for operation (a two-term ``np.sum`` is one addition), and any other
+gradient is called on a fresh two-element array, so every path is bit for bit
+the one the array loop drew.
 """
 
 from __future__ import annotations
@@ -194,6 +205,28 @@ def _zero_grad(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _quartic_grad_scalar(x0, x1):
+    s = 4.0 * (x0 * x0 + x1 * x1)
+    return s * x0, s * x1
+
+
+def _quadratic_grad_scalar(x0, x1):
+    return 2.0 * x0, 2.0 * x1
+
+
+def _zero_grad_scalar(x0, x1):
+    return 0.0, 0.0
+
+
+# Float twins of the built-in gradients for LangevinSpec.sample; each does the
+# array version's IEEE operations in its order. Keyed by the id of the array
+# gradient, so a custom grad needs no hash to fall through to the adapter.
+_SCALAR_GRADS: dict[int, Callable] = {
+    id(_quartic_grad): _quartic_grad_scalar,
+    id(_quadratic_grad): _quadratic_grad_scalar,
+    id(_zero_grad): _zero_grad_scalar,
+}
+
 _POTENTIALS: dict[str, tuple[Callable, Callable]] = {
     "quartic": (_quartic, _quartic_grad),
     "quadratic": (_quadratic, _quadratic_grad),
@@ -215,6 +248,12 @@ class LangevinSpec(MarkLaw):
 
     ``potential`` and ``grad`` must accept (..., 2) arrays. ``name`` identifies
     the potential in manifests; use "custom" for ad-hoc callables.
+
+    ``sample`` steps both coordinates as Python floats (see the module
+    docstring). The built-in gradients run as their float twins; any other
+    ``grad`` is adapted as ``tuple(grad(np.array((x0, x1))))``, so it sees
+    the same (2,) array the array loop passed it. ``sample_endpoints``
+    advances many chains at once and keeps the array form.
     """
 
     potential: Callable = _quartic
@@ -234,14 +273,23 @@ class LangevinSpec(MarkLaw):
     def sample(self, rng) -> PathMark:
         k = self.step_count
         h = 1.0 / k
-        noise = rng.standard_normal((k, 2)) * math.sqrt(h)
-        out = np.empty((k + 1, 2))
-        out[0] = 0.0
-        x = np.zeros(2)
-        for i in range(k):
-            x = x - 0.5 * h * self.grad(x) + noise[i]
-            out[i + 1] = x
-        return PathMark(out)
+        noise = (rng.standard_normal((k, 2)) * math.sqrt(h)).tolist()
+        grad = _SCALAR_GRADS.get(id(self.grad))
+        if grad is None:
+            array_grad = self.grad
+
+            def grad(x0, x1):
+                return tuple(array_grad(np.array((x0, x1))))
+
+        hh = 0.5 * h
+        x0 = x1 = 0.0
+        flat = [x0, x1]
+        for n0, n1 in noise:
+            g0, g1 = grad(x0, x1)
+            x0 = x0 - hh * g0 + n0
+            x1 = x1 - hh * g1 + n1
+            flat += (x0, x1)
+        return PathMark(np.array(flat).reshape(k + 1, 2))
 
     def sample_endpoints(self, rng, n_chains: int, n_steps: int, guard_radius: float):
         """Vectorised chains for the invariant check; returns (endpoints, diverged)."""

@@ -22,9 +22,12 @@ and only pairs whose term is an exact 0.0 are left out: the increments are
 bit for bit those of the plain loop (but for the sign of an all-zero sum,
 which neither the acceptance test nor the cached energy can see). ``bound``
 is the largest mark norm indexed so far (interior or environment) and never
-decreases; the cell side is reach(bound, bound), and the grid is rebuilt,
-in O(n), whenever an accepted atom raises the bound. Quermass increments
-stay global; every model checks occupancy in a set of interior locations.
+decreases; the cell side is reach(bound, bound), or 1.0 when that is 0, and
+the grid is rebuilt, in O(n), whenever an accepted atom raises the bound. A
+query whose reach is 0 (always for the ideal model) can meet only atoms at
+p's own location, which share p's cell, so it keeps just those. Quermass
+increments stay global; every model checks occupancy in a set of interior
+locations.
 """
 
 from __future__ import annotations
@@ -268,8 +271,9 @@ class _CellIndex:
         self._build()
 
     def _build(self) -> None:
-        # A zero reach leaves only coincident atoms interacting: one cell.
-        self.side = self.reach(self.bound, self.bound) or math.inf
+        # A zero reach asks only for p's own cell (see neighbours), which a
+        # unit side keeps small.
+        self.side = self.reach(self.bound, self.bound) or 1.0
         self.cells: dict[tuple[int, ...], list] = {}
         for entry in self.interior + self.env:
             self.cells.setdefault(self._key(entry[1].location), []).append(entry)
@@ -311,6 +315,9 @@ class _CellIndex:
             cell = self.cells.get(key)
             if cell:
                 found += cell
+        if r == 0.0:
+            # only atoms at p's own location can interact
+            found = [entry for entry in found if entry[1].location == p.location]
         found.sort()
         hidden = self.interior[skip][0] if skip >= 0 else -1
         return [q for stamp, q in found if stamp != hidden]

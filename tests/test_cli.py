@@ -144,8 +144,9 @@ class TestSampleCommand:
             assert st["drift_checks"] == 0 and st["max_drift"] == 0.0
             assert math.isfinite(st["final_energy"])
         assert stats[0] != stats[1]
-        # a rate, kept out of chain_stats so those stay deterministic
+        # timings, kept out of chain_stats so those stay deterministic
         assert record["steps_per_s"] > 0 and "steps_per_s" not in stats[0]
+        assert record["write_s"] > 0 and "write_s" not in stats[0]
 
 
 class TestGeometryCommand:
@@ -321,6 +322,7 @@ class TestDiffusionCommand:
         assert math.isfinite(by_q["final_energy"].estimate)
         record = json.loads((tmp_path / "df" / "record.json").read_text())
         assert record["steps_per_s"] > 0
+        assert record["write_s"] > 0
 
 
 class TestPlotDataCommand:

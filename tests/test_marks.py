@@ -1,9 +1,13 @@
 """Mark laws: radius distributions, Langevin path marks, and moment audits."""
 
+import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from gibbsgrain import (
@@ -128,6 +132,77 @@ class TestPathMarks:
     def test_step_count_floor(self):
         with pytest.raises(ValueError):
             LangevinSpec.named("quartic", step_count=1)
+
+
+def array_euler_path(spec, rng):
+    """The Euler loop over (2,) arrays that LangevinSpec.sample reproduces."""
+    k = spec.step_count
+    h = 1.0 / k
+    noise = rng.standard_normal((k, 2)) * math.sqrt(h)
+    out = np.empty((k + 1, 2))
+    out[0] = 0.0
+    x = np.zeros(2)
+    for i in range(k):
+        x = x - 0.5 * h * spec.grad(x) + noise[i]
+        out[i + 1] = x
+    return out
+
+
+@dataclass
+class LinearGrad:
+    """A callable dataclass; its generated __eq__ leaves it unhashable."""
+
+    c: float
+
+    def __call__(self, x):
+        return self.c * x
+
+
+# Custom gradients reach sample through its array adapter; the first indexes
+# the last axis, so it fails on anything but an array argument.
+CUSTOM_GRADS = {
+    "axis-index": lambda x: np.stack([x[..., 0] ** 3, x[..., 1] + x[..., 0]], axis=-1),
+    "free": lambda x: 0.0 * x,
+    "sextic": lambda x: 6.0 * np.sum(x * x, axis=-1)[..., None] ** 2 * x,
+    "sinh": np.sinh,
+    "unhashable": LinearGrad(1.5),
+}
+
+
+class TestScalarEulerLoop:
+    @given(
+        potential=st.sampled_from(["quartic", "quadratic", "zero", *sorted(CUSTOM_GRADS)]),
+        step_count=st.integers(2, 256),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paths_match_the_array_loop_bit_for_bit(self, potential, step_count, seed):
+        if potential in CUSTOM_GRADS:
+            spec = LangevinSpec(grad=CUSTOM_GRADS[potential], step_count=step_count,
+                                name="custom")
+        else:
+            spec = LangevinSpec.named(potential, step_count)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            samples = array_euler_path(spec, rng_b)
+            if not np.all(np.isfinite(samples)):
+                # coarse steps can blow up; such a path is refused either way
+                with pytest.raises(ValueError, match="finite"):
+                    spec.sample(rng_a)
+                return
+            path = spec.sample(rng_a)
+        reference = PathMark(samples)
+        assert path.samples.tobytes() == reference.samples.tobytes()
+        assert path.sup_norm == reference.sup_norm
+        # the stream is left where the array loop leaves it
+        assert rng_a.random() == rng_b.random()
+
+    def test_quartic_256_step_path_is_pinned(self):
+        # digest recorded with the array loop
+        path = LangevinSpec.named("quartic", 256).sample(np.random.default_rng(0))
+        assert (
+            hashlib.sha256(path.samples.tobytes()).hexdigest()
+            == "5b8bea42dd0ecdd474549088afa214199e36ef7519c50e0802dc260e97ed9ceb"
+        )
 
 
 class TestInvariantCheck:

@@ -33,6 +33,7 @@ from gibbsgrain import (
     stream,
     tame_statistic,
 )
+from gibbsgrain import sampler
 from gibbsgrain.sampler import (
     BoundaryCondition,
     _delta_add,
@@ -414,6 +415,7 @@ class TestCutoffKernel:
 # ---------------------------------------------------------------------------
 
 INDEX_MODELS = {
+    "ideal": IdealModel(),
     "hardcore": HardSphereModel(),
     "nonnegpair": PairPotentialModel(soft_bump, phi_id="soft_bump"),
     "diffusion": DiffusionModel(),
@@ -526,6 +528,38 @@ class TestNeighbourIndex:
         expected = soft_bump(1.0)
         assert expected > 0.0
         assert _delta_add(model, state, p) == plain_add(model, state, p) == expected
+
+    def test_zero_reach_queries_only_coincident_atoms(self, monkeypatch):
+        # The ideal model's reach is 0, so an increment can only meet atoms at
+        # p's own location; the plain loop calls pair_term on every atom.
+        class CountingIdeal(IdealModel):
+            calls = 0
+
+            def pair_term(self, p, q):
+                CountingIdeal.calls += 1
+                return 0.0
+
+        def run():
+            CountingIdeal.calls = 0
+            result = run_chain(CountingIdeal(), Box.centered_cube(4.0, 2), 0.5,
+                               UniformLaw(0.5), 10_000, stream(626, 0), thin=500)
+            return CountingIdeal.calls, [c.points for c in result.samples]
+
+        indexed_calls, indexed = run()
+        # an environment atom at p's location is still a neighbour
+        coincident = mp((0.5, -1.5), 0.2)
+        state = init_chain(IdealModel(), Box.centered_cube(1.0, 2),
+                           BoundaryCondition(config([coincident, mp((0.5, -1.25))]), None))
+        assert state.index.neighbours(mp((0.5, -1.5))) == [coincident]
+
+        def plain_neighbours(index, p, skip=-1):
+            interior = [q for i, (_stamp, q) in enumerate(index.interior) if i != skip]
+            return interior + [q for _stamp, q in index.env]
+
+        monkeypatch.setattr(sampler._CellIndex, "neighbours", plain_neighbours)
+        plain_calls, plain = run()
+        assert indexed == plain
+        assert indexed_calls * 100 < plain_calls
 
     @settings(max_examples=200)
     @given(
