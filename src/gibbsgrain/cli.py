@@ -267,6 +267,8 @@ def _prepare_geometry(cfg: dict):
     margin = float(cfg.get("margin", 0.03))
     grid = int(cfg.get("grid", 2048))
     mc_points = int(cfg.get("mc_points", 200_000))
+    if mc_points < 10_000:
+        raise ConfigError("mc_points must be >= 10000 for a usable oracle stderr")
 
     def body(out: Path, digest: str) -> dict:
         rows = []
@@ -296,6 +298,8 @@ def _prepare_temper(cfg: dict):
     path = _input_path(cfg, "temper needs an 'input' JSONL path")
     t = int(cfg.get("t", 1))
     delta = float(cfg.get("delta", 1.0))
+    if t < 1 or not delta > 0:
+        raise ConfigError("temper needs t >= 1 and delta > 0")
 
     def body(out: Path, digest: str) -> dict:
         rows = []
@@ -582,8 +586,9 @@ _COMMANDS = {
         "input": str, "series": str, "u_min": float, "u_max": float, "count": None}),
 }
 
-# ConfigError is a ValueError; stray ValueErrors from numerical code fed a bad
-# config value (temper --t 0, too few oracle points) are config errors too.
+# ConfigError is a ValueError, and a stray ValueError from numerical code still
+# exits 2 too, although the config values known to reach numerical code
+# (temper t and delta, geometry mc_points) are checked in prepare.
 _EXIT_CODES = (
     (ValueError, 2, "config error"),
     (PreconditionError, 3, "precondition violated"),

@@ -10,6 +10,19 @@ functional after pruning environment grains that do not meet the interior
 grain union, which leaves the value of the stationary-limit definition
 unchanged (inclusion-exclusion for area and Euler characteristic, boundary
 bookkeeping for perimeter).
+
+The quermass functional F is a valuation of the grain union, so adding a
+grain p to any disc family A changes it by
+
+    F(A with p) - F(A) = F(N with p) - F(N),
+
+where N is the set of grains of A whose open disc meets p's: the grains
+away from p's disc cancel by inclusion-exclusion, and the identity holds
+for N replaced by any subfamily of A that contains it. The chain's
+increments (``local_delta``) use it with A the interior plus the
+environment. ``conditional_energy`` stays a global recomputation: it is the
+reference that the chain's 1e-9 drift check compares the summed increments
+against.
 """
 
 from __future__ import annotations
@@ -21,7 +34,15 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import DiscSystem, euler_characteristic, union_area, union_perimeter
+from .geometry import (
+    _DEGENERACY_TOL,
+    Disc,
+    DiscSystem,
+    _circle_vertices,
+    euler_characteristic,
+    union_area,
+    union_perimeter,
+)
 from .marks import PathMark
 from .points import (
     Configuration,
@@ -74,12 +95,15 @@ class EnergyModel:
 
     ``nonnegative`` certifies H >= 0 (including conditional energies), which
     is what exact rejection sampling needs. ``pairwise`` marks models whose
-    energy is a sum of self terms and pair terms.
+    energy is a sum of self terms and pair terms. ``degeneracy_tol`` is the
+    relative half-width of the band of degenerate proposals that
+    ``local_delta`` refuses (0 for models without grain geometry).
     """
 
     model_id: str = "abstract"
     nonnegative: bool = False
     pairwise: bool = False
+    degeneracy_tol: float = 0.0
 
     def energy(self, config: Configuration) -> float:
         raise NotImplementedError
@@ -92,6 +116,24 @@ class EnergyModel:
         raise NotImplementedError
 
     def pair_term(self, p: MarkedPoint, q: MarkedPoint) -> float:
+        raise NotImplementedError
+
+    def reach(self, norm_p: float, norm_q: float) -> float:
+        """Distance beyond which atoms with these mark norms do not interact
+        (``pair_term`` is exactly 0.0, grains do not meet); non-decreasing in
+        both norms."""
+        raise NotImplementedError
+
+    def local_delta(
+        self, p: MarkedPoint, neighbours: Iterable[MarkedPoint], band: float = 0.0
+    ) -> float:
+        """H(x with p) - H(x) given an environment, for p not in x.
+
+        ``neighbours`` holds the atoms of x and of the environment within
+        reach of p (a superset does not change the value), interior atoms
+        first, each group in its list order. ``band`` > 0 asks for +inf when p
+        is degenerate with its neighbours (see ``QuermassModel.local_delta``).
+        """
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -121,10 +163,8 @@ class _PairwiseModel(EnergyModel):
             total += v
         return total
 
-    def reach(self, norm_p: float, norm_q: float) -> float:
-        """Distance beyond which ``pair_term`` of two atoms with these mark
-        norms is exactly 0.0; non-decreasing in both norms."""
-        raise NotImplementedError
+    def local_delta(self, p, neighbours, band=0.0) -> float:
+        return self.interaction(p, neighbours, self.self_term(p))
 
     def energy(self, config: Configuration) -> float:
         self.validate_config(config)
@@ -237,6 +277,7 @@ class QuermassModel(EnergyModel):
     model_id = "quermass"
     nonnegative = False
     pairwise = False
+    degeneracy_tol = _DEGENERACY_TOL
 
     def __init__(self, a_area: float, a_perimeter: float, a_euler: float):
         self.a_area = float(a_area)
@@ -262,6 +303,38 @@ class QuermassModel(EnergyModel):
         if len(config) == 0:
             return 0.0
         return self._functional(DiscSystem.from_configuration(config))
+
+    def reach(self, norm_p, norm_q) -> float:
+        return norm_p + norm_q
+
+    def local_delta(self, p, neighbours, band=0.0) -> float:
+        """F(N with p) - F(N), N the neighbours whose open disc meets p's
+        (distance below the radius sum); see the module docstring.
+
+        With ``band`` > 0, +inf when p lies within ``band`` of a tangency, an
+        internal tangency (coincident discs included) or a triple point with
+        its neighbours, so that neither disc system needs a radius bump.
+        """
+        if len(p.location) != 2:
+            raise PreconditionError("quermass energies are defined for d = 2")
+        r = p.mark_norm
+        if r == 0.0:
+            return 0.0  # disc systems drop zero-radius grains
+        meet = []
+        for q in neighbours:
+            rq = q.mark_norm
+            if rq == 0.0:
+                continue
+            d = math.dist(p.location, q.location)
+            if band and (abs(d - (r + rq)) < band or abs(d - abs(r - rq)) < band):
+                return math.inf
+            if d < r + rq:
+                meet.append(Disc(q.location[0], q.location[1], rq))
+        disc = Disc(p.location[0], p.location[1], r)
+        if band and _near_triple_point(disc, meet, band):
+            return math.inf
+        alone = self._functional(DiscSystem(meet)) if meet else 0.0
+        return self._functional(DiscSystem(meet + [disc])) - alone
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         self.validate_config(interior)
@@ -291,6 +364,21 @@ class QuermassModel(EnergyModel):
             "a_perimeter": self.a_perimeter,
             "a_euler": self.a_euler,
         }
+
+
+def _near_triple_point(p: Disc, meet: list[Disc], band: float) -> bool:
+    """Whether a triple point of p with two mutually overlapping discs of
+    ``meet`` (the discs overlapping p) is within ``band`` of the third
+    circle, for any of the three pairs whose vertices it could be."""
+    for i, q in enumerate(meet):
+        for k in meet[i + 1 :]:
+            if math.hypot(k.x - q.x, k.y - q.y) >= q.r + k.r:
+                continue
+            for a, b, c in ((p, q, k), (p, k, q), (q, k, p)):
+                for vx, vy in _circle_vertices(a, b):
+                    if abs(math.hypot(vx - c.x, vy - c.y) - c.r) < band:
+                        return True
+    return False
 
 
 def _clipped_square(v):

@@ -42,6 +42,29 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
+# Relative width of a degeneracy: two circles whose centre distance is within
+# tol * scale of their radius sum or difference (coincident discs included),
+# or a circle within it of a vertex of two others, where scale is
+# max(1, |x| + |y| + r over the system), get their radii bumped by _PERTURB.
+#
+# The quermass chain (sampler, energy.QuermassModel.local_delta) never bumps:
+# a bump depends on the whole system, which local increments do not see.
+# Instead it rejects a birth, move or remark whose new grain p lies within
+# band = tol * max(1, E, W + bound) of a degeneracy with its neighbours: a
+# tangency or internal tangency with one grain, or a triple point of p and
+# two grains that meet it and each other (a vertex of two of the three
+# circles within the band of the third). E is the largest |x| + |y| + r in
+# the environment, W the largest |x| + |y| over the window's bounding box
+# and bound the largest radius indexed so far or p's, so the band covers the
+# scale of every disc system the chain and its drift check build, and none of
+# them finds a degeneracy to bump unless the fixed environment has its own.
+# Deaths are never refused. For a fixed band, the states with no such
+# relation among interior grains or between interior and environment grains
+# form a set closed under deletion; a proposal that would leave it is refused
+# and its reverse never arises, so the chain keeps detailed balance for the
+# target restricted to that set. The set left out has a probability of the
+# order of the band per pair of neighbouring grains. The band widens only
+# with bound, i.e. only while the chain still meets larger marks.
 _DEGENERACY_TOL = 1e-9
 _PERTURB = 1e-7
 _FACE_BUDGET = 5_000_000

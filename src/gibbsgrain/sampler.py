@@ -8,26 +8,32 @@ their decisions agree; the cut-off kernel sampler relies on this to be
 bit-identical to the full kernel once the cap and the environment window are
 past their thresholds.
 
-Pairwise increments read a neighbour index instead of every atom. The index
-is a sparse uniform grid (cell lists): a dict from integer cell key
-floor(x / side) to the (stamp, atom) entries in that cell, over the interior
-atoms and the fixed environment. Interior atoms are stamped in birth order
-and keep their stamp through moves and remarks, which replace in place, so
-stamp order is ``ChainState.points`` order; environment atoms are stamped
-after every interior atom, in environment order. A query collects the cells
-within reach(|p|, bound) of p (padded against roundoff), sorts the entries
-by stamp and hands them to ``model.interaction``, so the interacting terms
-are added in the same order as the plain loop over points then environment,
-and only pairs whose term is an exact 0.0 are left out: the increments are
-bit for bit those of the plain loop (but for the sign of an all-zero sum,
-which neither the acceptance test nor the cached energy can see). ``bound``
-is the largest mark norm indexed so far (interior or environment) and never
-decreases; the cell side is reach(bound, bound), or 1.0 when that is 0, and
-the grid is rebuilt, in O(n), whenever an accepted atom raises the bound. A
-query whose reach is 0 (always for the ideal model) can meet only atoms at
-p's own location, which share p's cell, so it keeps just those. Quermass
-increments stay global; every model checks occupancy in a set of interior
-locations.
+Every increment reads a neighbour index instead of every atom: a sparse
+uniform grid (cell lists), a dict from integer cell key floor(x / side) to
+the (stamp, atom) entries in that cell, over the interior atoms and the
+fixed environment. Interior atoms are stamped in birth order and keep their
+stamp through moves and remarks, which replace in place, so stamp order is
+``ChainState.points`` order; environment atoms are stamped after every
+interior atom, in environment order. A query collects the cells within
+reach(|p|, bound) + band of p (padded against roundoff), sorts the entries
+by stamp and hands them to ``model.local_delta``. ``bound`` is the largest
+mark norm indexed so far and never decreases; the cell side is
+reach(bound, bound), or 1.0 when that is 0, and the grid is rebuilt, in
+O(n), whenever an accepted atom raises the bound. A query whose reach is 0
+(always for the ideal model) keeps only the atoms at p's own location.
+
+Pairwise models' ``local_delta`` is ``model.interaction`` over the
+neighbours, which adds the terms in the plain loop's order (points, then
+environment) and leaves out only exact-0.0 ones: the increments are bit for
+bit those of the plain loop (but for the sign of an all-zero sum). The
+quermass ``local_delta`` keeps the neighbours whose open disc meets p's,
+environment included, and returns F(N with p) - F(N) on those few discs
+(the valuation identity in ``energy``), so a step costs the same in any
+window. Births, moves and remarks whose new grain lies within ``band`` of a
+tangency or triple point with its neighbours are rejected, so the chain
+targets the law restricted to non-degenerate states, a set closed under
+deletion, and keeps detailed balance; the band (0 for pairwise models) is
+documented beside ``geometry._DEGENERACY_TOL``.
 """
 
 from __future__ import annotations
@@ -256,18 +262,24 @@ _ENV_STAMP = 1 << 62
 
 
 class _CellIndex:
-    """Cell-list neighbour index of a pairwise chain (see module docstring).
+    """Cell-list neighbour index of a chain (see module docstring).
 
     ``interior`` holds the (stamp, atom) entries parallel to
     ``ChainState.points``; ``replace`` mirrors every change to that list.
     """
 
-    def __init__(self, reach, env: Configuration):
-        self.reach = reach
+    def __init__(self, model, env: Configuration, window: Window):
+        self.reach = model.reach
         self.interior: list[tuple[int, MarkedPoint]] = []
         self.env = [(_ENV_STAMP + j, q) for j, q in enumerate(env.points)]
         self.births = 0
         self.bound = max((q.mark_norm for q in env.points), default=0.0)
+        # band = tol * max(1, E, W + bound), E the largest |x|+|y|+r in the
+        # environment, W the largest |x|+|y| over the window's bounding box;
+        # bound includes the new grain's norm (see band)
+        self.tol = model.degeneracy_tol
+        self.floor = max([1.0] + [sum(map(abs, q.location)) + q.mark_norm for q in env.points])
+        self.extent = float(np.abs(window.bounding_box().bounds).max(axis=1).sum())
         self._build()
 
     def _build(self) -> None:
@@ -277,6 +289,10 @@ class _CellIndex:
         self.cells: dict[tuple[int, ...], list] = {}
         for entry in self.interior + self.env:
             self.cells.setdefault(self._key(entry[1].location), []).append(entry)
+
+    def band(self, norm: float) -> float:
+        """Degeneracy band for a grain of this mark norm joining the index."""
+        return self.tol and self.tol * max(self.floor, self.extent + max(self.bound, norm))
 
     def _key(self, loc: tuple[float, ...]) -> tuple[int, ...]:
         return tuple(math.floor(c / self.side) for c in loc)
@@ -303,7 +319,7 @@ class _CellIndex:
     def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint]:
         """Atoms within reach of p, interior index ``skip`` left out, in
         list order: interior atoms first, then the environment."""
-        r = self.reach(p.mark_norm, self.bound)
+        r = self.reach(p.mark_norm, self.bound) + self.band(p.mark_norm)
         side = self.side
         spans = []
         for c in p.location:
@@ -327,8 +343,8 @@ class _CellIndex:
 class ChainState:
     """Mutable chain state: interior atoms, fixed environment, cached energy.
 
-    ``occupied`` holds the interior locations and ``index`` (pairwise models
-    only) the neighbour cells; ``replace`` keeps both in step with ``points``.
+    ``occupied`` holds the interior locations and ``index`` the neighbour
+    cells; ``replace`` keeps both in step with ``points``.
     """
 
     window: Window
@@ -352,8 +368,7 @@ class ChainState:
         for q in self.points[idx : idx + 1]:
             self.occupied.discard(q.location)
         self.occupied.update(q.location for q in added)
-        if self.index is not None:
-            self.index.replace(idx, added)
+        self.index.replace(idx, added)
         self.points[idx : idx + 1] = added
 
 
@@ -377,7 +392,7 @@ def init_chain(
         cached_energy=0.0,
         volume=_window_volume(window),
         mark_cap=mark_cap,
-        index=_CellIndex(model.reach, env) if model.pairwise else None,
+        index=_CellIndex(model, env, window),
     )
 
 
@@ -391,34 +406,24 @@ def _occupied(state: ChainState, loc: tuple[float, ...], skip: int = -1) -> bool
 
 
 def _delta_add(model, state: ChainState, p: MarkedPoint, skip: int = -1) -> float:
-    """Energy increment for inserting p; ``skip`` hides one interior index
-    (pairwise models only, for swaps and removals)."""
-    if model.pairwise:
-        return model.interaction(p, state.index.neighbours(p, skip), model.self_term(p))
-    trial = Configuration(state.points + [p], dimension=state.window.dimension)
-    return model.conditional_energy(trial, state.env) - state.cached_energy
+    """Energy increment for inserting p, with interior index ``skip`` hidden
+    (for swaps); +inf inside the degeneracy band (see module docstring)."""
+    index = state.index
+    return model.local_delta(p, index.neighbours(p, skip), index.band(p.mark_norm))
 
 
 def _delta_remove(model, state: ChainState, idx: int) -> float:
     """Energy increment for deleting interior point idx (finite by invariant)."""
-    if model.pairwise:
-        return -_delta_add(model, state, state.points[idx], skip=idx)
-    pts = state.points[:idx] + state.points[idx + 1 :]
-    trial = Configuration(pts, dimension=state.window.dimension)
-    return model.conditional_energy(trial, state.env) - state.cached_energy
+    p = state.points[idx]
+    return -model.local_delta(p, state.index.neighbours(p, idx))
 
 
 def _delta_swap(model, state: ChainState, idx: int, new_p: MarkedPoint) -> float:
     """Energy increment for replacing interior point idx by new_p."""
-    if model.pairwise:
-        gain = _delta_add(model, state, new_p, skip=idx)
-        if gain == math.inf:
-            return math.inf
-        return gain + _delta_remove(model, state, idx)
-    pts = list(state.points)
-    pts[idx] = new_p
-    trial = Configuration(pts, dimension=state.window.dimension)
-    return model.conditional_energy(trial, state.env) - state.cached_energy
+    gain = _delta_add(model, state, new_p, skip=idx)
+    if gain == math.inf:
+        return math.inf
+    return gain + _delta_remove(model, state, idx)
 
 
 def bdm_step(
@@ -594,16 +599,6 @@ def sample_cutoff_kernel(
     moat = restrict(restrict_complement(xi, lam), delta_win)
     bc = BoundaryCondition(moat, None)
     return run_chain(
-        model,
-        lam,
-        z,
-        mark_law,
-        steps,
-        rng,
-        bc=bc,
-        mix=mix,
-        burn_in=burn_in,
-        thin=thin,
-        mark_cap=m0,
-        drift_check_every=drift_check_every,
+        model, lam, z, mark_law, steps, rng, bc=bc, mix=mix, burn_in=burn_in,
+        thin=thin, mark_cap=m0, drift_check_every=drift_check_every,
     )

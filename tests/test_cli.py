@@ -383,10 +383,11 @@ class TestRunWrapper:
             (["plot-data", "--series", "bogus"], {}),
             (["audit"], {"local": 5}),
             (["audit"], {"local": {"t": [2]}}),
+            (["geometry"], {"n_systems": 1, "n_discs": 3, "mc_points": 100}),
         ],
         ids=["audit-local-key", "plot-data-no-input", "temper-no-input",
              "bogus-flavor", "bogus-series", "audit-local-not-object",
-             "audit-local-bad-value"],
+             "audit-local-bad-value", "geometry-few-mc-points"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, argv, payload):
         cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))
@@ -398,7 +399,6 @@ class TestRunWrapper:
         "command, payload, code, error",
         [
             ("sample", {"z": 0.2, "steps": 1000, "burn_in": 1000}, 3, "PreconditionError"),
-            ("geometry", {"n_systems": 1, "n_discs": 3, "mc_points": 100}, 2, "ValueError"),
         ],
     )
     def test_failed_run_leaves_record(self, tmp_path, command, payload, code, error):
@@ -411,6 +411,20 @@ class TestRunWrapper:
         assert record["exit_code"] == code
         assert record["error"].startswith(error + ": ")
         assert record["manifest"] == manifest["hash"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t", "0"], ["--t", "-3"], ["--delta", "0"], ["--delta", "-0.5"]],
+        ids=["t-0", "t-negative", "delta-0", "delta-negative"],
+    )
+    def test_bad_temper_values_exit_2_without_run_dir(self, tmp_path, flags, capsys):
+        xi = tmp_path / "xi.jsonl"
+        write_configs_jsonl(xi, [config([mp((0.0, 0.0), 0.5)])])
+        rc = main(["temper", "--input", str(xi), "--seed", "1",
+                   "--out", str(tmp_path / "root")] + flags)
+        assert rc == 2
+        assert not (tmp_path / "root").exists()
+        assert "t >= 1 and delta > 0" in capsys.readouterr().err
 
     def test_input_that_is_not_a_sample_file_exits_2(self, tmp_path):
         run_cfg = write_cfg(tmp_path, "run.json", {"seed": 1, "z": 0.5})

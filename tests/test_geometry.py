@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsgrain import (
     Disc,
@@ -162,6 +164,73 @@ class TestInvariances:
             assert euler_characteristic(both) == euler_characteristic(
                 a
             ) + euler_characteristic(b)
+
+
+FUNCTIONALS = (union_area, union_perimeter, euler_characteristic)
+
+
+def functionals(discs):
+    system = DiscSystem(discs)
+    assert not system.perturbed
+    return [f(system) for f in FUNCTIONALS]
+
+
+def assert_same_geometry(got, want, lam=1.0):
+    """Area and perimeter within a relative 1e-12 of the reference scaled by
+    lam^2 and lam, the Euler characteristic exactly."""
+    assert got[0] == pytest.approx(lam**2 * want[0], rel=1e-12)
+    assert got[1] == pytest.approx(lam * want[1], rel=1e-12)
+    assert got[2] == want[2]
+
+
+def random_discs(seed, n_discs):
+    return list(random_disc_system(np.random.default_rng(seed), n_discs, extent=6.0).discs)
+
+
+class TestGeometryProperties:
+    """Rigid motions, relabelling and scaling of random disc families, and the
+    valuation identity the quermass chain's local increments rest on."""
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        lam=st.floats(0.1, 10.0),
+    )
+    def test_invariance_and_scaling(self, seed, shift, angle, lam):
+        # the size comes from the seed, since hypothesis favours small integers
+        n_discs = 4 + seed % 13
+        discs = random_discs(seed, n_discs)
+        base = functionals(discs)
+        moved = [Disc(d.x + shift[0], d.y + shift[1], d.r) for d in discs]
+        assert_same_geometry(functionals(moved), base)
+        c, s = math.cos(angle), math.sin(angle)
+        turned = [Disc(c * d.x - s * d.y, s * d.x + c * d.y, d.r) for d in discs]
+        assert_same_geometry(functionals(turned), base)
+        order = np.random.default_rng(seed).permutation(n_discs)
+        assert_same_geometry(functionals([discs[i] for i in order]), base)
+        scaled = [Disc(lam * d.x, lam * d.y, lam * d.r) for d in discs]
+        assert_same_geometry(functionals(scaled), base, lam=lam)
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 2**16),
+    )
+    def test_increment_needs_only_the_discs_meeting_the_new_one(self, seed, extra):
+        *others, p = random_discs(seed, 7 + seed % 14)
+        meet = [q for q in others if math.hypot(q.x - p.x, q.y - p.y) < p.r + q.r]
+        away = [q for q in others if q not in meet]
+        # N, N plus some discs away from p, and every disc
+        mask = np.random.default_rng(extra).random(len(away)) < 0.5
+        supersets = [meet, meet + [q for q, keep in zip(away, mask) if keep], others]
+        full = [a - b for a, b in zip(functionals(others + [p]), functionals(others))]
+        for family in supersets:
+            local = [a - b for a, b in zip(functionals(family + [p]), functionals(family))]
+            for got, want in zip(local[:2], full[:2]):
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+            assert local[2] == full[2]
 
 
 class TestOracles:

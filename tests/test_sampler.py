@@ -1,5 +1,6 @@
 """Samplers: Poisson reference, exact rejection, and the birth-death-move chain."""
 
+import importlib
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from gibbsgrain import (
     tame_statistic,
 )
 from gibbsgrain import sampler
+from gibbsgrain.geometry import _DEGENERACY_TOL, DiscSystem
 from gibbsgrain.sampler import (
     BoundaryCondition,
     _delta_add,
@@ -45,6 +47,9 @@ from gibbsgrain.sampler import (
     init_chain,
 )
 from conftest import config, mp
+
+# the package exports a function named ``energy``, which shadows the module
+energy_module = importlib.import_module("gibbsgrain.energy")
 
 
 def soft_bump(u):
@@ -582,3 +587,222 @@ class TestNeighbourIndex:
         if math.dist(p.location, q.location) > model.reach(p.mark_norm, q.mark_norm):
             assert model.pair_term(p, q) == 0.0
             assert model.pair_term(q, p) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Increment audit: the chain's increments against global recomputations
+# ---------------------------------------------------------------------------
+
+AUDIT_MODELS = dict(INDEX_MODELS, quermass=QuermassModel(0.4, -0.2, 0.3))
+
+
+def scramble_finite(model, state, rng, law, n_births, n_ops):
+    """``n_births`` births, then ``scramble``'s mix of operations, keeping
+    only those after which the conditional energy is finite, as every chain
+    state's is."""
+    for k in range(n_births + n_ops):
+        saved = list(state.points)
+        if k < n_births:
+            loc = _draw_location(state.window, rng)
+            state.replace(len(saved), [MarkedPoint.make(loc, law.sample(rng))])
+        else:
+            scramble(state, rng, law, 1)
+        if model.conditional_energy(state.snapshot(), state.env) == math.inf:
+            for idx in range(len(state.points) - 1, -1, -1):
+                state.replace(idx, [])
+            for q in saved:
+                state.replace(len(state.points), [q])
+
+
+def assert_increment_is_global_difference(model, state, before, got, after, plain):
+    """``got`` against H(after) - H(state), with ``before`` = H(state), and
+    pairwise increments against the plain loop ``plain`` bit for bit (the
+    difference of two float sums rounds differently from the increment's own
+    sum)."""
+    h_after = model.conditional_energy(Configuration(after, dimension=2), state.env)
+    if h_after == math.inf:
+        assert got == math.inf
+        return
+    assert abs(got - (h_after - before)) <= 1e-9 * max(1.0, abs(before), abs(h_after))
+    if plain is not None:
+        assert got.hex() == plain.hex()
+
+
+class TestIncrementAudit:
+    @pytest.mark.parametrize("name", sorted(AUDIT_MODELS))
+    @settings(max_examples=20)
+    @given(
+        with_env=st.booleans(),
+        half=st.sampled_from([1.0, 2.0, 3.0]),
+        spread=st.booleans(),
+        n_births=st.integers(5, 30),
+        n_ops=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_increments_equal_global_differences(
+        self, name, with_env, half, spread, n_births, n_ops, seed
+    ):
+        model = AUDIT_MODELS[name]
+        pairwise = name != "quermass"
+        rng = np.random.default_rng(seed)
+        law = PATH_LAW if name == "diffusion" else (SPREAD_LAW if spread else UniformLaw(0.6))
+        window = Box.centered_cube(half, 2)
+        bc = None
+        if with_env:
+            # a shell just outside the window, which interior grains meet
+            shell = [_draw_location(Box.centered_cube(half + 1.0, 2), rng) for _ in range(16)]
+            xi = [MarkedPoint.make(loc, law.sample(rng)) for loc in shell]
+            bc = BoundaryCondition(Configuration(xi, dimension=2), None)
+        state = init_chain(model, window, bc)
+        scramble_finite(model, state, rng, law, n_births, n_ops)
+        pts = state.points
+        before = model.conditional_energy(state.snapshot(), state.env)
+        assert before < math.inf
+        for _ in range(6):
+            p = MarkedPoint.make(_draw_location(window, rng), law.sample(rng))
+            got = _delta_add(model, state, p)
+            plain = plain_add(model, state, p) if pairwise else None
+            assert_increment_is_global_difference(model, state, before, got, pts + [p], plain)
+        for idx in rng.permutation(len(pts))[:6].tolist():
+            rest = pts[:idx] + pts[idx + 1 :]
+            got = _delta_remove(model, state, idx)
+            plain = plain_remove(model, state, idx) if pairwise else None
+            assert_increment_is_global_difference(model, state, before, got, rest, plain)
+            old = pts[idx]
+            disp = rng.standard_normal(2) * 0.3
+            moved = tuple(float(c + e) for c, e in zip(old.location, disp))
+            proposals = [MarkedPoint.make(old.location, law.sample(rng))]
+            if window.contains(np.array(moved))[0]:
+                proposals.append(MarkedPoint(moved, old.mark, old.mark_norm))
+            for new_p in proposals:
+                got = _delta_swap(model, state, idx, new_p)
+                plain = plain_swap(model, state, idx, new_p) if pairwise else None
+                after = pts[:idx] + [new_p] + pts[idx + 1 :]
+                assert_increment_is_global_difference(model, state, before, got, after, plain)
+
+
+# ---------------------------------------------------------------------------
+# Degeneracy band of the quermass chain
+# ---------------------------------------------------------------------------
+
+
+class PlannedDraws:
+    """Stand-in generator that replays planned variates in draw order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        return np.array([self.values.pop(0) for _ in range(size)])
+
+    def standard_normal(self, size):
+        return np.asarray(self.values.pop(0), dtype=float)
+
+
+class RecordingDiscSystem(energy_module.DiscSystem):
+    built: list = []
+
+    def __init__(self, discs):
+        super().__init__(discs)
+        RecordingDiscSystem.built.append(self.perturbed)
+
+
+QUERMASS = QuermassModel(0.4, -0.2, 0.3)
+
+
+class TestDegeneracyBand:
+    """Births, moves and remarks onto a tangency, an internal tangency or a
+    triple point are refused before any disc system is built."""
+
+    # In [-2, 2)^2 a location coordinate is -2 + 4u and a UniformLaw(1.0)
+    # mark is u, so these draws land exactly where planned. Every proposal
+    # has acceptance uniform 0.0, so only an infinite increment rejects it.
+    PLANTS = {
+        # birth at (1, 0), radius 0.5: distance 1 = 0.5 + 0.5
+        "birth-tangency": ([mp((0.0, 0.0), 0.5)], (0.1, 0.75, 0.5, 0.5, 0.0)),
+        # birth at (0.25, 0), radius 0.25: distance 0.25 = 0.5 - 0.25
+        "birth-internal-tangency": ([mp((0.0, 0.0), 0.5)], (0.1, 0.5625, 0.5, 0.25, 0.0)),
+        # move of the third grain to (0, 0.9): its circle, radius 0.5, passes
+        # through (0, 0.4), a vertex of the first two circles
+        "move-triple-point": (
+            [mp((-0.3, 0.0), 0.5), mp((0.3, 0.0), 0.5), mp((0.0, 1.5), 0.5)],
+            (0.75, 0.9, [0.0, -0.6], 0.0),
+        ),
+        # remark of the second grain to radius 0.5: distance 1 = 0.5 + 0.5
+        "remark-tangency": ([mp((0.0, 0.0), 0.5), mp((1.0, 0.0), 0.2)], (0.95, 0.9, 0.5, 0.0)),
+    }
+
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_planted_degeneracy_is_rejected(self, plant, monkeypatch, caplog):
+        grains, draws = self.PLANTS[plant]
+        state = init_chain(QUERMASS, Box.centered_cube(2.0, 2))
+        for g in grains:
+            state.replace(len(state.points), [g])
+        state.cached_energy = QUERMASS.energy(state.snapshot())
+        before = list(state.points)
+        monkeypatch.setattr(energy_module, "DiscSystem", RecordingDiscSystem)
+        RecordingDiscSystem.built = []
+        increments = []
+
+        def local_delta(p, neighbours, band=0.0):
+            increments.append(QuermassModel.local_delta(QUERMASS, p, neighbours, band))
+            return increments[-1]
+
+        monkeypatch.setattr(QUERMASS, "local_delta", local_delta)
+        mix = ProposalMix(move_scale=1.0)
+        with caplog.at_level("WARNING"):
+            bdm_step(state, QUERMASS, 0.4, UniformLaw(1.0), mix, PlannedDraws(*draws))
+        assert sum(state.proposals.values()) == 1
+        assert increments == [math.inf]
+        assert sum(state.accepts.values()) == 0
+        assert state.points == before
+        assert RecordingDiscSystem.built == []
+        assert caplog.records == []
+
+    def test_planted_states_would_need_a_radius_bump(self, caplog):
+        # Accepted, each proposal would leave a state whose disc system, as
+        # the drift check builds it, has its radii bumped.
+        after = {
+            "birth-tangency": [mp((0.0, 0.0), 0.5), mp((1.0, 0.0), 0.5)],
+            "birth-internal-tangency": [mp((0.0, 0.0), 0.5), mp((0.25, 0.0), 0.25)],
+            "move-triple-point": [mp((-0.3, 0.0), 0.5), mp((0.3, 0.0), 0.5), mp((0.0, 0.9), 0.5)],
+            "remark-tangency": [mp((0.0, 0.0), 0.5), mp((1.0, 0.0), 0.5)],
+        }
+        assert sorted(after) == sorted(self.PLANTS)
+        with caplog.at_level("WARNING"):
+            for plant, grains in after.items():
+                assert DiscSystem.from_configuration(config(grains)).perturbed, plant
+        assert len(caplog.records) == len(after)
+
+    def test_seeded_chain_builds_no_perturbed_system(self, monkeypatch):
+        monkeypatch.setattr(energy_module, "DiscSystem", RecordingDiscSystem)
+        RecordingDiscSystem.built = []
+        xi = Configuration(
+            [mp((2.3, 0.4), 0.5), mp((-2.2, -1.0), 0.6), mp((0.5, 2.4), 0.45),
+             mp((-0.7, -2.3), 0.55)],
+            dimension=2,
+        )
+        res = run_chain(QUERMASS, Box.centered_cube(2.0, 2), 0.5, UniformLaw(0.6), 4000,
+                        stream(627, 0), bc=BoundaryCondition(xi, None), thin=100,
+                        drift_check_every=1000)
+        assert res.stats.drift_checks == 4
+        assert len(RecordingDiscSystem.built) > 4000
+        assert True not in RecordingDiscSystem.built
+
+    def test_band_covers_every_disc_system_scale(self):
+        # E (environment) and W + bound (window and largest mark, the new
+        # grain's included) all count.
+        xi = Configuration([mp((9.0, 0.5), 0.5)], dimension=2)
+        state = init_chain(QUERMASS, Box.centered_cube(2.0, 2), BoundaryCondition(xi, None))
+        assert state.index.band(0.3) == _DEGENERACY_TOL * 10.0
+        assert state.index.band(6.5) == _DEGENERACY_TOL * 10.5
+        state.replace(0, [mp((1.0, 1.0), 7.0)])
+        assert state.index.band(0.3) == _DEGENERACY_TOL * 11.0
+        assert init_chain(HardSphereModel(), Box.centered_cube(2.0, 2)).index.band(9.0) == 0.0
+
+    def test_quermass_chain_needs_the_plane(self):
+        state = init_chain(QUERMASS, Box.centered_cube(1.0, 3))
+        with pytest.raises(PreconditionError):
+            _delta_add(QUERMASS, state, mp((0.0, 0.0, 0.0), 0.3))
