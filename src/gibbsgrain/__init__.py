@@ -26,7 +26,6 @@ from .energy import (
     QuermassModel,
     additivity_check,
     conditional_energy,
-    energy,
     interaction_range,
     lj_pair,
 )

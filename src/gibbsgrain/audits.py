@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import conditional_energy
 from .errors import NumericalFailure
-from .points import Configuration, Window, restrict
+from .points import Configuration, Window, mark_statistic, restrict
 from .tempered import is_tempered
 
 __all__ = [
@@ -27,14 +27,6 @@ __all__ = [
     "LocalStabilityReport",
     "local_stability_audit",
 ]
-
-
-def mark_statistic(config: Configuration, exponent: float) -> float:
-    """Sum of 1 + |m|^exponent over the atoms (0 for the empty configuration)."""
-    if len(config) == 0:
-        return 0.0
-    norms = config.mark_norms()
-    return float(len(config) + np.sum(norms**exponent))
 
 
 @dataclass(frozen=True)

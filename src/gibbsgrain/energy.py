@@ -38,8 +38,8 @@ from .geometry import (
     _DEGENERACY_TOL,
     Disc,
     DiscSystem,
-    _circle_vertices,
     euler_characteristic,
+    meeting_discs,
     union_area,
     union_perimeter,
 )
@@ -51,7 +51,6 @@ from .points import (
     mark_sup,
     restrict,
     restrict_complement,
-    tame_statistic,
 )
 from .tempered import is_tempered, l_range
 
@@ -63,7 +62,6 @@ __all__ = [
     "QuermassModel",
     "DiffusionModel",
     "lj_pair",
-    "energy",
     "conditional_energy",
     "interaction_range",
     "AdditivityReport",
@@ -136,9 +134,6 @@ class EnergyModel:
         """
         raise NotImplementedError
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
     def validate_config(self, config: Configuration) -> None:
         """Hook for mark-type and dimension requirements; default accepts all."""
 
@@ -203,9 +198,6 @@ class IdealModel(_PairwiseModel):
     def reach(self, norm_p, norm_q) -> float:
         return 0.0
 
-    def params(self) -> dict:
-        return {}
-
 
 class HardSphereModel(_PairwiseModel):
     """+inf when any two grains overlap, else 0.
@@ -228,9 +220,6 @@ class HardSphereModel(_PairwiseModel):
 
     def reach(self, norm_p, norm_q) -> float:
         return norm_p + norm_q
-
-    def params(self) -> dict:
-        return {}
 
 
 class PairPotentialModel(_PairwiseModel):
@@ -263,9 +252,6 @@ class PairPotentialModel(_PairwiseModel):
 
     def reach(self, norm_p, norm_q) -> float:
         return norm_p + norm_q
-
-    def params(self) -> dict:
-        return {"phi": self.phi_id}
 
 
 class QuermassModel(EnergyModel):
@@ -311,28 +297,21 @@ class QuermassModel(EnergyModel):
         """F(N with p) - F(N), N the neighbours whose open disc meets p's
         (distance below the radius sum); see the module docstring.
 
-        With ``band`` > 0, +inf when p lies within ``band`` of a tangency, an
-        internal tangency (coincident discs included) or a triple point with
-        its neighbours, so that neither disc system needs a radius bump.
+        +inf when ``geometry.meeting_discs`` at tol = ``band`` finds p
+        degenerate with its neighbours (a tangency, an internal tangency or
+        a triple point), so that neither disc system needs a radius bump.
         """
         if len(p.location) != 2:
             raise PreconditionError("quermass energies are defined for d = 2")
         r = p.mark_norm
         if r == 0.0:
             return 0.0  # disc systems drop zero-radius grains
-        meet = []
-        for q in neighbours:
-            rq = q.mark_norm
-            if rq == 0.0:
-                continue
-            d = math.dist(p.location, q.location)
-            if band and (abs(d - (r + rq)) < band or abs(d - abs(r - rq)) < band):
-                return math.inf
-            if d < r + rq:
-                meet.append(Disc(q.location[0], q.location[1], rq))
+        others = [Disc(q.location[0], q.location[1], q.mark_norm) for q in neighbours]
         disc = Disc(p.location[0], p.location[1], r)
-        if band and _near_triple_point(disc, meet, band):
+        hits = meeting_discs(disc, others, band)
+        if hits is None:
             return math.inf
+        meet = [others[i] for i in hits]
         alone = self._functional(DiscSystem(meet)) if meet else 0.0
         return self._functional(DiscSystem(meet + [disc])) - alone
 
@@ -357,28 +336,6 @@ class QuermassModel(EnergyModel):
         joint = DiscSystem.from_configuration(interior.union(relevant))
         alone = DiscSystem.from_configuration(relevant)
         return self._functional(joint) - self._functional(alone)
-
-    def params(self) -> dict:
-        return {
-            "a_area": self.a_area,
-            "a_perimeter": self.a_perimeter,
-            "a_euler": self.a_euler,
-        }
-
-
-def _near_triple_point(p: Disc, meet: list[Disc], band: float) -> bool:
-    """Whether a triple point of p with two mutually overlapping discs of
-    ``meet`` (the discs overlapping p) is within ``band`` of the third
-    circle, for any of the three pairs whose vertices it could be."""
-    for i, q in enumerate(meet):
-        for k in meet[i + 1 :]:
-            if math.hypot(k.x - q.x, k.y - q.y) >= q.r + k.r:
-                continue
-            for a, b, c in ((p, q, k), (p, k, q), (q, k, p)):
-                for vx, vy in _circle_vertices(a, b):
-                    if abs(math.hypot(vx - c.x, vy - c.y) - c.r) < band:
-                        return True
-    return False
 
 
 def _clipped_square(v):
@@ -447,20 +404,10 @@ class DiffusionModel(_PairwiseModel):
         self.validate_config(environment)
         return super().conditional_energy(interior, environment)
 
-    def params(self) -> dict:
-        return {"a0": self.a0, "phi": self.phi_id, "psi": self.psi_id}
-
 
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
-
-
-def energy(model: EnergyModel, config: Configuration) -> float:
-    """Total energy of a finite configuration; H(empty) = 0."""
-    if len(config) == 0:
-        return 0.0
-    return model.energy(config)
 
 
 def interaction_range(

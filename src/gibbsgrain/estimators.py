@@ -100,7 +100,7 @@ def partition_estimate(
         if env_out is not None:
             h = model.conditional_energy(gamma, env_out)
         else:
-            h = model.energy(gamma) if len(gamma) else 0.0
+            h = model.energy(gamma)
         if h == math.inf:
             weights[i] = 0.0
             n_inf += 1
@@ -186,9 +186,7 @@ def relative_entropy_estimate(
     I = -E[H] - log Z, with errors propagated from both estimates."""
     if partition.degenerate:
         raise PreconditionError("partition estimate degenerated to 0; no log Z")
-    energies = np.array(
-        [model.energy(c) if len(c) else 0.0 for c in samples], dtype=float
-    )
+    energies = np.array([model.energy(c) for c in samples], dtype=float)
     if not np.all(np.isfinite(energies)):
         raise PreconditionError(
             "samples with infinite energy cannot come from the target law"
@@ -297,7 +295,7 @@ def specific_entropy_curve(
         )
         report = relative_entropy_estimate(model, window, samples, part)
         stats = [mark_statistic(c, exponent) for c in samples]
-        energies = [model.energy(c) if len(c) else 0.0 for c in samples]
+        energies = [model.energy(c) for c in samples]
         for h, s in zip(energies, stats):
             if s > 0:
                 c_hat = max(c_hat, -h / s)

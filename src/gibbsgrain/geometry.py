@@ -11,9 +11,16 @@ nerve. Discs are convex, so by Helly's theorem a set of discs has a common
 point exactly when all its triples do; the enumeration therefore grows cliques
 of the overlap graph and only ever tests triples.
 
-Exactness is claimed away from degeneracies. Tangencies and triple points are
-detected and broken by a deterministic 1e-7 radius bump with a logged warning,
-as the documented convention.
+Exactness is claimed away from degeneracies. One predicate,
+``meeting_discs(p, discs, tol)``, decides them everywhere: it returns the
+discs whose open disc meets p's, or None when p lies within tol of a
+tangency, an internal tangency (coincident discs included) or a triple point
+with them. ``DiscSystem`` calls disc j degenerate when it is degenerate with
+the discs before it, and breaks the degeneracy by a deterministic 1e-7 bump
+of disc j's radius with a logged warning; of a degenerate triple, the disc
+with the highest index is bumped. The quermass chain refuses degenerate
+proposals through the same predicate instead (see ``_DEGENERACY_TOL``), and
+``random_disc_system`` draws families clear of it by a margin.
 """
 
 from __future__ import annotations
@@ -36,28 +43,26 @@ __all__ = [
     "euler_characteristic",
     "GeometryOracle",
     "mc_geometry_oracle",
+    "meeting_discs",
     "random_disc_system",
 ]
 
 log = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
-# Relative width of a degeneracy: two circles whose centre distance is within
-# tol * scale of their radius sum or difference (coincident discs included),
-# or a circle within it of a vertex of two others, where scale is
-# max(1, |x| + |y| + r over the system), get their radii bumped by _PERTURB.
+# Relative width of a degeneracy. A disc system bumps by _PERTURB the radius
+# of every disc that ``meeting_discs`` finds degenerate with the discs before
+# it, at tol = _DEGENERACY_TOL * max(1, |x| + |y| + r over the system).
 #
 # The quermass chain (sampler, energy.QuermassModel.local_delta) never bumps:
 # a bump depends on the whole system, which local increments do not see.
-# Instead it rejects a birth, move or remark whose new grain p lies within
-# band = tol * max(1, E, W + bound) of a degeneracy with its neighbours: a
-# tangency or internal tangency with one grain, or a triple point of p and
-# two grains that meet it and each other (a vertex of two of the three
-# circles within the band of the third). E is the largest |x| + |y| + r in
-# the environment, W the largest |x| + |y| over the window's bounding box
-# and bound the largest radius indexed so far or p's, so the band covers the
-# scale of every disc system the chain and its drift check build, and none of
-# them finds a degeneracy to bump unless the fixed environment has its own.
+# Instead it rejects a birth, move or remark whose new grain p is degenerate
+# with its neighbours by ``meeting_discs`` at tol = band = _DEGENERACY_TOL *
+# max(1, E, W + bound). E is the largest |x| + |y| + r in the environment, W
+# the largest |x| + |y| over the window's bounding box and bound the largest
+# radius indexed so far or p's, so the band covers the scale of every disc
+# system the chain and its drift check build, and none of them finds a
+# degeneracy to bump unless the fixed environment has its own.
 # Deaths are never refused. For a fixed band, the states with no such
 # relation among interior grains or between interior and environment grains
 # form a set closed under deletion; a proposal that would leave it is refused
@@ -89,36 +94,22 @@ class DiscSystem:
         raw = [Disc(float(d.x), float(d.y), float(d.r)) for d in discs]
         self.discs, self.perturbed = _canonicalize(raw)
         self.n = len(self.discs)
-        if self.n:
-            self._cx = np.array([d.x for d in self.discs])
-            self._cy = np.array([d.y for d in self.discs])
-            self._r = np.array([d.r for d in self.discs])
-        else:
-            self._cx = self._cy = self._r = np.zeros(0)
-
-    @staticmethod
-    def from_arrays(centers, radii) -> "DiscSystem":
-        centers = np.asarray(centers, dtype=float)
-        radii = np.asarray(radii, dtype=float)
-        if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) != len(radii):
-            raise ValueError("need (n, 2) centers and n radii")
-        return DiscSystem(Disc(c[0], c[1], r) for c, r in zip(centers, radii))
 
     @staticmethod
     def from_configuration(config) -> "DiscSystem":
         if config.dimension != 2:
             raise ValueError("disc systems are planar; configuration has d != 2")
-        locs = config.locations()
-        return DiscSystem.from_arrays(locs, config.mark_norms())
+        return DiscSystem(Disc(*p.location, p.mark_norm) for p in config.points)
 
     def bounding_box(self, pad: float = 0.0) -> tuple[float, float, float, float]:
         if self.n == 0:
             return (0.0, 1.0, 0.0, 1.0)
+        discs = self.discs
         return (
-            float((self._cx - self._r).min() - pad),
-            float((self._cx + self._r).max() + pad),
-            float((self._cy - self._r).min() - pad),
-            float((self._cy + self._r).max() + pad),
+            min(d.x - d.r for d in discs) - pad,
+            max(d.x + d.r for d in discs) + pad,
+            min(d.y - d.r for d in discs) - pad,
+            max(d.y + d.r for d in discs) + pad,
         )
 
     def covers(self, pts: np.ndarray) -> np.ndarray:
@@ -168,33 +159,44 @@ def _scale(discs: list[Disc]) -> float:
 
 
 def _find_degenerate(discs: list[Disc]) -> set[int]:
-    """Indices involved in tangencies, coincidences, or triple points."""
-    n = len(discs)
+    """Indices j of the discs degenerate with ``discs[:j]``: of a tangent or
+    coincident pair the later disc, of a triple point the latest of the three."""
     tol = _DEGENERACY_TOL * _scale(discs)
-    bad: set[int] = set()
-    overlap: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in combinations(range(n), 2):
-        a, b = discs[i], discs[j]
-        d = math.hypot(b.x - a.x, b.y - a.y)
-        if d < tol and abs(a.r - b.r) < tol:
-            bad.add(j)
+    return {j for j, d in enumerate(discs) if meeting_discs(d, discs[:j], tol) is None}
+
+
+def meeting_discs(p: Disc, discs: list[Disc], tol: float) -> list[int] | None:
+    """Indices of the discs whose open disc meets p's, or None when p is
+    degenerate with them.
+
+    p is degenerate when its centre distance to a disc is within ``tol`` of
+    their radius sum (tangency) or difference (internal tangency, coincident
+    discs included), or when p and two discs that meet it and each other
+    have a triple point: a vertex of two of the three circles within ``tol``
+    of the third. With ``tol`` 0 nothing is degenerate and the triple scan is
+    skipped. Zero-radius discs are empty: they meet nothing.
+    """
+    hits = []
+    for j, q in enumerate(discs):
+        if q.r == 0.0:
             continue
-        if abs(d - (a.r + b.r)) < tol:
-            bad.add(j)
-        if abs(d - abs(a.r - b.r)) < tol:
-            bad.add(j)
-        if d < a.r + b.r:
-            overlap[i].add(j)
-            overlap[j].add(i)
-    for i, j in combinations(range(n), 2):
-        if j not in overlap[i]:
-            continue
-        for p in _circle_vertices(discs[i], discs[j]):
-            for k in overlap[i] & overlap[j]:
-                c = discs[k]
-                if abs(math.hypot(p[0] - c.x, p[1] - c.y) - c.r) < tol:
-                    bad.add(k)
-    return bad
+        d = math.hypot(q.x - p.x, q.y - p.y)
+        if abs(d - (p.r + q.r)) < tol or abs(d - abs(p.r - q.r)) < tol:
+            return None
+        if d < p.r + q.r:
+            hits.append(j)
+    if tol:
+        for a, i in enumerate(hits):
+            q = discs[i]
+            for k in hits[a + 1 :]:
+                s = discs[k]
+                if math.hypot(s.x - q.x, s.y - q.y) >= q.r + s.r:
+                    continue
+                for u, v, w in ((p, q, s), (p, s, q), (q, s, p)):
+                    for vx, vy in _circle_vertices(u, v):
+                        if abs(math.hypot(vx - w.x, vy - w.y) - w.r) < tol:
+                            return None
+    return hits
 
 
 def _circle_vertices(a: Disc, b: Disc) -> list[tuple[float, float]]:
@@ -473,73 +475,25 @@ def random_disc_system(
 ) -> DiscSystem:
     """Random disc family kept clear of degeneracies by a margin.
 
-    Discs are placed one at a time; a candidate is rejected when it creates a
-    near-tangent pair, near-coincident centers, or a pair intersection vertex
-    within ``margin`` of a third circle. The margins guarantee every geometric
-    feature (lens, gap, hole wedge) is thicker than ``margin``, so exact and
-    raster answers cannot disagree through sub-pixel features once the pixel
-    size is below the margin.
-
-    A vertex of a pair can only approach a third circle whose disc overlaps
-    both pair members (the pair margin already keeps other circles away), so
-    the triple scan is restricted to mutual overlaps.
+    Discs are placed one at a time; a candidate is rejected when its centre
+    lies within ``margin`` of another centre or when ``meeting_discs`` finds
+    it degenerate with the discs placed so far at tol = ``margin``. The
+    margins guarantee every geometric feature (lens, gap, hole wedge) is
+    thicker than ``margin``, so exact and raster answers cannot disagree
+    through sub-pixel features once the pixel size is below the margin.
     """
     r_lo, r_hi = r_range
     if not (0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
     discs: list[Disc] = []
-    overlap: list[set[int]] = []
     for _ in range(n_discs):
         for _try in range(max_tries):
             c = rng.random(2) * extent
             cand = Disc(float(c[0]), float(c[1]), float(r_lo + (r_hi - r_lo) * rng.random()))
-            hits = _candidate_overlaps(cand, discs, margin)
-            if hits is None:
-                continue
-            if _candidate_triples_ok(cand, discs, overlap, hits, margin):
-                idx = len(discs)
+            apart = all(math.hypot(d.x - cand.x, d.y - cand.y) >= margin for d in discs)
+            if apart and meeting_discs(cand, discs, margin) is not None:
                 discs.append(cand)
-                overlap.append(hits)
-                for j in hits:
-                    overlap[j].add(idx)
                 break
         else:
             raise NumericalFailure(f"could not place disc {len(discs)} in {max_tries} draws")
     return DiscSystem(discs)
-
-
-def _candidate_overlaps(cand: Disc, discs: list[Disc], margin: float) -> set[int] | None:
-    """Pair-margin check of a candidate; returns its overlap set, or None on violation."""
-    hits: set[int] = set()
-    for j, d in enumerate(discs):
-        dist = math.hypot(d.x - cand.x, d.y - cand.y)
-        if dist < margin:
-            return None
-        if abs(dist - (cand.r + d.r)) < margin or abs(dist - abs(cand.r - d.r)) < margin:
-            return None
-        if dist < cand.r + d.r:
-            hits.add(j)
-    return hits
-
-
-def _candidate_triples_ok(
-    cand: Disc,
-    discs: list[Disc],
-    overlap: list[set[int]],
-    hits: set[int],
-    margin: float,
-) -> bool:
-    for i in hits:
-        for p in _circle_vertices(cand, discs[i]):
-            for k in hits & overlap[i]:
-                c = discs[k]
-                if abs(math.hypot(p[0] - c.x, p[1] - c.y) - c.r) < margin:
-                    return False
-    for i in hits:
-        for j in hits & overlap[i]:
-            if j <= i:
-                continue
-            for p in _circle_vertices(discs[i], discs[j]):
-                if abs(math.hypot(p[0] - cand.x, p[1] - cand.y) - cand.r) < margin:
-                    return False
-    return True

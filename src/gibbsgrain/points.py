@@ -307,14 +307,19 @@ def restrict_complement(config: Configuration, window: Window) -> Configuration:
     )
 
 
+def mark_statistic(config: Configuration, exponent: float) -> float:
+    """Sum of 1 + |m|^exponent over the atoms (0 for the empty configuration)."""
+    if len(config) == 0:
+        return 0.0
+    norms = config.mark_norms()
+    return float(len(config) + np.sum(norms**exponent))
+
+
 def tame_statistic(config: Configuration, delta: float) -> float:
     """sum over atoms of 1 + |m|^(d + delta); 0 for the empty configuration."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if len(config) == 0:
-        return 0.0
-    norms = config.mark_norms()
-    return float(len(config) + np.sum(norms ** (config.dimension + delta)))
+    return mark_statistic(config, config.dimension + delta)
 
 
 def mark_sup(config: Configuration) -> float:

@@ -121,10 +121,6 @@ class RejectionResult:
     n_proposed: int
     n_accepted: int
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / self.n_proposed if self.n_proposed else 0.0
-
 
 def rejection_sample(
     model,
@@ -163,7 +159,7 @@ def rejection_sample(
         h = (
             model.conditional_energy(gamma, env_out)
             if env_out is not None
-            else (model.energy(gamma) if len(gamma) else 0.0)
+            else model.energy(gamma)
         )
         if h < 0:
             raise NumericalFailure(
@@ -228,10 +224,6 @@ class BoundaryCondition:
                 f"boundary configuration is not {t}-tempered (minimal t = {report.minimal_t})"
             )
         return BoundaryCondition(xi, t)
-
-    @property
-    def is_free(self) -> bool:
-        return self.xi is None
 
 
 def hastings_ratio(kind: str, z_volume: float, n: int, dh: float) -> float:

@@ -19,7 +19,6 @@ from gibbsgrain import (
     QuermassModel,
     additivity_check,
     conditional_energy,
-    energy,
     euler_characteristic,
     interaction_range,
     lj_pair,
@@ -61,14 +60,14 @@ class TestBasics:
     def test_empty_is_zero_for_every_model(self):
         e2 = Configuration.empty(2)
         for model in ALL_MODELS + [DiffusionModel()]:
-            assert energy(model, e2) == 0.0
+            assert model.energy(e2) == 0.0
 
     def test_values_never_nan(self):
         rng = stream(501, 0)
         for _ in range(25):
             g = random_scalar_config(rng, n_max=8, extent=2.0, mark_hi=1.2)
             for model in ALL_MODELS:
-                v = energy(model, g)
+                v = model.energy(g)
                 assert not math.isnan(v)
 
 
@@ -77,20 +76,20 @@ class TestHardSphere:
 
     def test_overlap_is_infinite(self):
         g = config([mp((0.0, 0.0), 1.0), mp((1.5, 0.0), 1.0)])
-        assert energy(self.model, g) == math.inf
+        assert self.model.energy(g) == math.inf
 
     def test_separated_is_zero(self):
         g = config([mp((0.0, 0.0), 1.0), mp((2.5, 0.0), 1.0)])
-        assert energy(self.model, g) == 0.0
+        assert self.model.energy(g) == 0.0
 
     def test_contact_is_allowed(self):
         # grains are open balls, touching boundaries do not overlap
         g = config([mp((0.0, 0.0), 1.0), mp((2.0, 0.0), 1.0)])
-        assert energy(self.model, g) == 0.0
+        assert self.model.energy(g) == 0.0
 
     def test_zero_radius_never_overlaps(self):
         g = config([mp((0.0, 0.0), 0.0), mp((0.1, 0.0), 5.0)])
-        assert energy(self.model, g) == 0.0
+        assert self.model.energy(g) == 0.0
 
 
 class TestPairPotential:
@@ -105,22 +104,22 @@ class TestPairPotential:
     def test_gate_and_value(self):
         model = PairPotentialModel(soft_bump, phi_id="soft_bump")
         near = config([mp((0.0, 0.0), 0.8), mp((1.0, 0.0), 0.7)])
-        assert energy(model, near) == pytest.approx(soft_bump(1.0), rel=1e-12)
+        assert model.energy(near) == pytest.approx(soft_bump(1.0), rel=1e-12)
         far = config([mp((0.0, 0.0), 0.4), mp((1.0, 0.0), 0.5)])
-        assert energy(model, far) == 0.0
+        assert model.energy(far) == 0.0
 
     def test_three_point_sum(self):
         model = PairPotentialModel(soft_bump, phi_id="soft_bump")
         g = config([mp((0.0, 0.0), 1.0), mp((1.0, 0.0), 1.0), mp((0.0, 1.5), 1.0)])
         expect = soft_bump(1.0) + soft_bump(1.5) + soft_bump(math.hypot(1.0, 1.5))
-        assert energy(model, g) == pytest.approx(expect, rel=1e-12)
+        assert model.energy(g) == pytest.approx(expect, rel=1e-12)
 
 
 class TestQuermass:
     def test_single_disc_area(self):
         model = QuermassModel(1.0, 0.0, 0.0)
         g = config([mp((0.3, 0.4), 1.0)])
-        assert energy(model, g) == pytest.approx(math.pi, rel=1e-9)
+        assert model.energy(g) == pytest.approx(math.pi, rel=1e-9)
 
     def test_matches_geometry_functionals(self):
         rng = stream(502, 0)
@@ -135,13 +134,13 @@ class TestQuermass:
                 - 0.3 * union_perimeter(s)
                 + 1.1 * euler_characteristic(s)
             )
-            assert energy(model, g) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            assert model.energy(g) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
     def test_dimension_guard(self):
         model = QuermassModel(1.0, 0.0, 0.0)
         g = Configuration([MarkedPoint.make((0.0, 0.0, 0.0), 1.0)])
         with pytest.raises(PreconditionError):
-            energy(model, g)
+            model.energy(g)
 
 
 class TestLennardJones:
@@ -167,7 +166,7 @@ class TestDiffusion:
     def test_scalar_marks_rejected(self):
         model = DiffusionModel()
         with pytest.raises(PreconditionError):
-            energy(model, config([mp((0.0, 0.0), 1.0)]))
+            model.energy(config([mp((0.0, 0.0), 1.0)]))
 
     def test_mismatched_grids_rejected(self):
         model = DiffusionModel()
@@ -175,12 +174,12 @@ class TestDiffusion:
             [path_point((0.0, 0.0), (1.0, 0.0), k=8), path_point((5.0, 0.0), (1.0, 0.0), k=16)]
         )
         with pytest.raises(PreconditionError):
-            energy(model, g)
+            model.energy(g)
 
     def test_self_term_is_confinement(self):
         model = DiffusionModel()
         p = path_point((0.0, 0.0), (0.6, 0.8), k=8)  # sup norm 1.0
-        assert energy(model, Configuration([p])) == pytest.approx(-2.0, rel=1e-12)
+        assert model.energy(Configuration([p])) == pytest.approx(-2.0, rel=1e-12)
 
     def test_pair_term_against_direct_sum(self):
         model = DiffusionModel()
@@ -192,7 +191,7 @@ class TestDiffusion:
         h = 1.0 / k
         manual = h * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1])
         expect = model.self_term(p) + model.self_term(q) + lj_pair(2.0) + manual
-        got = energy(model, Configuration([p, q]))
+        got = model.energy(Configuration([p, q]))
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_gate_is_exact_zero(self):
@@ -217,7 +216,7 @@ class TestTranslationInvariance:
                 dimension=2,
             )
             for model in ALL_MODELS:
-                a, b = energy(model, g), energy(model, shifted)
+                a, b = model.energy(g), model.energy(shifted)
                 if math.isinf(a) or math.isinf(b):
                     assert a == b
                 else:
@@ -236,7 +235,7 @@ class TestTranslationInvariance:
             ]
         )
         model = DiffusionModel()
-        assert energy(model, shifted) == pytest.approx(energy(model, g), rel=1e-9)
+        assert model.energy(shifted) == pytest.approx(model.energy(g), rel=1e-9)
 
 
 class TestInteractionRange:
@@ -261,7 +260,7 @@ class TestConditionalEnergy:
         g = config([mp((0.2, 0.1), 0.5), mp((-0.5, 0.4), 0.6)])
         empty = Configuration.empty(2)
         for model in ALL_MODELS:
-            assert conditional_energy(model, g, empty, w, 1, 1.0) == energy(model, g)
+            assert conditional_energy(model, g, empty, w, 1, 1.0) == model.energy(g)
 
     def test_interior_must_sit_in_window(self):
         w = Box.centered_cube(1.0, 2)
@@ -308,7 +307,7 @@ class TestConditionalEnergy:
                     )
                 xi = Configuration(far)
                 t = max(2, minimal_t(xi, 1.0))
-                base = energy(model, g)
+                base = model.energy(g)
                 cond = conditional_energy(model, g, xi, w, t, 1.0)
                 assert cond == base
 
@@ -359,8 +358,8 @@ class TestConditionalEnergy:
             for k in (8.0, 12.0):
                 big = Box.centered_cube(1.0 + k, 2)
                 xi_k = restrict(xi_out, big)
-                joint = energy(model, g.union(xi_k))
-                alone = energy(model, xi_k)
+                joint = model.energy(g.union(xi_k))
+                alone = model.energy(xi_k)
                 increments.append(joint - alone)
             assert increments[0] == pytest.approx(increments[1], abs=1e-9)
             assert cond == pytest.approx(increments[0], abs=1e-9)

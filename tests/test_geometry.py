@@ -1,5 +1,6 @@
 """Exact disc-union functionals against closed forms and Monte Carlo oracles."""
 
+import hashlib
 import logging
 import math
 
@@ -19,6 +20,7 @@ from gibbsgrain import (
     union_area,
     union_perimeter,
 )
+from gibbsgrain.geometry import meeting_discs
 
 
 def lens_area(r1, r2, d):
@@ -109,6 +111,99 @@ class TestEulerCharacteristic:
             chi = euler_characteristic(s)
         assert chi in (1, 2)
         assert any("tangen" in r.message.lower() for r in caplog.records)
+
+
+# Two circles of radius 0.5 centred at (-0.3, 0) and (0.3, 0) cross at
+# (0, 0.4) and (0, -0.4); a third of radius 0.5 at (0, 0.9) passes through
+# the upper vertex.
+LEFT, RIGHT, TOP = Disc(-0.3, 0.0, 0.5), Disc(0.3, 0.0, 0.5), Disc(0.0, 0.9, 0.5)
+TOL = 1e-9
+
+
+class TestMeetingDiscs:
+    """The one degeneracy predicate: discs meeting p, or None when p is
+    degenerate with them."""
+
+    # name: (p, discs, meeting at tol = TOL, meeting at tol = 0)
+    CASES = {
+        "tangency": (Disc(1.0, 0.0, 0.5), [Disc(0.0, 0.0, 0.5)], None, []),
+        "near-tangency": (Disc(1.0 + 0.5 * TOL, 0.0, 0.5), [Disc(0.0, 0.0, 0.5)], None, []),
+        "internal-tangency": (Disc(0.25, 0.0, 0.25), [Disc(0.0, 0.0, 0.5)], None, [0]),
+        "internal-tangency-outer": (Disc(0.0, 0.0, 0.5), [Disc(0.25, 0.0, 0.25)], None, [0]),
+        "coincidence": (Disc(0.0, 0.0, 0.5), [Disc(0.0, 0.0, 0.5)], None, [0]),
+        "triple-point-on-p": (TOP, [LEFT, RIGHT], None, [0, 1]),
+        "triple-point-of-p": (RIGHT, [TOP, LEFT], None, [0, 1]),
+        "clear": (
+            Disc(0.5, 0.0, 0.5),
+            # a zero-radius disc is empty, even on p's circle
+            [Disc(5.0, 5.0, 1.0), Disc(0.0, 0.0, 0.5), Disc(1.0, 0.0, 0.0)],
+            [1],
+            [1],
+        ),
+        "clear-of-tangency": (Disc(1.0 + 3.0 * TOL, 0.0, 0.5), [Disc(0.0, 0.0, 0.5)], [], []),
+        "clear-triple": (Disc(0.0, 0.95, 0.5), [LEFT, RIGHT], [0, 1], [0, 1]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_table(self, case):
+        p, discs, at_tol, at_zero = self.CASES[case]
+        assert meeting_discs(p, discs, TOL) == at_tol
+        assert meeting_discs(p, discs, 0.0) == at_zero
+
+    @pytest.mark.parametrize(
+        "discs, bumped",
+        [
+            ([Disc(0.0, 0.0, 0.5), Disc(1.0, 0.0, 0.5)], 1),
+            ([LEFT, RIGHT, TOP], 2),
+            ([TOP, LEFT, RIGHT], 2),
+            ([LEFT, TOP, RIGHT, Disc(5.0, 5.0, 1.0)], 2),
+        ],
+    )
+    def test_disc_system_bumps_the_latest_degenerate_disc(self, discs, bumped, caplog):
+        with caplog.at_level(logging.WARNING, logger="gibbsgrain.geometry"):
+            system = DiscSystem(discs)
+        assert system.perturbed
+        changed = [i for i, (a, b) in enumerate(zip(discs, system.discs)) if a != b]
+        assert changed == [bumped]
+        assert system.discs[bumped].r > discs[bumped].r
+
+
+def disc_tuples(seed, n_discs, **kwargs):
+    system = random_disc_system(np.random.default_rng(seed), n_discs, **kwargs)
+    return [(d.x.hex(), d.y.hex(), d.r.hex()) for d in system.discs]
+
+
+class TestRandomDiscSystemPins:
+    """Disc families recorded before random_disc_system went through
+    meeting_discs; the crowded ones reject many candidates."""
+
+    def test_small_families(self):
+        assert disc_tuples(0, 4, extent=3.0) == [
+            ("0x1.e92fc36f8d478p+0", "0x1.9e6473d3111aep-1", "0x1.58f6112e4ee54p-2"),
+            ("0x1.962ee447391a0p-5", "0x1.384bb7b4434d8p+1", "0x1.1f19508715a01p+0"),
+            ("0x1.d1e5725482c91p+0", "0x1.18206e0ff4c3ep+1", "0x1.941a36a0f0266p-1"),
+            ("0x1.67115c0b57021p+1", "0x1.3949aaf3ea804p+1", "0x1.35b94b126a47ap-2"),
+        ]
+        assert disc_tuples(1, 4, extent=3.0) == [
+            ("0x1.891439da6b68ap+0", "0x1.6cfa6219a1fc0p+1", "0x1.b80eb84286852p-2"),
+            ("0x1.6c4809063c02ap+1", "0x1.def91dc17ed0ap-1", "0x1.5cab384a90726p-1"),
+            ("0x1.3dd679cce8e5ap+1", "0x1.3a43d2e4c55eap+0", "0x1.96da4f37f579ep-1"),
+            ("0x1.52a579641d900p-4", "0x1.21595a464c62cp+1", "0x1.9193917d1bb27p-1"),
+        ]
+
+    @pytest.mark.parametrize(
+        "seed, n_discs, kwargs, digest",
+        [
+            (2, 12, {}, "0f6f7dc7a4c9506fbebd63ce838baf9f68fcd7cf0576b3b59bb1a878da631e63"),
+            (3, 20, {"extent": 4.0},
+             "eb69b12099473f03187bce04713a67d2bf54d98a492591f75394760d58422cfe"),
+            (4, 30, {"extent": 6.0, "margin": 0.1},
+             "a8661d8e4c269b5940853b2ef6c7c58824b8c9a830b660ed8d3be53e03c5b20a"),
+        ],
+    )
+    def test_crowded_families(self, seed, n_discs, kwargs, digest):
+        tuples = disc_tuples(seed, n_discs, **kwargs)
+        assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
 
 
 class TestInvariances:

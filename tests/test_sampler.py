@@ -1,6 +1,5 @@
 """Samplers: Poisson reference, exact rejection, and the birth-death-move chain."""
 
-import importlib
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ from gibbsgrain import (
     QuermassModel,
     TableLaw,
     UniformLaw,
-    energy,
     rejection_sample,
     run_chain,
     sample_cutoff_kernel,
@@ -34,6 +32,7 @@ from gibbsgrain import (
     stream,
     tame_statistic,
 )
+from gibbsgrain import energy as energy_module
 from gibbsgrain import sampler
 from gibbsgrain.geometry import _DEGENERACY_TOL, DiscSystem
 from gibbsgrain.sampler import (
@@ -47,9 +46,6 @@ from gibbsgrain.sampler import (
     init_chain,
 )
 from conftest import config, mp
-
-# the package exports a function named ``energy``, which shadows the module
-energy_module = importlib.import_module("gibbsgrain.energy")
 
 
 def soft_bump(u):
@@ -126,7 +122,7 @@ class TestRejection:
         rng = stream(607, 0)
         model = HardSphereModel()
         res = rejection_sample(model, Box.centered_cube(1.0, 2), 0.8, PointMassLaw(0.4), 400, rng)
-        assert all(energy(model, g) == 0.0 for g in res.samples)
+        assert all(model.energy(g) == 0.0 for g in res.samples)
 
     def test_hard_rod_two_particle_probability(self):
         # d = 1 rods of radius 1/2 on [0, 2): P(N = 2) from the excluded
@@ -230,7 +226,7 @@ class TestChain:
         res = run_chain(
             model, Box.centered_cube(1.0, 2), 1.0, PointMassLaw(0.35), 20_000, rng, thin=50
         )
-        assert all(energy(model, g) == 0.0 for g in res.samples)
+        assert all(model.energy(g) == 0.0 for g in res.samples)
         assert res.stats.final_energy == 0.0
 
     def test_thin_one_burn_zero_reproduces_raw_chain(self):
@@ -463,8 +459,12 @@ def assert_increments_match(model, state, rng, law, queries=12):
             assert got.hex() == plain_swap(model, state, idx, new_p).hex()
 
 
-def scramble(state, rng, law, n_ops):
-    """Births, deaths, moves and remarks through ChainState.replace."""
+def scramble(state, rng, law, n_ops, n_births=0):
+    """``n_births`` births, then ``n_ops`` births, deaths, moves and remarks,
+    through ChainState.replace."""
+    for _ in range(n_births):
+        loc = _draw_location(state.window, rng)
+        state.replace(len(state.points), [MarkedPoint.make(loc, law.sample(rng))])
     for _ in range(n_ops):
         n = len(state.points)
         op = int(rng.integers(0, 4)) if n else 0
@@ -504,7 +504,21 @@ class TestNeighbourIndex:
             [MarkedPoint.make(loc, law.sample(rng)) for loc in near + far], dimension=d
         )
         state = init_chain(model, window, BoundaryCondition(xi, None))
-        scramble(state, rng, law, n_ops)
+        # births first, so the wider windows hold atoms in many cells; the
+        # count comes from the seed, since hypothesis favours small integers
+        scramble(state, rng, law, n_ops, n_births=seed % 61)
+        assert_increments_match(model, state, rng, law)
+
+    @pytest.mark.parametrize("name", sorted(INDEX_MODELS))
+    def test_increments_match_plain_loop_in_a_full_window(self, name):
+        model = INDEX_MODELS[name]
+        rng = stream(628, 0)
+        law = PATH_LAW if name == "diffusion" else UniformLaw(0.6)
+        state = init_chain(model, Box.centered_cube(6.0, 2))
+        scramble(state, rng, law, 30, n_births=60)
+        assert len(state.points) >= 30
+        # more cells hold atoms than one query spans (3 x 3 cells)
+        assert len({state.index._key(q.location) for q in state.points}) > 9
         assert_increments_match(model, state, rng, law)
 
     def test_remark_that_raises_the_bound_rebuilds_the_grid(self):
@@ -806,3 +820,16 @@ class TestDegeneracyBand:
         state = init_chain(QUERMASS, Box.centered_cube(1.0, 3))
         with pytest.raises(PreconditionError):
             _delta_add(QUERMASS, state, mp((0.0, 0.0, 0.0), 0.3))
+
+
+def test_deaths_ignore_grains_that_only_touch(caplog):
+    # Deaths query their neighbours at band 0, where open discs that touch
+    # at one point do not meet: the increment is minus F of the lone grain,
+    # and no disc system is bumped.
+    state = init_chain(QUERMASS, Box.centered_cube(2.0, 2))
+    for g in (mp((0.0, 0.0), 0.5), mp((1.0, 0.0), 0.5)):
+        state.replace(len(state.points), [g])
+    lone = QUERMASS.energy(config([mp((1.0, 0.0), 0.5)]))
+    with caplog.at_level("WARNING"):
+        assert _delta_remove(QUERMASS, state, 1) == -lone
+    assert caplog.records == []
