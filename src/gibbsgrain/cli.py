@@ -302,8 +302,12 @@ def _prepare_temper(cfg: dict):
         raise ConfigError("temper needs t >= 1 and delta > 0")
 
     def body(out: Path, digest: str) -> dict:
-        rows = []
+        # configurations are checked as they are read, so read_s sums the
+        # gaps between the loop bodies
+        rows, read_s = [], 0.0
+        t0 = time.perf_counter()
         for i, config in enumerate(read_configs_jsonl(path)):
+            read_s += time.perf_counter() - t0
             ok, report = is_tempered(config, t, delta)
             sep_ok, _witness = range_separation_check(config, report.minimal_t, delta)
             rows += [
@@ -311,10 +315,13 @@ def _prepare_temper(cfg: dict):
                 ReportRow(f"minimal_t[{i}]", float(report.minimal_t), 0.0, len(config), "temper", seed),
                 ReportRow(f"range_separation[{i}]", float(sep_ok), 0.0, len(config), "temper", seed),
             ]
+            t0 = time.perf_counter()
+        read_s += time.perf_counter() - t0
         if not rows:
             raise ConfigError(f"input file {path} holds no configurations")
-        print(f"tempered report for {len(rows) // 3} configurations -> {out/'temper.csv'}")
-        return _report(out, "temper.csv", rows)
+        n_configs = len(rows) // 3
+        print(f"tempered report for {n_configs} configurations -> {out/'temper.csv'}")
+        return dict(_report(out, "temper.csv", rows), read_s=read_s, n_configs=n_configs)
 
     return body
 

@@ -1,8 +1,12 @@
 """Serialization: JSONL sample files, CSV reports, and run manifests.
 
-Floats go through Python's repr (the json module's default), which is the
-shortest round-tripping decimal form, so writing and re-reading a
-configuration is bit-exact and a fixed seed reproduces byte-identical files.
+Sample files hold one JSON record per configuration. Locations, scalar marks
+and report values go through Python's repr (the json module's default),
+the shortest round-tripping decimal form. A path mark is stored as its
+shape and the base64 of its little-endian float64 bytes, which is exact and
+about half the size of the decimal lists older files hold (still read).
+So writing and re-reading a configuration is bit-exact, and a fixed seed
+reproduces byte-identical files.
 Manifests are canonical JSON (sorted keys, fixed separators) hashed with
 sha256; volatile data like wall-clock time lives in a separate record file
 so the manifest hash is stable.
@@ -10,6 +14,7 @@ so the manifest hash is stable.
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
@@ -41,16 +46,39 @@ __all__ = [
 
 def _mark_payload(mark) -> dict:
     if isinstance(mark, PathMark):
-        return {"kind": "path", "samples": mark.samples.tolist()}
+        raw = np.ascontiguousarray(mark.samples, dtype="<f8").tobytes()
+        return {"kind": "path", "shape": list(mark.samples.shape),
+                "f8le": base64.b64encode(raw).decode("ascii")}
     return {"kind": "scalar", "value": float(mark)}
 
 
+def _path_samples(payload: dict) -> np.ndarray:
+    """A path's samples from either stored form: "samples" (decimal lists,
+    as older files hold them) or "shape" plus "f8le" (base64 bytes)."""
+    if ("samples" in payload) == ("f8le" in payload):
+        raise ConfigError("a path mark needs exactly one of 'samples' and 'f8le'")
+    if "samples" in payload:
+        return np.array(payload["samples"], dtype=float)
+    shape = payload.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int for n in shape) and shape[0] >= 2 and shape[1] == 2):
+        raise ConfigError(f"path shape must be [k+1, 2] with k >= 1, not {shape!r}")
+    try:
+        raw = base64.b64decode(payload["f8le"], validate=True)
+    except (ValueError, TypeError) as e:  # binascii.Error is a ValueError
+        raise ConfigError(f"path f8le is not base64 ({e})") from e
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ConfigError(f"path f8le holds {len(raw)} bytes, shape {shape} needs "
+                          f"{8 * shape[0] * shape[1]}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
 def _mark_from_payload(payload: dict):
-    kind = payload.get("kind")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "scalar":
         return float(payload["value"])
     if kind == "path":
-        return PathMark(np.array(payload["samples"], dtype=float))
+        return PathMark(_path_samples(payload))
     raise ConfigError(f"unknown mark payload kind {kind!r}")
 
 

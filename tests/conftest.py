@@ -4,6 +4,8 @@ Tests construct their own RNG streams inline (via gibbsgrain.stream) so each
 test is reproducible in isolation regardless of execution order.
 """
 
+import json
+
 import numpy as np
 from hypothesis import settings
 
@@ -35,3 +37,16 @@ def random_scalar_config(rng, n_max=12, d=2, extent=3.0, mark_hi=1.5):
         r = float(rng.uniform(0.0, mark_hi))
         pts.append(MarkedPoint(loc, r, r))
     return Configuration(pts, dimension=d)
+
+
+def legacy_path_lines(configs) -> str:
+    """Records as the JSON-list writer emitted them: each path mark as its
+    "samples" lists of repr-encoded floats."""
+    lines = []
+    for c in configs:
+        rec = {"dim": c.dimension, "points": [
+            {"x": list(p.location),
+             "mark": {"kind": "path", "samples": p.mark.samples.tolist()}}
+            for p in c.points]}
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines)

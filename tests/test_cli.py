@@ -1,21 +1,35 @@
 """End-to-end tests of the command-line harness through main(argv)."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from gibbsgrain import Configuration, stream
+import numpy as np
+
+from gibbsgrain import Configuration, MarkedPoint, PathMark, stream
 from gibbsgrain.cli import main
 from gibbsgrain.io import read_configs_jsonl, read_report_csv, write_configs_jsonl
 
-from conftest import config, mp
+from conftest import config, legacy_path_lines, mp
 
 
 def write_cfg(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def path_boundary():
+    """Two path-marked atoms just outside [-1, 1)^2, tempered at t = 1."""
+    pts = []
+    for loc, scale in (((1.4, 0.2), 0.05), ((-0.3, -1.5), -0.08)):
+        samples = np.zeros((9, 2))
+        samples[1:, 0] = scale * np.arange(1, 9)
+        samples[1:, 1] = -0.5 * scale * np.arange(1, 9) ** 0.5
+        pts.append(MarkedPoint.make(loc, PathMark(samples)))
+    return config(pts, dim=2)
 
 
 class TestSampleCommand:
@@ -148,6 +162,62 @@ class TestSampleCommand:
         assert record["steps_per_s"] > 0 and "steps_per_s" not in stats[0]
         assert record["write_s"] > 0 and "write_s" not in stats[0]
 
+    def test_diffusion_samples_decode_to_pinned_bytes(self, tmp_path):
+        """The path marks of a fixed-seed diffusion-model run, as read back
+        from its sample file: locations and the raw float64 bytes of every
+        path, pinned from the version that stored paths as JSON lists. Any
+        change of the on-disk encoding must decode to these same bits."""
+        cfg = write_cfg(
+            tmp_path,
+            "run.json",
+            {
+                "seed": 2027,
+                "model": {"id": "diffusion"},
+                "window": {"kind": "box", "n": 2, "d": 2},
+                "z": 0.3,
+                "mark_law": {"kind": "langevin", "potential": "quartic", "step_count": 16},
+                "steps": 60,
+                "burn_in": 10,
+                "thin": 5,
+                "drift_check_every": 15,
+            },
+        )
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--name", "d"]) == 0
+        h = hashlib.sha256()
+        n_configs = n_atoms = 0
+        for c in read_configs_jsonl(tmp_path / "d" / "samples_chain0.jsonl"):
+            n_configs += 1
+            for p in c.points:
+                n_atoms += 1
+                h.update(repr(p.location).encode())
+                h.update(p.mark.samples.tobytes())
+            h.update(b"|")
+        assert (n_configs, n_atoms) == (10, 42)
+        assert h.hexdigest() == (
+            "a7e2a5edb5e09e4491b6b9a5496e8d02a1db3278150940735c1a42f159e18c51"
+        )
+
+    def test_legacy_boundary_file_conditions_like_binary(self, tmp_path):
+        legacy, binary = tmp_path / "legacy.jsonl", tmp_path / "binary.jsonl"
+        legacy.write_text(legacy_path_lines([path_boundary()]))
+        write_configs_jsonl(binary, [path_boundary()])
+        runs = {}
+        for name, xi in (("lg", legacy), ("bn", binary)):
+            cfg = write_cfg(tmp_path, name + ".json", {
+                "seed": 17, "model": {"id": "diffusion"},
+                "window": {"kind": "box", "n": 1, "d": 2}, "z": 0.5,
+                "mark_law": {"kind": "langevin", "potential": "quartic", "step_count": 8},
+                "steps": 300, "burn_in": 100, "thin": 20,
+                "boundary": {"file": str(xi), "t": 1, "delta": 1.0}})
+            assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--name", name]) == 0
+            runs[name] = list(read_configs_jsonl(tmp_path / name / "samples_chain0.jsonl"))
+        assert len(runs["lg"]) == len(runs["bn"]) == 10
+        assert any(len(c) for c in runs["lg"])
+        for a, b in zip(runs["lg"], runs["bn"]):
+            assert [p.location for p in a.points] == [p.location for p in b.points]
+            assert [p.mark.samples.tobytes() for p in a.points] == [
+                p.mark.samples.tobytes() for p in b.points]
+
 
 class TestGeometryCommand:
     def test_small_run(self, tmp_path):
@@ -194,6 +264,33 @@ class TestTemperCommand:
         assert by_q["minimal_t[1]"] > 2.0
         assert by_q["range_separation[0]"] == 1.0
         assert by_q["range_separation[1]"] == 1.0
+        record = json.loads((tmp_path / "tmp" / "record.json").read_text())
+        assert record["n_configs"] == 2
+        assert record["read_s"] > 0
+
+    def test_legacy_path_file_is_accepted(self, tmp_path):
+        inp = tmp_path / "legacy.jsonl"
+        inp.write_text(legacy_path_lines([path_boundary(), config([], dim=2)]))
+        rc = main(["temper", "--input", str(inp), "--seed", "3",
+                   "--out", str(tmp_path), "--name", "lg"])
+        assert rc == 0
+        record = json.loads((tmp_path / "lg" / "record.json").read_text())
+        assert record["n_configs"] == 2
+
+    def test_malformed_path_payload_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "bad.jsonl"
+        write_configs_jsonl(inp, [path_boundary()] * 2)
+        lines = inp.read_text().splitlines()
+        inp.write_text(lines[0] + "\n" + lines[1].replace('"f8le": "', '"f8le": "*') + "\n")
+        rc = main(["temper", "--input", str(inp), "--seed", "3",
+                   "--out", str(tmp_path), "--name", "bad"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl line 2" in err and "not base64" in err
+        assert "Traceback" not in err
+        record = json.loads((tmp_path / "bad" / "record.json").read_text())
+        assert record["exit_code"] == 2
+        assert "bad.jsonl line 2" in record["error"]
 
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(

@@ -1,12 +1,24 @@
 """Round-trip and stability tests for the serialization layer."""
 
+import base64
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gibbsgrain import Configuration, ConfigError, MarkedPoint, PathMark, stream
+from gibbsgrain import (
+    Box,
+    Configuration,
+    ConfigError,
+    HardSphereModel,
+    MarkedPoint,
+    PathMark,
+    UniformLaw,
+    run_chain,
+    stream,
+)
 from gibbsgrain.io import (
     ReportRow,
     canonical_json,
@@ -22,7 +34,7 @@ from gibbsgrain.io import (
     write_report_csv,
 )
 
-from conftest import config, mp, random_scalar_config
+from conftest import config, legacy_path_lines, mp, random_scalar_config
 
 
 def random_path_config(rng, n=3, k=6):
@@ -86,6 +98,22 @@ class TestJsonlRoundTrip:
         write_configs_jsonl(p2, batch)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_scalar_sample_file_bytes_pinned(self, tmp_path):
+        """A fixed-seed hardcore chain written as the CLI writes it (with a
+        fixed stand-in for the manifest hash, which covers the numpy
+        version): the file's raw bytes are pinned, so scalar-mark sample
+        files stay byte-identical across changes to the path encoding."""
+        res = run_chain(HardSphereModel(), Box.centered_cube(1, 2), 0.7, UniformLaw(0.4),
+                        3000, stream(424243, 0), burn_in=500, thin=50)
+        path = tmp_path / "hc.jsonl"
+        write_configs_jsonl(path, res.samples, meta={
+            "seed": 424243, "model_id": "hardcore", "chain": 0, "manifest": "pinned"})
+        raw = path.read_bytes()
+        assert (len(res.samples), len(raw)) == (50, 15877)
+        assert hashlib.sha256(raw).hexdigest() == (
+            "4337a6e454c8f0b8cb7a4a80c2cfa384b10f071b9e8586cbf270562acbbde860"
+        )
+
     def test_unknown_mark_kind_rejected(self):
         rec = config_to_record(config([mp((0.0, 0.0), 0.5)]))
         rec["points"][0]["mark"]["kind"] = "tensor"
@@ -99,6 +127,131 @@ class TestJsonlRoundTrip:
         with open(path, "a") as fh:
             fh.write("\n" + line + "\n")
         with pytest.raises(ValueError, match=r"mixed\.jsonl line 3 "):
+            list(read_configs_jsonl(path))
+
+
+def assert_same_paths(a, b):
+    assert len(a) == len(b)
+    for p, q in zip(a.points, b.points):
+        assert p.location == q.location
+        assert p.mark.samples.tobytes() == q.mark.samples.tobytes()
+        assert p.mark.sup_norm == q.mark.sup_norm
+
+
+def _path_record():
+    """A one-atom record with a 6-step path mark, in the binary form."""
+    return config_to_record(random_path_config(stream(1004, 0), n=1, k=6))
+
+
+def _f8le(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _without(key):
+    def edit(mark):
+        del mark[key]
+    return edit
+
+
+def _set(**fields):
+    def edit(mark):
+        mark.update(fields)
+    return edit
+
+
+def _legacy(samples):
+    def edit(mark):
+        del mark["shape"], mark["f8le"]
+        mark["samples"] = samples
+    return edit
+
+
+_PATH_7x2 = np.vstack([np.zeros((1, 2)), np.full((6, 2), 0.25)])
+
+
+class TestPathEncoding:
+    def test_writer_stores_little_endian_float64_bytes(self):
+        rec = _path_record()
+        payload = rec["points"][0]["mark"]
+        assert set(payload) == {"kind", "shape", "f8le"}
+        assert payload["shape"] == [7, 2]
+        samples = record_to_config(rec).points[0].mark.samples
+        decoded = np.frombuffer(base64.b64decode(payload["f8le"]), dtype="<f8")
+        assert decoded.reshape(7, 2).tobytes() == samples.astype("<f8").tobytes()
+
+    def test_legacy_list_record_reads_bit_exactly(self, tmp_path):
+        batch = [random_path_config(stream(1005, i), n=3, k=40) for i in range(4)]
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(legacy_path_lines(batch))
+        back = list(read_configs_jsonl(path))
+        assert len(back) == len(batch)
+        for a, b in zip(batch, back):
+            assert_same_paths(a, b)
+
+    def test_mixed_forms_read_in_order(self, tmp_path):
+        batch = [random_path_config(stream(1006, i), n=2, k=9) for i in range(4)]
+        binary = tmp_path / "binary.jsonl"
+        write_configs_jsonl(binary, batch[1:3])
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(legacy_path_lines(batch[:1]) + binary.read_text()
+                        + legacy_path_lines(batch[3:]))
+        back = list(read_configs_jsonl(path))
+        assert len(back) == 4
+        for a, b in zip(batch, back):
+            assert_same_paths(a, b)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (_set(f8le="not*base64!"), "not base64"),
+            (_set(f8le="AAAAAAAAAAA\u00e9"), "not base64"),
+            (_set(f8le=12), "not base64"),
+            (_set(f8le=_f8le(_PATH_7x2)[:-12]), "holds 105 bytes"),
+            (_set(f8le=_f8le(np.vstack([_PATH_7x2, [[0.5, 0.5]]]))), "holds 128 bytes"),
+            (_set(shape=[14, 1]), "shape must be"),
+            (_set(shape=[2, 7]), "shape must be"),
+            (_set(shape=[-7, -2]), "shape must be"),
+            (_set(shape=[7.0, 2.0]), "shape must be"),
+            (_set(shape=[True, 2]), "shape must be"),
+            (_set(shape=[7, 2, 1]), "shape must be"),
+            (_set(shape="7x2"), "shape must be"),
+            (_without("shape"), "shape must be"),
+            (_set(shape=[1, 2], f8le=_f8le([[0.0, 0.0]])), "shape must be"),
+            (_set(f8le=_f8le(np.where(np.arange(14).reshape(7, 2) == 9, np.nan, _PATH_7x2))),
+             "must be finite"),
+            (_set(f8le=_f8le(np.where(np.arange(14).reshape(7, 2) == 3, np.inf, _PATH_7x2))),
+             "must be finite"),
+            (_set(f8le=_f8le(_PATH_7x2 + 0.5)), "start at the origin"),
+            (_set(samples=_PATH_7x2.tolist()), "exactly one of"),
+            (_without("f8le"), "exactly one of"),
+            (_legacy([[0.0, 0.0], [1.0]]), "inhomogeneous"),
+            (_legacy([[0.0, 0.0], [1.0, "x"]]), "could not convert"),
+            (_legacy([[0.0, 0.0]]), "K >= 1"),
+            (_legacy([[0.0, 0.0], [float("nan"), 1.0]]), "must be finite"),
+        ],
+        ids=["bad-base64", "non-ascii", "f8le-not-string", "too-few-bytes",
+             "too-many-bytes", "shape-k-by-1", "shape-2-by-k", "shape-negative",
+             "shape-floats", "shape-bool", "shape-3d", "shape-string", "no-shape",
+             "zero-steps", "nan", "inf", "off-origin", "both-forms", "neither-form",
+             "legacy-ragged", "legacy-string", "legacy-zero-steps", "legacy-nan"],
+    )
+    def test_malformed_path_payload_is_config_error(self, tmp_path, edit, reason):
+        rec = _path_record()
+        rec["points"][0]["mark"]["f8le"] = _f8le(_PATH_7x2)
+        record_to_config(rec)  # the unedited record is valid
+        edit(rec["points"][0]["mark"])
+        path = tmp_path / "bad.jsonl"
+        write_configs_jsonl(path, [config([mp((0.0, 0.0), 0.5)])])
+        with open(path, "a") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 ") as err:
+            list(read_configs_jsonl(path))
+        assert reason in str(err.value)
+
+    def test_mark_that_is_not_an_object_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"dim": 2, "points": [{"x": [0.0, 0.0], "mark": 0.5}]}\n')
+        with pytest.raises(ConfigError, match=r"bad\.jsonl line 1 "):
             list(read_configs_jsonl(path))
 
 
