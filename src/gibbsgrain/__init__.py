@@ -13,7 +13,6 @@ from .audits import (
     LocalStabilityReport,
     StabilityReport,
     local_stability_audit,
-    mark_statistic,
     stability_audit,
 )
 from .discrete import DiscreteInstance, kernel_compatibility_check, tv_distance
@@ -73,6 +72,7 @@ from .points import (
     Configuration,
     MarkedPoint,
     Window,
+    mark_statistic,
     mark_sup,
     restrict,
     restrict_complement,

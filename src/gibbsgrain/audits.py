@@ -22,7 +22,6 @@ from .tempered import is_tempered
 
 __all__ = [
     "StabilityReport",
-    "mark_statistic",
     "stability_audit",
     "LocalStabilityReport",
     "local_stability_audit",

@@ -50,8 +50,8 @@ from .io import (
     write_record,
     write_report_csv,
 )
-from .marks import LangevinSpec, law_from_descriptor
-from .points import Box, Configuration, Window, mark_sup
+from .marks import law_from_descriptor
+from .points import Box, Window, mark_sup
 from .rng import stream
 from .sampler import BoundaryCondition, rejection_sample, run_chain, sample_poisson
 from .tempered import is_tempered, range_separation_check
@@ -85,7 +85,7 @@ def build_model(spec: dict):
                 raise ConfigError(
                     f"unknown phi {phi_name!r}; have {sorted(_PHI_REGISTRY)}"
                 )
-            return PairPotentialModel(_PHI_REGISTRY[phi_name], phi_id=phi_name)
+            return PairPotentialModel(_PHI_REGISTRY[phi_name])
         if mid == "quermass":
             _reject_unknown(body, {"a_area", "a_perimeter", "a_euler"}, "model.quermass")
             return QuermassModel(
@@ -213,7 +213,9 @@ def _boundary(spec) -> BoundaryCondition:
     return BoundaryCondition.conditioned(xi, t, delta)
 
 
-def _prepare_sample(cfg: dict):
+def _prepare_sample(cfg: dict, report=None):
+    """``report(out, result)``, if given, writes a summary of the last
+    chain's result and returns the file name."""
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "ideal"}))
     window = build_window(cfg.get("window", {"kind": "box", "n": 1, "d": 2}))
@@ -228,6 +230,8 @@ def _prepare_sample(cfg: dict):
     if chains < 1:
         raise ConfigError("chains must be >= 1")
     drift_check_every = int(cfg.get("drift_check_every", 10_000))
+    if drift_check_every < 1:
+        raise ConfigError("drift_check_every must be >= 1")
     bc = _boundary(cfg.get("boundary", "free"))
 
     def body(out: Path, digest: str) -> dict:
@@ -253,6 +257,8 @@ def _prepare_sample(cfg: dict):
             counts.append(len(result.samples))
             stats.append(asdict(result.stats))
         print(f"wrote {sum(counts)} configurations to {out}")
+        if report is not None:
+            outputs.append(report(out, result))
         return {"outputs": outputs, "n_samples": counts, "chain_stats": stats,
                 "steps_per_s": steps * chains / chain_s, "write_s": write_s}
 
@@ -470,7 +476,7 @@ def _prepare_compat(cfg: dict):
             rows.append(ReportRow("compat_max_gap", gap, 0.0, inst.n_states, "hardcore", seed))
         if flavor in ("pair", "both"):
             inst = DiscreteInstance(
-                PairPotentialModel(_phi_soft_bump, phi_id="soft_bump"),
+                PairPotentialModel(_phi_soft_bump),
                 cell_centers=[(0.0,), (1.0,), (2.0,)],
                 cell_volume=1.0,
                 mark_values=(0.4, 0.9),
@@ -487,44 +493,40 @@ def _prepare_compat(cfg: dict):
 
 
 def _prepare_diffusion(cfg: dict):
+    """``sample`` preset: one chain of the diffusion model with Langevin path
+    marks on [-window_n, window_n)^2, plus a summary report."""
     seed = cfg["seed"]
-    window = Box.centered_cube(int(cfg.get("window_n", 1)), 2)
-    z = float(cfg.get("z", 0.3))
     steps = int(cfg.get("steps", 4000))
-    burn_in = int(cfg.get("burn_in", steps // 2))
-    thin = int(cfg.get("thin", 20))
-    law = LangevinSpec.named(cfg.get("potential", "quartic"),
-                             int(cfg.get("step_count", 256)))
-    model = DiffusionModel()
+    preset = {
+        "seed": seed,
+        "model": {"id": "diffusion"},
+        "window": {"kind": "box", "n": cfg.get("window_n", 1), "d": 2},
+        "z": cfg.get("z", 0.3),
+        "mark_law": {"kind": "langevin", "potential": cfg.get("potential", "quartic"),
+                     "step_count": int(cfg.get("step_count", 256))},
+        "steps": steps,
+        "burn_in": cfg.get("burn_in", steps // 2),
+        "thin": cfg.get("thin", 20),
+    }
 
-    def body(out: Path, digest: str) -> dict:
-        t0 = time.perf_counter()
-        result = run_chain(model, window, z, law, steps, stream(seed, 0),
-                           burn_in=burn_in, thin=thin)
-        t1 = time.perf_counter()
-        write_configs_jsonl(
-            out / "samples_chain0.jsonl", result.samples,
-            meta={"seed": seed, "model_id": model.model_id, "chain": 0, "manifest": digest},
-        )
-        write_s = time.perf_counter() - t1
+    def report(out: Path, result) -> str:
         counts = [len(c) for c in result.samples]
         sups = [mark_sup(c) for c in result.samples if len(c)]
+        mid = DiffusionModel.model_id
         rows = [
             ReportRow("mean_count", float(np.mean(counts)),
                       float(np.std(counts) / math.sqrt(len(counts))),
-                      len(counts), model.model_id, seed),
+                      len(counts), mid, seed),
             ReportRow("mean_mark_sup", float(np.mean(sups)) if sups else 0.0, 0.0,
-                      len(sups), model.model_id, seed),
+                      len(sups), mid, seed),
             ReportRow("final_energy", result.stats.final_energy, 0.0,
-                      len(result.final), model.model_id, seed),
+                      len(result.final), mid, seed),
         ]
         write_report_csv(out / "diffusion.csv", rows)
         print(f"diffusion run: mean count {rows[0].estimate:.3f} -> {out}")
-        return {"outputs": ["samples_chain0.jsonl", "diffusion.csv"],
-                "chain_stats": [asdict(result.stats)],
-                "steps_per_s": steps / (t1 - t0), "write_s": write_s}
+        return "diffusion.csv"
 
-    return body
+    return _prepare_sample(preset, report)
 
 
 def _prepare_plot_data(cfg: dict):
@@ -586,7 +588,7 @@ _COMMANDS = {
         "z": None, "delta": None, "n_outer": int, "n_inner": int}),
     "compat": ("exact kernel compatibility on micro instances", _prepare_compat, {
         "flavor": str}),
-    "diffusion": ("path-marked model demo run", _prepare_diffusion, {
+    "diffusion": ("sample preset for the path-marked model", _prepare_diffusion, {
         "window_n": None, "steps": int, "z": float, "burn_in": None, "thin": None,
         "step_count": None, "potential": None}),
     "plot-data": ("emit (x, y, err) series from reports", _prepare_plot_data, {

@@ -232,14 +232,13 @@ class PairPotentialModel(_PairwiseModel):
     model_id = "nonnegpair"
     nonnegative = True
 
-    def __init__(self, phi: Callable[[float], float], phi_id: str = "custom"):
+    def __init__(self, phi: Callable[[float], float]):
         if abs(phi(0.0)) > 1e-12:
             raise ValueError("pair potential must vanish at zero distance")
         for u in (0.1, 0.5, 1.0, 2.0, 5.0):
             if phi(u) < 0:
                 raise ValueError("pair potential must be non-negative")
         self.phi = phi
-        self.phi_id = phi_id
 
     def self_term(self, point) -> float:
         return 0.0
@@ -349,32 +348,16 @@ def _default_psi(norm: float) -> float:
 class DiffusionModel(_PairwiseModel):
     """Paths as marks: confinement self term plus gated pair interaction.
 
-    Pair term: phi(|x1 - x2|) + integral over s of phi_tilde(|m1(s) - m2(s)|),
-    active only when |x1 - x2| <= a0 + |m1| + |m2|; the time integral uses the
+    Self term: psi(|m|) = -1 - |m|^2.5. Pair term: ``lj_pair``(|x1 - x2|) plus
+    the integral over s of min(|m1(s) - m2(s)|^2, 1e6), active only when
+    |x1 - x2| <= a0 + |m1| + |m2| with a0 = 1.5; the time integral uses the
     trapezoid rule on the shared sample grid. Marks must be PathMark objects
     with equal step counts.
     """
 
     model_id = "diffusion"
     nonnegative = False
-
-    def __init__(
-        self,
-        a0: float = 1.5,
-        phi: Callable[[float], float] = lj_pair,
-        phi_tilde: Callable = _clipped_square,
-        psi: Callable[[float], float] = _default_psi,
-        phi_id: str = "lj",
-        psi_id: str = "default",
-    ):
-        if a0 < 0:
-            raise ValueError("gate offset a0 must be non-negative")
-        self.a0 = float(a0)
-        self.phi = phi
-        self.phi_tilde = phi_tilde
-        self.psi = psi
-        self.phi_id = phi_id
-        self.psi_id = psi_id
+    a0 = 1.5
 
     def validate_config(self, config: Configuration) -> None:
         steps = None
@@ -387,15 +370,15 @@ class DiffusionModel(_PairwiseModel):
                 raise PreconditionError("path marks must share one sample grid")
 
     def self_term(self, point) -> float:
-        return float(self.psi(point.mark_norm))
+        return float(_default_psi(point.mark_norm))
 
     def pair_term(self, p, q) -> float:
         d = math.dist(p.location, q.location)
         if d > self.a0 + p.mark_norm + q.mark_norm:
             return 0.0
         sep = np.linalg.norm(p.mark.samples - q.mark.samples, axis=1)
-        path_part = float(np.trapezoid(self.phi_tilde(sep), dx=1.0 / p.mark.step_count))
-        return float(self.phi(d)) + path_part
+        path_part = float(np.trapezoid(_clipped_square(sep), dx=1.0 / p.mark.step_count))
+        return lj_pair(d) + path_part
 
     def reach(self, norm_p, norm_q) -> float:
         return self.a0 + norm_p + norm_q

@@ -2,9 +2,7 @@
 fields, and kernel-consistency residuals.
 
 Everything here consumes immutable sample batches and aggregates in a fixed
-order, so reports are bit-reproducible given the seeds. The kernel
-compatibility check for enumerable instances lives in the discrete module
-and is re-exported for convenience.
+order, so reports are bit-reproducible given the seeds.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .audits import mark_statistic
-from .discrete import kernel_compatibility_check, tv_distance
 from .errors import ConfigError, PreconditionError
 from .functionals import LocalFunctional
 from .marks import MarkLaw
@@ -27,6 +23,7 @@ from .points import (
     Configuration,
     MarkedPoint,
     Window,
+    mark_statistic,
     restrict,
     restrict_complement,
     tame_statistic,
@@ -48,8 +45,6 @@ __all__ = [
     "empirical_field_draw",
     "DlrReport",
     "dlr_residual",
-    "kernel_compatibility_check",
-    "tv_distance",
 ]
 
 log = logging.getLogger(__name__)
@@ -184,9 +179,16 @@ def relative_entropy_estimate(
 ) -> EntropyReport:
     """Relative entropy of the finite-volume law w.r.t. its Poisson reference:
     I = -E[H] - log Z, with errors propagated from both estimates."""
+    return _entropy_report([model.energy(c) for c in samples], window, partition)
+
+
+def _entropy_report(
+    sample_energies: Sequence[float], window: Window, partition: PartitionReport
+) -> EntropyReport:
+    """``relative_entropy_estimate`` from the samples' energies."""
     if partition.degenerate:
         raise PreconditionError("partition estimate degenerated to 0; no log Z")
-    energies = np.array([model.energy(c) for c in samples], dtype=float)
+    energies = np.array(sample_energies, dtype=float)
     if not np.all(np.isfinite(energies)):
         raise PreconditionError(
             "samples with infinite energy cannot come from the target law"
@@ -198,7 +200,7 @@ def relative_entropy_estimate(
     vol = window.volume()
     report = EntropyReport(
         i_hat, partition.log_z_hat, mean_h, i_hat / vol, se, se / vol,
-        len(samples), vol,
+        len(energies), vol,
     )
     if not report.nonneg_ok:
         log.warning(
@@ -210,15 +212,10 @@ def relative_entropy_estimate(
 
 
 @dataclass(frozen=True)
-class EntropyPoint:
+class EntropyPoint(EntropyReport):
+    """The entropy report of the cube [-n, n)^d with its ceiling terms."""
+
     n: int
-    volume: float
-    mean_energy: float
-    log_z: float
-    i_hat: float
-    stderr: float
-    per_volume: float
-    per_volume_stderr: float
     a1_hat: float
     ceiling: float
 
@@ -274,7 +271,7 @@ def specific_entropy_curve(
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise PreconditionError("n_list must be strictly increasing")
     exponent = stat_exponent if stat_exponent is not None else d + delta
-    per_n: list[dict] = []
+    per_n = []
     c_hat = -math.inf if audit_c is None else audit_c
     for i, n in enumerate(n_list):
         window = Box.centered_cube(n, d)
@@ -293,30 +290,17 @@ def specific_entropy_curve(
         part = partition_estimate(
             model, window, z, mark_law, n_partition_samples, stream(seed, 60 + i)
         )
-        report = relative_entropy_estimate(model, window, samples, part)
-        stats = [mark_statistic(c, exponent) for c in samples]
         energies = [model.energy(c) for c in samples]
+        report = _entropy_report(energies, window, part)
+        stats = [mark_statistic(c, exponent) for c in samples]
         for h, s in zip(energies, stats):
             if s > 0:
                 c_hat = max(c_hat, -h / s)
         a1 = float(np.mean(stats)) / window.volume()
-        per_n.append(
-            {"n": int(n), "report": report, "a1": a1}
-        )
+        per_n.append((int(n), report, a1))
     points = tuple(
-        EntropyPoint(
-            row["n"],
-            row["report"].volume,
-            row["report"].mean_energy,
-            row["report"].log_z,
-            row["report"].i_hat,
-            row["report"].stderr,
-            row["report"].per_volume,
-            row["report"].per_volume_stderr,
-            row["a1"],
-            c_hat * row["a1"] + z,
-        )
-        for row in per_n
+        EntropyPoint(**vars(report), n=n, a1_hat=a1, ceiling=c_hat * a1 + z)
+        for n, report, a1 in per_n
     )
     return EntropyCurve(points, c_hat, z, exponent)
 
@@ -395,11 +379,11 @@ class DlrReport:
     stderr: float
     n_outer: int
     n_inner: int
-    k: float = 3.0
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.k * self.stderr
+        """Residual within three paired standard errors."""
+        return self.residual <= 3.0 * self.stderr
 
 
 def _origin_inradius(window: Window) -> float:
@@ -422,7 +406,6 @@ def dlr_residual(
     functionals: Sequence[LocalFunctional],
     n_inner: int,
     rng: np.random.Generator,
-    k: float = 3.0,
 ) -> tuple[DlrReport, ...]:
     """Paired one-step resampling residuals, one report per functional.
 
@@ -469,7 +452,6 @@ def dlr_residual(
                 se,
                 n_outer,
                 n_inner,
-                k,
             )
         )
     return tuple(reports)

@@ -101,15 +101,15 @@ class DiscSystem:
             raise ValueError("disc systems are planar; configuration has d != 2")
         return DiscSystem(Disc(*p.location, p.mark_norm) for p in config.points)
 
-    def bounding_box(self, pad: float = 0.0) -> tuple[float, float, float, float]:
+    def bounding_box(self) -> tuple[float, float, float, float]:
         if self.n == 0:
             return (0.0, 1.0, 0.0, 1.0)
         discs = self.discs
         return (
-            min(d.x - d.r for d in discs) - pad,
-            max(d.x + d.r for d in discs) + pad,
-            min(d.y - d.r for d in discs) - pad,
-            max(d.y + d.r for d in discs) + pad,
+            min(d.x - d.r for d in discs),
+            max(d.x + d.r for d in discs),
+            min(d.y - d.r for d in discs),
+            max(d.y + d.r for d in discs),
         )
 
     def covers(self, pts: np.ndarray) -> np.ndarray:
@@ -378,7 +378,7 @@ def _raster_chi(system: DiscSystem, grid: int) -> int:
     4-connected background, by contrast, strands sub-pixel wedge fragments
     at shallow crossing cusps and reports them as holes.
     """
-    x0, x1, y0, y1 = system.bounding_box(pad=0.0)
+    x0, x1, y0, y1 = system.bounding_box()
     span = max(x1 - x0, y1 - y0)
     pad = 2.0 * span / grid
     gx0, gx1, gy0, gy1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
@@ -407,19 +407,20 @@ def _raster_chi(system: DiscSystem, grid: int) -> int:
     return int(n_comp - holes)
 
 
-def raster_euler(system: DiscSystem, grid: int = 2048, max_rounds: int = 4) -> tuple[int, bool]:
+def raster_euler(system: DiscSystem, grid: int = 2048) -> tuple[int, bool]:
     """Euler characteristic by consensus of successively finer rasters.
 
     A single fixed grid can misread a cusp whose complement wedge dips below
     one pixel exactly where the pixel centers land; such accidents do not
     repeat at a 1.5x finer grid. The first two consecutive resolutions that
-    agree decide the value. Returns (chi, consensus_reached).
+    agree decide the value, within four refinements. Returns (chi,
+    consensus_reached).
     """
     if system.n == 0:
         return 0, True
     prev = _raster_chi(system, grid)
     g = grid
-    for _ in range(max_rounds):
+    for _ in range(4):
         g = min(int(g * 1.5), 9000)
         cur = _raster_chi(system, g)
         if cur == prev:
@@ -446,7 +447,7 @@ def mc_geometry_oracle(
         raise ValueError("oracle needs n_points >= 10000 for a usable stderr")
     if system.n == 0:
         return GeometryOracle(0.0, 0.0, 0, True, n_points, 0)
-    x0, x1, y0, y1 = system.bounding_box(pad=0.0)
+    x0, x1, y0, y1 = system.bounding_box()
     box_area = (x1 - x0) * (y1 - y0)
     hits = 0
     block = 200_000
@@ -469,25 +470,23 @@ def random_disc_system(
     rng: np.random.Generator,
     n_discs: int,
     extent: float = 10.0,
-    r_range: tuple[float, float] = (0.3, 1.2),
     margin: float = 0.03,
-    max_tries: int = 3000,
 ) -> DiscSystem:
     """Random disc family kept clear of degeneracies by a margin.
 
-    Discs are placed one at a time; a candidate is rejected when its centre
-    lies within ``margin`` of another centre or when ``meeting_discs`` finds
-    it degenerate with the discs placed so far at tol = ``margin``. The
-    margins guarantee every geometric feature (lens, gap, hole wedge) is
-    thicker than ``margin``, so exact and raster answers cannot disagree
-    through sub-pixel features once the pixel size is below the margin.
+    Discs are placed one at a time, centres uniform on [0, extent)^2 and
+    radii uniform on [0.3, 1.2), in at most 3000 draws each; a candidate is
+    rejected when its centre lies within ``margin`` of another centre or when
+    ``meeting_discs`` finds it degenerate with the discs placed so far at
+    tol = ``margin``. The margins guarantee every geometric feature (lens,
+    gap, hole wedge) is thicker than ``margin``, so exact and raster answers
+    cannot disagree through sub-pixel features once the pixel size is below
+    the margin.
     """
-    r_lo, r_hi = r_range
-    if not (0 < r_lo < r_hi):
-        raise ValueError("need 0 < r_lo < r_hi")
+    r_lo, r_hi = 0.3, 1.2
     discs: list[Disc] = []
     for _ in range(n_discs):
-        for _try in range(max_tries):
+        for _try in range(3000):
             c = rng.random(2) * extent
             cand = Disc(float(c[0]), float(c[1]), float(r_lo + (r_hi - r_lo) * rng.random()))
             apart = all(math.hypot(d.x - cand.x, d.y - cand.y) >= margin for d in discs)
@@ -495,5 +494,5 @@ def random_disc_system(
                 discs.append(cand)
                 break
         else:
-            raise NumericalFailure(f"could not place disc {len(discs)} in {max_tries} draws")
+            raise NumericalFailure(f"could not place disc {len(discs)} in 3000 draws")
     return DiscSystem(discs)

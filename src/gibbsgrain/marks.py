@@ -372,6 +372,10 @@ def super_exp_moment_estimate(
     return MomentAudit(estimate=est, stderr=se, n=n_samples, n_overflow=n_over, exponent=exponent)
 
 
+# KS distance up to which ``langevin_invariant_check`` passes a law
+_KS_THRESHOLD = 0.02
+
+
 @dataclass(frozen=True)
 class InvariantCheck:
     """KS comparison of the simulated radial law against exp(-V) heat-kernel target."""
@@ -391,7 +395,6 @@ def langevin_invariant_check(
     burn_in: int,
     n_samples: int,
     rng: np.random.Generator,
-    threshold: float = 0.02,
     guard_radius: float = 50.0,
 ) -> InvariantCheck:
     """Run n_samples independent chains for burn_in steps and KS-test |X|.
@@ -405,7 +408,7 @@ def langevin_invariant_check(
         raise ValueError("need burn_in >= 1 and n_samples >= 100")
     x, diverged = spec.sample_endpoints(rng, n_samples, burn_in, guard_radius)
     if diverged:
-        return InvariantCheck(ks_stat=1.0, threshold=threshold, n=n_samples, diverged=True)
+        return InvariantCheck(ks_stat=1.0, threshold=_KS_THRESHOLD, n=n_samples, diverged=True)
     r = np.sort(np.linalg.norm(x, axis=1))
     grid = np.linspace(0.0, max(4.0, float(r[-1]) * 1.25), 20001)
     axis_pts = np.stack([grid, np.zeros_like(grid)], axis=1)
@@ -415,4 +418,4 @@ def langevin_invariant_check(
     f_at = np.interp(r, grid, cdf)
     i = np.arange(1, len(r) + 1)
     ks = float(np.max(np.maximum(f_at - (i - 1) / len(r), i / len(r) - f_at)))
-    return InvariantCheck(ks_stat=ks, threshold=threshold, n=n_samples, diverged=False)
+    return InvariantCheck(ks_stat=ks, threshold=_KS_THRESHOLD, n=n_samples, diverged=False)

@@ -213,11 +213,6 @@ class Box(Window):
     def volume(self) -> float:
         return float(np.prod(self.bounds[:, 1] - self.bounds[:, 0]))
 
-    def circumradius(self) -> float:
-        """Radius of the smallest origin-centred ball containing the box closure."""
-        corners = np.abs(self.bounds).max(axis=1)
-        return float(np.linalg.norm(corners))
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"[{lo:g},{hi:g})" for lo, hi in self.bounds)
         return f"Box({pairs})"

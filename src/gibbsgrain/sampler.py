@@ -210,11 +210,10 @@ class BoundaryCondition:
     """Free boundary, or a fixed tempered environment configuration."""
 
     xi: Configuration | None = None
-    t: int | None = None
 
     @staticmethod
     def free() -> "BoundaryCondition":
-        return BoundaryCondition(None, None)
+        return BoundaryCondition(None)
 
     @staticmethod
     def conditioned(xi: Configuration, t: int, delta: float) -> "BoundaryCondition":
@@ -223,7 +222,7 @@ class BoundaryCondition:
             raise PreconditionError(
                 f"boundary configuration is not {t}-tempered (minimal t = {report.minimal_t})"
             )
-        return BoundaryCondition(xi, t)
+        return BoundaryCondition(xi)
 
 
 def hastings_ratio(kind: str, z_volume: float, n: int, dh: float) -> float:
@@ -526,10 +525,14 @@ def run_chain(
     scratch; a deviation above 1e-9 (relative to max(1, |H|)) aborts with a
     NumericalFailure carrying the step and both values.
     """
+    if z < 0:
+        raise ValueError("activity z must be non-negative")
     if steps <= burn_in:
         raise PreconditionError("steps must exceed burn_in")
     if thin < 1:
         raise PreconditionError("thin must be >= 1")
+    if drift_check_every < 1:
+        raise PreconditionError("drift_check_every must be >= 1")
     mix = mix or ProposalMix()
     state = init_chain(model, window, bc, mark_cap)
     samples: list[Configuration] = []
@@ -589,7 +592,7 @@ def sample_cutoff_kernel(
     if not window_contains(delta_win, lam):
         raise PreconditionError("truncation window must contain the interior window")
     moat = restrict(restrict_complement(xi, lam), delta_win)
-    bc = BoundaryCondition(moat, None)
+    bc = BoundaryCondition(moat)
     return run_chain(
         model, lam, z, mark_law, steps, rng, bc=bc, mix=mix, burn_in=burn_in,
         thin=thin, mark_cap=m0, drift_check_every=drift_check_every,

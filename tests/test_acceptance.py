@@ -254,7 +254,7 @@ def test_criterion_04_dlr_residuals_and_kernel_compatibility():
     )
     gap_hard = kernel_compatibility_check(hard_inst, [0, 1])
     pair_inst = DiscreteInstance(
-        PairPotentialModel(soft_bump, phi_id="bump"),
+        PairPotentialModel(soft_bump),
         cell_centers=[(0.0,), (1.0,), (2.0,)],
         cell_volume=1.0,
         mark_values=[0.4, 0.9],
@@ -423,7 +423,7 @@ def test_criterion_07_cutoff_kernel_couples_past_thresholds():
     def full_run(key):
         return run_chain(
             model, lam, z, law, rng=stream(9701, key),
-            bc=BoundaryCondition(xi, None), **schedule,
+            bc=BoundaryCondition(xi), **schedule,
         ).samples
 
     def cutoff_run(key, m0, half_width):

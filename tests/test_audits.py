@@ -20,12 +20,9 @@ from gibbsgrain import (
     restrict,
     stream,
 )
-from gibbsgrain.audits import (
-    local_stability_audit,
-    mark_statistic,
-    stability_audit,
-)
+from gibbsgrain.audits import local_stability_audit, stability_audit
 from gibbsgrain.functionals import LIBRARY_VERSION, build_library
+from gibbsgrain.points import mark_statistic
 
 from conftest import config, mp, random_scalar_config
 

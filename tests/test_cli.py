@@ -421,6 +421,30 @@ class TestDiffusionCommand:
         assert record["steps_per_s"] > 0
         assert record["write_s"] > 0
 
+    def test_outputs_are_pinned(self, tmp_path):
+        """A fixed-seed run writes these exact sample and report files. The
+        manifest digest in the sample file's meta line covers the numpy
+        version, so it is blanked before hashing and checked on its own."""
+        cfg = write_cfg(
+            tmp_path,
+            "dif.json",
+            {"seed": 8, "z": 0.5, "steps": 400, "burn_in": 100, "thin": 20, "step_count": 8},
+        )
+        assert main(["diffusion", "--config", cfg, "--out", str(tmp_path), "--name", "p"]) == 0
+        run = tmp_path / "p"
+        digest = json.loads((run / "manifest.json").read_text())["hash"]
+        samples = (run / "samples_chain0.jsonl").read_bytes()
+        # one meta line per configuration, each carrying the digest
+        assert samples.count(digest.encode()) == 15
+        samples = samples.replace(digest.encode(), b"")
+        assert hashlib.sha256(samples).hexdigest() == (
+            "9e1cb59cd038d5a0f2294210f0bc34e73682e29fa825df3f18c44821af1439bb"
+        )
+        report = (run / "diffusion.csv").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "cfe4df229341a365a289acb6445bd87db51d8b2380622f6a69b591551a22bbf9"
+        )
+
 
 class TestPlotDataCommand:
     def test_lj_series_contains_the_zero_crossing(self, tmp_path):
@@ -481,10 +505,14 @@ class TestRunWrapper:
             (["audit"], {"local": 5}),
             (["audit"], {"local": {"t": [2]}}),
             (["geometry"], {"n_systems": 1, "n_discs": 3, "mc_points": 100}),
+            (["diffusion", "--z", "-1"], {"steps": 100}),
+            (["sample"], {"drift_check_every": 0, "steps": 100, "burn_in": 10}),
+            (["sample"], {"drift_check_every": -1, "steps": 100, "burn_in": 10}),
         ],
         ids=["audit-local-key", "plot-data-no-input", "temper-no-input",
              "bogus-flavor", "bogus-series", "audit-local-not-object",
-             "audit-local-bad-value", "geometry-few-mc-points"],
+             "audit-local-bad-value", "geometry-few-mc-points",
+             "diffusion-negative-z", "drift-check-every-0", "drift-check-every-negative"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, argv, payload):
         cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))

@@ -39,7 +39,7 @@ def soft_bump(u: float) -> float:
 def pair_instance(env=(), n_max=None, z=0.7):
     """Three cells on a line, two marks, smooth gated pair potential."""
     return DiscreteInstance(
-        PairPotentialModel(soft_bump, phi_id="bump"),
+        PairPotentialModel(soft_bump),
         cell_centers=[(0.0,), (0.8,), (1.6,)],
         cell_volume=0.8,
         mark_values=[0.5, 0.9],
@@ -357,7 +357,7 @@ class TestPlantedRatioBug:
     def test_continuum_chain_decisions_change(self, monkeypatch):
         def accepts():
             return run_chain(
-                PairPotentialModel(soft_bump, phi_id="bump"),
+                PairPotentialModel(soft_bump),
                 Box.centered_cube(1.5, 2),
                 0.8,
                 UniformLaw(0.6),

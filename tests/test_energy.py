@@ -51,7 +51,7 @@ def path_point(loc, end, k=8):
 ALL_MODELS = [
     IdealModel(),
     HardSphereModel(),
-    PairPotentialModel(soft_bump, phi_id="soft_bump"),
+    PairPotentialModel(soft_bump),
     QuermassModel(0.4, -0.2, 0.3),
 ]
 
@@ -102,14 +102,14 @@ class TestPairPotential:
             PairPotentialModel(lambda u: -u)
 
     def test_gate_and_value(self):
-        model = PairPotentialModel(soft_bump, phi_id="soft_bump")
+        model = PairPotentialModel(soft_bump)
         near = config([mp((0.0, 0.0), 0.8), mp((1.0, 0.0), 0.7)])
         assert model.energy(near) == pytest.approx(soft_bump(1.0), rel=1e-12)
         far = config([mp((0.0, 0.0), 0.4), mp((1.0, 0.0), 0.5)])
         assert model.energy(far) == 0.0
 
     def test_three_point_sum(self):
-        model = PairPotentialModel(soft_bump, phi_id="soft_bump")
+        model = PairPotentialModel(soft_bump)
         g = config([mp((0.0, 0.0), 1.0), mp((1.0, 0.0), 1.0), mp((0.0, 1.5), 1.0)])
         expect = soft_bump(1.0) + soft_bump(1.5) + soft_bump(math.hypot(1.0, 1.5))
         assert model.energy(g) == pytest.approx(expect, rel=1e-12)
@@ -195,7 +195,7 @@ class TestDiffusion:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_gate_is_exact_zero(self):
-        model = DiffusionModel(a0=1.5)
+        model = DiffusionModel()
         p = path_point((0.0, 0.0), (1.0, 0.0), 8)
         q = path_point((3.6, 0.0), (0.0, 1.0), 8)  # 3.6 > 1.5 + 1 + 1
         assert model.pair_term(p, q) == 0.0
@@ -316,7 +316,7 @@ class TestConditionalEnergy:
         # the conditional energy, even when near atoms are present.
         rng = stream(505, 0)
         w = Box.centered_cube(1.0, 2)
-        model = PairPotentialModel(soft_bump, phi_id="soft_bump")
+        model = PairPotentialModel(soft_bump)
         for _ in range(15):
             g = restrict(random_scalar_config(rng, n_max=5, extent=0.95, mark_hi=0.7), w)
             near = [
@@ -392,7 +392,7 @@ class TestAdditivity:
 
     def test_conditioned_zero_residual(self):
         rng = stream(508, 0)
-        model = PairPotentialModel(soft_bump, phi_id="soft_bump")
+        model = PairPotentialModel(soft_bump)
         for _ in range(20):
             a, b, mid = self._fillings(rng)
             xi = Configuration(

@@ -28,7 +28,6 @@ from gibbsgrain import (
 )
 from gibbsgrain.audits import stability_audit
 from gibbsgrain.estimators import (
-    DlrReport,
     PartitionReport,
     dlr_residual,
     empirical_field_draw,
@@ -291,6 +290,49 @@ class TestEntropyCurve:
         assert all(math.isfinite(p.log_z) for p in curve.points)
         assert curve.under_ceiling
         assert curve.trend_ok
+
+    POINT_FIELDS = ("volume", "mean_energy", "log_z", "i_hat", "stderr", "per_volume",
+                    "per_volume_stderr", "a1_hat", "ceiling")
+
+    def curve_hex(self, curve):
+        return [float.hex(curve.c_hat)] + [
+            [float.hex(float(getattr(p, f))) for f in self.POINT_FIELDS]
+            for p in curve.points
+        ]
+
+    def test_rejection_path_curve_is_pinned(self):
+        """A small nonnegpair curve (exact rejection samples), every float
+        pinned to the bit."""
+        curve = specific_entropy_curve(
+            PairPotentialModel(soft_bump), 2, (1, 2), 0.5, UniformLaw(0.6), 0.5,
+            seed=931, n_energy_samples=40, n_partition_samples=1000,
+        )
+        assert [p.n for p in curve.points] == [1, 2]
+        assert self.curve_hex(curve) == [
+            "-0x0.0p+0",
+            ["0x1.0000000000000p+2", "0x1.e48a5d2508132p-5", "-0x1.7cda17e72d000p-4",
+             "0x1.1529d2a951ecep-5", "0x1.902129c8f21fep-6", "0x1.1529d2a951ecep-7",
+             "0x1.902129c8f21fep-8", "0x1.39d18ad7228aap-1", "0x1.0000000000000p-1"],
+            ["0x1.0000000000000p+4", "0x1.bc5451596ab33p-2", "-0x1.0c42f98968400p-1",
+             "0x1.70c686e597334p-4", "0x1.4f9e8ae2bc424p-4", "0x1.70c686e597334p-8",
+             "0x1.4f9e8ae2bc424p-8", "0x1.d06a4b49ab395p-2", "0x1.0000000000000p-1"],
+        ]
+
+    def test_chain_path_curve_is_pinned(self):
+        """A small quermass curve (chain samples), every float pinned to the
+        bit."""
+        curve = specific_entropy_curve(
+            QuermassModel(0.4, -0.2, 0.3), 2, (1,), 0.4, UniformLaw(0.6), 0.5,
+            seed=932, n_energy_samples=40, n_partition_samples=1000,
+            chain_steps=2000, stat_exponent=2.0,
+        )
+        assert [p.n for p in curve.points] == [1]
+        assert self.curve_hex(curve) == [
+            "0x1.a32d8d440e66fp-6",
+            ["0x1.0000000000000p+2", "0x1.27e21f5880083p-4", "-0x1.3c5ec422a7800p-4",
+             "0x1.47ca4ca2777d0p-8", "0x1.6411b62400f3ap-6", "0x1.47ca4ca2777d0p-10",
+             "0x1.6411b62400f3ap-8", "0x1.f68b0df4ca94ap-2", "0x1.a67515a7fec7ap-2"],
+        ]
 
     def test_n_list_must_increase(self):
         for bad in ((2, 1), (1, 1)):

@@ -230,7 +230,7 @@ class TestChain:
         assert res.stats.final_energy == 0.0
 
     def test_thin_one_burn_zero_reproduces_raw_chain(self):
-        model = PairPotentialModel(soft_bump, phi_id="soft_bump")
+        model = PairPotentialModel(soft_bump)
         w = Box.unit(2)
         z = 1.5
         res = run_chain(model, w, z, UniformLaw(0.8), 60, stream(613, 0), burn_in=0, thin=1)
@@ -259,6 +259,14 @@ class TestChain:
             run_chain(IdealModel(), Box.unit(2), 1.0, UniformLaw(1.0), 100, stream(615, 0), burn_in=100)
         with pytest.raises(PreconditionError):
             run_chain(IdealModel(), Box.unit(2), 1.0, UniformLaw(1.0), 100, stream(615, 1), thin=0)
+        for every in (0, -1):
+            with pytest.raises(PreconditionError, match="drift_check_every"):
+                run_chain(IdealModel(), Box.unit(2), 1.0, UniformLaw(1.0), 100, stream(615, 2),
+                          drift_check_every=every)
+
+    def test_negative_activity_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_chain(IdealModel(), Box.unit(2), -0.5, UniformLaw(1.0), 100, stream(615, 3))
 
     def test_proposal_bookkeeping(self):
         res = run_chain(IdealModel(), Box.unit(2), 1.0, UniformLaw(0.5), 4_000, stream(616, 0))
@@ -383,7 +391,7 @@ class TestCutoffKernel:
         # With the mark cap above the law's support and the environment box
         # beyond the interaction range, the cut-off chain consumes the same
         # draws and visits the same states as the untruncated kernel.
-        model = PairPotentialModel(soft_bump, phi_id="soft_bump")
+        model = PairPotentialModel(soft_bump)
         lam = Box.centered_cube(1.0, 2)
         law = UniformLaw(0.8)
         xi = Configuration(
@@ -418,7 +426,7 @@ class TestCutoffKernel:
 INDEX_MODELS = {
     "ideal": IdealModel(),
     "hardcore": HardSphereModel(),
-    "nonnegpair": PairPotentialModel(soft_bump, phi_id="soft_bump"),
+    "nonnegpair": PairPotentialModel(soft_bump),
     "diffusion": DiffusionModel(),
 }
 # One rare large mark spreads the norms over two orders of magnitude.
@@ -503,7 +511,7 @@ class TestNeighbourIndex:
         xi = Configuration(
             [MarkedPoint.make(loc, law.sample(rng)) for loc in near + far], dimension=d
         )
-        state = init_chain(model, window, BoundaryCondition(xi, None))
+        state = init_chain(model, window, BoundaryCondition(xi))
         # births first, so the wider windows hold atoms in many cells; the
         # count comes from the seed, since hypothesis favours small integers
         scramble(state, rng, law, n_ops, n_births=seed % 61)
@@ -568,7 +576,7 @@ class TestNeighbourIndex:
         # an environment atom at p's location is still a neighbour
         coincident = mp((0.5, -1.5), 0.2)
         state = init_chain(IdealModel(), Box.centered_cube(1.0, 2),
-                           BoundaryCondition(config([coincident, mp((0.5, -1.25))]), None))
+                           BoundaryCondition(config([coincident, mp((0.5, -1.25))])))
         assert state.index.neighbours(mp((0.5, -1.5))) == [coincident]
 
         def plain_neighbours(index, p, skip=-1):
@@ -666,7 +674,7 @@ class TestIncrementAudit:
             # a shell just outside the window, which interior grains meet
             shell = [_draw_location(Box.centered_cube(half + 1.0, 2), rng) for _ in range(16)]
             xi = [MarkedPoint.make(loc, law.sample(rng)) for loc in shell]
-            bc = BoundaryCondition(Configuration(xi, dimension=2), None)
+            bc = BoundaryCondition(Configuration(xi, dimension=2))
         state = init_chain(model, window, bc)
         scramble_finite(model, state, rng, law, n_births, n_ops)
         pts = state.points
@@ -799,7 +807,7 @@ class TestDegeneracyBand:
             dimension=2,
         )
         res = run_chain(QUERMASS, Box.centered_cube(2.0, 2), 0.5, UniformLaw(0.6), 4000,
-                        stream(627, 0), bc=BoundaryCondition(xi, None), thin=100,
+                        stream(627, 0), bc=BoundaryCondition(xi), thin=100,
                         drift_check_every=1000)
         assert res.stats.drift_checks == 4
         assert len(RecordingDiscSystem.built) > 4000
@@ -809,7 +817,7 @@ class TestDegeneracyBand:
         # E (environment) and W + bound (window and largest mark, the new
         # grain's included) all count.
         xi = Configuration([mp((9.0, 0.5), 0.5)], dimension=2)
-        state = init_chain(QUERMASS, Box.centered_cube(2.0, 2), BoundaryCondition(xi, None))
+        state = init_chain(QUERMASS, Box.centered_cube(2.0, 2), BoundaryCondition(xi))
         assert state.index.band(0.3) == _DEGENERACY_TOL * 10.0
         assert state.index.band(6.5) == _DEGENERACY_TOL * 10.5
         state.replace(0, [mp((1.0, 1.0), 7.0)])

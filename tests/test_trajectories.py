@@ -67,7 +67,7 @@ CASES = {
         model=HardSphereModel(), half=1.5, z=1.5, law=UniformLaw(0.5), steps=20_000, env=ENV
     ),
     "nonnegpair": dict(
-        model=PairPotentialModel(soft_bump, phi_id="soft_bump"),
+        model=PairPotentialModel(soft_bump),
         half=1.5, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
     ),
     "quermass": dict(
@@ -81,7 +81,7 @@ CASES = {
     # Wide enough (~140 atoms) that the chain's neighbour cells tile the
     # window; the name sorts last so the other cases keep their streams.
     "wide-nonnegpair": dict(
-        model=PairPotentialModel(soft_bump, phi_id="soft_bump"),
+        model=PairPotentialModel(soft_bump),
         half=6.0, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_W6,
     ),
 }
@@ -148,7 +148,7 @@ def samples_digest(samples) -> str:
 
 def fingerprint(name):
     case = CASES[name]
-    bc = BoundaryCondition(case["env"], None) if case["env"] is not None else None
+    bc = BoundaryCondition(case["env"]) if case["env"] is not None else None
     res = run_chain(
         case["model"],
         Box.centered_cube(case["half"], 2),
@@ -170,7 +170,7 @@ def fingerprint(name):
 
 def lattice_visits():
     inst = DiscreteInstance(
-        PairPotentialModel(soft_bump, phi_id="soft_bump"),
+        PairPotentialModel(soft_bump),
         cell_centers=[(0.0,), (0.8,), (1.6,)],
         cell_volume=0.8,
         mark_values=[0.5, 0.9],
