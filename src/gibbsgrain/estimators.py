@@ -279,18 +279,18 @@ def specific_entropy_curve(
             res = rejection_sample(
                 model, window, z, mark_law, n_energy_samples, stream(seed, 10 + i)
             )
-            samples = list(res.samples)
+            samples, energies = res.samples, res.energies
         else:
             thin = max(1, chain_steps // (2 * n_energy_samples))
             out = run_chain(
                 model, window, z, mark_law, chain_steps, stream(seed, 10 + i),
                 burn_in=chain_steps // 2, thin=thin,
             )
-            samples = list(out.samples)
+            samples = out.samples
+            energies = [model.energy(c) for c in samples]
         part = partition_estimate(
             model, window, z, mark_law, n_partition_samples, stream(seed, 60 + i)
         )
-        energies = [model.energy(c) for c in samples]
         report = _entropy_report(energies, window, part)
         stats = [mark_statistic(c, exponent) for c in samples]
         for h, s in zip(energies, stats):

@@ -72,7 +72,16 @@ class PathMark:
 
 
 class MarkLaw:
-    """Common interface: ``sample(rng)`` plus a serialisable descriptor."""
+    """Common interface: ``sample(rng)`` plus a serialisable descriptor.
+
+    ``uniforms`` is how many ``rng.random()`` doubles one ``sample`` call
+    reads, for a law whose ``sample`` reads exactly that many and calls no
+    other method of ``rng``; it is ``None`` for any law that draws otherwise.
+    ``sampler.sample_poisson`` draws a whole configuration's doubles in one
+    block when it is set.
+    """
+
+    uniforms: int | None = None
 
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
@@ -84,6 +93,8 @@ class MarkLaw:
 @dataclass(frozen=True)
 class PointMassLaw(MarkLaw):
     value: float
+
+    uniforms = 0
 
     def __post_init__(self):
         if self.value < 0:
@@ -101,6 +112,8 @@ class UniformLaw(MarkLaw):
     """Uniform on [0, b]."""
 
     b: float
+
+    uniforms = 1
 
     def __post_init__(self):
         if self.b <= 0:
@@ -121,6 +134,8 @@ class TruncatedSubbotinLaw(MarkLaw):
     target is below 1e-6 (trapezoid CDF error plus interpolation error, both
     O(dx^2) with dx = cutoff/table_size).
     """
+
+    uniforms = 1
 
     def __init__(self, exponent: float, cutoff: float = 2.0, table_size: int = 8192):
         if exponent <= 0 or cutoff <= 0:
@@ -154,6 +169,8 @@ class TruncatedSubbotinLaw(MarkLaw):
 
 class TableLaw(MarkLaw):
     """Discrete law over a user-supplied table of radius values."""
+
+    uniforms = 1
 
     def __init__(self, values: Sequence[float], probs: Sequence[float]):
         v = np.asarray(values, dtype=float)

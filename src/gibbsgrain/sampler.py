@@ -1,6 +1,13 @@
 """Samplers for finite-volume Gibbs measures: exact rejection and a
 birth-death-move-remark Metropolis-Hastings chain.
 
+The Poisson reference on a box, with a law whose ``MarkLaw.uniforms`` is set,
+takes all the doubles of one configuration from a single ``rng.random`` call
+instead of one call per point and mark. The block holds the same doubles in
+the same order as the per-point loop, each mark comes from the law's own
+``sample`` reading its row's columns, and the locations from the loop's own
+expression, so every configuration is the loop's to the bit.
+
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
 so two chains driven by the same stream stay coupled step for step as long as
@@ -82,42 +89,80 @@ def _window_volume(window: Window) -> float:
         ) from None
 
 
+def _box_locations(box: Box, u: np.ndarray) -> np.ndarray:
+    """Points of ``box`` from uniforms on [0, 1): ``u`` has shape (d,) or (n, d)."""
+    lo, hi = box.bounds[:, 0], box.bounds[:, 1]
+    return lo + u * (hi - lo)
+
+
 def _draw_location(window: Window, rng: np.random.Generator) -> tuple[float, ...]:
     if isinstance(window, Box):
-        lo, hi = window.bounds[:, 0], window.bounds[:, 1]
-        u = rng.random(window.dimension)
-        return tuple(float(v) for v in lo + u * (hi - lo))
+        return tuple(float(v) for v in _box_locations(window, rng.random(window.dimension)))
     if isinstance(window, Ball):
         # bounding-box rejection; draw count is state independent
         bb = window.bounding_box()
-        lo, hi = bb.bounds[:, 0], bb.bounds[:, 1]
         while True:
-            x = lo + rng.random(window.dimension) * (hi - lo)
+            x = _box_locations(bb, rng.random(window.dimension))
             if window.contains(x)[0]:
                 return tuple(float(v) for v in x)
     raise PreconditionError(f"cannot sample uniformly from {type(window).__name__}")
 
 
+class _RowReplay:
+    """Stands in for the generator in a mark law's ``sample``: ``random()``
+    returns the doubles of one block row, in order."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, row: list[float]):
+        self.random = iter(row).__next__
+
+
 def sample_poisson(
     window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator
 ) -> Configuration:
-    """Poisson configuration: Poisson(z |W|) points placed uniformly, marks iid."""
+    """Poisson configuration: Poisson(z |W|) points placed uniformly, marks iid.
+
+    On a box, with a law whose ``uniforms`` is set, the n points' doubles are
+    drawn as one (n, d + uniforms) block. The per-point loop reads d location
+    doubles, then the mark's, point after point, which is the block's row-major
+    order, so both read the same doubles in the same order. The locations go
+    through the loop's own expression (``_box_locations``) and each mark
+    through the law's own ``sample``, reading its row's columns, so the
+    configuration is the loop's to the bit and the stream is left where the
+    loop leaves it. Balls (whose bounding-box rejection reads a variable number
+    of doubles) and other laws keep the loop.
+    """
     if z < 0:
         raise ValueError("activity z must be non-negative")
     if z == 0:
         return Configuration.empty(window.dimension)
     vol = _window_volume(window)
     n = int(rng.poisson(z * vol))
-    pts = [
-        MarkedPoint.make(_draw_location(window, rng), mark_law.sample(rng))
-        for _ in range(n)
-    ]
+    k = mark_law.uniforms
+    if k is None or not isinstance(window, Box):
+        pts = [
+            MarkedPoint.make(_draw_location(window, rng), mark_law.sample(rng))
+            for _ in range(n)
+        ]
+    else:
+        d = window.dimension
+        block = rng.random((n, d + k))
+        locations = _box_locations(window, block[:, :d]).tolist()
+        pts = [
+            MarkedPoint.make(x, mark_law.sample(_RowReplay(row)))
+            for x, row in zip(locations, block[:, d:].tolist())
+        ]
     return Configuration(pts, dimension=window.dimension)
 
 
 @dataclass(frozen=True)
 class RejectionResult:
+    """Accepted samples with their energies (conditional on the environment
+    when one was given), as computed to accept them."""
+
     samples: tuple[Configuration, ...]
+    energies: tuple[float, ...]
     n_proposed: int
     n_accepted: int
 
@@ -147,6 +192,7 @@ def rejection_sample(
         )
     env_out = restrict_complement(env, window) if env is not None else None
     samples: list[Configuration] = []
+    energies: list[float] = []
     proposed = accepted = 0
     while len(samples) < n_samples:
         if proposed >= max_proposals:
@@ -168,13 +214,14 @@ def rejection_sample(
             )
         if rng.random() < math.exp(-h):
             samples.append(gamma)
+            energies.append(h)
             accepted += 1
         if proposed % 2000 == 0 and accepted / proposed < min_rate:
             raise NumericalFailure(
                 f"rejection acceptance rate {accepted}/{proposed} below {min_rate}; "
                 "the energy scale is too large for exact sampling"
             )
-    return RejectionResult(tuple(samples), proposed, accepted)
+    return RejectionResult(tuple(samples), tuple(energies), proposed, accepted)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ test is reproducible in isolation regardless of execution order.
 
 import json
 
-import numpy as np
 from hypothesis import settings
 
 from gibbsgrain import Configuration, MarkedPoint

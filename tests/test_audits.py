@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gibbsgrain import (
-    Ball,
     Box,
     Configuration,
     DiffusionModel,

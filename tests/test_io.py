@@ -3,7 +3,6 @@
 import base64
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest

@@ -1,5 +1,6 @@
 """Samplers: Poisson reference, exact rejection, and the birth-death-move chain."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from gibbsgrain import (
     IdealModel,
     LangevinSpec,
     MarkedPoint,
+    MarkLaw,
     NumericalFailure,
     PairPotentialModel,
     PointMassLaw,
@@ -24,8 +26,10 @@ from gibbsgrain import (
     ProposalMix,
     QuermassModel,
     TableLaw,
+    TruncatedSubbotinLaw,
     UniformLaw,
     rejection_sample,
+    restrict_complement,
     run_chain,
     sample_cutoff_kernel,
     sample_poisson,
@@ -92,6 +96,155 @@ class TestPoisson:
                 assert bool(np.all(w.contains(g.locations())))
 
 
+def loop_poisson(window, z, mark_law, rng):
+    """The per-point loop that sample_poisson's block draw reproduces: a
+    location, then a mark, point after point."""
+    if z == 0:
+        return Configuration.empty(window.dimension)
+    n = int(rng.poisson(z * window.volume()))
+    pts = []
+    for _ in range(n):
+        if isinstance(window, Box):
+            lo, hi = window.bounds[:, 0], window.bounds[:, 1]
+            u = rng.random(window.dimension)
+            loc = tuple(float(v) for v in lo + u * (hi - lo))
+        else:
+            bb = window.bounding_box()
+            lo, hi = bb.bounds[:, 0], bb.bounds[:, 1]
+            while True:
+                x = lo + rng.random(window.dimension) * (hi - lo)
+                if window.contains(x)[0]:
+                    loc = tuple(float(v) for v in x)
+                    break
+        pts.append(MarkedPoint.make(loc, mark_law.sample(rng)))
+    return Configuration(pts, dimension=window.dimension)
+
+
+def atoms_hex(configs):
+    """Every (location, mark) of a batch, exactly: scalars as float.hex,
+    path marks as their sample bytes."""
+    out = []
+    for c in configs:
+        for p in c.points:
+            m = p.mark
+            mark = m.samples.tobytes().hex() if hasattr(m, "samples") else float(m).hex()
+            out.append((tuple(map(float.hex, p.location)), mark))
+        out.append(None)  # configuration boundary
+    return out
+
+
+class TwoDoubleLaw(MarkLaw):
+    """Reads two doubles per mark and weighs them unequally, so a replay that
+    repeats or reorders a row's columns shows in the marks."""
+
+    uniforms = 2
+
+    def sample(self, rng):
+        u = rng.random()
+        return u + 2.0 * rng.random()
+
+
+SCALAR_LAWS = {
+    "point": PointMassLaw(0.3),
+    "uniform-int-b": UniformLaw(3),
+    "subbotin": TruncatedSubbotinLaw(1.5, cutoff=2.5),
+    "table-rare-4": TableLaw([0.1, 0.5, 4.0], [0.6, 0.39, 0.01]),
+    "two-doubles": TwoDoubleLaw(),
+}
+
+# z = 0, small, moderate and large against volumes 0.1 to 64
+ACTIVITIES = [0.0, 1e-3, 0.7, 25.0]
+
+
+def assert_same_draws(window, z, law, seed, n_draws=4):
+    rng_a, rng_b = stream(seed, 0), stream(seed, 0)
+    block = [sample_poisson(window, z, law, rng_a) for _ in range(n_draws)]
+    loop = [loop_poisson(window, z, law, rng_b) for _ in range(n_draws)]
+    assert atoms_hex(block) == atoms_hex(loop)
+    # the stream is left where the loop leaves it
+    assert rng_a.random() == rng_b.random()
+
+
+@st.composite
+def boxes(draw):
+    d = draw(st.integers(1, 3))
+    lo = draw(st.lists(st.floats(-50.0, 50.0), min_size=d, max_size=d))
+    width = draw(st.lists(st.floats(0.1, 4.0 if d < 3 else 2.0), min_size=d, max_size=d))
+    return Box([(a, a + w) for a, w in zip(lo, width)])
+
+
+class TestBlockPoissonDraw:
+    """sample_poisson's block draw against the per-point loop, to the bit."""
+
+    @given(
+        law=st.sampled_from(sorted(SCALAR_LAWS)),
+        window=boxes(),
+        z=st.sampled_from(ACTIVITIES),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=120)
+    def test_block_matches_the_loop_on_boxes(self, law, window, z, seed):
+        assert SCALAR_LAWS[law].uniforms is not None
+        assert_same_draws(window, z, SCALAR_LAWS[law], seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("law", sorted(SCALAR_LAWS))
+    def test_large_activity_on_centred_cubes(self, law, d):
+        window = Box.centered_cube(1.5 if d == 3 else 2.0, d)
+        assert_same_draws(window, 25.0, SCALAR_LAWS[law], 612 + d)
+
+    @given(
+        law=st.sampled_from(sorted(SCALAR_LAWS)),
+        d=st.integers(1, 3),
+        radius=st.floats(0.2, 2.0),
+        z=st.sampled_from(ACTIVITIES),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40)
+    def test_balls_keep_the_loop(self, law, d, radius, z, seed):
+        window = Ball([0.5 * (i + 1) for i in range(d)], radius)
+        assert_same_draws(window, z, SCALAR_LAWS[law], seed)
+
+    @pytest.mark.parametrize("z", ACTIVITIES[:3])
+    def test_path_marks_keep_the_loop(self, z):
+        assert LangevinSpec.uniforms is None
+        spec = LangevinSpec.named("quartic", 8)
+        assert_same_draws(Box([(-1.0, 1.5), (2.0, 3.0)]), z, spec, 613)
+
+    # sha256 of atoms_hex over 200 draws and the stream's next double,
+    # recorded with the per-point loop
+    PINNED = {
+        "point": ("cf993ed5eda3be0db15ec033eda10dd8b2ae39b701d034a0cf847c872b2d5bfe",
+                  "0x1.864709c62d66ap-2"),
+        "uniform": ("53f41088c6f4c0b7d89c18586503bb37504372927e0197335509b32e0a4ce757",
+                    "0x1.e48bb5a95adb0p-2"),
+        "subbotin": ("449ad879797bf71ec1d42e2ee964bb61f3b454fc79683c1cf6f3d9fd8d5c32a4",
+                     "0x1.9c7f951d80c08p-3"),
+        "table": ("9ebb20a384afc80e3d06b26e303870c04dee3d4c42707ff638d85478d299485b",
+                  "0x1.a87d36a448908p-3"),
+        "ball-uniform": ("a33a43ce2c021a2632ef7f8801d3940bb764d7b07ab55ac7f0fcf6b79d601de2",
+                         "0x1.ae13cb3def3e0p-6"),
+        "langevin": ("74d9ba34af00155cd26aac18a76b4276926279349baf5e6cd27926c135fa1060",
+                     "0x1.f5fe3d95382b4p-1"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_batches_are_pinned(self, case):
+        box = Box([(-1.0, 2.0), (0.5, 2.5)])
+        window, law = {
+            "point": (box, PointMassLaw(0.3)),
+            "uniform": (box, UniformLaw(0.6)),
+            "subbotin": (box, TruncatedSubbotinLaw(2.0)),
+            "table": (box, TableLaw([0.1, 0.5, 4.0], [0.6, 0.39, 0.01])),
+            "ball-uniform": (Ball([0.5, -0.5], 1.5), UniformLaw(0.6)),
+            "langevin": (box, LangevinSpec.named("quartic", 8)),
+        }[case]
+        rng = stream(650, list(self.PINNED).index(case))
+        batch = [sample_poisson(window, 1.5, law, rng) for _ in range(200)]
+        digest = hashlib.sha256(repr(atoms_hex(batch)).encode()).hexdigest()
+        assert (digest, rng.random().hex()) == self.PINNED[case]
+
+
 class TestRejection:
     def test_requires_certified_nonnegative_model(self):
         with pytest.raises(PreconditionError):
@@ -141,6 +294,22 @@ class TestRejection:
         se = math.sqrt(p2 * (1 - p2) / len(counts))
         assert abs(frac - p2) <= 3.0 * se
         assert counts.max() <= 2  # three rods of length 1 cannot pack in [0, 2)
+
+    @pytest.mark.parametrize("with_env", [False, True])
+    def test_energies_are_those_of_the_samples(self, with_env):
+        model = PairPotentialModel(soft_bump)
+        w = Box.centered_cube(1.0, 2)
+        env = env_out = None
+        if with_env:
+            env = config([mp((1.3, 0.2), 0.5), mp((-0.4, -1.2), 0.3), mp((0.1, 0.1), 0.2)])
+            env_out = restrict_complement(env, w)
+        res = rejection_sample(model, w, 0.8, UniformLaw(0.6), 60, stream(615, 0), env=env)
+        assert len(res.energies) == len(res.samples) == 60
+        for g, h in zip(res.samples, res.energies):
+            want = model.conditional_energy(g, env_out) if with_env else model.energy(g)
+            assert h == want
+        if with_env:
+            assert any(h != model.energy(g) for g, h in zip(res.samples, res.energies))
 
     def test_min_rate_abort(self):
         # Nearly every proposal overlaps, so the acceptance monitor trips.
