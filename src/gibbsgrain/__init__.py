@@ -51,8 +51,7 @@ from .geometry import (
     mc_geometry_oracle,
     random_disc_system,
     raster_euler,
-    union_area,
-    union_perimeter,
+    union_area_perimeter,
 )
 from .marks import (
     LangevinSpec,

@@ -37,8 +37,7 @@ from .geometry import (
     euler_characteristic,
     mc_geometry_oracle,
     random_disc_system,
-    union_area,
-    union_perimeter,
+    union_area_perimeter,
 )
 from .io import (
     ReportRow,
@@ -280,9 +279,8 @@ def _prepare_geometry(cfg: dict):
         rows = []
         for i in range(n_systems):
             system = random_disc_system(stream(seed, i), n_discs, extent=extent, margin=margin)
-            area = union_area(system)
-            perim = union_perimeter(system)
-            chi = euler_characteristic(system)
+            area, perim = union_area_perimeter(system.discs)
+            chi = euler_characteristic(system.discs)
             oracle = mc_geometry_oracle(system, mc_points, stream(seed, 1000 + i), grid=grid)
             rows += [
                 ReportRow(f"area_exact[{i}]", area, 0.0, system.n, "geometry", seed),

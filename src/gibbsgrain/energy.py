@@ -40,8 +40,7 @@ from .geometry import (
     DiscSystem,
     euler_characteristic,
     meeting_discs,
-    union_area,
-    union_perimeter,
+    union_area_perimeter,
 )
 from .marks import PathMark
 from .points import (
@@ -273,21 +272,20 @@ class QuermassModel(EnergyModel):
         if len(config) and config.dimension != 2:
             raise PreconditionError("quermass energies are defined for d = 2")
 
-    def _functional(self, system: DiscSystem) -> float:
+    def _functional(self, discs: list[Disc]) -> float:
         total = 0.0
-        if self.a_area:
-            total += self.a_area * union_area(system)
-        if self.a_perimeter:
-            total += self.a_perimeter * union_perimeter(system)
+        if self.a_area or self.a_perimeter:
+            area, perimeter = union_area_perimeter(discs)
+            total += self.a_area * area + self.a_perimeter * perimeter
         if self.a_euler:
-            total += self.a_euler * euler_characteristic(system)
+            total += self.a_euler * euler_characteristic(discs)
         return total
 
     def energy(self, config: Configuration) -> float:
         self.validate_config(config)
         if len(config) == 0:
             return 0.0
-        return self._functional(DiscSystem.from_configuration(config))
+        return self._functional(DiscSystem.from_configuration(config).discs)
 
     def reach(self, norm_p, norm_q) -> float:
         return norm_p + norm_q
@@ -298,42 +296,36 @@ class QuermassModel(EnergyModel):
 
         +inf when ``geometry.meeting_discs`` at tol = ``band`` finds p
         degenerate with its neighbours (a tangency, an internal tangency or
-        a triple point), so that neither disc system needs a radius bump.
+        a triple point). The disc lists need no canonicalisation: p is
+        certified against N here, and each grain of N was when it joined the
+        chain (see ``geometry._DEGENERACY_TOL``).
         """
         if len(p.location) != 2:
             raise PreconditionError("quermass energies are defined for d = 2")
         r = p.mark_norm
         if r == 0.0:
-            return 0.0  # disc systems drop zero-radius grains
+            return 0.0  # a zero-radius grain is empty
         others = [Disc(q.location[0], q.location[1], q.mark_norm) for q in neighbours]
         disc = Disc(p.location[0], p.location[1], r)
         hits = meeting_discs(disc, others, band)
         if hits is None:
             return math.inf
         meet = [others[i] for i in hits]
-        alone = self._functional(DiscSystem(meet)) if meet else 0.0
-        return self._functional(DiscSystem(meet + [disc])) - alone
+        alone = self._functional(meet) if meet else 0.0
+        return self._functional(meet + [disc]) - alone
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         self.validate_config(interior)
         if len(interior) == 0:
             return 0.0
-        if len(environment) == 0:
-            return self.energy(interior)
-        locs_i = interior.locations()
-        norms_i = interior.mark_norms()
-        locs_e = environment.locations()
-        norms_e = environment.mark_norms()
         # environment grains touching some interior grain (open-ball overlap)
-        diff = locs_e[:, None, :] - locs_i[None, :, :]
+        diff = environment.locations()[:, None, :] - interior.locations()[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
-        touches = np.any(dist < norms_e[:, None] + norms_i[None, :], axis=1)
-        keep = [p for p, t in zip(environment.points, touches) if t]
-        if not keep:
-            return self.energy(interior)
-        relevant = Configuration(keep)
-        joint = DiscSystem.from_configuration(interior.union(relevant))
-        alone = DiscSystem.from_configuration(relevant)
+        reach = environment.mark_norms()[:, None] + interior.mark_norms()[None, :]
+        touches = np.any(dist < reach, axis=1)
+        relevant = Configuration([p for p, t in zip(environment.points, touches) if t], 2)
+        joint = DiscSystem.from_configuration(interior.union(relevant)).discs
+        alone = DiscSystem.from_configuration(relevant).discs
         return self._functional(joint) - self._functional(alone)
 
 

@@ -11,16 +11,18 @@ nerve. Discs are convex, so by Helly's theorem a set of discs has a common
 point exactly when all its triples do; the enumeration therefore grows cliques
 of the overlap graph and only ever tests triples.
 
-Exactness is claimed away from degeneracies. One predicate,
-``meeting_discs(p, discs, tol)``, decides them everywhere: it returns the
-discs whose open disc meets p's, or None when p lies within tol of a
-tangency, an internal tangency (coincident discs included) or a triple point
-with them. ``DiscSystem`` calls disc j degenerate when it is degenerate with
-the discs before it, and breaks the degeneracy by a deterministic 1e-7 bump
-of disc j's radius with a logged warning; of a degenerate triple, the disc
-with the highest index is bumped. The quermass chain refuses degenerate
-proposals through the same predicate instead (see ``_DEGENERACY_TOL``), and
-``random_disc_system`` draws families clear of it by a margin.
+The functionals take a plain list of discs, and exactness is claimed away
+from degeneracies. One predicate, ``meeting_discs(p, discs, tol)``, decides
+them everywhere: it returns the discs whose open disc meets p's, or None
+when p lies within tol of a tangency, an internal tangency (coincident discs
+included) or a triple point with them. ``DiscSystem`` calls disc j
+degenerate when it is degenerate with the discs before it
+(``_find_degenerate``), and breaks the degeneracy by a deterministic 1e-7
+bump of disc j's radius with a logged warning; of a degenerate triple, the
+disc with the highest index is bumped. The quermass chain refuses
+degenerate proposals and environments through the same predicate instead
+(see ``_DEGENERACY_TOL``), and ``random_disc_system`` draws families clear
+of it by a margin.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .errors import NumericalFailure
 __all__ = [
     "Disc",
     "DiscSystem",
-    "union_area",
-    "union_perimeter",
+    "union_area_perimeter",
     "euler_characteristic",
     "GeometryOracle",
     "mc_geometry_oracle",
@@ -51,18 +52,23 @@ log = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
 # Relative width of a degeneracy. A disc system bumps by _PERTURB the radius
-# of every disc that ``meeting_discs`` finds degenerate with the discs before
-# it, at tol = _DEGENERACY_TOL * max(1, |x| + |y| + r over the system).
+# of every disc that ``_find_degenerate`` flags at tol = _DEGENERACY_TOL *
+# max(1, |x| + |y| + r over the system).
 #
-# The quermass chain (sampler, energy.QuermassModel.local_delta) never bumps:
-# a bump depends on the whole system, which local increments do not see.
+# The quermass chain (sampler, energy.QuermassModel.local_delta) builds no
+# disc system: its increments hand plain disc lists to the functionals.
 # Instead it rejects a birth, move or remark whose new grain p is degenerate
 # with its neighbours by ``meeting_discs`` at tol = band = _DEGENERACY_TOL *
 # max(1, E, W + bound). E is the largest |x| + |y| + r in the environment, W
 # the largest |x| + |y| over the window's bounding box and bound the largest
 # radius indexed so far or p's, so the band covers the scale of every disc
-# system the chain and its drift check build, and none of them finds a
-# degeneracy to bump unless the fixed environment has its own.
+# system the drift check builds. ``sampler.init_chain`` refuses an
+# environment with such a relation (``_find_degenerate``'s prefix rule), so
+# every grain of a disc list was certified when it joined. With a mark cap
+# it checks the grains a capped grain can meet, at band(cap), the largest
+# band the chain reaches. Without one it checks every grain at the initial
+# band: a relation in the gap up to a later, wider band can end the chain
+# in a drift-check NumericalFailure instead.
 # Deaths are never refused. For a fixed band, the states with no such
 # relation among interior grains or between interior and environment grains
 # form a set closed under deletion; a proposal that would leave it is refused
@@ -123,21 +129,13 @@ class DiscSystem:
             out[sub] = (p[:, 0] - d.x) ** 2 + (p[:, 1] - d.y) ** 2 < d.r * d.r
         return out
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def _canonicalize(discs: list[Disc]) -> tuple[list[Disc], bool]:
-    kept = [d for d in discs if d.r > 0.0]
-    seen, unique = set(), []
-    for d in kept:
-        key = (d.x, d.y, d.r)
-        if key not in seen:
-            seen.add(key)
-            unique.append(d)
+    unique = list(dict.fromkeys(d for d in discs if d.r > 0.0))
     perturbed = False
     for round_ in range(6):
-        bad = _find_degenerate(unique)
+        scale = max([1.0] + [abs(d.x) + abs(d.y) + d.r for d in unique])
+        bad = _find_degenerate(unique, _DEGENERACY_TOL * scale)
         if not bad:
             if perturbed:
                 log.warning(
@@ -152,16 +150,10 @@ def _canonicalize(discs: list[Disc]) -> tuple[list[Disc], bool]:
     raise NumericalFailure("could not break disc degeneracies after 6 perturbation rounds")
 
 
-def _scale(discs: list[Disc]) -> float:
-    return max(
-        1.0, max((abs(d.x) + abs(d.y) + d.r for d in discs), default=1.0)
-    )
-
-
-def _find_degenerate(discs: list[Disc]) -> set[int]:
-    """Indices j of the discs degenerate with ``discs[:j]``: of a tangent or
-    coincident pair the later disc, of a triple point the latest of the three."""
-    tol = _DEGENERACY_TOL * _scale(discs)
+def _find_degenerate(discs: list[Disc], tol: float) -> set[int]:
+    """Indices j of the discs that ``meeting_discs`` at ``tol`` finds
+    degenerate with ``discs[:j]``: of a tangent or coincident pair the later
+    disc, of a triple point the latest of the three."""
     return {j for j, d in enumerate(discs) if meeting_discs(d, discs[:j], tol) is None}
 
 
@@ -266,27 +258,20 @@ def _exposed_arcs(i: int, discs: list[Disc]) -> list[tuple[float, float]]:
     return exposed
 
 
-def union_perimeter(system: DiscSystem) -> float:
-    """Length of the boundary of the open disc union."""
-    total = 0.0
-    for i in range(system.n):
-        for lo, hi in _exposed_arcs(i, system.discs):
-            total += system.discs[i].r * (hi - lo)
-    return total
-
-
-def union_area(system: DiscSystem) -> float:
-    """Area of the disc union via Green's theorem on the exposed arcs."""
-    total = 0.0
-    for i in range(system.n):
-        d = system.discs[i]
-        for lo, hi in _exposed_arcs(i, system.discs):
-            total += 0.5 * (
+def union_area_perimeter(discs: list[Disc]) -> tuple[float, float]:
+    """Area and boundary length of the open union of ``discs``, from one walk
+    over each circle's exposed arcs: area by Green's theorem, perimeter as
+    the summed arc length."""
+    area = perimeter = 0.0
+    for i, d in enumerate(discs):
+        for lo, hi in _exposed_arcs(i, discs):
+            perimeter += d.r * (hi - lo)
+            area += 0.5 * (
                 d.r * d.r * (hi - lo)
                 + d.x * d.r * (math.sin(hi) - math.sin(lo))
                 - d.y * d.r * (math.cos(hi) - math.cos(lo))
             )
-    return total
+    return area, perimeter
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +294,15 @@ def _triple_solid(a: Disc, b: Disc, c: Disc) -> bool:
     return False
 
 
-def euler_characteristic(system: DiscSystem) -> int:
+def euler_characteristic(discs: list[Disc]) -> int:
     """Alternating simplex count of the nerve of the disc family.
 
     Cliques of the pairwise overlap graph are grown in index order; a clique
     extension only needs its new triples checked (Helly in the plane reduces
-    higher intersections to triples). Raises ArithmeticError if the clique
+    higher intersections to triples). Raises NumericalFailure if the clique
     complex exceeds the face budget.
     """
-    discs = system.discs
     n = len(discs)
-    if n == 0:
-        return 0
     neighbors: list[set[int]] = [set() for _ in range(n)]
     for i, j in combinations(range(n), 2):
         a, b = discs[i], discs[j]
@@ -339,9 +321,7 @@ def euler_characteristic(system: DiscSystem) -> int:
 
     chi = 0
     faces = 0
-    stack: list[tuple[list[int], list[int]]] = []
-    for i in range(n):
-        stack.append(([i], sorted(j for j in neighbors[i] if j > i)))
+    stack = [([i], sorted(j for j in neighbors[i] if j > i)) for i in range(n)]
     while stack:
         clique, cands = stack.pop()
         faces += 1
@@ -397,13 +377,9 @@ def _raster_chi(system: DiscSystem, grid: int) -> int:
     eight = np.ones((3, 3), dtype=int)
     _, n_comp = ndimage.label(mask, structure=eight)
     bg_labels, n_bg = ndimage.label(~mask, structure=eight)
-    border = np.unique(
-        np.concatenate(
-            [bg_labels[0, :], bg_labels[-1, :], bg_labels[:, 0], bg_labels[:, -1]]
-        )
-    )
-    border = border[border != 0]
-    holes = n_bg - len(border)
+    # background components that reach the border are not holes
+    edges = np.concatenate([bg_labels[0, :], bg_labels[-1, :], bg_labels[:, 0], bg_labels[:, -1]])
+    holes = n_bg - np.count_nonzero(np.unique(edges))
     return int(n_comp - holes)
 
 
@@ -450,15 +426,12 @@ def mc_geometry_oracle(
     x0, x1, y0, y1 = system.bounding_box()
     box_area = (x1 - x0) * (y1 - y0)
     hits = 0
-    block = 200_000
-    done = 0
-    while done < n_points:
-        m = min(block, n_points - done)
+    for done in range(0, n_points, 200_000):
+        m = min(200_000, n_points - done)
         pts = np.empty((m, 2))
         pts[:, 0] = x0 + (x1 - x0) * rng.random(m)
         pts[:, 1] = y0 + (y1 - y0) * rng.random(m)
         hits += int(system.covers(pts).sum())
-        done += m
     p_hat = hits / n_points
     area = box_area * p_hat
     stderr = box_area * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_points)

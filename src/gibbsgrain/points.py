@@ -57,8 +57,13 @@ class MarkedPoint:
 
     @staticmethod
     def make(location: Sequence[float], mark) -> "MarkedPoint":
-        loc = tuple(float(c) for c in location)
-        return MarkedPoint(loc, mark, _mark_norm_of(mark))
+        """Point with the norm of its mark, computed once and checked finite."""
+        norm = _mark_norm_of(mark)
+        if not math.isfinite(norm):
+            raise ValueError(f"mark {mark!r} has non-finite norm {norm!r}")
+        p = object.__new__(MarkedPoint)
+        p.__dict__.update(location=tuple(float(c) for c in location), mark=mark, mark_norm=norm)
+        return p
 
     @property
     def dimension(self) -> int:

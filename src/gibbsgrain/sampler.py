@@ -37,10 +37,12 @@ quermass ``local_delta`` keeps the neighbours whose open disc meets p's,
 environment included, and returns F(N with p) - F(N) on those few discs
 (the valuation identity in ``energy``), so a step costs the same in any
 window. Births, moves and remarks whose new grain lies within ``band`` of a
-tangency or triple point with its neighbours are rejected, so the chain
-targets the law restricted to non-degenerate states, a set closed under
-deletion, and keeps detailed balance; the band (0 for pairwise models) is
-documented beside ``geometry._DEGENERACY_TOL``.
+tangency or triple point with its neighbours are rejected, and so is an
+environment with such a relation among the grains the chain can meet
+(``init_chain``), so no disc list needs canonicalising. The chain targets
+the law restricted to non-degenerate states, a set closed under deletion,
+and keeps detailed balance; the band (0 for pairwise models) is documented
+beside ``geometry._DEGENERACY_TOL``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NumericalFailure, PreconditionError
+from .geometry import Disc, meeting_discs
 from .marks import MarkLaw
 from .points import (
     Ball,
@@ -354,13 +357,11 @@ class _CellIndex:
         for entry in new:
             self.cells.setdefault(self._key(entry[1].location), []).append(entry)
 
-    def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint]:
-        """Atoms within reach of p, interior index ``skip`` left out, in
-        list order: interior atoms first, then the environment."""
-        r = self.reach(p.mark_norm, self.bound) + self.band(p.mark_norm)
+    def near(self, loc: tuple[float, ...], r: float) -> list[tuple[int, MarkedPoint]]:
+        """(stamp, atom) entries of the cells within r of loc, in stamp order."""
         side = self.side
         spans = []
-        for c in p.location:
+        for c in loc:
             # the slack covers roundoff in distances and cell keys
             slack = r + 1e-9 * (r + abs(c))
             spans.append(range(math.floor((c - slack) / side), math.floor((c + slack) / side) + 1))
@@ -369,10 +370,17 @@ class _CellIndex:
             cell = self.cells.get(key)
             if cell:
                 found += cell
+        found.sort()
+        return found
+
+    def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint]:
+        """Atoms within reach of p, interior index ``skip`` left out, in
+        list order: interior atoms first, then the environment."""
+        r = self.reach(p.mark_norm, self.bound) + self.band(p.mark_norm)
+        found = self.near(p.location, r)
         if r == 0.0:
             # only atoms at p's own location can interact
             found = [entry for entry in found if entry[1].location == p.location]
-        found.sort()
         hidden = self.interior[skip][0] if skip >= 0 else -1
         return [q for stamp, q in found if stamp != hidden]
 
@@ -410,19 +418,42 @@ class ChainState:
         self.points[idx : idx + 1] = added
 
 
+def _check_environment(index: _CellIndex, window: Window, mark_cap: float | None) -> None:
+    """PreconditionError when an environment grain that the chain can meet
+    lies within its largest band of a tangency or triple point with earlier
+    such grains (``geometry._find_degenerate``'s prefix rule, against the
+    earlier grains of the grain's own cells; see ``_DEGENERACY_TOL``)."""
+    band = index.band(mark_cap or 0.0)
+    lo, hi = window.bounding_box().bounds.T
+    grains = {s: Disc(*q.location, q.mark_norm) for s, q in index.env if q.mark_norm and (
+        mark_cap is None
+        or math.dist(q.location, np.clip(q.location, lo, hi)) < q.mark_norm + mark_cap + band)}
+    for stamp, d in grains.items():
+        near = index.near((d.x, d.y), d.r + index.bound + band)
+        earlier = [grains[s] for s, _ in near if s < stamp and s in grains]
+        if meeting_discs(d, earlier, band) is None:
+            raise PreconditionError(
+                f"environment grains are degenerate: the one at ({d.x:g}, {d.y:g}) with radius "
+                f"{d.r:g} lies within {band:.3g} of a tangency or triple point with earlier ones")
+
+
 def init_chain(
     model,
     window: Window,
     bc: BoundaryCondition | None = None,
     mark_cap: float | None = None,
 ) -> ChainState:
-    """Fresh chain at the empty configuration (conditional energy 0)."""
+    """Fresh chain at the empty configuration (conditional energy 0); refuses
+    a degenerate environment (see ``_check_environment``)."""
     bc = bc or BoundaryCondition.free()
     env = (
         restrict_complement(bc.xi, window)
         if bc.xi is not None
         else Configuration.empty(window.dimension)
     )
+    index = _CellIndex(model, env, window)
+    if index.tol and window.dimension == 2:
+        _check_environment(index, window, mark_cap)
     return ChainState(
         window=window,
         points=[],
@@ -430,7 +461,7 @@ def init_chain(
         cached_energy=0.0,
         volume=_window_volume(window),
         mark_cap=mark_cap,
-        index=_CellIndex(model, env, window),
+        index=index,
     )
 
 

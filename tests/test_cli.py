@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from gibbsgrain import Configuration, MarkedPoint, PathMark, stream
+from gibbsgrain import MarkedPoint, PathMark
 from gibbsgrain.cli import main
 from gibbsgrain.io import read_configs_jsonl, read_report_csv, write_configs_jsonl
 
@@ -217,6 +217,24 @@ class TestSampleCommand:
             assert [p.location for p in a.points] == [p.location for p in b.points]
             assert [p.mark.samples.tobytes() for p in a.points] == [
                 p.mark.samples.tobytes() for p in b.points]
+
+
+    def test_tangent_quermass_environment_exits_3(self, tmp_path):
+        # the two boundary grains touch at (1.2, 0.5), outside [-1, 1)^2
+        xi = tmp_path / "xi.jsonl"
+        write_configs_jsonl(xi, [config([mp((1.2, 0.0), 0.5), mp((1.2, 1.0), 0.5)])])
+        cfg = write_cfg(tmp_path, "q.json", {
+            "seed": 0,
+            "model": {"id": "quermass", "a_area": 0.4, "a_perimeter": -0.2, "a_euler": 0.3},
+            "window": {"kind": "box", "n": 1, "d": 2}, "z": 1.0,
+            "mark_law": {"kind": "uniform", "b": 0.6},
+            "steps": 800, "burn_in": 0, "thin": 100, "drift_check_every": 200,
+            "boundary": {"file": str(xi), "t": 1, "delta": 1.0}})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--name", "q"]) == 3
+        record = json.loads((tmp_path / "q" / "record.json").read_text())
+        assert record["status"] == "failed"
+        assert record["exit_code"] == 3
+        assert record["error"].startswith("PreconditionError: environment grains")
 
 
 class TestGeometryCommand:

@@ -25,8 +25,7 @@ from gibbsgrain import (
     restrict,
     restrict_complement,
     stream,
-    union_area,
-    union_perimeter,
+    union_area_perimeter,
 )
 from gibbsgrain.marks import LangevinSpec, PathMark
 from conftest import config, mp, random_scalar_config
@@ -129,9 +128,9 @@ class TestQuermass:
                 continue
             s = DiscSystem.from_configuration(g)
             expect = (
-                0.7 * union_area(s)
-                - 0.3 * union_perimeter(s)
-                + 1.1 * euler_characteristic(s)
+                0.7 * union_area_perimeter(s.discs)[0]
+                - 0.3 * union_area_perimeter(s.discs)[1]
+                + 1.1 * euler_characteristic(s.discs)
             )
             assert model.energy(g) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 

@@ -17,8 +17,7 @@ from gibbsgrain import (
     random_disc_system,
     raster_euler,
     stream,
-    union_area,
-    union_perimeter,
+    union_area_perimeter,
 )
 from gibbsgrain.geometry import meeting_discs
 
@@ -40,36 +39,36 @@ def lens_area(r1, r2, d):
 class TestClosedForms:
     def test_single_disc(self):
         s = DiscSystem([Disc(0.3, -0.2, 1.0)])
-        assert union_area(s) == pytest.approx(math.pi, rel=1e-9)
-        assert union_perimeter(s) == pytest.approx(2 * math.pi, rel=1e-9)
-        assert euler_characteristic(s) == 1
+        assert union_area_perimeter(s.discs)[0] == pytest.approx(math.pi, rel=1e-9)
+        assert union_area_perimeter(s.discs)[1] == pytest.approx(2 * math.pi, rel=1e-9)
+        assert euler_characteristic(s.discs) == 1
 
     def test_two_disjoint_discs(self):
         s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(3.0, 0.0, 1.0)])
-        assert union_area(s) == pytest.approx(2 * math.pi, rel=1e-9)
-        assert union_perimeter(s) == pytest.approx(4 * math.pi, rel=1e-9)
-        assert euler_characteristic(s) == 2
+        assert union_area_perimeter(s.discs)[0] == pytest.approx(2 * math.pi, rel=1e-9)
+        assert union_area_perimeter(s.discs)[1] == pytest.approx(4 * math.pi, rel=1e-9)
+        assert euler_characteristic(s.discs) == 2
 
     def test_two_overlapping_discs_area(self):
         s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)])
         target = 2 * math.pi - lens_area(1.0, 1.0, 1.0)
-        assert abs(union_area(s) - target) <= 1e-6
-        assert union_area(s) == pytest.approx(5.054815608570829, abs=1e-9)
+        assert abs(union_area_perimeter(s.discs)[0] - target) <= 1e-6
+        assert union_area_perimeter(s.discs)[0] == pytest.approx(5.054815608570829, abs=1e-9)
 
     def test_two_overlapping_discs_perimeter(self):
         s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)])
         # Each circle keeps 2*pi minus the arc behind the chord, half angle
         # acos(d / 2r) on each side of the center line.
         kept = 2 * (2 * math.pi - 2 * math.acos(0.5))
-        assert abs(union_perimeter(s) - kept) <= 1e-6
-        assert union_perimeter(s) == pytest.approx(8 * math.pi / 3.0, abs=1e-9)
-        assert euler_characteristic(s) == 1
+        assert abs(union_area_perimeter(s.discs)[1] - kept) <= 1e-6
+        assert union_area_perimeter(s.discs)[1] == pytest.approx(8 * math.pi / 3.0, abs=1e-9)
+        assert euler_characteristic(s.discs) == 1
 
     def test_nested_disc_vanishes(self):
         s = DiscSystem([Disc(0.0, 0.0, 2.0), Disc(0.1, 0.0, 0.5)])
-        assert union_area(s) == pytest.approx(4 * math.pi, rel=1e-9)
-        assert union_perimeter(s) == pytest.approx(4 * math.pi, rel=1e-9)
-        assert euler_characteristic(s) == 1
+        assert union_area_perimeter(s.discs)[0] == pytest.approx(4 * math.pi, rel=1e-9)
+        assert union_area_perimeter(s.discs)[1] == pytest.approx(4 * math.pi, rel=1e-9)
+        assert euler_characteristic(s.discs) == 1
 
 
 class TestEulerCharacteristic:
@@ -83,7 +82,7 @@ class TestEulerCharacteristic:
             (side / 2.0, side * math.sqrt(3) / 2.0),
         ]
         s = DiscSystem([Disc(x, y, 1.0) for x, y in centers])
-        assert euler_characteristic(s) == 0
+        assert euler_characteristic(s.discs) == 0
         chi, consensus = raster_euler(s)
         assert consensus and chi == 0
 
@@ -95,20 +94,20 @@ class TestEulerCharacteristic:
             (side / 2.0, side * math.sqrt(3) / 2.0),
         ]
         s = DiscSystem([Disc(x, y, 1.0) for x, y in centers])
-        assert euler_characteristic(s) == 1
+        assert euler_characteristic(s.discs) == 1
 
     def test_zero_radius_discs_dropped(self):
         base = [Disc(0.0, 0.0, 1.0), Disc(3.0, 0.0, 1.0)]
         with_point = DiscSystem(base + [Disc(10.0, 10.0, 0.0)])
         bare = DiscSystem(base)
-        assert union_area(with_point) == union_area(bare)
-        assert union_perimeter(with_point) == union_perimeter(bare)
-        assert euler_characteristic(with_point) == euler_characteristic(bare)
+        assert union_area_perimeter(with_point.discs)[0] == union_area_perimeter(bare.discs)[0]
+        assert union_area_perimeter(with_point.discs)[1] == union_area_perimeter(bare.discs)[1]
+        assert euler_characteristic(with_point.discs) == euler_characteristic(bare.discs)
 
     def test_tangency_perturbed_with_warning(self, caplog):
         s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(2.0, 0.0, 1.0)])
         with caplog.at_level(logging.WARNING, logger="gibbsgrain.geometry"):
-            chi = euler_characteristic(s)
+            chi = euler_characteristic(s.discs)
         assert chi in (1, 2)
         assert any("tangen" in r.message.lower() for r in caplog.records)
 
@@ -206,6 +205,32 @@ class TestRandomDiscSystemPins:
         assert hashlib.sha256(repr(tuples).encode()).hexdigest() == digest
 
 
+class TestUnionAreaPerimeterPins:
+    """Area and perimeter as recorded from the separate area and perimeter
+    walks that ``union_area_perimeter`` replaced: one arc walk that keeps
+    both sums in their old order gives the same bits."""
+
+    @pytest.mark.parametrize(
+        "seed, n_discs, kwargs, area, perimeter",
+        [
+            (0, 4, {"extent": 3.0}, "0x1.9ec2c9feef35cp+2", "0x1.be849b16e0752p+3"),
+            (1, 4, {"extent": 3.0}, "0x1.3b8cefc9e9504p+2", "0x1.a7a0a1f04e986p+3"),
+            (2, 12, {}, "0x1.5938c990f64aap+4", "0x1.953ac6af535acp+5"),
+            (3, 20, {"extent": 4.0}, "0x1.308d0b3eede85p+4", "0x1.5d2255f057954p+4"),
+            (4, 30, {"extent": 6.0, "margin": 0.1}, "0x1.5311d75ce46c1p+5",
+             "0x1.8ed0314e173ddp+5"),
+        ],
+    )
+    def test_random_families(self, seed, n_discs, kwargs, area, perimeter):
+        system = random_disc_system(np.random.default_rng(seed), n_discs, **kwargs)
+        got = union_area_perimeter(system.discs)
+        assert [v.hex() for v in got] == [area, perimeter]
+
+    def test_criterion_3_lens(self):
+        got = union_area_perimeter([Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)])
+        assert [v.hex() for v in got] == ["0x1.4382195387cfap+2", "0x1.0c152382d7365p+3"]
+
+
 class TestInvariances:
     def test_translation_exact(self):
         rng = stream(401, 0)
@@ -213,9 +238,13 @@ class TestInvariances:
             s = random_disc_system(rng, int(rng.integers(1, 12)))
             v = rng.uniform(-40, 40, size=2)
             moved = DiscSystem([Disc(d.x + v[0], d.y + v[1], d.r) for d in s.discs])
-            assert union_area(moved) == pytest.approx(union_area(s), rel=1e-9)
-            assert union_perimeter(moved) == pytest.approx(union_perimeter(s), rel=1e-9)
-            assert euler_characteristic(moved) == euler_characteristic(s)
+            assert union_area_perimeter(moved.discs)[0] == pytest.approx(
+                union_area_perimeter(s.discs)[0], rel=1e-9
+            )
+            assert union_area_perimeter(moved.discs)[1] == pytest.approx(
+                union_area_perimeter(s.discs)[1], rel=1e-9
+            )
+            assert euler_characteristic(moved.discs) == euler_characteristic(s.discs)
 
     def test_scaling_covariance(self):
         rng = stream(402, 0)
@@ -225,11 +254,13 @@ class TestInvariances:
             scaled = DiscSystem(
                 [Disc(d.x * lam, d.y * lam, d.r * lam) for d in s.discs]
             )
-            assert union_area(scaled) == pytest.approx(lam**2 * union_area(s), rel=1e-9)
-            assert union_perimeter(scaled) == pytest.approx(
-                lam * union_perimeter(s), rel=1e-9
+            assert union_area_perimeter(scaled.discs)[0] == pytest.approx(
+                lam**2 * union_area_perimeter(s.discs)[0], rel=1e-9
             )
-            assert euler_characteristic(scaled) == euler_characteristic(s)
+            assert union_area_perimeter(scaled.discs)[1] == pytest.approx(
+                lam * union_area_perimeter(s.discs)[1], rel=1e-9
+            )
+            assert euler_characteristic(scaled.discs) == euler_characteristic(s.discs)
 
     def test_adding_a_disc_never_shrinks_area(self):
         rng = stream(403, 0)
@@ -241,7 +272,7 @@ class TestInvariances:
                 float(rng.uniform(0.2, 1.2)),
             )
             grown = DiscSystem(list(s.discs) + [extra])
-            assert union_area(grown) >= union_area(s) - 1e-12
+            assert union_area_perimeter(grown.discs)[0] >= union_area_perimeter(s.discs)[0] - 1e-12
 
     def test_disjoint_additivity(self):
         rng = stream(404, 0)
@@ -250,24 +281,21 @@ class TestInvariances:
             b = random_disc_system(rng, int(rng.integers(1, 8)))
             shifted = [Disc(d.x + 100.0, d.y, d.r) for d in b.discs]
             both = DiscSystem(list(a.discs) + shifted)
-            assert union_area(both) == pytest.approx(
-                union_area(a) + union_area(b), rel=1e-9
+            assert union_area_perimeter(both.discs)[0] == pytest.approx(
+                union_area_perimeter(a.discs)[0] + union_area_perimeter(b.discs)[0], rel=1e-9
             )
-            assert union_perimeter(both) == pytest.approx(
-                union_perimeter(a) + union_perimeter(b), rel=1e-9
+            assert union_area_perimeter(both.discs)[1] == pytest.approx(
+                union_area_perimeter(a.discs)[1] + union_area_perimeter(b.discs)[1], rel=1e-9
             )
-            assert euler_characteristic(both) == euler_characteristic(
-                a
-            ) + euler_characteristic(b)
-
-
-FUNCTIONALS = (union_area, union_perimeter, euler_characteristic)
+            assert euler_characteristic(both.discs) == euler_characteristic(
+                a.discs
+            ) + euler_characteristic(b.discs)
 
 
 def functionals(discs):
     system = DiscSystem(discs)
     assert not system.perturbed
-    return [f(system) for f in FUNCTIONALS]
+    return [*union_area_perimeter(system.discs), euler_characteristic(system.discs)]
 
 
 def assert_same_geometry(got, want, lam=1.0):
@@ -338,8 +366,8 @@ class TestOracles:
         for _ in range(8):
             s = random_disc_system(rng, int(rng.integers(1, 20)))
             oracle = mc_geometry_oracle(s, 200_000, rng)
-            assert abs(union_area(s) - oracle.area) <= 4.0 * oracle.area_stderr
-            assert euler_characteristic(s) == oracle.chi
+            assert abs(union_area_perimeter(s.discs)[0] - oracle.area) <= 4.0 * oracle.area_stderr
+            assert euler_characteristic(s.discs) == oracle.chi
 
     def test_single_disc_mc_within_error(self):
         oracle = mc_geometry_oracle(DiscSystem([Disc(0.0, 0.0, 1.0)]), 1_000_000, stream(407, 0))

@@ -247,6 +247,16 @@ class TestPathEncoding:
             list(read_configs_jsonl(path))
         assert reason in str(err.value)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"inf"', '"nan"'])
+    def test_non_finite_scalar_mark_is_config_error(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        write_configs_jsonl(path, [config([mp((0.0, 0.0), 0.5)])])
+        with open(path, "a") as fh:
+            fh.write('{"dim": 2, "points": [{"x": [1.0, 0.0], '
+                     f'"mark": {{"kind": "scalar", "value": {value}}}}}]}}\n')
+        with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 .*non-finite norm"):
+            list(read_configs_jsonl(path))
+
     def test_mark_that_is_not_an_object_is_config_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"dim": 2, "points": [{"x": [0.0, 0.0], "mark": 0.5}]}\n')

@@ -15,6 +15,7 @@ from gibbsgrain import (
     stream,
     tame_statistic,
 )
+from gibbsgrain import points as points_module
 from conftest import config, mp, random_scalar_config
 
 
@@ -28,6 +29,22 @@ class TestMarkedPoint:
         p = MarkedPoint.make((1.0, 2.0), 0.75)
         assert p.mark_norm == 0.75
         assert p.dimension == 2
+
+    def test_make_computes_the_norm_once(self, monkeypatch):
+        calls = []
+        norm_of = points_module._mark_norm_of
+        monkeypatch.setattr(points_module, "_mark_norm_of", lambda m: calls.append(m) or norm_of(m))
+        p = MarkedPoint.make([1, -2.5], -0.75)
+        assert calls == [-0.75]
+        assert p == MarkedPoint((1.0, -2.5), -0.75, 0.75)
+        assert [type(c) for c in p.location] == [float, float]
+        with pytest.raises(AttributeError):
+            p.mark_norm = 1.0
+
+    @pytest.mark.parametrize("mark", [float("nan"), float("inf"), -float("inf")])
+    def test_make_rejects_non_finite_mark(self, mark):
+        with pytest.raises(ValueError, match="non-finite norm"):
+            MarkedPoint.make((0.0, 0.0), mark)
 
     def test_nan_norm_rejected(self):
         with pytest.raises(ValueError):

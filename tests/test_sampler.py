@@ -38,7 +38,7 @@ from gibbsgrain import (
 )
 from gibbsgrain import energy as energy_module
 from gibbsgrain import sampler
-from gibbsgrain.geometry import _DEGENERACY_TOL, DiscSystem
+from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, DiscSystem, _find_degenerate
 from gibbsgrain.sampler import (
     BoundaryCondition,
     _delta_add,
@@ -901,6 +901,7 @@ class RecordingDiscSystem(energy_module.DiscSystem):
 
 
 QUERMASS = QuermassModel(0.4, -0.2, 0.3)
+TANGENT_ENV = Configuration([mp((1.2, 0.0), 0.5), mp((1.2, 1.0), 0.5)], dimension=2)
 
 
 class TestDegeneracyBand:
@@ -967,20 +968,109 @@ class TestDegeneracyBand:
                 assert DiscSystem.from_configuration(config(grains)).perturbed, plant
         assert len(caplog.records) == len(after)
 
-    def test_seeded_chain_builds_no_perturbed_system(self, monkeypatch):
-        monkeypatch.setattr(energy_module, "DiscSystem", RecordingDiscSystem)
-        RecordingDiscSystem.built = []
+    def test_seeded_chain_builds_disc_systems_only_in_drift_checks(
+        self, monkeypatch, caplog
+    ):
+        # The increments hand plain disc lists to the functionals, none of
+        # them degenerate at the chain's band; only the drift checks build
+        # disc systems, and none of those is bumped.
         xi = Configuration(
             [mp((2.3, 0.4), 0.5), mp((-2.2, -1.0), 0.6), mp((0.5, 2.4), 0.45),
              mp((-0.7, -2.3), 0.55)],
             dimension=2,
         )
-        res = run_chain(QUERMASS, Box.centered_cube(2.0, 2), 0.5, UniformLaw(0.6), 4000,
-                        stream(627, 0), bc=BoundaryCondition(xi), thin=100,
-                        drift_check_every=1000)
+        window, bc = Box.centered_cube(2.0, 2), BoundaryCondition(xi)
+        # U(0.6) marks never raise the bound past the environment's 0.6
+        band = init_chain(QUERMASS, window, bc).index.band(0.6)
+        where, handed, built = ["chain"], [], []
+        init = DiscSystem.__init__
+
+        def recording_init(system, discs):
+            init(system, discs)
+            built.append((where[0], system.perturbed))
+
+        def functional(discs):
+            if where[0] == "chain":
+                handed.append(list(discs))
+            return QuermassModel._functional(QUERMASS, discs)
+
+        def conditional_energy(interior, environment):
+            where[0] = "drift check"
+            try:
+                return QuermassModel.conditional_energy(QUERMASS, interior, environment)
+            finally:
+                where[0] = "chain"
+
+        monkeypatch.setattr(DiscSystem, "__init__", recording_init)
+        monkeypatch.setattr(QUERMASS, "_functional", functional)
+        monkeypatch.setattr(QUERMASS, "conditional_energy", conditional_energy)
+        with caplog.at_level("WARNING"):
+            res = run_chain(QUERMASS, window, 0.5, UniformLaw(0.6), 4000, stream(627, 0),
+                            bc=bc, thin=100, drift_check_every=1000)
         assert res.stats.drift_checks == 4
-        assert len(RecordingDiscSystem.built) > 4000
-        assert True not in RecordingDiscSystem.built
+        assert len(handed) > 4000
+        assert all(not _find_degenerate(discs, band) for discs in handed)
+        assert caplog.records == []
+        assert built and set(built) == {("drift check", False)}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tangent_environment_is_refused_at_the_start(self, seed, monkeypatch):
+        # Two environment grains touch at (1.2, 0.5). Chains whose increments
+        # pass these grains unbumped while the drift check bumps one of them
+        # drift apart, so the chain refuses them before its first step.
+        steps, step = [], sampler.bdm_step
+        monkeypatch.setattr(sampler, "bdm_step", lambda *a: steps.append(1) or step(*a))
+        with pytest.raises(PreconditionError, match="environment grains"):
+            run_chain(QUERMASS, Box.centered_cube(1.0, 2), 1.0, UniformLaw(0.6), 800,
+                      stream(seed, 0), bc=BoundaryCondition(TANGENT_ENV),
+                      drift_check_every=200)
+        assert steps == []
+
+    def test_capped_chain_ignores_degeneracies_it_cannot_meet(self):
+        # The pair touches at (5.2, 0.5); a grain centred in [-1, 1)^2 with
+        # radius at most 0.6 meets neither, one with a larger radius may.
+        far = Configuration([mp((5.2, 0.0), 0.5), mp((5.2, 1.0), 0.5)], dimension=2)
+        window, bc = Box.centered_cube(1.0, 2), BoundaryCondition(far)
+        init_chain(QUERMASS, window, bc, mark_cap=0.6)
+        with pytest.raises(PreconditionError, match="environment grains"):
+            init_chain(QUERMASS, window, bc)
+        with pytest.raises(PreconditionError, match="environment grains"):
+            init_chain(QUERMASS, window, bc, mark_cap=4.0)
+
+    def test_capped_chain_certifies_its_environment_at_the_largest_band(self):
+        # A tangency gap of 5e-9 lies between the initial band (2.7e-9) and
+        # the band a grain of radius 5 reaches (7e-9).
+        gapped = Configuration([mp((1.2, 0.0), 0.5), mp((1.2, 1.0 + 5e-9), 0.5)], dimension=2)
+        window, bc = Box.centered_cube(1.0, 2), BoundaryCondition(gapped)
+        state = init_chain(QUERMASS, window, bc)
+        assert state.index.band(0.0) < 5e-9 < state.index.band(5.0)
+        with pytest.raises(PreconditionError, match="environment grains"):
+            init_chain(QUERMASS, window, bc, mark_cap=5.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_environment_check_follows_the_prefix_rule(self, seed):
+        # Checking each grain against the earlier grains of its neighbour
+        # cells refuses exactly the environments _find_degenerate flags.
+        rng = stream(seed, 0)
+        grains = [mp((x, y), r) for x, y, r in zip(rng.uniform(1.0, 13.0, 600),
+                                                   rng.uniform(-6.0, 6.0, 600),
+                                                   rng.uniform(0.0, 0.4, 600))]
+        (ax, ay), ar = grains[100].location, grains[100].mark_norm
+        touching = [mp((ax + ar + 0.3, ay), 0.3)]
+        triple = [mp((7.7, 0.0), 0.5), mp((8.3, 0.0), 0.5), mp((8.0, 0.9), 0.5)]
+        window = Box.centered_cube(1.0, 2)
+        for env, refused in ((grains, False), (grains + touching, True),
+                             (triple[:1] + grains + triple[1:], True)):
+            bc = BoundaryCondition(Configuration(env, dimension=2))
+            scale = max([1.0 + max(q.mark_norm for q in env)]
+                        + [sum(map(abs, q.location)) + q.mark_norm for q in env])
+            discs = [Disc(*q.location, q.mark_norm) for q in env]
+            assert bool(_find_degenerate(discs, _DEGENERACY_TOL * scale)) == refused
+            if refused:
+                with pytest.raises(PreconditionError, match="environment grains"):
+                    init_chain(QUERMASS, window, bc)
+            else:
+                assert init_chain(QUERMASS, window, bc).index.band(0.0) == _DEGENERACY_TOL * scale
 
     def test_band_covers_every_disc_system_scale(self):
         # E (environment) and W + bound (window and largest mark, the new
