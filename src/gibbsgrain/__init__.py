@@ -46,7 +46,6 @@ from .estimators import (
 from .functionals import LIBRARY_VERSION, LocalFunctional, build_library
 from .geometry import (
     Disc,
-    DiscSystem,
     euler_characteristic,
     mc_geometry_oracle,
     random_disc_system,

@@ -278,16 +278,17 @@ def _prepare_geometry(cfg: dict):
     def body(out: Path, digest: str) -> dict:
         rows = []
         for i in range(n_systems):
-            system = random_disc_system(stream(seed, i), n_discs, extent=extent, margin=margin)
-            area, perim = union_area_perimeter(system.discs)
-            chi = euler_characteristic(system.discs)
-            oracle = mc_geometry_oracle(system, mc_points, stream(seed, 1000 + i), grid=grid)
+            discs = random_disc_system(stream(seed, i), n_discs, extent=extent, margin=margin)
+            area, perim = union_area_perimeter(discs)
+            chi = euler_characteristic(discs)
+            oracle = mc_geometry_oracle(discs, mc_points, stream(seed, 1000 + i), grid=grid)
+            n = len(discs)
             rows += [
-                ReportRow(f"area_exact[{i}]", area, 0.0, system.n, "geometry", seed),
-                ReportRow(f"area_mc[{i}]", oracle.area, oracle.area_stderr, system.n, "geometry", seed),
-                ReportRow(f"perimeter_exact[{i}]", perim, 0.0, system.n, "geometry", seed),
-                ReportRow(f"chi_nerve[{i}]", float(chi), 0.0, system.n, "geometry", seed),
-                ReportRow(f"chi_raster[{i}]", float(oracle.chi), 0.0, system.n, "geometry", seed),
+                ReportRow(f"area_exact[{i}]", area, 0.0, n, "geometry", seed),
+                ReportRow(f"area_mc[{i}]", oracle.area, oracle.area_stderr, n, "geometry", seed),
+                ReportRow(f"perimeter_exact[{i}]", perim, 0.0, n, "geometry", seed),
+                ReportRow(f"chi_nerve[{i}]", float(chi), 0.0, n, "geometry", seed),
+                ReportRow(f"chi_raster[{i}]", float(oracle.chi), 0.0, n, "geometry", seed),
             ]
             if not oracle.chi_consensus:
                 print(f"warning: raster consensus not reached on system {i}", file=sys.stderr)

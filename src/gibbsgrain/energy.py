@@ -23,6 +23,13 @@ increments (``local_delta``) use it with A the interior plus the
 environment. ``conditional_energy`` stays a global recomputation: it is the
 reference that the chain's 1e-9 drift check compares the summed increments
 against.
+
+The functional is exact only away from tangencies, internal tangencies and
+triple points, and the package has one rule for them (``geometry``): a
+degenerate grain family is refused. ``energy`` is +inf on it, and
+``conditional_energy`` is +inf as soon as the interior with the environment
+grains it meets is degenerate, before anything is subtracted, so it is never
+NaN. The chain's increments refuse the same states through ``band``.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import PreconditionError
 from .geometry import (
     _DEGENERACY_TOL,
     Disc,
-    DiscSystem,
+    _degenerate,
     euler_characteristic,
     meeting_discs,
     union_area_perimeter,
@@ -281,11 +288,17 @@ class QuermassModel(EnergyModel):
             total += self.a_euler * euler_characteristic(discs)
         return total
 
+    def _family(self, config: Configuration) -> float:
+        """F of the configuration's grains, zero radii dropped; +inf when
+        they are degenerate (``geometry._degenerate``)."""
+        discs = [Disc(*p.location, p.mark_norm) for p in config.points if p.mark_norm > 0.0]
+        return math.inf if _degenerate(discs) else self._functional(discs)
+
     def energy(self, config: Configuration) -> float:
         self.validate_config(config)
         if len(config) == 0:
             return 0.0
-        return self._functional(DiscSystem.from_configuration(config).discs)
+        return self._family(config)
 
     def reach(self, norm_p, norm_q) -> float:
         return norm_p + norm_q
@@ -296,7 +309,7 @@ class QuermassModel(EnergyModel):
 
         +inf when ``geometry.meeting_discs`` at tol = ``band`` finds p
         degenerate with its neighbours (a tangency, an internal tangency or
-        a triple point). The disc lists need no canonicalisation: p is
+        a triple point). The disc lists are free of degeneracies: p is
         certified against N here, and each grain of N was when it joined the
         chain (see ``geometry._DEGENERACY_TOL``).
         """
@@ -324,9 +337,12 @@ class QuermassModel(EnergyModel):
         reach = environment.mark_norms()[:, None] + interior.mark_norms()[None, :]
         touches = np.any(dist < reach, axis=1)
         relevant = Configuration([p for p, t in zip(environment.points, touches) if t], 2)
-        joint = DiscSystem.from_configuration(interior.union(relevant)).discs
-        alone = DiscSystem.from_configuration(relevant).discs
-        return self._functional(joint) - self._functional(alone)
+        joint = self._family(interior.union(relevant))
+        if joint == math.inf:
+            return math.inf
+        # the relevant grains come last in the joint family and were checked
+        # there against a superset at a tolerance no smaller: never +inf here
+        return joint - self._family(relevant)
 
 
 def _clipped_square(v):

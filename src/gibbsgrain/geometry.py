@@ -15,19 +15,17 @@ The functionals take a plain list of discs, and exactness is claimed away
 from degeneracies. One predicate, ``meeting_discs(p, discs, tol)``, decides
 them everywhere: it returns the discs whose open disc meets p's, or None
 when p lies within tol of a tangency, an internal tangency (coincident discs
-included) or a triple point with them. ``DiscSystem`` calls disc j
-degenerate when it is degenerate with the discs before it
-(``_find_degenerate``), and breaks the degeneracy by a deterministic 1e-7
-bump of disc j's radius with a logged warning; of a degenerate triple, the
-disc with the highest index is bumped. The quermass chain refuses
-degenerate proposals and environments through the same predicate instead
-(see ``_DEGENERACY_TOL``), and ``random_disc_system`` draws families clear
-of it by a margin.
+included) or a triple point with them. Disc j of a family is degenerate
+when it is degenerate with the discs before it (``_find_degenerate``); of a
+degenerate triple, that is the latest of the three. There is one rule for
+a degenerate family: it is refused. The quermass energies are +inf on it
+(``_degenerate``), and the quermass chain refuses degenerate proposals and
+environments (see ``_DEGENERACY_TOL``). ``random_disc_system`` draws
+families clear of the predicate by a margin.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -39,7 +37,6 @@ from .errors import NumericalFailure
 
 __all__ = [
     "Disc",
-    "DiscSystem",
     "union_area_perimeter",
     "euler_characteristic",
     "GeometryOracle",
@@ -48,27 +45,27 @@ __all__ = [
     "random_disc_system",
 ]
 
-log = logging.getLogger(__name__)
-
 _TWO_PI = 2.0 * math.pi
-# Relative width of a degeneracy. A disc system bumps by _PERTURB the radius
-# of every disc that ``_find_degenerate`` flags at tol = _DEGENERACY_TOL *
-# max(1, |x| + |y| + r over the system).
+# Relative width of a degeneracy. A disc family is degenerate when
+# ``_find_degenerate`` flags a disc at tol = _DEGENERACY_TOL * max(1, |x| +
+# |y| + r over the family) (``_degenerate``). The quermass energies drop
+# zero-radius grains and are +inf on a degenerate family.
 #
-# The quermass chain (sampler, energy.QuermassModel.local_delta) builds no
-# disc system: its increments hand plain disc lists to the functionals.
-# Instead it rejects a birth, move or remark whose new grain p is degenerate
-# with its neighbours by ``meeting_discs`` at tol = band = _DEGENERACY_TOL *
-# max(1, E, W + bound). E is the largest |x| + |y| + r in the environment, W
-# the largest |x| + |y| over the window's bounding box and bound the largest
-# radius indexed so far or p's, so the band covers the scale of every disc
-# system the drift check builds. ``sampler.init_chain`` refuses an
-# environment with such a relation (``_find_degenerate``'s prefix rule), so
-# every grain of a disc list was certified when it joined. With a mark cap
-# it checks the grains a capped grain can meet, at band(cap), the largest
-# band the chain reaches. Without one it checks every grain at the initial
-# band: a relation in the gap up to a later, wider band can end the chain
-# in a drift-check NumericalFailure instead.
+# The quermass chain (sampler, energy.QuermassModel.local_delta) does not
+# recompute the whole family. It rejects a birth, move or remark whose new
+# grain p is degenerate with its neighbours by ``meeting_discs`` at tol =
+# band = _DEGENERACY_TOL * max(1, E, W + bound). E is the largest |x| + |y| +
+# r in the environment, W the largest |x| + |y| over the window's bounding
+# box and bound the largest radius indexed so far or p's, so the band covers
+# the scale of every family the drift check's energy examines.
+# ``sampler.init_chain`` refuses an environment with such a relation
+# (``_find_degenerate``'s prefix rule), so every grain of a disc list was
+# certified when it joined. It checks the grains a grain of the largest
+# mark can meet, at band(largest mark), the widest band the chain reaches;
+# ``run_chain`` takes that mark from the mark law's ``max_norm`` when no cap
+# is set. Without either it checks every grain at the initial band, and a
+# relation in the gap up to a later, wider band makes the drift check's
+# recompute +inf, which fails the chain with a NumericalFailure.
 # Deaths are never refused. For a fixed band, the states with no such
 # relation among interior grains or between interior and environment grains
 # form a set closed under deletion; a proposal that would leave it is refused
@@ -77,7 +74,6 @@ _TWO_PI = 2.0 * math.pi
 # order of the band per pair of neighbouring grains. The band widens only
 # with bound, i.e. only while the chain still meets larger marks.
 _DEGENERACY_TOL = 1e-9
-_PERTURB = 1e-7
 _FACE_BUDGET = 5_000_000
 
 
@@ -88,66 +84,12 @@ class Disc:
     r: float
 
 
-class DiscSystem:
-    """Canonicalised finite family of discs.
-
-    Construction drops zero-radius grains and exact duplicates, then breaks
-    tangencies and triple points by bumping radii; the bumps are deterministic
-    so repeated construction of the same input gives the same system.
-    """
-
-    def __init__(self, discs):
-        raw = [Disc(float(d.x), float(d.y), float(d.r)) for d in discs]
-        self.discs, self.perturbed = _canonicalize(raw)
-        self.n = len(self.discs)
-
-    @staticmethod
-    def from_configuration(config) -> "DiscSystem":
-        if config.dimension != 2:
-            raise ValueError("disc systems are planar; configuration has d != 2")
-        return DiscSystem(Disc(*p.location, p.mark_norm) for p in config.points)
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        if self.n == 0:
-            return (0.0, 1.0, 0.0, 1.0)
-        discs = self.discs
-        return (
-            min(d.x - d.r for d in discs),
-            max(d.x + d.r for d in discs),
-            min(d.y - d.r for d in discs),
-            max(d.y + d.r for d in discs),
-        )
-
-    def covers(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask: point lies in the open union."""
-        out = np.zeros(len(pts), dtype=bool)
-        for d in self.discs:
-            sub = ~out
-            if not sub.any():
-                break
-            p = pts[sub]
-            out[sub] = (p[:, 0] - d.x) ** 2 + (p[:, 1] - d.y) ** 2 < d.r * d.r
-        return out
-
-
-def _canonicalize(discs: list[Disc]) -> tuple[list[Disc], bool]:
-    unique = list(dict.fromkeys(d for d in discs if d.r > 0.0))
-    perturbed = False
-    for round_ in range(6):
-        scale = max([1.0] + [abs(d.x) + abs(d.y) + d.r for d in unique])
-        bad = _find_degenerate(unique, _DEGENERACY_TOL * scale)
-        if not bad:
-            if perturbed:
-                log.warning(
-                    "disc system had tangencies or triple points; radii perturbed by ~%g",
-                    _PERTURB,
-                )
-            return unique, perturbed
-        perturbed = True
-        for rank, i in enumerate(sorted(bad)):
-            d = unique[i]
-            unique[i] = Disc(d.x, d.y, d.r + _PERTURB * (1 + rank + round_))
-    raise NumericalFailure("could not break disc degeneracies after 6 perturbation rounds")
+def _degenerate(discs: list[Disc]) -> bool:
+    """Whether a family of discs of positive radius has a tangency, an
+    internal tangency or a triple point: ``_find_degenerate`` at tol =
+    _DEGENERACY_TOL * max(1, |x| + |y| + r over the family)."""
+    scale = max([1.0] + [abs(d.x) + abs(d.y) + d.r for d in discs])
+    return bool(_find_degenerate(discs, _DEGENERACY_TOL * scale))
 
 
 def _find_degenerate(discs: list[Disc], tol: float) -> set[int]:
@@ -349,7 +291,28 @@ class GeometryOracle:
     grid: int
 
 
-def _raster_chi(system: DiscSystem, grid: int) -> int:
+def _bounding_box(discs: list[Disc]) -> tuple[float, float, float, float]:
+    return (
+        min(d.x - d.r for d in discs),
+        max(d.x + d.r for d in discs),
+        min(d.y - d.r for d in discs),
+        max(d.y + d.r for d in discs),
+    )
+
+
+def _covers(discs: list[Disc], pts: np.ndarray) -> np.ndarray:
+    """Boolean mask: point lies in the open union."""
+    out = np.zeros(len(pts), dtype=bool)
+    for d in discs:
+        sub = ~out
+        if not sub.any():
+            break
+        p = pts[sub]
+        out[sub] = (p[:, 0] - d.x) ** 2 + (p[:, 1] - d.y) ** 2 < d.r * d.r
+    return out
+
+
+def _raster_chi(discs: list[Disc], grid: int) -> int:
     """Flood-fill Euler characteristic on a pixel grid.
 
     Components minus holes, both 8-connected. At a circle-circle vertex
@@ -358,7 +321,7 @@ def _raster_chi(system: DiscSystem, grid: int) -> int:
     4-connected background, by contrast, strands sub-pixel wedge fragments
     at shallow crossing cusps and reports them as holes.
     """
-    x0, x1, y0, y1 = system.bounding_box()
+    x0, x1, y0, y1 = _bounding_box(discs)
     span = max(x1 - x0, y1 - y0)
     pad = 2.0 * span / grid
     gx0, gx1, gy0, gy1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
@@ -367,7 +330,7 @@ def _raster_chi(system: DiscSystem, grid: int) -> int:
     xs = np.linspace(gx0, gx1, nx)
     ys = np.linspace(gy0, gy1, ny)
     mask = np.zeros((ny, nx), dtype=bool)
-    for d in system.discs:
+    for d in discs:
         ix = np.where(np.abs(xs - d.x) <= d.r)[0]
         iy = np.where(np.abs(ys - d.y) <= d.r)[0]
         if len(ix) == 0 or len(iy) == 0:
@@ -383,7 +346,7 @@ def _raster_chi(system: DiscSystem, grid: int) -> int:
     return int(n_comp - holes)
 
 
-def raster_euler(system: DiscSystem, grid: int = 2048) -> tuple[int, bool]:
+def raster_euler(discs: list[Disc], grid: int = 2048) -> tuple[int, bool]:
     """Euler characteristic by consensus of successively finer rasters.
 
     A single fixed grid can misread a cusp whose complement wedge dips below
@@ -392,13 +355,13 @@ def raster_euler(system: DiscSystem, grid: int = 2048) -> tuple[int, bool]:
     agree decide the value, within four refinements. Returns (chi,
     consensus_reached).
     """
-    if system.n == 0:
+    if not discs:
         return 0, True
-    prev = _raster_chi(system, grid)
+    prev = _raster_chi(discs, grid)
     g = grid
     for _ in range(4):
         g = min(int(g * 1.5), 9000)
-        cur = _raster_chi(system, g)
+        cur = _raster_chi(discs, g)
         if cur == prev:
             return cur, True
         prev = cur
@@ -408,7 +371,7 @@ def raster_euler(system: DiscSystem, grid: int = 2048) -> tuple[int, bool]:
 
 
 def mc_geometry_oracle(
-    system: DiscSystem,
+    discs: list[Disc],
     n_points: int,
     rng: np.random.Generator,
     grid: int = 2048,
@@ -421,9 +384,9 @@ def mc_geometry_oracle(
     """
     if n_points < 10_000:
         raise ValueError("oracle needs n_points >= 10000 for a usable stderr")
-    if system.n == 0:
+    if not discs:
         return GeometryOracle(0.0, 0.0, 0, True, n_points, 0)
-    x0, x1, y0, y1 = system.bounding_box()
+    x0, x1, y0, y1 = _bounding_box(discs)
     box_area = (x1 - x0) * (y1 - y0)
     hits = 0
     for done in range(0, n_points, 200_000):
@@ -431,11 +394,11 @@ def mc_geometry_oracle(
         pts = np.empty((m, 2))
         pts[:, 0] = x0 + (x1 - x0) * rng.random(m)
         pts[:, 1] = y0 + (y1 - y0) * rng.random(m)
-        hits += int(system.covers(pts).sum())
+        hits += int(_covers(discs, pts).sum())
     p_hat = hits / n_points
     area = box_area * p_hat
     stderr = box_area * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_points)
-    chi, consensus = raster_euler(system, grid=grid)
+    chi, consensus = raster_euler(discs, grid=grid)
     return GeometryOracle(area, stderr, chi, consensus, n_points, grid)
 
 
@@ -444,7 +407,7 @@ def random_disc_system(
     n_discs: int,
     extent: float = 10.0,
     margin: float = 0.03,
-) -> DiscSystem:
+) -> list[Disc]:
     """Random disc family kept clear of degeneracies by a margin.
 
     Discs are placed one at a time, centres uniform on [0, extent)^2 and
@@ -468,4 +431,4 @@ def random_disc_system(
                 break
         else:
             raise NumericalFailure(f"could not place disc {len(discs)} in 3000 draws")
-    return DiscSystem(discs)
+    return discs

@@ -39,10 +39,12 @@ environment included, and returns F(N with p) - F(N) on those few discs
 window. Births, moves and remarks whose new grain lies within ``band`` of a
 tangency or triple point with its neighbours are rejected, and so is an
 environment with such a relation among the grains the chain can meet
-(``init_chain``), so no disc list needs canonicalising. The chain targets
-the law restricted to non-degenerate states, a set closed under deletion,
-and keeps detailed balance; the band (0 for pairwise models) is documented
-beside ``geometry._DEGENERACY_TOL``.
+(``init_chain``). This is the package's one degeneracy rule: the quermass
+energies are +inf on a degenerate grain family, so the chain targets the
+law restricted to non-degenerate states, a set closed under deletion, and
+keeps detailed balance; a degenerate family that reaches the drift check's
+recompute makes it +inf, which fails the chain. The band (0 for pairwise
+models) is documented beside ``geometry._DEGENERACY_TOL``.
 """
 
 from __future__ import annotations
@@ -444,7 +446,8 @@ def init_chain(
     mark_cap: float | None = None,
 ) -> ChainState:
     """Fresh chain at the empty configuration (conditional energy 0); refuses
-    a degenerate environment (see ``_check_environment``)."""
+    a degenerate environment (see ``_check_environment``), at the band of
+    ``mark_cap`` when one is given and at the initial band otherwise."""
     bc = bc or BoundaryCondition.free()
     env = (
         restrict_complement(bc.xi, window)
@@ -600,8 +603,12 @@ def run_chain(
     """Run the chain from the empty configuration, collecting thinned samples.
 
     Every ``drift_check_every`` steps the cached energy is recomputed from
-    scratch; a deviation above 1e-9 (relative to max(1, |H|)) aborts with a
-    NumericalFailure carrying the step and both values.
+    scratch; a deviation above 1e-9 (relative to max(1, |H|)), or a cached
+    or recomputed value that is not finite, aborts with a NumericalFailure
+    carrying the step and both values. Without ``mark_cap`` the chain is
+    capped at the mark law's ``max_norm``, which no draw exceeds: it changes
+    no decision, and the environment is certified at the widest band the
+    chain can reach (see ``init_chain``).
     """
     if z < 0:
         raise ValueError("activity z must be non-negative")
@@ -612,7 +619,7 @@ def run_chain(
     if drift_check_every < 1:
         raise PreconditionError("drift_check_every must be >= 1")
     mix = mix or ProposalMix()
-    state = init_chain(model, window, bc, mark_cap)
+    state = init_chain(model, window, bc, mark_law.max_norm if mark_cap is None else mark_cap)
     samples: list[Configuration] = []
     max_drift = 0.0
     checks = 0
@@ -623,7 +630,8 @@ def run_chain(
             drift = abs(recomputed - state.cached_energy)
             checks += 1
             max_drift = max(max_drift, drift)
-            if drift > 1e-9 * max(1.0, abs(recomputed)):
+            # written so that an infinite or NaN value fails too
+            if not (math.isfinite(recomputed) and drift <= 1e-9 * max(1.0, abs(recomputed))):
                 raise NumericalFailure(
                     f"energy drift {drift:.3e} at step {s}: cached "
                     f"{state.cached_energy!r} vs recomputed {recomputed!r} "

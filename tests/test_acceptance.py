@@ -19,7 +19,6 @@ from gibbsgrain import (
     Configuration,
     DiffusionModel,
     Disc,
-    DiscSystem,
     HardSphereModel,
     IdealModel,
     LangevinSpec,
@@ -198,17 +197,17 @@ def test_criterion_03_grain_geometry_against_oracles():
         n = int(stream(9301, i).integers(1, 31))
         system = random_disc_system(stream(9302, i), n, extent=6.0)
         oracle = mc_geometry_oracle(system, 1_000_000, stream(9303, i))
-        area = union_area_perimeter(system.discs)[0]
+        area = union_area_perimeter(system)[0]
         pull = abs(area - oracle.area) / oracle.area_stderr
         worst_pull = max(worst_pull, pull)
         assert pull <= 4.0
-        assert euler_characteristic(system.discs) == oracle.chi
+        assert euler_characteristic(system) == oracle.chi
 
-    two = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)])
+    two = [Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)]
     lens = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
-    assert abs(union_area_perimeter(two.discs)[0] - (2.0 * math.pi - lens)) <= 1e-6
-    assert abs(union_area_perimeter(two.discs)[0] - 5.054815608570829) <= 1e-6
-    assert abs(union_area_perimeter(two.discs)[1] - 8.0 * math.pi / 3.0) <= 1e-6
+    assert abs(union_area_perimeter(two)[0] - (2.0 * math.pi - lens)) <= 1e-6
+    assert abs(union_area_perimeter(two)[0] - 5.054815608570829) <= 1e-6
+    assert abs(union_area_perimeter(two)[1] - 8.0 * math.pi / 3.0) <= 1e-6
     print(
         f"[acceptance] criterion 03 geometry oracles: PASS "
         f"(50 systems, worst |area pull|={worst_pull:.2f} sigma <= 4, "

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsgrain import (
     Box,
     Configuration,
     DiffusionModel,
-    DiscSystem,
+    Disc,
     HardSphereModel,
     IdealModel,
     MarkedPoint,
@@ -27,6 +29,7 @@ from gibbsgrain import (
     stream,
     union_area_perimeter,
 )
+from gibbsgrain.geometry import _DEGENERACY_TOL, _find_degenerate
 from gibbsgrain.marks import LangevinSpec, PathMark
 from conftest import config, mp, random_scalar_config
 
@@ -126,11 +129,11 @@ class TestQuermass:
             g = random_scalar_config(rng, n_max=8, extent=2.0, mark_hi=1.3)
             if len(g.points) == 0:
                 continue
-            s = DiscSystem.from_configuration(g)
+            s = [Disc(*p.location, p.mark_norm) for p in g.points]
             expect = (
-                0.7 * union_area_perimeter(s.discs)[0]
-                - 0.3 * union_area_perimeter(s.discs)[1]
-                + 1.1 * euler_characteristic(s.discs)
+                0.7 * union_area_perimeter(s)[0]
+                - 0.3 * union_area_perimeter(s)[1]
+                + 1.1 * euler_characteristic(s)
             )
             assert model.energy(g) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -139,6 +142,74 @@ class TestQuermass:
         g = Configuration([MarkedPoint.make((0.0, 0.0, 0.0), 1.0)])
         with pytest.raises(PreconditionError):
             model.energy(g)
+
+
+# Degenerate families: the grain states the chain's planted degeneracies
+# would leave (``TestDegeneracyBand`` in test_sampler.py), then a tangency, an
+# internal tangency and a triple point of the circles centred at (-0.3, 0)
+# and (0.3, 0), radius 0.5, which cross at (0, 0.4).
+DEGENERATE = {
+    "birth-tangency": [((0.0, 0.0), 0.5), ((1.0, 0.0), 0.5)],
+    "birth-internal-tangency": [((0.0, 0.0), 0.5), ((0.25, 0.0), 0.25)],
+    "move-triple-point": [((-0.3, 0.0), 0.5), ((0.3, 0.0), 0.5), ((0.0, 0.9), 0.5)],
+    "remark-tangency": [((0.0, 0.0), 0.5), ((1.0, 0.0), 0.5)],
+    "tangency": [((0.0, 0.0), 1.0), ((2.0, 0.0), 1.0)],
+    "internal-tangency": [((0.0, 0.0), 1.0), ((0.5, 0.0), 0.5)],
+    "triple-point": [((-0.3, 0.0), 0.5), ((0.3, 0.0), 0.5), ((0.0, -0.9), 0.5)],
+}
+
+
+class TestQuermassDegeneracy:
+    """A degenerate grain family has quermass energy +inf, never NaN."""
+
+    model = QuermassModel(0.4, -0.2, 0.3)
+
+    @pytest.mark.parametrize("family", sorted(DEGENERATE))
+    def test_degenerate_families_are_infinite(self, family):
+        grains = [mp(loc, r) for loc, r in DEGENERATE[family]]
+        assert self.model.energy(config(grains)) == math.inf
+        # the whole family inside, or its last grain inside and the rest
+        # outside, where that grain meets every other one
+        assert self.model.conditional_energy(config(grains), config([], 2)) == math.inf
+        if family not in ("birth-tangency", "remark-tangency", "tangency"):
+            cond = self.model.conditional_energy(config(grains[-1:]), config(grains[:-1]))
+            assert cond == math.inf
+
+    def test_degenerate_environment_gives_inf_not_nan(self):
+        # The environment alone has a triple point, so both the joint family
+        # and the environment's own functional are degenerate: inf - inf.
+        env = config([mp(loc, r) for loc, r in DEGENERATE["move-triple-point"]])
+        interior = config([mp((0.0, 0.3), 0.2)])
+        assert self.model.energy(env) == math.inf
+        assert self.model.conditional_energy(interior, env) == math.inf
+
+    @settings(max_examples=300)
+    @given(
+        grains=st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 3)),
+            min_size=2,
+            max_size=7,
+            unique_by=lambda g: g[:2],
+        ),
+        split=st.integers(0, 7),
+    )
+    def test_infinite_exactly_on_flagged_families(self, grains, split):
+        # On a 0.5 lattice of centres and radii, tangencies are common (a
+        # quarter of the examples) and exact.
+        pts = [mp((0.5 * x, 0.5 * y), 0.5 * r) for x, y, r in grains]
+        discs = [Disc(*p.location, p.mark_norm) for p in pts if p.mark_norm > 0.0]
+        scale = max([1.0] + [abs(d.x) + abs(d.y) + d.r for d in discs])
+        flagged = bool(_find_degenerate(discs, _DEGENERACY_TOL * scale))
+        h = self.model.energy(config(pts, 2))
+        assert (h == math.inf) == flagged
+        assert not math.isnan(h)
+        # the conditional energy reads a subfamily of pts, in pts order
+        cond = self.model.conditional_energy(config(pts[:split], 2), config(pts[split:], 2))
+        assert not math.isnan(cond)
+        if not flagged:
+            assert math.isfinite(cond)
+        if split and self.model.energy(config(pts[:split], 2)) == math.inf:
+            assert cond == math.inf
 
 
 class TestLennardJones:

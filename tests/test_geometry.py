@@ -1,7 +1,6 @@
 """Exact disc-union functionals against closed forms and Monte Carlo oracles."""
 
 import hashlib
-import logging
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from gibbsgrain import (
     Disc,
-    DiscSystem,
+    QuermassModel,
     euler_characteristic,
     mc_geometry_oracle,
     random_disc_system,
@@ -19,7 +18,8 @@ from gibbsgrain import (
     stream,
     union_area_perimeter,
 )
-from gibbsgrain.geometry import meeting_discs
+from gibbsgrain.geometry import _DEGENERACY_TOL, _find_degenerate, meeting_discs
+from conftest import config, mp
 
 
 def lens_area(r1, r2, d):
@@ -38,37 +38,37 @@ def lens_area(r1, r2, d):
 
 class TestClosedForms:
     def test_single_disc(self):
-        s = DiscSystem([Disc(0.3, -0.2, 1.0)])
-        assert union_area_perimeter(s.discs)[0] == pytest.approx(math.pi, rel=1e-9)
-        assert union_area_perimeter(s.discs)[1] == pytest.approx(2 * math.pi, rel=1e-9)
-        assert euler_characteristic(s.discs) == 1
+        s = [Disc(0.3, -0.2, 1.0)]
+        assert union_area_perimeter(s)[0] == pytest.approx(math.pi, rel=1e-9)
+        assert union_area_perimeter(s)[1] == pytest.approx(2 * math.pi, rel=1e-9)
+        assert euler_characteristic(s) == 1
 
     def test_two_disjoint_discs(self):
-        s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(3.0, 0.0, 1.0)])
-        assert union_area_perimeter(s.discs)[0] == pytest.approx(2 * math.pi, rel=1e-9)
-        assert union_area_perimeter(s.discs)[1] == pytest.approx(4 * math.pi, rel=1e-9)
-        assert euler_characteristic(s.discs) == 2
+        s = [Disc(0.0, 0.0, 1.0), Disc(3.0, 0.0, 1.0)]
+        assert union_area_perimeter(s)[0] == pytest.approx(2 * math.pi, rel=1e-9)
+        assert union_area_perimeter(s)[1] == pytest.approx(4 * math.pi, rel=1e-9)
+        assert euler_characteristic(s) == 2
 
     def test_two_overlapping_discs_area(self):
-        s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)])
+        s = [Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)]
         target = 2 * math.pi - lens_area(1.0, 1.0, 1.0)
-        assert abs(union_area_perimeter(s.discs)[0] - target) <= 1e-6
-        assert union_area_perimeter(s.discs)[0] == pytest.approx(5.054815608570829, abs=1e-9)
+        assert abs(union_area_perimeter(s)[0] - target) <= 1e-6
+        assert union_area_perimeter(s)[0] == pytest.approx(5.054815608570829, abs=1e-9)
 
     def test_two_overlapping_discs_perimeter(self):
-        s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)])
+        s = [Disc(0.0, 0.0, 1.0), Disc(1.0, 0.0, 1.0)]
         # Each circle keeps 2*pi minus the arc behind the chord, half angle
         # acos(d / 2r) on each side of the center line.
         kept = 2 * (2 * math.pi - 2 * math.acos(0.5))
-        assert abs(union_area_perimeter(s.discs)[1] - kept) <= 1e-6
-        assert union_area_perimeter(s.discs)[1] == pytest.approx(8 * math.pi / 3.0, abs=1e-9)
-        assert euler_characteristic(s.discs) == 1
+        assert abs(union_area_perimeter(s)[1] - kept) <= 1e-6
+        assert union_area_perimeter(s)[1] == pytest.approx(8 * math.pi / 3.0, abs=1e-9)
+        assert euler_characteristic(s) == 1
 
     def test_nested_disc_vanishes(self):
-        s = DiscSystem([Disc(0.0, 0.0, 2.0), Disc(0.1, 0.0, 0.5)])
-        assert union_area_perimeter(s.discs)[0] == pytest.approx(4 * math.pi, rel=1e-9)
-        assert union_area_perimeter(s.discs)[1] == pytest.approx(4 * math.pi, rel=1e-9)
-        assert euler_characteristic(s.discs) == 1
+        s = [Disc(0.0, 0.0, 2.0), Disc(0.1, 0.0, 0.5)]
+        assert union_area_perimeter(s)[0] == pytest.approx(4 * math.pi, rel=1e-9)
+        assert union_area_perimeter(s)[1] == pytest.approx(4 * math.pi, rel=1e-9)
+        assert euler_characteristic(s) == 1
 
 
 class TestEulerCharacteristic:
@@ -81,8 +81,8 @@ class TestEulerCharacteristic:
             (side, 0.0),
             (side / 2.0, side * math.sqrt(3) / 2.0),
         ]
-        s = DiscSystem([Disc(x, y, 1.0) for x, y in centers])
-        assert euler_characteristic(s.discs) == 0
+        s = [Disc(x, y, 1.0) for x, y in centers]
+        assert euler_characteristic(s) == 0
         chi, consensus = raster_euler(s)
         assert consensus and chi == 0
 
@@ -93,23 +93,20 @@ class TestEulerCharacteristic:
             (side, 0.0),
             (side / 2.0, side * math.sqrt(3) / 2.0),
         ]
-        s = DiscSystem([Disc(x, y, 1.0) for x, y in centers])
-        assert euler_characteristic(s.discs) == 1
+        s = [Disc(x, y, 1.0) for x, y in centers]
+        assert euler_characteristic(s) == 1
 
     def test_zero_radius_discs_dropped(self):
-        base = [Disc(0.0, 0.0, 1.0), Disc(3.0, 0.0, 1.0)]
-        with_point = DiscSystem(base + [Disc(10.0, 10.0, 0.0)])
-        bare = DiscSystem(base)
-        assert union_area_perimeter(with_point.discs)[0] == union_area_perimeter(bare.discs)[0]
-        assert union_area_perimeter(with_point.discs)[1] == union_area_perimeter(bare.discs)[1]
-        assert euler_characteristic(with_point.discs) == euler_characteristic(bare.discs)
+        # The quermass energy drops zero-radius grains, so a point inside a
+        # disc or far from every disc adds no vertex to the nerve.
+        euler = QuermassModel(0.0, 0.0, 1.0)
+        base = [mp((0.0, 0.0), 1.0), mp((3.0, 0.0), 1.0)]
+        for extra in (mp((10.0, 10.0), 0.0), mp((0.2, 0.1), 0.0)):
+            assert euler.energy(config(base + [extra])) == euler.energy(config(base)) == 2.0
 
-    def test_tangency_perturbed_with_warning(self, caplog):
-        s = DiscSystem([Disc(0.0, 0.0, 1.0), Disc(2.0, 0.0, 1.0)])
-        with caplog.at_level(logging.WARNING, logger="gibbsgrain.geometry"):
-            chi = euler_characteristic(s.discs)
-        assert chi in (1, 2)
-        assert any("tangen" in r.message.lower() for r in caplog.records)
+    def test_tangency_is_refused(self):
+        tangent = config([mp((0.0, 0.0), 1.0), mp((2.0, 0.0), 1.0)])
+        assert QuermassModel(0.4, -0.2, 0.3).energy(tangent) == math.inf
 
 
 # Two circles of radius 0.5 centred at (-0.3, 0) and (0.3, 0) cross at
@@ -150,7 +147,7 @@ class TestMeetingDiscs:
         assert meeting_discs(p, discs, 0.0) == at_zero
 
     @pytest.mark.parametrize(
-        "discs, bumped",
+        "discs, flagged",
         [
             ([Disc(0.0, 0.0, 0.5), Disc(1.0, 0.0, 0.5)], 1),
             ([LEFT, RIGHT, TOP], 2),
@@ -158,18 +155,14 @@ class TestMeetingDiscs:
             ([LEFT, TOP, RIGHT, Disc(5.0, 5.0, 1.0)], 2),
         ],
     )
-    def test_disc_system_bumps_the_latest_degenerate_disc(self, discs, bumped, caplog):
-        with caplog.at_level(logging.WARNING, logger="gibbsgrain.geometry"):
-            system = DiscSystem(discs)
-        assert system.perturbed
-        changed = [i for i, (a, b) in enumerate(zip(discs, system.discs)) if a != b]
-        assert changed == [bumped]
-        assert system.discs[bumped].r > discs[bumped].r
+    def test_prefix_rule_flags_the_latest_degenerate_disc(self, discs, flagged):
+        assert _find_degenerate(discs, TOL) == {flagged}
+        assert _find_degenerate(discs, 0.0) == set()
 
 
 def disc_tuples(seed, n_discs, **kwargs):
     system = random_disc_system(np.random.default_rng(seed), n_discs, **kwargs)
-    return [(d.x.hex(), d.y.hex(), d.r.hex()) for d in system.discs]
+    return [(d.x.hex(), d.y.hex(), d.r.hex()) for d in system]
 
 
 class TestRandomDiscSystemPins:
@@ -223,7 +216,7 @@ class TestUnionAreaPerimeterPins:
     )
     def test_random_families(self, seed, n_discs, kwargs, area, perimeter):
         system = random_disc_system(np.random.default_rng(seed), n_discs, **kwargs)
-        got = union_area_perimeter(system.discs)
+        got = union_area_perimeter(system)
         assert [v.hex() for v in got] == [area, perimeter]
 
     def test_criterion_3_lens(self):
@@ -237,30 +230,28 @@ class TestInvariances:
         for _ in range(20):
             s = random_disc_system(rng, int(rng.integers(1, 12)))
             v = rng.uniform(-40, 40, size=2)
-            moved = DiscSystem([Disc(d.x + v[0], d.y + v[1], d.r) for d in s.discs])
-            assert union_area_perimeter(moved.discs)[0] == pytest.approx(
-                union_area_perimeter(s.discs)[0], rel=1e-9
+            moved = [Disc(d.x + v[0], d.y + v[1], d.r) for d in s]
+            assert union_area_perimeter(moved)[0] == pytest.approx(
+                union_area_perimeter(s)[0], rel=1e-9
             )
-            assert union_area_perimeter(moved.discs)[1] == pytest.approx(
-                union_area_perimeter(s.discs)[1], rel=1e-9
+            assert union_area_perimeter(moved)[1] == pytest.approx(
+                union_area_perimeter(s)[1], rel=1e-9
             )
-            assert euler_characteristic(moved.discs) == euler_characteristic(s.discs)
+            assert euler_characteristic(moved) == euler_characteristic(s)
 
     def test_scaling_covariance(self):
         rng = stream(402, 0)
         lam = 2.5
         for _ in range(15):
             s = random_disc_system(rng, int(rng.integers(1, 10)))
-            scaled = DiscSystem(
-                [Disc(d.x * lam, d.y * lam, d.r * lam) for d in s.discs]
+            scaled = [Disc(d.x * lam, d.y * lam, d.r * lam) for d in s]
+            assert union_area_perimeter(scaled)[0] == pytest.approx(
+                lam**2 * union_area_perimeter(s)[0], rel=1e-9
             )
-            assert union_area_perimeter(scaled.discs)[0] == pytest.approx(
-                lam**2 * union_area_perimeter(s.discs)[0], rel=1e-9
+            assert union_area_perimeter(scaled)[1] == pytest.approx(
+                lam * union_area_perimeter(s)[1], rel=1e-9
             )
-            assert union_area_perimeter(scaled.discs)[1] == pytest.approx(
-                lam * union_area_perimeter(s.discs)[1], rel=1e-9
-            )
-            assert euler_characteristic(scaled.discs) == euler_characteristic(s.discs)
+            assert euler_characteristic(scaled) == euler_characteristic(s)
 
     def test_adding_a_disc_never_shrinks_area(self):
         rng = stream(403, 0)
@@ -271,31 +262,31 @@ class TestInvariances:
                 float(rng.uniform(-10, 10)),
                 float(rng.uniform(0.2, 1.2)),
             )
-            grown = DiscSystem(list(s.discs) + [extra])
-            assert union_area_perimeter(grown.discs)[0] >= union_area_perimeter(s.discs)[0] - 1e-12
+            grown = s + [extra]
+            assert union_area_perimeter(grown)[0] >= union_area_perimeter(s)[0] - 1e-12
 
     def test_disjoint_additivity(self):
         rng = stream(404, 0)
         for _ in range(10):
             a = random_disc_system(rng, int(rng.integers(1, 8)))
             b = random_disc_system(rng, int(rng.integers(1, 8)))
-            shifted = [Disc(d.x + 100.0, d.y, d.r) for d in b.discs]
-            both = DiscSystem(list(a.discs) + shifted)
-            assert union_area_perimeter(both.discs)[0] == pytest.approx(
-                union_area_perimeter(a.discs)[0] + union_area_perimeter(b.discs)[0], rel=1e-9
+            shifted = [Disc(d.x + 100.0, d.y, d.r) for d in b]
+            both = a + shifted
+            assert union_area_perimeter(both)[0] == pytest.approx(
+                union_area_perimeter(a)[0] + union_area_perimeter(b)[0], rel=1e-9
             )
-            assert union_area_perimeter(both.discs)[1] == pytest.approx(
-                union_area_perimeter(a.discs)[1] + union_area_perimeter(b.discs)[1], rel=1e-9
+            assert union_area_perimeter(both)[1] == pytest.approx(
+                union_area_perimeter(a)[1] + union_area_perimeter(b)[1], rel=1e-9
             )
-            assert euler_characteristic(both.discs) == euler_characteristic(
-                a.discs
-            ) + euler_characteristic(b.discs)
+            assert euler_characteristic(both) == euler_characteristic(
+                a
+            ) + euler_characteristic(b)
 
 
 def functionals(discs):
-    system = DiscSystem(discs)
-    assert not system.perturbed
-    return [*union_area_perimeter(system.discs), euler_characteristic(system.discs)]
+    scale = max([1.0] + [abs(d.x) + abs(d.y) + d.r for d in discs])
+    assert not _find_degenerate(discs, _DEGENERACY_TOL * scale)
+    return [*union_area_perimeter(discs), euler_characteristic(discs)]
 
 
 def assert_same_geometry(got, want, lam=1.0):
@@ -307,7 +298,7 @@ def assert_same_geometry(got, want, lam=1.0):
 
 
 def random_discs(seed, n_discs):
-    return list(random_disc_system(np.random.default_rng(seed), n_discs, extent=6.0).discs)
+    return random_disc_system(np.random.default_rng(seed), n_discs, extent=6.0)
 
 
 class TestGeometryProperties:
@@ -358,7 +349,7 @@ class TestGeometryProperties:
 
 class TestOracles:
     def test_empty_system(self):
-        oracle = mc_geometry_oracle(DiscSystem([]), 10_000, stream(405, 0))
+        oracle = mc_geometry_oracle([], 10_000, stream(405, 0))
         assert oracle.area == 0.0 and oracle.chi == 0
 
     def test_exact_vs_mc_on_random_systems(self):
@@ -366,13 +357,13 @@ class TestOracles:
         for _ in range(8):
             s = random_disc_system(rng, int(rng.integers(1, 20)))
             oracle = mc_geometry_oracle(s, 200_000, rng)
-            assert abs(union_area_perimeter(s.discs)[0] - oracle.area) <= 4.0 * oracle.area_stderr
-            assert euler_characteristic(s.discs) == oracle.chi
+            assert abs(union_area_perimeter(s)[0] - oracle.area) <= 4.0 * oracle.area_stderr
+            assert euler_characteristic(s) == oracle.chi
 
     def test_single_disc_mc_within_error(self):
-        oracle = mc_geometry_oracle(DiscSystem([Disc(0.0, 0.0, 1.0)]), 1_000_000, stream(407, 0))
+        oracle = mc_geometry_oracle([Disc(0.0, 0.0, 1.0)], 1_000_000, stream(407, 0))
         assert abs(oracle.area - math.pi) <= 4.0 * oracle.area_stderr
 
     def test_point_floor(self):
         with pytest.raises(ValueError):
-            mc_geometry_oracle(DiscSystem([Disc(0.0, 0.0, 1.0)]), 9_999, stream(408, 0))
+            mc_geometry_oracle([Disc(0.0, 0.0, 1.0)], 9_999, stream(408, 0))

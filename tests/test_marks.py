@@ -26,6 +26,16 @@ from gibbsgrain.marks import (
 )
 
 
+class Fixed:
+    """Stand-in generator whose every ``random()`` is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestRadiusLaws:
     def test_point_mass_constant(self):
         rng = stream(301, 0)
@@ -62,6 +72,37 @@ class TestRadiusLaws:
         draws = np.array([law.sample(rng) for _ in range(50_000)])
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - target) < 3.0 * se + 1e-5
+
+    @pytest.mark.parametrize("p, cutoff", [(0.5, 3.0), (1.5, 2.5), (2.0, 2.0), (6.0, 2.0)])
+    def test_subbotin_draw_inverts_the_cdf(self, p, cutoff):
+        # the draw from uniform u is the x whose CDF, by quadrature, is u
+        law = TruncatedSubbotinLaw(exponent=p, cutoff=cutoff)
+
+        def mass(x):
+            return integrate.quad(lambda y: math.exp(-(y**p)), 0.0, x, epsabs=1e-14)[0]
+
+        for u in (0.0, 1e-6, 0.1, 0.5, 0.9, 0.999999):
+            assert mass(law.sample(Fixed(u))) / mass(cutoff) == pytest.approx(u, abs=1e-10)
+
+    @pytest.mark.parametrize("p, cutoff", [(0.7, 3.0), (0.7, 5.0), (3.0, 1.0), (12.0, 1.0)])
+    def test_subbotin_draws_are_clamped_at_the_cutoff(self, p, cutoff):
+        # for these laws the inverse incomplete gamma function overshoots
+        # the cutoff by a few ulps at the largest double below 1
+        law = TruncatedSubbotinLaw(exponent=p, cutoff=cutoff)
+        assert law.sample(Fixed(1.0 - 2.0**-53)) == cutoff == law.max_norm
+
+    def test_max_norm_bounds_every_draw(self):
+        laws = [
+            (PointMassLaw(0.3), 0.3),
+            (UniformLaw(3), 3.0),
+            (TruncatedSubbotinLaw(2.0, cutoff=1.5), 1.5),
+            (TableLaw([0.1, 4.0, 0.5], [0.6, 0.01, 0.39]), 4.0),
+        ]
+        rng = stream(307, 0)
+        for law, bound in laws:
+            assert law.max_norm == bound
+            assert max(law.sample(rng) for _ in range(2000)) <= bound
+        assert LangevinSpec.named("quartic", 8).max_norm is None
 
     @pytest.mark.parametrize(
         "make",

@@ -36,9 +36,8 @@ from gibbsgrain import (
     stream,
     tame_statistic,
 )
-from gibbsgrain import energy as energy_module
 from gibbsgrain import sampler
-from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, DiscSystem, _find_degenerate
+from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate
 from gibbsgrain.sampler import (
     BoundaryCondition,
     _delta_add,
@@ -212,13 +211,14 @@ class TestBlockPoissonDraw:
         assert_same_draws(Box([(-1.0, 1.5), (2.0, 3.0)]), z, spec, 613)
 
     # sha256 of atoms_hex over 200 draws and the stream's next double,
-    # recorded with the per-point loop
+    # recorded with the per-point loop (Subbotin: with the exact inverse
+    # incomplete gamma law, which replaced an interpolated table)
     PINNED = {
         "point": ("cf993ed5eda3be0db15ec033eda10dd8b2ae39b701d034a0cf847c872b2d5bfe",
                   "0x1.864709c62d66ap-2"),
         "uniform": ("53f41088c6f4c0b7d89c18586503bb37504372927e0197335509b32e0a4ce757",
                     "0x1.e48bb5a95adb0p-2"),
-        "subbotin": ("449ad879797bf71ec1d42e2ee964bb61f3b454fc79683c1cf6f3d9fd8d5c32a4",
+        "subbotin": ("8da418b33ed7a17cbda8c9461021cdc38b117d0c2264e2ea7be0c9c5a1c2ab2a",
                      "0x1.9c7f951d80c08p-3"),
         "table": ("9ebb20a384afc80e3d06b26e303870c04dee3d4c42707ff638d85478d299485b",
                   "0x1.a87d36a448908p-3"),
@@ -480,6 +480,16 @@ class TestChain:
                 stream(618, 0),
                 drift_check_every=10,
             )
+
+    def test_drift_check_fails_on_an_infinite_recompute(self, monkeypatch):
+        # Increments that ignore the hard core let atoms overlap; the cached
+        # energy stays 0 while a recompute is +inf, a drift that compares
+        # equal to its own tolerance, inf * 1e-9.
+        model = HardSphereModel()
+        monkeypatch.setattr(model, "local_delta", lambda p, neighbours, band=0.0: 0.0)
+        with pytest.raises(NumericalFailure, match="recomputed inf"):
+            run_chain(model, Box.centered_cube(1.0, 2), 5.0, UniformLaw(0.5), 4_000,
+                      stream(619, 0), drift_check_every=500)
 
     def test_conditioned_boundary_requires_tempered_xi(self):
         xi = config([mp((1.5, 0.0), 3.0)])
@@ -892,21 +902,13 @@ class PlannedDraws:
         return np.asarray(self.values.pop(0), dtype=float)
 
 
-class RecordingDiscSystem(energy_module.DiscSystem):
-    built: list = []
-
-    def __init__(self, discs):
-        super().__init__(discs)
-        RecordingDiscSystem.built.append(self.perturbed)
-
-
 QUERMASS = QuermassModel(0.4, -0.2, 0.3)
 TANGENT_ENV = Configuration([mp((1.2, 0.0), 0.5), mp((1.2, 1.0), 0.5)], dimension=2)
 
 
 class TestDegeneracyBand:
     """Births, moves and remarks onto a tangency, an internal tangency or a
-    triple point are refused before any disc system is built."""
+    triple point are refused before any functional is evaluated."""
 
     # In [-2, 2)^2 a location coordinate is -2 + 4u and a UniformLaw(1.0)
     # mark is u, so these draws land exactly where planned. Every proposal
@@ -934,8 +936,8 @@ class TestDegeneracyBand:
             state.replace(len(state.points), [g])
         state.cached_energy = QUERMASS.energy(state.snapshot())
         before = list(state.points)
-        monkeypatch.setattr(energy_module, "DiscSystem", RecordingDiscSystem)
-        RecordingDiscSystem.built = []
+        evaluated = []
+        monkeypatch.setattr(QUERMASS, "_functional", lambda discs: evaluated.append(discs))
         increments = []
 
         def local_delta(p, neighbours, band=0.0):
@@ -950,12 +952,12 @@ class TestDegeneracyBand:
         assert increments == [math.inf]
         assert sum(state.accepts.values()) == 0
         assert state.points == before
-        assert RecordingDiscSystem.built == []
+        assert evaluated == []
         assert caplog.records == []
 
     def test_planted_states_would_need_a_radius_bump(self, caplog):
-        # Accepted, each proposal would leave a state whose disc system, as
-        # the drift check builds it, has its radii bumped.
+        # Accepted, each proposal would leave a degenerate state, whose
+        # energy, as the drift check recomputes it, is +inf.
         after = {
             "birth-tangency": [mp((0.0, 0.0), 0.5), mp((1.0, 0.0), 0.5)],
             "birth-internal-tangency": [mp((0.0, 0.0), 0.5), mp((0.25, 0.0), 0.25)],
@@ -965,15 +967,16 @@ class TestDegeneracyBand:
         assert sorted(after) == sorted(self.PLANTS)
         with caplog.at_level("WARNING"):
             for plant, grains in after.items():
-                assert DiscSystem.from_configuration(config(grains)).perturbed, plant
-        assert len(caplog.records) == len(after)
+                assert QUERMASS.energy(config(grains)) == math.inf, plant
+                assert QUERMASS.conditional_energy(config(grains), config([], 2)) == math.inf
+        assert caplog.records == []
 
     def test_seeded_chain_builds_disc_systems_only_in_drift_checks(
         self, monkeypatch, caplog
     ):
-        # The increments hand plain disc lists to the functionals, none of
-        # them degenerate at the chain's band; only the drift checks build
-        # disc systems, and none of those is bumped.
+        # The increments hand the functionals plain disc lists, none of them
+        # degenerate at the chain's band; the drift checks recompute the
+        # whole state, and every recompute is finite and passes.
         xi = Configuration(
             [mp((2.3, 0.4), 0.5), mp((-2.2, -1.0), 0.6), mp((0.5, 2.4), 0.45),
              mp((-0.7, -2.3), 0.55)],
@@ -982,12 +985,7 @@ class TestDegeneracyBand:
         window, bc = Box.centered_cube(2.0, 2), BoundaryCondition(xi)
         # U(0.6) marks never raise the bound past the environment's 0.6
         band = init_chain(QUERMASS, window, bc).index.band(0.6)
-        where, handed, built = ["chain"], [], []
-        init = DiscSystem.__init__
-
-        def recording_init(system, discs):
-            init(system, discs)
-            built.append((where[0], system.perturbed))
+        where, handed, recomputed = ["chain"], [], []
 
         def functional(discs):
             if where[0] == "chain":
@@ -997,11 +995,11 @@ class TestDegeneracyBand:
         def conditional_energy(interior, environment):
             where[0] = "drift check"
             try:
-                return QuermassModel.conditional_energy(QUERMASS, interior, environment)
+                recomputed.append(QuermassModel.conditional_energy(QUERMASS, interior, environment))
+                return recomputed[-1]
             finally:
                 where[0] = "chain"
 
-        monkeypatch.setattr(DiscSystem, "__init__", recording_init)
         monkeypatch.setattr(QUERMASS, "_functional", functional)
         monkeypatch.setattr(QUERMASS, "conditional_energy", conditional_energy)
         with caplog.at_level("WARNING"):
@@ -1011,7 +1009,8 @@ class TestDegeneracyBand:
         assert len(handed) > 4000
         assert all(not _find_degenerate(discs, band) for discs in handed)
         assert caplog.records == []
-        assert built and set(built) == {("drift check", False)}
+        assert len(recomputed) == 4 and all(math.isfinite(h) for h in recomputed)
+        assert res.stats.max_drift <= 1e-9 * max(1.0, *map(abs, recomputed))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tangent_environment_is_refused_at_the_start(self, seed, monkeypatch):
@@ -1046,6 +1045,10 @@ class TestDegeneracyBand:
         assert state.index.band(0.0) < 5e-9 < state.index.band(5.0)
         with pytest.raises(PreconditionError, match="environment grains"):
             init_chain(QUERMASS, window, bc, mark_cap=5.0)
+        # an uncapped chain is certified at its mark law's largest norm
+        assert UniformLaw(5.0).max_norm == 5.0
+        with pytest.raises(PreconditionError, match="environment grains"):
+            run_chain(QUERMASS, window, 1.0, UniformLaw(5.0), 100, stream(0, 0), bc=bc)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_environment_check_follows_the_prefix_rule(self, seed):
@@ -1091,8 +1094,7 @@ class TestDegeneracyBand:
 
 def test_deaths_ignore_grains_that_only_touch(caplog):
     # Deaths query their neighbours at band 0, where open discs that touch
-    # at one point do not meet: the increment is minus F of the lone grain,
-    # and no disc system is bumped.
+    # at one point do not meet: the increment is minus F of the lone grain.
     state = init_chain(QUERMASS, Box.centered_cube(2.0, 2))
     for g in (mp((0.0, 0.0), 0.5), mp((1.0, 0.0), 0.5)):
         state.replace(len(state.points), [g])
