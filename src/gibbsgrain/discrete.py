@@ -19,7 +19,6 @@ bookkeeping to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 

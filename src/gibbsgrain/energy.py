@@ -331,11 +331,19 @@ class QuermassModel(EnergyModel):
         self.validate_config(interior)
         if len(interior) == 0:
             return 0.0
-        # environment grains touching some interior grain (open-ball overlap)
-        diff = environment.locations()[:, None, :] - interior.locations()[None, :, :]
+        # environment grains meeting some interior grain (open-ball overlap)
+        # or within the degeneracy tolerance of contact, at the scale of
+        # interior and environment together, so that a tangent environment
+        # grain reaches the degeneracy check as it does in ``energy``
+        env_locs, env_norms = environment.locations(), environment.mark_norms()
+        int_locs, int_norms = interior.locations(), interior.mark_norms()
+        diff = env_locs[:, None, :] - int_locs[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
-        reach = environment.mark_norms()[:, None] + interior.mark_norms()[None, :]
-        touches = np.any(dist < reach, axis=1)
+        reach = env_norms[:, None] + int_norms[None, :]
+        extent = np.concatenate((np.abs(env_locs).sum(axis=1) + env_norms,
+                                 np.abs(int_locs).sum(axis=1) + int_norms))
+        tol = _DEGENERACY_TOL * max(1.0, float(extent.max()))
+        touches = np.any(dist < reach + tol, axis=1)
         relevant = Configuration([p for p, t in zip(environment.points, touches) if t], 2)
         joint = self._family(interior.union(relevant))
         if joint == math.inf:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NumericalFailure
 
@@ -321,6 +320,9 @@ def _raster_chi(discs: list[Disc], grid: int) -> int:
     4-connected background, by contrast, strands sub-pixel wedge fragments
     at shallow crossing cusps and reports them as holes.
     """
+    # imported here so that only the raster oracle loads scipy
+    from scipy import ndimage
+
     x0, x1, y0, y1 = _bounding_box(discs)
     span = max(x1 - x0, y1 - y0)
     pad = 2.0 * span / grid

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "PathMark",
@@ -157,11 +155,16 @@ class TruncatedSubbotinLaw(MarkLaw):
             raise ValueError("exponent and cutoff must be positive")
         self.exponent = float(exponent)
         self.cutoff = self.max_norm = float(cutoff)
+        # scipy.special is imported here, not at module level, so a run
+        # without Subbotin marks never loads it
+        from scipy import special
+
         self._shape = 1.0 / self.exponent
         self._mass = float(special.gammainc(self._shape, self.cutoff**self.exponent))
+        self._gammaincinv = special.gammaincinv
 
     def sample(self, rng) -> float:
-        x = float(special.gammaincinv(self._shape, rng.random() * self._mass)) ** self._shape
+        x = float(self._gammaincinv(self._shape, rng.random() * self._mass)) ** self._shape
         return min(x, self.cutoff)
 
     def descriptor(self) -> dict:
@@ -409,6 +412,13 @@ class InvariantCheck:
         return (not self.diverged) and self.ks_stat <= self.threshold
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x from x[0], starting at 0: the
+    expression ``scipy.integrate.cumulative_trapezoid(y, x, initial=0)``
+    evaluates, so the values agree bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def langevin_invariant_check(
     spec: LangevinSpec,
     burn_in: int,
@@ -432,7 +442,7 @@ def langevin_invariant_check(
     grid = np.linspace(0.0, max(4.0, float(r[-1]) * 1.25), 20001)
     axis_pts = np.stack([grid, np.zeros_like(grid)], axis=1)
     pdf = grid * np.exp(-spec.potential(axis_pts))
-    cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
+    cdf = _cumulative_trapezoid(pdf, grid)
     cdf /= cdf[-1]
     f_at = np.interp(r, grid, cdf)
     i = np.arange(1, len(r) + 1)

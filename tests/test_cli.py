@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import gibbsgrain
 from gibbsgrain import MarkedPoint, PathMark
 from gibbsgrain.cli import main
 from gibbsgrain.io import read_configs_jsonl, read_report_csv, write_configs_jsonl
@@ -592,3 +596,48 @@ class TestRunWrapper:
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
         assert "boundary must be" in capsys.readouterr().err
+
+
+# Builds the model, window and mark law of each config in a fresh interpreter
+# and prints the sorted names of the scipy modules it loaded.
+_COLD_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import gibbsgrain.cli as cli
+from gibbsgrain import stream
+for cfg in json.loads(sys.argv[2]):
+    cli.build_model(cfg["model"])
+    cli.build_window(cfg["window"])
+    cli.build_law(cfg["mark_law"]).sample(stream(0, 0))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def cold_start_scipy_modules(configs):
+    src = str(Path(gibbsgrain.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _COLD_START, src, json.dumps(configs)],
+                         check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+class TestColdStart:
+    """A run loads scipy only for the features that use it."""
+
+    def test_common_runs_load_no_scipy(self):
+        box = {"kind": "box", "n": 2, "d": 2}
+        configs = [
+            {"model": {"id": "hardcore"}, "window": box,
+             "mark_law": {"kind": "uniform", "b": 0.5}},
+            {"model": {"id": "nonnegpair", "phi": "soft_bump"}, "window": box,
+             "mark_law": {"kind": "point", "value": 0.3}},
+            {"model": {"id": "quermass", "a_area": 0.4, "a_perimeter": -0.2, "a_euler": 0.3},
+             "window": box, "mark_law": {"kind": "table", "values": [0.2, 0.4], "probs": [0.5, 0.5]}},
+            {"model": {"id": "diffusion"}, "window": box,
+             "mark_law": {"kind": "langevin", "potential": "quartic", "step_count": 16}},
+        ]
+        assert cold_start_scipy_modules(configs) == []
+
+    def test_subbotin_law_loads_scipy_special(self):
+        configs = [{"model": {"id": "quermass", "a_area": 0.4}, "window": {"kind": "box", "n": 2},
+                    "mark_law": {"kind": "subbotin", "exponent": 2.0, "cutoff": 1.0}}]
+        assert "scipy.special" in cold_start_scipy_modules(configs)

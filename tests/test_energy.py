@@ -183,6 +183,17 @@ class TestQuermassDegeneracy:
         assert self.model.energy(env) == math.inf
         assert self.model.conditional_energy(interior, env) == math.inf
 
+    def test_tangent_environment_grain_is_refused(self):
+        # An environment grain exactly tangent to the interior grain does not
+        # overlap it, yet the pair is degenerate: the conditional energy
+        # agrees with the energy of the two grains together.
+        interior, env = config([mp((1, 0), 0.5)]), config([mp((0, 0), 0.5)])
+        assert self.model.energy(interior.union(env)) == math.inf
+        assert self.model.conditional_energy(interior, env) == math.inf
+        # a clear gap leaves the environment grain out of the value
+        clear = config([mp((0, 0), 0.4)])
+        assert self.model.conditional_energy(interior, clear) == self.model.energy(interior)
+
     @settings(max_examples=300)
     @given(
         grains=st.lists(

@@ -22,6 +22,7 @@ from gibbsgrain import (
 )
 from gibbsgrain.marks import (
     LangevinSpec,
+    _cumulative_trapezoid,
     langevin_invariant_check,
 )
 
@@ -268,6 +269,17 @@ class TestInvariantCheck:
             spec, burn_in=100_000, n_samples=200, rng=rng, guard_radius=8.0
         )
         assert report.diverged
+
+    @pytest.mark.parametrize("potential", ["quadratic", "quartic", "zero"])
+    @pytest.mark.parametrize("n", [2, 5, 20001])
+    def test_trapezoid_matches_scipy(self, potential, n):
+        # the radial density langevin_invariant_check integrates, on its
+        # 20001-point grid and on short ones
+        spec = LangevinSpec.named(potential)
+        grid = np.linspace(0.0, 7.3, n)
+        pdf = grid * np.exp(-spec.potential(np.stack([grid, np.zeros_like(grid)], axis=1)))
+        want = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
+        assert np.array_equal(_cumulative_trapezoid(pdf, grid), want)
 
 
 class TestMomentAudit:
