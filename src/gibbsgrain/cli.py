@@ -132,6 +132,15 @@ def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _level(value) -> int:
+    """A temperedness level t from a config: 2.0 counts as 2, while a bool, a
+    string or a non-integral number is refused rather than truncated."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"t must be an integer, got {value!r}")
+    return int(value)
+
+
 _COMMON_KEYS = {"seed", "name", "out"}
 
 
@@ -200,7 +209,7 @@ def _boundary(spec) -> BoundaryCondition:
         raise ConfigError("boundary must be 'free' or {file, t, delta}")
     _reject_unknown(spec, {"file", "t", "delta"}, "boundary")
     try:
-        t, delta = int(spec["t"]), float(spec["delta"])
+        t, delta = _level(spec["t"]), float(spec["delta"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad boundary block: {e}") from e
     path = Path(spec["file"])
@@ -301,20 +310,22 @@ def _prepare_geometry(cfg: dict):
 def _prepare_temper(cfg: dict):
     seed = cfg["seed"]
     path = _input_path(cfg, "temper needs an 'input' JSONL path")
-    t = int(cfg.get("t", 1))
+    t = _level(cfg.get("t", 1))
     delta = float(cfg.get("delta", 1.0))
     if t < 1 or not delta > 0:
         raise ConfigError("temper needs t >= 1 and delta > 0")
 
     def body(out: Path, digest: str) -> dict:
         # configurations are checked as they are read, so read_s sums the
-        # gaps between the loop bodies
-        rows, read_s = [], 0.0
+        # gaps between the loop bodies and scan_s the checks inside them
+        rows, read_s, scan_s = [], 0.0, 0.0
         t0 = time.perf_counter()
         for i, config in enumerate(read_configs_jsonl(path)):
-            read_s += time.perf_counter() - t0
+            t1 = time.perf_counter()
+            read_s += t1 - t0
             ok, report = is_tempered(config, t, delta)
             sep_ok, _witness = range_separation_check(config, report.minimal_t, delta)
+            scan_s += time.perf_counter() - t1
             rows += [
                 ReportRow(f"tempered[{i}]", float(ok), 0.0, len(config), "temper", seed),
                 ReportRow(f"minimal_t[{i}]", float(report.minimal_t), 0.0, len(config), "temper", seed),
@@ -326,7 +337,8 @@ def _prepare_temper(cfg: dict):
             raise ConfigError(f"input file {path} holds no configurations")
         n_configs = len(rows) // 3
         print(f"tempered report for {n_configs} configurations -> {out/'temper.csv'}")
-        return dict(_report(out, "temper.csv", rows), read_s=read_s, n_configs=n_configs)
+        return dict(_report(out, "temper.csv", rows), read_s=read_s, scan_s=scan_s,
+                    n_configs=n_configs)
 
     return body
 
@@ -348,7 +360,7 @@ def _prepare_audit(cfg: dict):
             raise ConfigError("audit.local must be an object {t, env_z, env_n}")
         _reject_unknown(local, {"t", "env_z", "env_n"}, "audit.local")
         try:
-            t = int(local.get("t", 2))
+            t = _level(local.get("t", 2))
             env_n = int(local.get("env_n", 3))
             env_z = float(local.get("env_z", z))
         except (TypeError, ValueError) as e:

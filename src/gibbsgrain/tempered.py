@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import Ball, Configuration, restrict, tame_statistic
+from .points import Configuration
 
 __all__ = [
     "l1",
@@ -57,13 +57,6 @@ class TemperednessReport:
     rows: tuple[tuple[int, float, float, float], ...]
 
 
-def _scan_radii(config: Configuration) -> int:
-    if len(config) == 0:
-        return 1
-    r = float(np.linalg.norm(config.locations(), axis=1).max())
-    return int(math.ceil(r)) + 1
-
-
 def is_tempered(
     config: Configuration, t: int, delta: float
 ) -> tuple[bool, TemperednessReport]:
@@ -75,21 +68,27 @@ def is_tempered(
     """
     if t < 1 or int(t) != t:
         raise ValueError("t must be a positive integer")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     t = int(t)
     d = config.dimension
-    l_max = _scan_radii(config)
+    radii = np.linalg.norm(config.locations(), axis=1)
+    weights = config.mark_norms() ** (d + delta)
     rows = []
-    passed = True
     t_min = 1
-    for l in range(1, l_max + 1):
-        stat = tame_statistic(restrict(config, Ball(np.zeros(d), float(l))), delta)
-        bound = float(t) * l**d
-        rows.append((l, stat, bound, bound - stat))
-        if stat > bound:
-            passed = False
-        t_min = max(t_min, int(math.ceil(stat / l**d - 1e-12)))
-    report = TemperednessReport(t=t, passed=passed, minimal_t=t_min, rows=tuple(rows))
-    return passed, report
+    for l in range(1, int(math.ceil(radii.max(initial=0.0))) + 2):
+        inside = radii < l  # the open ball B(0, l)
+        stat = float(np.count_nonzero(inside) + np.sum(weights[inside]))
+        vol = l**d
+        rows.append((l, stat, float(t) * vol, float(t) * vol - stat))
+        # least level at l by the bound's own comparison: the ceiling of the
+        # rounded quotient never overshoots it but can fall one short
+        need = max(1, math.ceil(stat / vol))
+        while stat > float(need) * vol:
+            need += 1
+        t_min = max(t_min, need)
+    passed = t >= t_min  # the bound is monotone in t
+    return passed, TemperednessReport(t=t, passed=passed, minimal_t=t_min, rows=tuple(rows))
 
 
 def minimal_t(config: Configuration, delta: float) -> int:

@@ -289,6 +289,7 @@ class TestTemperCommand:
         record = json.loads((tmp_path / "tmp" / "record.json").read_text())
         assert record["n_configs"] == 2
         assert record["read_s"] > 0
+        assert record["scan_s"] >= 0
 
     def test_legacy_path_file_is_accepted(self, tmp_path):
         inp = tmp_path / "legacy.jsonl"
@@ -526,6 +527,7 @@ class TestRunWrapper:
             (["plot-data", "--series", "bogus"], {}),
             (["audit"], {"local": 5}),
             (["audit"], {"local": {"t": [2]}}),
+            (["audit"], {"local": {"t": 1.5}}),
             (["geometry"], {"n_systems": 1, "n_discs": 3, "mc_points": 100}),
             (["diffusion", "--z", "-1"], {"steps": 100}),
             (["sample"], {"drift_check_every": 0, "steps": 100, "burn_in": 10}),
@@ -533,7 +535,7 @@ class TestRunWrapper:
         ],
         ids=["audit-local-key", "plot-data-no-input", "temper-no-input",
              "bogus-flavor", "bogus-series", "audit-local-not-object",
-             "audit-local-bad-value", "geometry-few-mc-points",
+             "audit-local-bad-value", "audit-local-fractional-t", "geometry-few-mc-points",
              "diffusion-negative-z", "drift-check-every-0", "drift-check-every-negative"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, argv, payload):
@@ -572,6 +574,40 @@ class TestRunWrapper:
         assert rc == 2
         assert not (tmp_path / "root").exists()
         assert "t >= 1 and delta > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", [1.5, True], ids=["fractional", "bool"])
+    def test_non_integer_temper_t_exits_2_without_run_dir(self, tmp_path, t, capsys):
+        xi = tmp_path / "xi.jsonl"
+        write_configs_jsonl(xi, [config([mp((0.0, 0.0), 0.5)])])
+        cfg = write_cfg(tmp_path, "cfg.json", {"seed": 1, "input": str(xi), "t": t})
+        rc = main(["temper", "--config", cfg, "--out", str(tmp_path / "root")])
+        assert rc == 2
+        assert not (tmp_path / "root").exists()
+        assert "t must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", [2.7, True], ids=["fractional", "bool"])
+    def test_non_integer_boundary_t_exits_2_without_run_dir(self, tmp_path, t, capsys):
+        xi = tmp_path / "xi.jsonl"
+        write_configs_jsonl(xi, [config([mp((3.0, 0.0), 0.5)])])
+        boundary = {"file": str(xi), "t": t, "delta": 1.0}
+        cfg = write_cfg(tmp_path, "bc.json",
+                        {"seed": 1, "boundary": boundary, "steps": 100, "burn_in": 10})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        assert "t must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_t_is_accepted(self, tmp_path):
+        xi = tmp_path / "xi.jsonl"
+        write_configs_jsonl(xi, [config([mp((3.0, 0.0), 0.5)]), config([mp((0.2, 0.0), 1.5)])])
+        for name, t in (("int", 2), ("float", 2.0)):
+            cfg = write_cfg(tmp_path, f"{name}.json", {"seed": 1, "input": str(xi), "t": t})
+            assert main(["temper", "--config", cfg, "--out", str(tmp_path), "--name", name]) == 0
+        assert ((tmp_path / "int" / "temper.csv").read_bytes()
+                == (tmp_path / "float" / "temper.csv").read_bytes())
+        boundary = {"file": str(xi), "t": 2.0, "delta": 1.0}
+        cfg = write_cfg(tmp_path, "bc.json",
+                        {"seed": 1, "boundary": boundary, "steps": 100, "burn_in": 10})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--name", "bc"]) == 0
 
     def test_input_that_is_not_a_sample_file_exits_2(self, tmp_path):
         run_cfg = write_cfg(tmp_path, "run.json", {"seed": 1, "z": 0.5})
