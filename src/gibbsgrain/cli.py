@@ -353,7 +353,6 @@ def _prepare_audit(cfg: dict):
     n_trials = int(cfg.get("n_trials", 1000))
     exponent = cfg.get("exponent")
     exponent = float(exponent) if exponent is not None else window.dimension + delta
-    two_sided = bool(cfg.get("two_sided", False))
     local = cfg.get("local")
     if local is not None:
         if not isinstance(local, dict):
@@ -371,7 +370,7 @@ def _prepare_audit(cfg: dict):
         def sampler(rng):
             return sample_poisson(window, z, law, rng)
 
-        report = stability_audit(model, sampler, n_trials, stream(seed, 0), exponent, two_sided)
+        report = stability_audit(model, sampler, n_trials, stream(seed, 0), exponent)
         rows = [
             ReportRow("c_hat_global", report.c_hat, 0.0, report.n_used, model.model_id, seed),
             ReportRow("n_infinite_global", float(report.n_infinite), 0.0,
@@ -505,13 +504,13 @@ def _prepare_compat(cfg: dict):
 
 def _prepare_diffusion(cfg: dict):
     """``sample`` preset: one chain of the diffusion model with Langevin path
-    marks on [-window_n, window_n)^2, plus a summary report."""
+    marks on [-1, 1)^2, plus a summary report."""
     seed = cfg["seed"]
     steps = int(cfg.get("steps", 4000))
     preset = {
         "seed": seed,
         "model": {"id": "diffusion"},
-        "window": {"kind": "box", "n": cfg.get("window_n", 1), "d": 2},
+        "window": {"kind": "box", "n": 1, "d": 2},
         "z": cfg.get("z", 0.3),
         "mark_law": {"kind": "langevin", "potential": cfg.get("potential", "quartic"),
                      "step_count": int(cfg.get("step_count", 256))},
@@ -551,12 +550,11 @@ def _prepare_plot_data(cfg: dict):
     elif series == "lj":
         u_min = float(cfg.get("u_min", 1.2))
         u_max = float(cfg.get("u_max", 3.0))
-        count = int(cfg.get("count", 60))
         if not (0.0 < u_min < u_max):
             raise ConfigError("need 0 < u_min < u_max")
 
         def points():
-            grid = sorted(set(np.linspace(u_min, u_max, count).tolist()) | {1.5})
+            grid = sorted(set(np.linspace(u_min, u_max, 60).tolist()) | {1.5})
             return [(u, lj_pair(u), 0.0) for u in grid]
     else:
         raise ConfigError(f"unknown series {series!r}; have entropy, lj")
@@ -589,7 +587,7 @@ _COMMANDS = {
         "input": str, "t": int, "delta": float}),
     "audit": ("stability constants from random trials", _prepare_audit, {
         "model": None, "mark_law": None, "window": None, "z": None, "n_trials": int,
-        "exponent": None, "two_sided": None, "delta": None, "local": None}),
+        "exponent": None, "delta": None, "local": None}),
     "entropy": ("specific entropy curve across volumes", _prepare_entropy, {
         "model": None, "mark_law": None, "d": None, "n_list": str, "z": float,
         "delta": None, "n_energy_samples": None, "n_partition_samples": None,
@@ -600,10 +598,10 @@ _COMMANDS = {
     "compat": ("exact kernel compatibility on micro instances", _prepare_compat, {
         "flavor": str}),
     "diffusion": ("sample preset for the path-marked model", _prepare_diffusion, {
-        "window_n": None, "steps": int, "z": float, "burn_in": None, "thin": None,
-        "step_count": None, "potential": None}),
+        "steps": int, "z": float, "burn_in": None, "thin": None, "step_count": None,
+        "potential": None}),
     "plot-data": ("emit (x, y, err) series from reports", _prepare_plot_data, {
-        "input": str, "series": str, "u_min": float, "u_max": float, "count": None}),
+        "input": str, "series": str, "u_min": float, "u_max": float}),
 }
 
 # ConfigError is a ValueError, and a stray ValueError from numerical code still

@@ -19,6 +19,8 @@ bookkeeping to roundoff.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,7 +112,6 @@ class DiscreteInstance:
 
     def _build_tables(self):
         C, M, S = self.n_cells, self.n_marks, self.n_states
-        base = M + 1
         zv = self.z * self.cell_volume * C  # z * |window|
         energies = [self.state_energy(c) for c in range(S)]
         counts = [sum(1 for d in self.digits(c) if d > 0) for c in range(S)]
@@ -125,69 +126,41 @@ class DiscreteInstance:
         self.occupied = [
             tuple(i for i, d in enumerate(self.digits(c)) if d > 0) for c in range(S)
         ]
-        powers = [base**i for i in range(C)]
+        powers = [(M + 1) ** i for i in range(C)]
 
-        def accept(kind: str, n: int, dh: float) -> float:
-            return min(1.0, sampler.hastings_ratio(kind, zv, n, dh))
+        def entry(kind: str, code: int, new: int) -> tuple[int, float]:
+            if new < 0 or not valid[new]:
+                return -1, 0.0
+            dh = energies[new] - energies[code]
+            return new, min(1.0, sampler.hastings_ratio(kind, zv, counts[code], dh))
 
-        # birth_t[code][cell][mark-1] -> new code or -1; birth_a -> acceptance
-        birth_t = [[[-1] * M for _ in range(C)] for _ in range(S)]
-        birth_a = [[[0.0] * M for _ in range(C)] for _ in range(S)]
-        death_t: list[list[int]] = [[] for _ in range(S)]
-        death_a: list[list[float]] = [[] for _ in range(S)]
-        move_t = [[[-1] * C for _ in self.occupied[c]] for c in range(S)]
-        move_a = [[[0.0] * C for _ in self.occupied[c]] for c in range(S)]
-        remark_t = [[[-1] * M for _ in self.occupied[c]] for c in range(S)]
-        remark_a = [[[0.0] * M for _ in self.occupied[c]] for c in range(S)]
-
+        # tables[kind][code][choice] -> (target code or -1, acceptance); the
+        # choice is cell*M + a-1 (birth), k (death), k*C + t (move) or
+        # k*M + b-1 (remark), for the k-th occupied cell. Invalid states
+        # keep empty rows: the chain never visits them.
+        self.tables = {kind: [[] for _ in range(S)] for kind in sampler._KINDS}
+        birth, death, move, remark = (self.tables[kind] for kind in sampler._KINDS)
         for code in range(S):
             if not valid[code]:
                 continue
             digs = self.digits(code)
-            n = counts[code]
-            h = energies[code]
-            for cell in range(C):
-                if digs[cell] != 0:
-                    continue
-                for a in range(1, M + 1):
-                    new = code + a * powers[cell]
-                    if not valid[new]:
-                        continue
-                    dh = energies[new] - h
-                    birth_t[code][cell][a - 1] = new
-                    birth_a[code][cell][a - 1] = accept("birth", n, dh)
-            for k, cell in enumerate(self.occupied[code]):
+            birth[code] = [
+                entry("birth", code, code + a * powers[cell] if digs[cell] == 0 else -1)
+                for cell in range(C)
+                for a in range(1, M + 1)
+            ]
+            for cell in self.occupied[code]:
                 a = digs[cell]
-                new = code - a * powers[cell]
-                dh = energies[new] - h
-                death_t[code].append(new)
-                death_a[code].append(accept("death", n, dh))
-                for tgt in range(C):
-                    if digs[tgt] != 0:
-                        continue
-                    new2 = code - a * powers[cell] + a * powers[tgt]
-                    if not valid[new2]:
-                        continue
-                    dh2 = energies[new2] - h
-                    move_t[code][k][tgt] = new2
-                    move_a[code][k][tgt] = accept("move", n, dh2)
-                for b in range(1, M + 1):
-                    new3 = code - a * powers[cell] + b * powers[cell]
-                    if not valid[new3]:
-                        continue
-                    dh3 = energies[new3] - h
-                    remark_t[code][k][b - 1] = new3
-                    remark_a[code][k][b - 1] = accept("remark", n, dh3)
-        self.birth_t, self.birth_a = birth_t, birth_a
-        self.death_t, self.death_a = death_t, death_a
-        self.move_t, self.move_a = move_t, move_a
-        self.remark_t, self.remark_a = remark_t, remark_a
-        cum = []
-        acc = 0.0
-        for p in self.mark_probs:
-            acc += p
-            cum.append(acc)
-        self.mark_cum = cum
+                gone = code - a * powers[cell]
+                death[code].append(entry("death", code, gone))
+                move[code] += [
+                    entry("move", code, gone + a * powers[t] if digs[t] == 0 else -1)
+                    for t in range(C)
+                ]
+                remark[code] += [
+                    entry("remark", code, gone + b * powers[cell]) for b in range(1, M + 1)
+                ]
+        self.mark_cum = list(accumulate(self.mark_probs))
 
     def exact_distribution(self) -> np.ndarray:
         """Normalised target over state codes (zero on invalid states)."""
@@ -220,21 +193,19 @@ class DiscreteInstance:
         Invalid proposals (occupied cell, cap, hard core) are rejected after
         their draws are consumed. A valid proposal is accepted with
         probability min(1, ``sampler.hastings_ratio``), tabulated at
-        construction with z|W| = z * cell_volume * n_cells.
+        construction with z|W| = z * cell_volume * n_cells. ``mix`` gives
+        the (birth, death, move, remark) probabilities, checked as a
+        ``sampler.ProposalMix``.
         """
-        if abs(mix[0] - mix[1]) > 1e-12:
-            raise ValueError("birth and death must be proposed equally often")
+        sampler.ProposalMix(*mix)
         if not self.valid[start]:
             raise PreconditionError("start state is invalid")
         b1 = mix[0]
         b2 = mix[0] + mix[1]
         b3 = b2 + mix[2]
         C, M = self.n_cells, self.n_marks
-        mark_cum = self.mark_cum
-        birth_t, birth_a = self.birth_t, self.birth_a
-        death_t, death_a = self.death_t, self.death_a
-        move_t, move_a = self.move_t, self.move_a
-        remark_t, remark_a = self.remark_t, self.remark_a
+        cuts = self.mark_cum[:-1]  # bisect stays below M when the probs sum to 1 - ulp
+        birth, death, move, remark = (self.tables[kind] for kind in sampler._KINDS)
         counts = self.counts
         visits = [0] * self.n_states
         code = start
@@ -246,52 +217,32 @@ class DiscreteInstance:
                 buf = rng.random(block)
                 ptr = 0
             u = buf[ptr]
+            n = counts[code]
             if u < b1:
-                cell = int(buf[ptr + 1] * C)
-                um = buf[ptr + 2]
-                a = 0
-                while mark_cum[a] <= um:
-                    a += 1
+                table = birth
+                choice = int(buf[ptr + 1] * C) * M + bisect_right(cuts, buf[ptr + 2])
                 u_acc = buf[ptr + 3]
                 ptr += 4
-                new = birth_t[code][cell][a]
-                if new >= 0 and u_acc < birth_a[code][cell][a]:
-                    code = new
             elif u < b2:
-                n = counts[code]
-                u_sel = buf[ptr + 1]
+                table = death
+                choice = int(buf[ptr + 1] * n)
                 u_acc = buf[ptr + 2]
                 ptr += 3
-                if n > 0:
-                    k = int(u_sel * n)
-                    if u_acc < death_a[code][k]:
-                        code = death_t[code][k]
             elif u < b3:
-                n = counts[code]
-                u_sel = buf[ptr + 1]
-                u_tgt = buf[ptr + 2]
+                table = move
+                choice = int(buf[ptr + 1] * n) * C + int(buf[ptr + 2] * C)
                 u_acc = buf[ptr + 3]
                 ptr += 4
-                if n > 0:
-                    k = int(u_sel * n)
-                    tgt = int(u_tgt * C)
-                    new = move_t[code][k][tgt]
-                    if new >= 0 and u_acc < move_a[code][k][tgt]:
-                        code = new
             else:
-                n = counts[code]
-                u_sel = buf[ptr + 1]
-                um = buf[ptr + 2]
+                table = remark
+                choice = int(buf[ptr + 1] * n) * M + bisect_right(cuts, buf[ptr + 2])
                 u_acc = buf[ptr + 3]
                 ptr += 4
-                if n > 0:
-                    k = int(u_sel * n)
-                    a = 0
-                    while mark_cum[a] <= um:
-                        a += 1
-                    new = remark_t[code][k][a]
-                    if new >= 0 and u_acc < remark_a[code][k][a]:
-                        code = new
+            row = table[code]
+            if choice < len(row):  # an empty state has no atom to pick
+                new, acc = row[choice]
+                if u_acc < acc:
+                    code = new
             visits[code] += 1
         return np.array(visits, dtype=float)
 
@@ -326,7 +277,6 @@ def kernel_compatibility_check(instance: DiscreteInstance, lam_cells) -> float:
     if not moat:
         raise ValueError("the small window must be a strict subset")
     direct = instance.exact_distribution()
-    base = instance.n_marks + 1
 
     def split(code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         digs = instance.digits(code)
@@ -362,9 +312,6 @@ def kernel_compatibility_check(instance: DiscreteInstance, lam_cells) -> float:
     worst = 0.0
     for code in range(instance.n_states):
         ld, md = split(code)
-        sub_code = 0
-        for pos, d in enumerate(ld):
-            sub_code += d * base**pos
-        composed = moat_marginal[md] * conditional(md)[sub_code]
+        composed = moat_marginal[md] * conditional(md)[instance.encode(ld)]
         worst = max(worst, abs(float(direct[code]) - float(composed)))
     return worst

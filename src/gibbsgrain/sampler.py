@@ -401,7 +401,6 @@ class ChainState:
     cached_energy: float
     volume: float
     mark_cap: float | None = None
-    step_count: int = 0
     proposals: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
     accepts: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
     occupied: set = field(default_factory=set)
@@ -565,7 +564,6 @@ def bdm_step(
         state.replace(idx, added)
         state.cached_energy += dh
         state.accepts[kind] += 1
-    state.step_count += 1
     return state
 
 

@@ -545,6 +545,16 @@ class TestRunWrapper:
         assert not (tmp_path / "root").exists()
 
     @pytest.mark.parametrize(
+        "command, payload",
+        [("audit", {"two_sided": False}), ("diffusion", {"window_n": 1}),
+         ("plot-data", {"series": "lj", "count": 60})],
+    )
+    def test_fixed_values_are_not_config_keys(self, tmp_path, command, payload):
+        cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "root")]) == 2
+        assert not (tmp_path / "root").exists()
+
+    @pytest.mark.parametrize(
         "command, payload, code, error",
         [
             ("sample", {"z": 0.2, "steps": 1000, "burn_in": 1000}, 3, "PreconditionError"),

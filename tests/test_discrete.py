@@ -6,6 +6,7 @@ transition matrix against detailed balance, and the big-window kernel against
 its composition through a sub-window.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -205,33 +206,33 @@ class TestAcceptanceTables:
                 if digs[cell] != 0:
                     continue
                 for a in range(1, M + 1):
-                    new = inst.birth_t[code][cell][a - 1]
+                    new = inst.tables["birth"][code][cell * M + a - 1][0]
                     assert new >= 0
                     dh = inst.state_energy(new) - h
                     want = min(1.0, zv / (n + 1) * math.exp(-dh))
-                    assert inst.birth_a[code][cell][a - 1] == pytest.approx(
+                    assert inst.tables["birth"][code][cell * M + a - 1][1] == pytest.approx(
                         want, rel=1e-12
                     )
             for k, cell in enumerate(inst.occupied[code]):
                 a = digs[cell]
-                new = inst.death_t[code][k]
+                new = inst.tables["death"][code][k][0]
                 assert inst.digits(new)[cell] == 0
                 dh = inst.state_energy(new) - h
                 want = min(1.0, n / zv * math.exp(-dh))
-                assert inst.death_a[code][k] == pytest.approx(want, rel=1e-12)
+                assert inst.tables["death"][code][k][1] == pytest.approx(want, rel=1e-12)
                 for tgt in range(C):
-                    new2 = inst.move_t[code][k][tgt]
+                    new2 = inst.tables["move"][code][k * C + tgt][0]
                     if digs[tgt] != 0:
                         assert new2 == -1
                         continue
                     dh2 = inst.state_energy(new2) - h
-                    assert inst.move_a[code][k][tgt] == pytest.approx(
+                    assert inst.tables["move"][code][k * C + tgt][1] == pytest.approx(
                         min(1.0, math.exp(-dh2)), rel=1e-12
                     )
                 for b in range(1, M + 1):
-                    new3 = inst.remark_t[code][k][b - 1]
+                    new3 = inst.tables["remark"][code][k * M + b - 1][0]
                     dh3 = inst.state_energy(new3) - h
-                    assert inst.remark_a[code][k][b - 1] == pytest.approx(
+                    assert inst.tables["remark"][code][k * M + b - 1][1] == pytest.approx(
                         min(1.0, math.exp(-dh3)), rel=1e-12
                     )
 
@@ -239,9 +240,9 @@ class TestAcceptanceTables:
         inst = hardcore_instance()
         code = inst.encode((2, 0, 0, 0))  # large grain in cell 0
         # a second large grain next door would overlap, so no transition entry
-        assert inst.birth_t[code][1][1] == -1
+        assert inst.tables["birth"][code][1 * inst.n_marks + 1][0] == -1
         # the small grain fits
-        assert inst.birth_t[code][1][0] >= 0
+        assert inst.tables["birth"][code][1 * inst.n_marks + 0][0] >= 0
 
 
 def transition_matrix(inst, mix):
@@ -257,9 +258,9 @@ def transition_matrix(inst, mix):
         for cell in range(C):
             for a in range(1, M + 1):
                 pr = mix[0] / C * inst.mark_probs[a - 1]
-                new = inst.birth_t[code][cell][a - 1] if digs[cell] == 0 else -1
+                new = inst.tables["birth"][code][cell * M + a - 1][0] if digs[cell] == 0 else -1
                 if new >= 0:
-                    acc = inst.birth_a[code][cell][a - 1]
+                    acc = inst.tables["birth"][code][cell * M + a - 1][1]
                     P[code, new] += pr * acc
                     P[code, code] += pr * (1 - acc)
                 else:
@@ -269,23 +270,23 @@ def transition_matrix(inst, mix):
             P[code, code] += mix[1] + mix[2] + mix[3]
         else:
             for k in range(n):
-                acc = inst.death_a[code][k]
-                P[code, inst.death_t[code][k]] += mix[1] / n * acc
+                acc = inst.tables["death"][code][k][1]
+                P[code, inst.tables["death"][code][k][0]] += mix[1] / n * acc
                 P[code, code] += mix[1] / n * (1 - acc)
                 for tgt in range(C):
                     pr = mix[2] / (n * C)
-                    new = inst.move_t[code][k][tgt]
+                    new = inst.tables["move"][code][k * C + tgt][0]
                     if new >= 0:
-                        acc = inst.move_a[code][k][tgt]
+                        acc = inst.tables["move"][code][k * C + tgt][1]
                         P[code, new] += pr * acc
                         P[code, code] += pr * (1 - acc)
                     else:
                         P[code, code] += pr
                 for b in range(1, M + 1):
                     pr = mix[3] / n * inst.mark_probs[b - 1]
-                    new = inst.remark_t[code][k][b - 1]
+                    new = inst.tables["remark"][code][k * M + b - 1][0]
                     if new >= 0:
-                        acc = inst.remark_a[code][k][b - 1]
+                        acc = inst.tables["remark"][code][k * M + b - 1][1]
                         P[code, new] += pr * acc
                         P[code, code] += pr * (1 - acc)
                     else:
@@ -327,6 +328,36 @@ class TestKernel:
             inst.run_chain(10, stream(703, 0), mix=(0.4, 0.3, 0.2, 0.1))
         with pytest.raises(PreconditionError):
             inst.run_chain(10, stream(703, 0), start=inst.encode((2, 2, 0, 0)))
+
+
+class TestMixValidation:
+    """The lattice chain takes its move mix through ``ProposalMix``, so a mix
+    that does not sum to 1 or has a negative entry is refused."""
+
+    @pytest.mark.parametrize(
+        "mix", [(0.3, 0.3, 0.5, 0.5), (0.5, 0.5, -0.2, 0.2), (0.2, 0.2, 0.1, 0.1)]
+    )
+    def test_bad_mix_is_refused(self, mix):
+        with pytest.raises(ValueError):
+            hardcore_instance().run_chain(10, stream(707, 0), mix=mix)
+
+
+class TestVisitPins:
+    """The visit vector of a seeded chain, pinned by its sha256: any change to
+    the draw schedule, the proposal decoding or the acceptance tables shows."""
+
+    @pytest.mark.parametrize(
+        "make, seed, digest",
+        [
+            (hardcore_instance, 705,
+             "647cacf747824fc3461abad9b464f2d4a639928bbcc36d023404b8b0c3a1fed5"),
+            (pair_instance, 706,
+             "fcbf67111ed79de74c89b14fba14a8fcce86272181b98b364cf153fadaff962c"),
+        ],
+    )
+    def test_visits_are_pinned(self, make, seed, digest):
+        visits = make().run_chain(200_000, stream(seed, 0))
+        assert hashlib.sha256(visits.tobytes()).hexdigest() == digest
 
 
 def plant_wrong_birth_factor(monkeypatch):
