@@ -132,12 +132,13 @@ def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _level(value) -> int:
-    """A temperedness level t from a config: 2.0 counts as 2, while a bool, a
-    string or a non-integral number is refused rather than truncated."""
+def _whole(value, key: str) -> int:
+    """A whole number from a config (a temperedness level t, a chain length):
+    2.0 counts as 2, while a bool, a string or a non-integral number is
+    refused rather than truncated."""
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not whole:
-        raise ConfigError(f"t must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -209,7 +210,7 @@ def _boundary(spec) -> BoundaryCondition:
         raise ConfigError("boundary must be 'free' or {file, t, delta}")
     _reject_unknown(spec, {"file", "t", "delta"}, "boundary")
     try:
-        t, delta = _level(spec["t"]), float(spec["delta"])
+        t, delta = _whole(spec["t"], "t"), float(spec["delta"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad boundary block: {e}") from e
     path = Path(spec["file"])
@@ -231,13 +232,17 @@ def _prepare_sample(cfg: dict, report=None):
     if z < 0:
         raise ConfigError("activity z must be non-negative")
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.5}))
-    steps = int(cfg.get("steps", 200_000))
-    burn_in = int(cfg.get("burn_in", 100_000))
-    thin = int(cfg.get("thin", 100))
-    chains = int(cfg.get("chains", 1))
+    steps = _whole(cfg.get("steps", 200_000), "steps")
+    burn_in = _whole(cfg.get("burn_in", 100_000), "burn_in")
+    if not 0 <= burn_in < steps:
+        raise ConfigError(f"need 0 <= burn_in < steps, got burn_in {burn_in} and steps {steps}")
+    thin = _whole(cfg.get("thin", 100), "thin")
+    if thin < 1:
+        raise ConfigError("thin must be >= 1")
+    chains = _whole(cfg.get("chains", 1), "chains")
     if chains < 1:
         raise ConfigError("chains must be >= 1")
-    drift_check_every = int(cfg.get("drift_check_every", 10_000))
+    drift_check_every = _whole(cfg.get("drift_check_every", 10_000), "drift_check_every")
     if drift_check_every < 1:
         raise ConfigError("drift_check_every must be >= 1")
     bc = _boundary(cfg.get("boundary", "free"))
@@ -310,7 +315,7 @@ def _prepare_geometry(cfg: dict):
 def _prepare_temper(cfg: dict):
     seed = cfg["seed"]
     path = _input_path(cfg, "temper needs an 'input' JSONL path")
-    t = _level(cfg.get("t", 1))
+    t = _whole(cfg.get("t", 1), "t")
     delta = float(cfg.get("delta", 1.0))
     if t < 1 or not delta > 0:
         raise ConfigError("temper needs t >= 1 and delta > 0")
@@ -359,7 +364,7 @@ def _prepare_audit(cfg: dict):
             raise ConfigError("audit.local must be an object {t, env_z, env_n}")
         _reject_unknown(local, {"t", "env_z", "env_n"}, "audit.local")
         try:
-            t = _level(local.get("t", 2))
+            t = _whole(local.get("t", 2), "t")
             env_n = int(local.get("env_n", 3))
             env_z = float(local.get("env_z", z))
         except (TypeError, ValueError) as e:
@@ -506,14 +511,14 @@ def _prepare_diffusion(cfg: dict):
     """``sample`` preset: one chain of the diffusion model with Langevin path
     marks on [-1, 1)^2, plus a summary report."""
     seed = cfg["seed"]
-    steps = int(cfg.get("steps", 4000))
+    steps = _whole(cfg.get("steps", 4000), "steps")
     preset = {
         "seed": seed,
         "model": {"id": "diffusion"},
         "window": {"kind": "box", "n": 1, "d": 2},
         "z": cfg.get("z", 0.3),
         "mark_law": {"kind": "langevin", "potential": cfg.get("potential", "quartic"),
-                     "step_count": int(cfg.get("step_count", 256))},
+                     "step_count": _whole(cfg.get("step_count", 256), "step_count")},
         "steps": steps,
         "burn_in": cfg.get("burn_in", steps // 2),
         "thin": cfg.get("thin", 20),
@@ -605,8 +610,10 @@ _COMMANDS = {
 }
 
 # ConfigError is a ValueError, and a stray ValueError from numerical code still
-# exits 2 too, although the config values known to reach numerical code
-# (temper t and delta, geometry mc_points) are checked in prepare.
+# exits 2 too, although the config values known to reach numerical code are
+# checked in prepare: temper t and delta, geometry mc_points, and the chain
+# keys (whole-number steps, burn_in, thin, chains, drift_check_every and
+# step_count; thin >= 1 and 0 <= burn_in < steps).
 _EXIT_CODES = (
     (ValueError, 2, "config error"),
     (PreconditionError, 3, "precondition violated"),

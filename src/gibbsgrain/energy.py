@@ -156,6 +156,7 @@ class _PairwiseModel(EnergyModel):
         Every pairwise sum in the package goes through here: total and
         conditional energies, the chain's increments and the lattice
         instances' state energies all add their terms the same way.
+        ``DiffusionModel`` batches its path parts but keeps this order.
         """
         for q in others:
             v = self.pair_term(p, q)
@@ -353,8 +354,12 @@ class QuermassModel(EnergyModel):
         return joint - self._family(relevant)
 
 
-def _clipped_square(v):
-    return np.minimum(v * v, 1.0e6)
+def _path_parts(p: MarkedPoint, qs: list[MarkedPoint]) -> np.ndarray:
+    """Path part of p's pair terms with each of ``qs``: the trapezoid integral
+    over s of min(|m_p(s) - m_q(s)|^2, 1e6), one value per q. Every row is
+    summed on its own, so a value does not depend on the other rows."""
+    sep = np.linalg.norm(p.mark.samples - np.stack([q.mark.samples for q in qs]), axis=2)
+    return np.trapezoid(np.minimum(sep * sep, 1.0e6), dx=1.0 / p.mark.step_count, axis=1)
 
 
 def _default_psi(norm: float) -> float:
@@ -392,9 +397,28 @@ class DiffusionModel(_PairwiseModel):
         d = math.dist(p.location, q.location)
         if d > self.a0 + p.mark_norm + q.mark_norm:
             return 0.0
-        sep = np.linalg.norm(p.mark.samples - q.mark.samples, axis=1)
-        path_part = float(np.trapezoid(_clipped_square(sep), dx=1.0 / p.mark.step_count))
-        return lj_pair(d) + path_part
+        return lj_pair(d) + float(_path_parts(p, [q])[0])
+
+    def interaction(self, p, others, total=0.0) -> float:
+        """``_PairwiseModel.interaction`` with the path parts of all in-range
+        neighbours in one array pass: the distance gate and the +inf exit at
+        the first infinite Lennard-Jones term run in list order (the clipped
+        path part is finite), then the terms are added in list order, so the
+        sum is bit for bit the per-pair one."""
+        near, lj = [], []
+        for q in others:
+            d = math.dist(p.location, q.location)
+            if d > self.a0 + p.mark_norm + q.mark_norm:
+                continue
+            v = lj_pair(d)
+            if v == math.inf:
+                return math.inf
+            near.append(q)
+            lj.append(v)
+        if near:
+            for v, part in zip(lj, _path_parts(p, near).tolist()):
+                total += v + part
+        return total
 
     def reach(self, norm_p, norm_q) -> float:
         return self.a0 + norm_p + norm_q

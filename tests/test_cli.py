@@ -73,14 +73,6 @@ class TestSampleCommand:
     def test_missing_seed_exits_2(self, tmp_path):
         assert main(["sample", "--out", str(tmp_path / "r")]) == 2
 
-    def test_steps_below_burn_in_exits_3(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            "run.json",
-            {"seed": 2, "z": 0.2, "steps": 1000, "burn_in": 1000},
-        )
-        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
-
     def test_same_seed_is_byte_identical(self, tmp_path):
         base = {
             "seed": 31,
@@ -557,7 +549,9 @@ class TestRunWrapper:
     @pytest.mark.parametrize(
         "command, payload, code, error",
         [
-            ("sample", {"z": 0.2, "steps": 1000, "burn_in": 1000}, 3, "PreconditionError"),
+            ("sample", {"model": {"id": "quermass", "a_area": 0.4},
+                        "window": {"kind": "box", "n": 1, "d": 3}, "z": 0.2,
+                        "steps": 100, "burn_in": 10}, 3, "PreconditionError"),
         ],
     )
     def test_failed_run_leaves_record(self, tmp_path, command, payload, code, error):
@@ -570,6 +564,58 @@ class TestRunWrapper:
         assert record["exit_code"] == code
         assert record["error"].startswith(error + ": ")
         assert record["manifest"] == manifest["hash"]
+
+    # Short chains, so that a case prepare lets through still ends soon; it
+    # then fails by its exit code, its run directory or its message.
+    _CHAIN_BASE = {"sample": {"z": 0.2, "steps": 40, "burn_in": 10, "thin": 5},
+                   "diffusion": {"steps": 40, "burn_in": 10, "thin": 5, "step_count": 8}}
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [(c, k, v) for c, keys in (
+            ("sample", ("steps", "burn_in", "thin", "chains", "drift_check_every")),
+            ("diffusion", ("steps", "burn_in", "thin", "step_count")))
+         for k in keys for v in (2.5, True)],
+    )
+    def test_non_integer_chain_keys_exit_2_without_run_dir(self, tmp_path, command, key,
+                                                           value, capsys):
+        payload = dict(self._CHAIN_BASE[command], seed=1, **{key: value})
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "root")]) == 2
+        assert not (tmp_path / "root").exists()
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "diffusion"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"thin": 0}, "thin must be >= 1"), ({"thin": -2}, "thin must be >= 1"),
+         ({"burn_in": 40}, "burn_in < steps"), ({"burn_in": 41}, "burn_in < steps"),
+         ({"burn_in": -1}, "0 <= burn_in"), ({"steps": 0, "burn_in": 0}, "burn_in < steps")],
+        ids=["thin-0", "thin-negative", "burn-in-equals-steps", "burn-in-above-steps",
+             "burn-in-negative", "steps-0"],
+    )
+    def test_chain_ranges_exit_2_without_run_dir(self, tmp_path, command, change, message,
+                                                 capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", dict(self._CHAIN_BASE[command], seed=1, **change))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "root")]) == 2
+        assert not (tmp_path / "root").exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "diffusion"])
+    def test_integral_float_chain_keys_are_accepted(self, tmp_path, command):
+        base = dict(self._CHAIN_BASE[command], seed=1)
+        if command == "sample":
+            base.update(chains=1, drift_check_every=20)
+        floats = {k: v if k == "seed" else float(v) for k, v in base.items()}
+        samples = []
+        for name, payload in (("int", base), ("float", floats)):
+            cfg = write_cfg(tmp_path, f"{name}.json", payload)
+            assert main([command, "--config", cfg, "--out", str(tmp_path), "--name", name]) == 0
+            digest = json.loads((tmp_path / name / "manifest.json").read_text())["hash"]
+            data = (tmp_path / name / "samples_chain0.jsonl").read_bytes()
+            samples.append(data.replace(digest.encode(), b""))
+        assert samples[0] == samples[1]
+        assert samples[0].count(b"\n") == 6
 
     @pytest.mark.parametrize(
         "flags",

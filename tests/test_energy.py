@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gibbsgrain import (
@@ -279,6 +279,110 @@ class TestDiffusion:
         p = path_point((0.0, 0.0), (1.0, 0.0), 8)
         q = path_point((3.6, 0.0), (0.0, 1.0), 8)  # 3.6 > 1.5 + 1 + 1
         assert model.pair_term(p, q) == 0.0
+
+
+def per_pair_interaction(model, p, others, total):
+    """The reference sum: p's pair terms one at a time, in list order, with
+    +inf at the first infinite term."""
+    for q in others:
+        v = model.pair_term(p, q)
+        if v == math.inf:
+            return math.inf
+        total += v
+    return total
+
+
+def one_pair_reference(p, q):
+    """``DiffusionModel.pair_term`` on one pair of 1-D arrays, as it was
+    written before the path parts were batched."""
+    d = math.dist(p.location, q.location)
+    if d > DiffusionModel.a0 + p.mark_norm + q.mark_norm:
+        return 0.0
+    sep = np.linalg.norm(p.mark.samples - q.mark.samples, axis=1)
+    part = float(np.trapezoid(np.minimum(sep * sep, 1.0e6), dx=1.0 / p.mark.step_count))
+    return lj_pair(d) + part
+
+
+def random_path(rng, n_points, scale):
+    """A random-walk path of ``n_points`` samples from the origin."""
+    steps = rng.normal(0.0, scale / math.sqrt(n_points), size=(n_points, 2))
+    steps[0] = 0.0
+    return PathMark(np.cumsum(steps, axis=0))
+
+
+def batch_neighbours(rng, p, kinds, n_points, scale):
+    """One neighbour of p per kind: "far" beyond the reach, "near" within
+    it, "overflow" so close that the Lennard-Jones term is +inf."""
+    model = DiffusionModel()
+    out = []
+    for kind in kinds:
+        mark = random_path(rng, n_points, scale)
+        direction = rng.normal(size=len(p.location))
+        direction /= np.linalg.norm(direction)
+        reach = model.reach(p.mark_norm, mark.sup_norm)
+        dist = {"far": reach + 1.0 + rng.random(), "near": reach * rng.uniform(0.05, 1.0),
+                "overflow": 1e-30}[kind]
+        out.append(MarkedPoint.make(tuple(np.asarray(p.location) + dist * direction), mark))
+    return out
+
+
+class TestDiffusionBatch:
+    """``DiffusionModel.interaction`` batches the path parts of all in-range
+    neighbours; its sums must be the per-pair ones by ``float.hex``."""
+
+    @settings(max_examples=60)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        n_points=st.sampled_from([2, 100, 257, 1025]),
+        kinds=st.lists(st.sampled_from(["far", "near", "overflow"]), max_size=6),
+        scale=st.sampled_from([0.1, 1.0, 3000.0]),
+        seed=st.integers(0, 2**16),
+        from_self=st.booleans(),
+    )
+    @example(d=2, n_points=257, kinds=[], scale=1.0, seed=0, from_self=True)
+    @example(d=2, n_points=257, kinds=["far", "far", "far"], scale=1.0, seed=1, from_self=True)
+    @example(d=1, n_points=2, kinds=["overflow", "near"], scale=1.0, seed=2, from_self=False)
+    @example(d=2, n_points=100, kinds=["near", "near", "near"], scale=1.0, seed=4,
+             from_self=True)
+    @example(d=3, n_points=1025, kinds=["near", "far", "near", "overflow", "near"],
+             scale=3000.0, seed=3, from_self=True)
+    def test_interaction_matches_per_pair_loop(self, d, n_points, kinds, scale, seed,
+                                                from_self):
+        rng = stream(seed, 0)
+        model = DiffusionModel()
+        # at the origin, so that an "overflow" neighbour 1e-30 away is not
+        # rounded onto p
+        p = MarkedPoint.make((0.0,) * d, random_path(rng, n_points, scale))
+        others = batch_neighbours(rng, p, kinds, n_points, scale)
+        total = model.self_term(p) if from_self else 0.0
+        want = per_pair_interaction(model, p, others, total)
+        assert model.interaction(p, others, total).hex() == want.hex()
+        for q in others:
+            assert model.pair_term(p, q).hex() == one_pair_reference(p, q).hex()
+        if "overflow" in kinds:
+            assert want == math.inf
+
+    @pytest.mark.parametrize("n_points", [2, 257, 1025])
+    def test_energies_match_per_pair_sums(self, n_points):
+        rng = stream(511, n_points)
+        model = DiffusionModel()
+
+        def atoms(lo, hi, n):
+            return [MarkedPoint.make(tuple(rng.uniform(lo, hi, size=2)),
+                                     random_path(rng, n_points, 1.0)) for _ in range(n)]
+
+        interior, environment = atoms(-1.0, 1.0, 5), atoms(1.0, 4.0, 6)
+        want = 0.0
+        for p in interior:
+            want += model.self_term(p)
+        for i, p in enumerate(interior):
+            want = per_pair_interaction(model, p, interior[i + 1:], want)
+        assert math.isfinite(want)
+        assert model.energy(Configuration(interior)).hex() == want.hex()
+        for p in interior:
+            want = per_pair_interaction(model, p, environment, want)
+        got = model.conditional_energy(Configuration(interior), Configuration(environment))
+        assert got.hex() == want.hex()
 
 
 class TestTranslationInvariance:
