@@ -49,7 +49,7 @@ from .io import (
     write_record,
     write_report_csv,
 )
-from .marks import law_from_descriptor
+from .marks import LangevinSpec, law_from_descriptor
 from .points import Box, Window, mark_sup
 from .rng import stream
 from .sampler import BoundaryCondition, rejection_sample, run_chain, sample_poisson
@@ -124,6 +124,14 @@ def build_law(spec: dict):
         return law_from_descriptor(spec)
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad mark_law block: {e}") from e
+
+
+def _fit(model, law, d: int) -> None:
+    """Refuse a model with a mark law or a dimension it is not defined for."""
+    if isinstance(model, DiffusionModel) and not isinstance(law, LangevinSpec):
+        raise ConfigError("the diffusion model needs a 'langevin' mark law")
+    if isinstance(model, QuermassModel) and d != 2:
+        raise ConfigError(f"the quermass model needs d = 2, got d = {d}")
 
 
 def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
@@ -232,6 +240,7 @@ def _prepare_sample(cfg: dict, report=None):
     if z < 0:
         raise ConfigError("activity z must be non-negative")
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.5}))
+    _fit(model, law, window.dimension)
     steps = _whole(cfg.get("steps", 200_000), "steps")
     burn_in = _whole(cfg.get("burn_in", 100_000), "burn_in")
     if not 0 <= burn_in < steps:
@@ -353,9 +362,10 @@ def _prepare_audit(cfg: dict):
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.8}))
     window = build_window(cfg.get("window", {"kind": "box", "n": 2, "d": 2}))
+    _fit(model, law, window.dimension)
     z = float(cfg.get("z", 0.4))
     delta = float(cfg.get("delta", 1.0))
-    n_trials = int(cfg.get("n_trials", 1000))
+    n_trials = _whole(cfg.get("n_trials", 1000), "n_trials")
     exponent = cfg.get("exponent")
     exponent = float(exponent) if exponent is not None else window.dimension + delta
     local = cfg.get("local")
@@ -403,16 +413,17 @@ def _prepare_entropy(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.5}))
-    d = int(cfg.get("d", 2))
+    d = _whole(cfg.get("d", 2), "d")
+    _fit(model, law, d)
     n_list = cfg.get("n_list", [1, 2])
     if isinstance(n_list, str):
         n_list = [int(x) for x in n_list.split(",")]
     z = float(cfg.get("z", 0.3))
     delta = float(cfg.get("delta", 1.0))
     options = dict(
-        n_energy_samples=int(cfg.get("n_energy_samples", 300)),
-        n_partition_samples=int(cfg.get("n_partition_samples", 2000)),
-        chain_steps=int(cfg.get("chain_steps", 30_000)),
+        n_energy_samples=_whole(cfg.get("n_energy_samples", 300), "n_energy_samples"),
+        n_partition_samples=_whole(cfg.get("n_partition_samples", 2000), "n_partition_samples"),
+        chain_steps=_whole(cfg.get("chain_steps", 30_000), "chain_steps"),
         stat_exponent=(
             float(cfg["stat_exponent"]) if cfg.get("stat_exponent") is not None else None
         ),
@@ -446,6 +457,7 @@ def _prepare_dlr(cfg: dict):
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "point", "value": 0.3}))
     d = int(cfg.get("d", 2))
+    _fit(model, law, d)
     big = Box.centered_cube(int(cfg.get("lam_n", 4)), d)
     lam_half = float(cfg.get("lam", 2.0))
     lam = Box([[-lam_half, lam_half]] * d)
@@ -611,9 +623,10 @@ _COMMANDS = {
 
 # ConfigError is a ValueError, and a stray ValueError from numerical code still
 # exits 2 too, although the config values known to reach numerical code are
-# checked in prepare: temper t and delta, geometry mc_points, and the chain
+# checked in prepare: temper t and delta, geometry mc_points, the chain
 # keys (whole-number steps, burn_in, thin, chains, drift_check_every and
-# step_count; thin >= 1 and 0 <= burn_in < steps).
+# step_count; thin >= 1 and 0 <= burn_in < steps), the whole-number counts
+# of entropy and audit, and the fit of model, mark law and dimension.
 _EXIT_CODES = (
     (ValueError, 2, "config error"),
     (PreconditionError, 3, "precondition violated"),

@@ -62,7 +62,7 @@ class MarkedPoint:
         if not math.isfinite(norm):
             raise ValueError(f"mark {mark!r} has non-finite norm {norm!r}")
         p = object.__new__(MarkedPoint)
-        p.__dict__.update(location=tuple(float(c) for c in location), mark=mark, mark_norm=norm)
+        p.__dict__.update(location=tuple(map(float, location)), mark=mark, mark_norm=norm)
         return p
 
     @property
@@ -82,17 +82,19 @@ class Configuration:
     def __init__(self, points: Iterable[MarkedPoint], dimension: int | None = None):
         pts = tuple(points)
         if pts:
-            dims = {p.dimension for p in pts}
+            locs = [p.location for p in pts]
+            dims = set(map(len, locs))
             if len(dims) != 1:
                 raise ValueError(f"mixed dimensions in configuration: {sorted(dims)}")
             d = dims.pop()
             if dimension is not None and dimension != d:
                 raise ValueError(f"declared dimension {dimension} != point dimension {d}")
-            seen = set()
-            for p in pts:
-                if p.location in seen:
-                    raise ValueError(f"duplicate location {p.location}: configurations are simple")
-                seen.add(p.location)
+            if len(set(locs)) != len(locs):
+                seen = set()
+                for loc in locs:
+                    if loc in seen:
+                        raise ValueError(f"duplicate location {loc}: configurations are simple")
+                    seen.add(loc)
         else:
             d = dimension
             if d is None:

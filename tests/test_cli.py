@@ -549,12 +549,22 @@ class TestRunWrapper:
     @pytest.mark.parametrize(
         "command, payload, code, error",
         [
-            ("sample", {"model": {"id": "quermass", "a_area": 0.4},
-                        "window": {"kind": "box", "n": 1, "d": 3}, "z": 0.2,
-                        "steps": 100, "burn_in": 10}, 3, "PreconditionError"),
+            # two boundary grains 5e-9 short of tangency, within the band of
+            # an uncapped U(5) mark law: refused when the chain starts
+            ("sample", {"model": {"id": "quermass", "a_area": 0.4, "a_perimeter": -0.2,
+                                  "a_euler": 0.3},
+                        "window": {"kind": "box", "n": 1, "d": 2}, "z": 1.0,
+                        "mark_law": {"kind": "uniform", "b": 5.0},
+                        "steps": 2000, "burn_in": 500, "thin": 100, "drift_check_every": 500,
+                        "boundary": {"file": "gapped.jsonl", "t": 1, "delta": 1.0}},
+             3, "PreconditionError"),
         ],
     )
-    def test_failed_run_leaves_record(self, tmp_path, command, payload, code, error):
+    def test_failed_run_leaves_record(self, tmp_path, monkeypatch, command, payload, code,
+                                      error):
+        monkeypatch.chdir(tmp_path)
+        write_configs_jsonl(tmp_path / "gapped.jsonl",
+                            [config([mp((1.2, 0.0), 0.5), mp((1.2, 1.000000005), 0.5)])])
         cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=4))
         rc = main([command, "--config", cfg, "--out", str(tmp_path), "--name", "f"])
         assert rc == code
@@ -564,6 +574,57 @@ class TestRunWrapper:
         assert record["exit_code"] == code
         assert record["error"].startswith(error + ": ")
         assert record["manifest"] == manifest["hash"]
+
+    # Small runs, so that a case prepare lets through still ends soon; it then
+    # fails by its exit code or its run directory.
+    _COUNT_BASE = {"entropy": {"model": {"id": "ideal"}, "n_list": [1], "n_energy_samples": 10,
+                               "n_partition_samples": 1000, "chain_steps": 100},
+                   "audit": {"model": {"id": "ideal"}, "n_trials": 10}}
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("entropy", "n_energy_samples", 10.5), ("entropy", "n_energy_samples", True),
+         ("entropy", "n_partition_samples", 1000.5), ("entropy", "n_partition_samples", True),
+         ("entropy", "chain_steps", 100.5), ("entropy", "chain_steps", True),
+         ("entropy", "d", 2.5), ("entropy", "d", True),
+         ("audit", "n_trials", 10.5), ("audit", "n_trials", True)],
+    )
+    def test_non_integer_counts_exit_2_without_run_dir(self, tmp_path, command, key, value,
+                                                       capsys):
+        payload = dict(self._COUNT_BASE[command], seed=1, **{key: value})
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "root")]) == 2
+        assert not (tmp_path / "root").exists()
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    _UNIFORM = {"kind": "uniform", "b": 0.5}
+    _QUERMASS = {"id": "quermass", "a_area": 0.4}
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [("sample", {"model": {"id": "diffusion"}, "mark_law": _UNIFORM}, "'langevin'"),
+         ("sample", {"model": {"id": "diffusion"}}, "'langevin'"),
+         ("audit", {"model": {"id": "diffusion"}, "mark_law": _UNIFORM}, "'langevin'"),
+         ("entropy", {"model": {"id": "diffusion"}, "mark_law": _UNIFORM}, "'langevin'"),
+         ("dlr", {"model": {"id": "diffusion"}, "mark_law": _UNIFORM}, "'langevin'"),
+         ("sample", {"model": _QUERMASS, "window": {"kind": "box", "n": 1, "d": 3}}, "d = 2"),
+         ("sample", {"model": _QUERMASS, "window": {"kind": "box", "bounds": [[0, 1]]}},
+          "d = 2"),
+         ("audit", {"model": _QUERMASS, "window": {"kind": "box", "n": 1, "d": 3}}, "d = 2"),
+         ("entropy", {"model": _QUERMASS, "d": 3}, "d = 2"),
+         ("dlr", {"model": _QUERMASS, "d": 1}, "d = 2")],
+        ids=["sample-diffusion-uniform", "sample-diffusion-default-law",
+             "audit-diffusion-uniform", "entropy-diffusion-uniform", "dlr-diffusion-uniform",
+             "sample-quermass-d3", "sample-quermass-d1-bounds", "audit-quermass-d3",
+             "entropy-quermass-d3", "dlr-quermass-d1"],
+    )
+    def test_model_law_and_dimension_must_fit(self, tmp_path, command, payload, message,
+                                              capsys):
+        base = self._CHAIN_BASE["sample"] if command == "sample" else {}
+        cfg = write_cfg(tmp_path, "cfg.json", dict(base, seed=1, **payload))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "root")]) == 2
+        assert not (tmp_path / "root").exists()
+        assert message in capsys.readouterr().err
 
     # Short chains, so that a case prepare lets through still ends soon; it
     # then fails by its exit code, its run directory or its message.

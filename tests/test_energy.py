@@ -29,6 +29,7 @@ from gibbsgrain import (
     stream,
     union_area_perimeter,
 )
+from gibbsgrain.energy import _ALL_PAIRS_BELOW
 from gibbsgrain.geometry import _DEGENERACY_TOL, _find_degenerate
 from gibbsgrain.marks import LangevinSpec, PathMark
 from conftest import config, mp, random_scalar_config
@@ -383,6 +384,182 @@ class TestDiffusionBatch:
             want = per_pair_interaction(model, p, environment, want)
         got = model.conditional_energy(Configuration(interior), Configuration(environment))
         assert got.hex() == want.hex()
+
+
+def all_pairs_energy(model, config):
+    """``energy`` by the all-pairs loop that every pairwise model ran before
+    the candidate-pair search: the reference, kept here."""
+    model.validate_config(config)
+    pts = config.points
+    total = 0.0
+    for p in pts:
+        total += model.self_term(p)
+    for i, p in enumerate(pts):
+        total = model.interaction(p, pts[i + 1 :], total)
+        if total == math.inf:
+            break
+    return total
+
+
+def all_pairs_conditional(model, interior, environment):
+    """``conditional_energy`` by the all-pairs loop, as above."""
+    model.validate_config(interior)
+    total = all_pairs_energy(model, interior)
+    for p in interior.points:
+        if total == math.inf:
+            break
+        total = model.interaction(p, environment.points, total)
+    return total
+
+
+def cored_bump(u):
+    """``soft_bump`` with a +inf core below 0.05, so that a nonnegpair term
+    can be +inf."""
+    return math.inf if 0.0 < u < 0.05 else soft_bump(u)
+
+
+WITHIN_REACH_MODELS = {
+    "ideal": IdealModel(),
+    "hardcore": HardSphereModel(),
+    "nonnegpair": PairPotentialModel(cored_bump),
+    "diffusion": DiffusionModel(),
+}
+
+# Far from the other atoms, an atom at X_AT_REACH exactly at reach of one at
+# 1.0 and one at X_BEYOND one nextafter step beyond the reach of one at -1.0
+# (mark norms 0.75 and 1.5, or path norms 0.25 and 0.5: reach 2.25 for every
+# model but the ideal one). The sums below are exact.
+X_AT_REACH = 3.25
+X_BEYOND = -1.0 - math.nextafter(2.25, math.inf)
+# A pair so close that its term is +inf: hard cores overlap, the cored bump is
+# +inf and the Lennard-Jones term overflows.
+X_CLOSE = (2.0**-60, 2.0**-60 + 2.0**-100)
+
+
+def within_reach_atom(kind, loc, norm, rng):
+    """An atom whose mark norm is exactly ``norm``: a scalar mark, or for the
+    diffusion model a 4-step path that reaches ``norm`` at its second step."""
+    if kind != "diffusion":
+        return MarkedPoint.make(loc, norm)
+    samples = rng.uniform(-norm / 2, norm / 2, size=(5, 2))
+    samples[0] = 0.0
+    samples[2] = (norm, 0.0)
+    return MarkedPoint.make(loc, PathMark(samples))
+
+
+def within_reach_case(kind, d, n_interior, n_env, reach_pairs, inf_at, seed):
+    """(interior, environment): uniform atoms in [10, 14)^d and [12, 20)^d,
+    with the special atoms above on the first axis."""
+    rng = stream(seed, d)
+    scale = 3.0 if kind == "diffusion" else 1.0  # path norms are a third
+
+    def atom(x, norm):
+        return within_reach_atom(kind, (x,) + (0.0,) * (d - 1), norm / scale, rng)
+
+    def uniform(n, lo, hi):
+        locs = rng.uniform(lo, hi, size=(n, d)).tolist()
+        norms = rng.uniform(0.0, 0.8, size=n).tolist()
+        return [within_reach_atom(kind, tuple(x), r / scale, rng) for x, r in zip(locs, norms)]
+
+    close = [atom(x, 0.75) for x in X_CLOSE]
+    interior = uniform(n_interior, 10.0, 14.0)
+    if reach_pairs:
+        interior += [atom(1.0, 0.75), atom(X_AT_REACH, 1.5), atom(-1.0, 0.75),
+                     atom(X_BEYOND, 1.5)]
+    interior = {"first": close + interior, "late": interior + close}.get(inf_at, interior)
+    environment = uniform(n_env, 12.0, 20.0)
+    return Configuration(interior, d), Configuration(environment, d)
+
+
+class TestWithinReach:
+    """Pairwise energies visit only candidate pairs within reach; the sums
+    must be the all-pairs loop's by ``float.hex``."""
+
+    @settings(max_examples=150)
+    @given(
+        kind=st.sampled_from(sorted(WITHIN_REACH_MODELS)),
+        d=st.sampled_from([1, 2, 3]),
+        n_interior=st.sampled_from([0, 1, 2, 7, _ALL_PAIRS_BELOW - 1, _ALL_PAIRS_BELOW, 40]),
+        n_env=st.sampled_from([0, 1, 5, 30]),
+        reach_pairs=st.booleans(),
+        inf_at=st.sampled_from([None, "first", "late"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="nonnegpair", d=1, n_interior=0, n_env=0, reach_pairs=False, inf_at=None,
+             seed=0)
+    @example(kind="hardcore", d=2, n_interior=1, n_env=30, reach_pairs=False, inf_at=None,
+             seed=1)
+    @example(kind="nonnegpair", d=2, n_interior=40, n_env=30, reach_pairs=True, inf_at=None,
+             seed=2)
+    @example(kind="diffusion", d=3, n_interior=13, n_env=5, reach_pairs=True, inf_at=None,
+             seed=3)
+    @example(kind="hardcore", d=1, n_interior=40, n_env=5, reach_pairs=True, inf_at="first",
+             seed=4)
+    @example(kind="diffusion", d=2, n_interior=40, n_env=1, reach_pairs=True, inf_at="late",
+             seed=5)
+    @example(kind="nonnegpair", d=3, n_interior=12, n_env=0, reach_pairs=False, inf_at="late",
+             seed=6)
+    def test_sums_match_all_pairs_loop(self, kind, d, n_interior, n_env, reach_pairs, inf_at,
+                                       seed):
+        model = WITHIN_REACH_MODELS[kind]
+        interior, environment = within_reach_case(kind, d, n_interior, n_env, reach_pairs,
+                                                  inf_at, seed)
+        for c in (interior, environment):
+            assert model.energy(c).hex() == all_pairs_energy(model, c).hex()
+        want = all_pairs_conditional(model, interior, environment)
+        assert model.conditional_energy(interior, environment).hex() == want.hex()
+        if inf_at is not None and kind != "ideal":
+            assert want == math.inf
+
+    @pytest.mark.parametrize("kind", ["hardcore", "nonnegpair", "diffusion"])
+    def test_reach_pairs_are_at_and_beyond_reach(self, kind):
+        model = WITHIN_REACH_MODELS[kind]
+        interior, _ = within_reach_case(kind, 2, 0, 0, True, None, 0)
+        a, at, b, beyond = interior.points
+        assert math.dist(a.location, at.location) == model.reach(a.mark_norm, at.mark_norm)
+        assert math.dist(b.location, beyond.location) == math.nextafter(
+            model.reach(b.mark_norm, beyond.mark_norm), math.inf)
+        assert model.pair_term(a, at) != 0.0 or kind == "hardcore"
+        assert model.pair_term(b, beyond) == 0.0
+
+    def test_nan_location_is_a_candidate(self):
+        model = WITHIN_REACH_MODELS["nonnegpair"]
+        interior, environment = within_reach_case("nonnegpair", 2, 13, 5, False, None, 7)
+        stray = Configuration([MarkedPoint.make((math.nan, 11.0), 0.5)], 2)
+        for g in (interior.union(stray), stray.union(interior)):
+            assert math.isnan(all_pairs_energy(model, g))
+            assert math.isnan(model.energy(g))
+        want = all_pairs_conditional(model, interior, environment.union(stray))
+        assert math.isnan(want)
+        assert math.isnan(model.conditional_energy(interior, environment.union(stray)))
+
+    @pytest.mark.parametrize(
+        "model", list(WITHIN_REACH_MODELS.values()) + [QuermassModel(0.4, -0.2, 0.3)],
+        ids=lambda m: m.model_id)
+    def test_reach_broadcasts_over_arrays(self, model):
+        norms_p = np.array([0.0, 0.25, 1.5, 3.0])
+        norms_q = np.array([0.0, 0.5, 2.0])
+        got = np.broadcast_to(model.reach(norms_p[:, None], norms_q[None, :]), (4, 3))
+        want = [[model.reach(float(p), float(q)) for q in norms_q] for p in norms_p]
+        assert got.tolist() == want
+
+    def test_large_energy_allocates_no_square_array(self):
+        import tracemalloc
+
+        n = 4000
+        rng = stream(517, 0)
+        g = Configuration([MarkedPoint.make(tuple(x), r) for x, r in zip(
+            rng.uniform(-60.0, 60.0, size=(n, 2)).tolist(),
+            rng.uniform(0.0, 0.3, size=n).tolist())], 2)
+        model = PairPotentialModel(soft_bump)
+        tracemalloc.start()
+        try:
+            h = model.energy(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < h < math.inf
+        assert peak < n * n  # bytes of one n x n array of bools
 
 
 class TestTranslationInvariance:

@@ -61,6 +61,23 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration([mp((0.0,), 0.1), mp((0.0, 1.0), 0.1)])
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [([mp((0.0, 1.0), 0.1), mp((2.0, 1.0)), mp((0.0, 1.0), 0.2)],
+          "duplicate location (0.0, 1.0): configurations are simple"),
+         ([mp((1.0, 2.0)), mp((-0.0, 0.5)), mp((0.0, 0.5))],
+          "duplicate location (0.0, 0.5): configurations are simple"),
+         ([mp((0.0,), 0.1), mp((0.0, 1.0), 0.1), mp((0.0, 1.0, 2.0))],
+          "mixed dimensions in configuration: [1, 2, 3]"),
+         ([mp((0.0,)), mp((0.0,)), mp((0.0, 1.0))],
+          "mixed dimensions in configuration: [1, 2]")],
+        ids=["duplicate", "signed-zero-duplicate", "three-dimensions", "mixed-before-duplicate"],
+    )
+    def test_error_messages(self, points, message):
+        with pytest.raises(ValueError) as info:
+            Configuration(points)
+        assert str(info.value) == message
+
     def test_empty_needs_dimension(self):
         with pytest.raises(ValueError):
             Configuration(())
