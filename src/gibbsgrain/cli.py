@@ -108,7 +108,9 @@ def build_window(spec: dict) -> Window:
             _reject_unknown(spec, {"kind", "n", "d", "bounds"}, "window.box")
             if "bounds" in spec:
                 return Box(spec["bounds"])
-            return Box.centered_cube(int(spec["n"]), int(spec.get("d", 2)))
+            return Box.centered_cube(
+                _whole(spec["n"], "window.n"), _whole(spec.get("d", 2), "window.d")
+            )
         if spec["kind"] == "ball":
             _reject_unknown(spec, {"kind", "center", "radius"}, "window.ball")
             from .points import Ball
@@ -289,12 +291,12 @@ def _prepare_sample(cfg: dict, report=None):
 
 def _prepare_geometry(cfg: dict):
     seed = cfg["seed"]
-    n_systems = int(cfg.get("n_systems", 5))
-    n_discs = int(cfg.get("n_discs", 12))
+    n_systems = _whole(cfg.get("n_systems", 5), "n_systems")
+    n_discs = _whole(cfg.get("n_discs", 12), "n_discs")
     extent = float(cfg.get("extent", 8.0))
     margin = float(cfg.get("margin", 0.03))
-    grid = int(cfg.get("grid", 2048))
-    mc_points = int(cfg.get("mc_points", 200_000))
+    grid = _whole(cfg.get("grid", 2048), "grid")
+    mc_points = _whole(cfg.get("mc_points", 200_000), "mc_points")
     if mc_points < 10_000:
         raise ConfigError("mc_points must be >= 10000 for a usable oracle stderr")
 
@@ -375,7 +377,7 @@ def _prepare_audit(cfg: dict):
         _reject_unknown(local, {"t", "env_z", "env_n"}, "audit.local")
         try:
             t = _whole(local.get("t", 2), "t")
-            env_n = int(local.get("env_n", 3))
+            env_n = _whole(local.get("env_n", 3), "env_n")
             env_z = float(local.get("env_z", z))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad audit.local block: {e}") from e
@@ -456,15 +458,15 @@ def _prepare_dlr(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "point", "value": 0.3}))
-    d = int(cfg.get("d", 2))
+    d = _whole(cfg.get("d", 2), "d")
     _fit(model, law, d)
-    big = Box.centered_cube(int(cfg.get("lam_n", 4)), d)
+    big = Box.centered_cube(_whole(cfg.get("lam_n", 4), "lam_n"), d)
     lam_half = float(cfg.get("lam", 2.0))
     lam = Box([[-lam_half, lam_half]] * d)
     z = float(cfg.get("z", 0.2))
     delta = float(cfg.get("delta", 1.0))
-    n_outer = int(cfg.get("n_outer", 200))
-    n_inner = int(cfg.get("n_inner", 100))
+    n_outer = _whole(cfg.get("n_outer", 200), "n_outer")
+    n_inner = _whole(cfg.get("n_inner", 100), "n_inner")
 
     def body(out: Path, digest: str) -> dict:
         outer = rejection_sample(model, big, z, law, n_outer, stream(seed, 0)).samples

@@ -25,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .points import _mark_norm_of
+
 __all__ = [
     "PathMark",
     "MarkLaw",
@@ -70,14 +72,29 @@ class PathMark:
 # ---------------------------------------------------------------------------
 
 
+class _RowReplay:
+    """Stands in for the generator in a mark law's ``sample``: ``random()``
+    returns the doubles of one block row, in order."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, row: list[float]):
+        self.random = iter(row).__next__
+
+
 class MarkLaw:
     """Common interface: ``sample(rng)`` plus a serialisable descriptor.
 
     ``uniforms`` is how many ``rng.random()`` doubles one ``sample`` call
     reads, for a law whose ``sample`` reads exactly that many and calls no
     other method of ``rng``; it is ``None`` for any law that draws otherwise.
-    ``sampler.sample_poisson`` draws a whole configuration's doubles in one
-    block when it is set.
+    When it is set, ``sampler.sample_poisson`` draws a whole configuration's
+    doubles in one block and takes the marks from ``marks_from_uniforms`` on
+    the block's mark columns. That method must return, for each row, the mark
+    ``sample`` returns on that row's doubles, of the same type and value,
+    and the norm ``points.MarkedPoint.make`` computes for it, bit for bit.
+    The default replays ``sample`` row by row, so a custom law needs only
+    ``sample``; the built-in scalar laws override it with one array formula.
 
     ``max_norm`` bounds the norm of every draw (the end of a scalar law's
     support), or is ``None`` when the law has no such bound; ``run_chain``
@@ -89,6 +106,13 @@ class MarkLaw:
 
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
+
+    def marks_from_uniforms(self, u: np.ndarray) -> tuple[list, np.ndarray]:
+        """(marks, norms) of the draws whose doubles are the rows of the
+        (n, uniforms) array ``u``: a list of n marks and a float array of
+        their norms."""
+        marks = [self.sample(_RowReplay(row)) for row in u.tolist()]
+        return marks, np.array([_mark_norm_of(m) for m in marks], dtype=float)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -110,6 +134,10 @@ class PointMassLaw(MarkLaw):
 
     def sample(self, rng) -> float:
         return self.value
+
+    def marks_from_uniforms(self, u):
+        n = len(u)
+        return [self.value] * n, np.full(n, _mark_norm_of(self.value))
 
     def descriptor(self) -> dict:
         return {"kind": "point", "value": self.value}
@@ -133,6 +161,15 @@ class UniformLaw(MarkLaw):
 
     def sample(self, rng) -> float:
         return float(rng.random() * self.b)
+
+    def marks_from_uniforms(self, u):
+        if not isinstance(self.b, (int, float)):
+            # a numpy scalar b could round the product differently as a
+            # Python float times b than as an array times b
+            return super().marks_from_uniforms(u)
+        # u >= +0.0 and b > 0, so each mark is its own norm
+        x = u[:, 0] * self.b
+        return x.tolist(), x
 
     def descriptor(self) -> dict:
         return {"kind": "uniform", "b": self.b}
@@ -167,12 +204,25 @@ class TruncatedSubbotinLaw(MarkLaw):
         x = float(self._gammaincinv(self._shape, rng.random() * self._mass)) ** self._shape
         return min(x, self.cutoff)
 
+    def marks_from_uniforms(self, u):
+        # gammaincinv batches bit for bit; the power stays a Python float
+        # one, which numpy's array power does not always match
+        shape, cutoff = self._shape, self.cutoff
+        g = self._gammaincinv(shape, u[:, 0] * self._mass).tolist()
+        marks = [min(x**shape, cutoff) for x in g]
+        return marks, np.abs(marks)
+
     def descriptor(self) -> dict:
         return {"kind": "subbotin", "exponent": self.exponent, "cutoff": self.cutoff}
 
 
 class TableLaw(MarkLaw):
-    """Discrete law over a user-supplied table of radius values."""
+    """Discrete law over a user-supplied table of radius values.
+
+    A uniform u draws the first value whose cumulative probability exceeds
+    it. Rounding can leave the last cumulative sum a few ulps below 1; a u at
+    or above it draws the last value of positive probability.
+    """
 
     uniforms = 1
 
@@ -189,10 +239,17 @@ class TableLaw(MarkLaw):
         self.max_norm = float(v.max())
         self.probs = p / p.sum()
         self._cum = np.cumsum(self.probs)
+        self._last = int(np.flatnonzero(self.probs)[-1])
 
     def sample(self, rng) -> float:
         u = rng.random()
-        return float(self.values[int(np.searchsorted(self._cum, u, side="right"))])
+        i = min(int(np.searchsorted(self._cum, u, side="right")), self._last)
+        return float(self.values[i])
+
+    def marks_from_uniforms(self, u):
+        i = np.minimum(np.searchsorted(self._cum, u[:, 0], side="right"), self._last)
+        x = self.values[i]
+        return x.tolist(), np.abs(x)
 
     def descriptor(self) -> dict:
         return {"kind": "table", "values": self.values.tolist(), "probs": self.probs.tolist()}

@@ -111,6 +111,26 @@ class Configuration:
     def empty(dimension: int) -> "Configuration":
         return Configuration((), dimension=dimension)
 
+    @staticmethod
+    def from_arrays(locations: np.ndarray, marks: list, norms: np.ndarray) -> "Configuration":
+        """Configuration of the atoms (locations[i], marks[i]), whose mark
+        norms the caller has computed as ``norms`` and checked finite.
+
+        The atoms are built without ``MarkedPoint.make``'s per-atom norm and
+        check, and the two arrays, made read-only, become ``locations()``
+        and ``mark_norms()``; the dimension and simplicity checks still run.
+        """
+        new = object.__new__
+        pts = [new(MarkedPoint) for _ in marks]
+        for p, x, mark, norm in zip(pts, map(tuple, locations.tolist()), marks, norms.tolist()):
+            p.__dict__.update(location=x, mark=mark, mark_norm=norm)
+        config = Configuration(pts, dimension=locations.shape[1])
+        locations.setflags(write=False)
+        norms.setflags(write=False)
+        object.__setattr__(config, "_locs", locations)
+        object.__setattr__(config, "_norms", norms)
+        return config
+
     def locations(self) -> np.ndarray:
         if self._locs is None:
             arr = (
@@ -186,7 +206,11 @@ def _as_points(locations, dimension: int) -> np.ndarray:
 
 
 class Box(Window):
-    """Half-open axis parallel box: lo_i <= x_i < hi_i."""
+    """Half-open axis parallel box: lo_i <= x_i < hi_i.
+
+    ``lo`` (the lower corner), ``span`` (hi - lo) and the volume are computed
+    once, at construction: the samplers read them on every draw.
+    """
 
     def __init__(self, bounds):
         b = np.asarray(bounds, dtype=float)
@@ -197,6 +221,10 @@ class Box(Window):
         b.flags.writeable = False
         self.bounds = b
         self.dimension = b.shape[0]
+        self.lo = b[:, 0]
+        self.span = b[:, 1] - self.lo
+        self.span.flags.writeable = False
+        self._volume = float(np.prod(self.span))
 
     @staticmethod
     def centered_cube(n: float, dimension: int) -> "Box":
@@ -218,7 +246,7 @@ class Box(Window):
         return self
 
     def volume(self) -> float:
-        return float(np.prod(self.bounds[:, 1] - self.bounds[:, 0]))
+        return self._volume
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"[{lo:g},{hi:g})" for lo, hi in self.bounds)
@@ -238,15 +266,14 @@ class Ball(Window):
         self.center = c
         self.radius = float(radius)
         self.dimension = c.shape[0]
+        self._box = Box(np.stack([c - self.radius, c + self.radius], axis=1))
 
     def contains(self, locations) -> np.ndarray:
         x = _as_points(locations, self.dimension)
         return np.linalg.norm(x - self.center, axis=-1) < self.radius
 
     def bounding_box(self) -> Box:
-        lo = self.center - self.radius
-        hi = self.center + self.radius
-        return Box(np.stack([lo, hi], axis=1))
+        return self._box
 
     def volume(self) -> float:
         d = self.dimension

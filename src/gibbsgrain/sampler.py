@@ -3,10 +3,18 @@ birth-death-move-remark Metropolis-Hastings chain.
 
 The Poisson reference on a box, with a law whose ``MarkLaw.uniforms`` is set,
 takes all the doubles of one configuration from a single ``rng.random`` call
-instead of one call per point and mark. The block holds the same doubles in
-the same order as the per-point loop, each mark comes from the law's own
-``sample`` reading its row's columns, and the locations from the loop's own
-expression, so every configuration is the loop's to the bit.
+instead of one call per point and mark, and builds the configuration from
+that block in one array pass. The block holds the same doubles in the same
+order as the per-point loop, and the locations come from the loop's own
+expression on its location columns. The marks and their norms come from
+``MarkLaw.marks_from_uniforms`` on its mark columns: a built-in scalar law
+evaluates one array formula that returns, for every row, the mark its
+``sample`` returns on that row's doubles (same type, same value to the bit)
+and the norm ``MarkedPoint.make`` computes for it; any other law falls back
+to replaying its ``sample`` row by row. So every configuration is the loop's
+to the bit, while the norms are checked finite once per block, the atoms are
+built without a per-atom law call, and the location and norm arrays become
+the configuration's ``locations()`` and ``mark_norms()``.
 
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
@@ -96,8 +104,7 @@ def _window_volume(window: Window) -> float:
 
 def _box_locations(box: Box, u: np.ndarray) -> np.ndarray:
     """Points of ``box`` from uniforms on [0, 1): ``u`` has shape (d,) or (n, d)."""
-    lo, hi = box.bounds[:, 0], box.bounds[:, 1]
-    return lo + u * (hi - lo)
+    return box.lo + u * box.span
 
 
 def _draw_location(window: Window, rng: np.random.Generator) -> tuple[float, ...]:
@@ -113,16 +120,6 @@ def _draw_location(window: Window, rng: np.random.Generator) -> tuple[float, ...
     raise PreconditionError(f"cannot sample uniformly from {type(window).__name__}")
 
 
-class _RowReplay:
-    """Stands in for the generator in a mark law's ``sample``: ``random()``
-    returns the doubles of one block row, in order."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, row: list[float]):
-        self.random = iter(row).__next__
-
-
 def sample_poisson(
     window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator
 ) -> Configuration:
@@ -132,11 +129,11 @@ def sample_poisson(
     drawn as one (n, d + uniforms) block. The per-point loop reads d location
     doubles, then the mark's, point after point, which is the block's row-major
     order, so both read the same doubles in the same order. The locations go
-    through the loop's own expression (``_box_locations``) and each mark
-    through the law's own ``sample``, reading its row's columns, so the
-    configuration is the loop's to the bit and the stream is left where the
-    loop leaves it. Balls (whose bounding-box rejection reads a variable number
-    of doubles) and other laws keep the loop.
+    through the loop's own expression (``_box_locations``) and the marks
+    through the law's ``marks_from_uniforms`` (see the module docstring), so
+    the configuration is the loop's to the bit and the stream is left where
+    the loop leaves it. Balls (whose bounding-box rejection reads a variable
+    number of doubles) and other laws keep the loop.
     """
     if z < 0:
         raise ValueError("activity z must be non-negative")
@@ -150,15 +147,15 @@ def sample_poisson(
             MarkedPoint.make(_draw_location(window, rng), mark_law.sample(rng))
             for _ in range(n)
         ]
-    else:
-        d = window.dimension
-        block = rng.random((n, d + k))
-        locations = _box_locations(window, block[:, :d]).tolist()
-        pts = [
-            MarkedPoint.make(x, mark_law.sample(_RowReplay(row)))
-            for x, row in zip(locations, block[:, d:].tolist())
-        ]
-    return Configuration(pts, dimension=window.dimension)
+        return Configuration(pts, dimension=window.dimension)
+    d = window.dimension
+    block = rng.random((n, d + k))
+    marks, norms = mark_law.marks_from_uniforms(block[:, d:])
+    finite = np.isfinite(norms)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"mark {marks[i]!r} has non-finite norm {float(norms[i])!r}")
+    return Configuration.from_arrays(_box_locations(window, block[:, :d]), marks, norms)
 
 
 @dataclass(frozen=True)

@@ -579,7 +579,10 @@ class TestRunWrapper:
     # fails by its exit code or its run directory.
     _COUNT_BASE = {"entropy": {"model": {"id": "ideal"}, "n_list": [1], "n_energy_samples": 10,
                                "n_partition_samples": 1000, "chain_steps": 100},
-                   "audit": {"model": {"id": "ideal"}, "n_trials": 10}}
+                   "audit": {"model": {"id": "ideal"}, "n_trials": 10},
+                   "dlr": {"model": {"id": "ideal"}, "lam_n": 2, "lam": 1.0, "n_outer": 3,
+                           "n_inner": 5},
+                   "geometry": {"n_systems": 1, "n_discs": 3, "grid": 64, "mc_points": 10_000}}
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -587,12 +590,36 @@ class TestRunWrapper:
          ("entropy", "n_partition_samples", 1000.5), ("entropy", "n_partition_samples", True),
          ("entropy", "chain_steps", 100.5), ("entropy", "chain_steps", True),
          ("entropy", "d", 2.5), ("entropy", "d", True),
-         ("audit", "n_trials", 10.5), ("audit", "n_trials", True)],
+         ("audit", "n_trials", 10.5), ("audit", "n_trials", True),
+         ("dlr", "d", 2.5), ("dlr", "lam_n", 3.5), ("dlr", "lam_n", True),
+         ("dlr", "n_outer", 3.5), ("dlr", "n_outer", True), ("dlr", "n_inner", 100.9),
+         ("geometry", "n_systems", 1.5), ("geometry", "n_discs", 3.7),
+         ("geometry", "n_discs", True), ("geometry", "grid", 64.5),
+         ("geometry", "mc_points", 10_000.5)],
     )
     def test_non_integer_counts_exit_2_without_run_dir(self, tmp_path, command, key, value,
                                                        capsys):
         payload = dict(self._COUNT_BASE[command], seed=1, **{key: value})
         cfg = write_cfg(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "root")]) == 2
+        assert not (tmp_path / "root").exists()
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [("audit", {"window": {"kind": "box", "n": 1.5}}, "window.n"),
+         ("audit", {"window": {"kind": "box", "n": 1, "d": 2.5}}, "window.d"),
+         ("audit", {"window": {"kind": "box", "n": True}}, "window.n"),
+         ("sample", {"window": {"kind": "box", "n": 1.5}}, "window.n"),
+         ("audit", {"local": {"t": 2, "env_n": 3.5}}, "env_n"),
+         ("audit", {"local": {"t": 2, "env_n": True}}, "env_n")],
+        ids=["audit-window-n", "audit-window-d", "audit-window-n-bool", "sample-window-n",
+             "audit-env-n", "audit-env-n-bool"],
+    )
+    def test_non_integer_window_sizes_exit_2_without_run_dir(self, tmp_path, command, payload,
+                                                             key, capsys):
+        base = self._CHAIN_BASE["sample"] if command == "sample" else self._COUNT_BASE[command]
+        cfg = write_cfg(tmp_path, "cfg.json", dict(base, seed=1, **payload))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "root")]) == 2
         assert not (tmp_path / "root").exists()
         assert f"{key} must be an integer" in capsys.readouterr().err

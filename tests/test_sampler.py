@@ -38,6 +38,7 @@ from gibbsgrain import (
 )
 from gibbsgrain import sampler
 from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate
+from gibbsgrain.io import write_configs_jsonl
 from gibbsgrain.sampler import (
     BoundaryCondition,
     _delta_add,
@@ -243,6 +244,163 @@ class TestBlockPoissonDraw:
         batch = [sample_poisson(window, 1.5, law, rng) for _ in range(200)]
         digest = hashlib.sha256(repr(atoms_hex(batch)).encode()).hexdigest()
         assert (digest, rng.random().hex()) == self.PINNED[case]
+
+
+class Replay:
+    """A generator stand-in whose ``random()`` returns the given doubles."""
+
+    def __init__(self, doubles):
+        self.random = iter(doubles).__next__
+
+
+def assert_formula_is_sample(law, u):
+    """``law.marks_from_uniforms`` on the rows of ``u`` against ``law.sample``
+    on each row's doubles: same mark types, and marks and norms by float.hex."""
+    u = np.asarray(u, dtype=float)
+    u = u.reshape(len(u), law.uniforms) if law.uniforms else np.zeros((len(u), 0))
+    marks, norms = law.marks_from_uniforms(u)
+    want = [law.sample(Replay(row)) for row in u.tolist()]
+    assert [type(m) for m in marks] == [type(m) for m in want]
+    assert [float(m).hex() for m in marks] == [float(m).hex() for m in want]
+    want_norms = [MarkedPoint.make((0.0,), m).mark_norm for m in want]
+    assert norms.dtype == np.float64
+    assert [v.hex() for v in norms.tolist()] == [v.hex() for v in want_norms]
+    return marks
+
+
+# largest doubles below 1, which rng.random() can return
+NEAR_ONE = [1.0 - k * 2.0**-53 for k in range(1, 9)]
+
+
+@st.composite
+def builtin_laws(draw):
+    kind = draw(st.sampled_from(["point", "uniform", "subbotin", "table"]))
+    if kind == "point":
+        return PointMassLaw(draw(st.integers(0, 5) | st.floats(0.0, 5.0)))
+    if kind == "uniform":
+        return UniformLaw(draw(st.integers(1, 5) | st.floats(1e-3, 50.0)))
+    if kind == "subbotin":
+        return TruncatedSubbotinLaw(draw(st.floats(0.3, 4.0)), draw(st.floats(0.1, 4.0)))
+    values = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(values),
+                            max_size=len(values)))
+    return TableLaw(values, np.asarray(weights) / sum(weights))
+
+
+class TestBlockFormulas:
+    """Each built-in law's ``marks_from_uniforms`` against its ``sample``,
+    and the configurations ``sample_poisson`` builds from them."""
+
+    @given(
+        law=builtin_laws(),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(NEAR_ONE),
+                   max_size=40),
+    )
+    @settings(max_examples=300)
+    def test_formula_is_sample(self, law, u):
+        assert_formula_is_sample(law, u)
+
+    @pytest.mark.parametrize("exponent, cutoff", [(1.7, 1.0), (3.0, 0.5)])
+    def test_subbotin_clamp_near_one(self, exponent, cutoff):
+        law = TruncatedSubbotinLaw(exponent, cutoff)
+        marks = assert_formula_is_sample(law, [0.0, 0.5] + NEAR_ONE)
+        # the inverse overshoots the cutoff here, so the clamp applies
+        shape = 1.0 / exponent
+        raw = [float(law._gammaincinv(shape, v * law._mass)) ** shape for v in NEAR_ONE]
+        assert max(raw) > cutoff
+        assert max(marks) == cutoff
+
+    def test_table_on_cumulative_boundaries(self):
+        law = TableLaw([0.1, 0.5, 4.0, 2.0], [0.25, 0.5, 0.125, 0.125])
+        assert law._cum.tolist() == [0.25, 0.75, 0.875, 1.0]
+        u = [0.0, 0.25, np.nextafter(0.25, 0.0), 0.75, 0.875, np.nextafter(0.875, 1.0)]
+        marks = assert_formula_is_sample(law, u + NEAR_ONE)
+        # side="right": a u on a boundary takes the next value
+        assert marks[:6] == [0.1, 0.5, 0.1, 4.0, 2.0, 2.0]
+
+    def test_table_past_a_short_cumulative_sum(self):
+        # ten tenths add up to the largest double below 1, which a u can
+        # equal; it draws the last value of positive probability, not an
+        # index past the table or the value of probability 0
+        law = TableLaw([0.5 * k for k in range(11)], [0.1] * 10 + [0.0])
+        assert law._cum[-1] == NEAR_ONE[0]
+        marks = assert_formula_is_sample(law, [0.05, 0.95] + NEAR_ONE)
+        assert marks == [0.0, 4.5] + [4.5] * len(NEAR_ONE)
+
+    def test_table_keeps_negative_zero_marks(self):
+        law = TableLaw([-0.0, 1.0], [0.5, 0.5])
+        marks = assert_formula_is_sample(law, [0.1, 0.7])
+        assert math.copysign(1.0, marks[0]) == -1.0
+
+    def test_point_mass_int_stays_int(self, tmp_path):
+        law = PointMassLaw(1)
+        assert assert_formula_is_sample(law, [0.0, 0.5, 0.9]) == [1, 1, 1]
+        window = Box([(-1.0, 2.0), (0.5, 2.5)])
+        block = [sample_poisson(window, 1.5, law, stream(651, 0)) for _ in range(3)]
+        loop = [loop_poisson(window, 1.5, law, stream(651, 0)) for _ in range(3)]
+        assert all(type(p.mark) is int and p.mark == 1 for c in block for p in c)
+        write_configs_jsonl(tmp_path / "block.jsonl", block)
+        write_configs_jsonl(tmp_path / "loop.jsonl", loop)
+        assert (tmp_path / "block.jsonl").read_bytes() == (tmp_path / "loop.jsonl").read_bytes()
+
+    def test_numpy_scalar_endpoint_replays_sample(self):
+        law = UniformLaw(np.float32(0.7))
+        assert_formula_is_sample(law, [0.1, 0.3, 0.9] + NEAR_ONE)
+
+    def test_custom_law_replays_its_rows(self):
+        u = np.array([[0.25, 0.5], [0.125, 0.0]])
+        marks, norms = TwoDoubleLaw().marks_from_uniforms(u)
+        assert marks == [1.25, 0.125]
+        assert norms.tolist() == [1.25, 0.125]
+
+    @pytest.mark.parametrize("law", sorted(SCALAR_LAWS))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_drawn_arrays_are_the_points(self, law, d):
+        rng = stream(652, d)
+        for _ in range(5):
+            c = sample_poisson(Box.centered_cube(1.5, d), 3.0, SCALAR_LAWS[law], rng)
+            locs, norms = c.locations(), c.mark_norms()
+            rebuilt = Configuration(c.points, dimension=d)
+            assert locs.shape == rebuilt.locations().shape == (len(c), d)
+            assert locs.tobytes() == rebuilt.locations().tobytes()
+            assert norms.tobytes() == rebuilt.mark_norms().tobytes()
+            assert all(type(x) is float for p in c for x in p.location)
+            assert all(type(p.mark_norm) is float for p in c)
+            for arr in (locs, norms):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
+    def test_empty_draw_arrays(self):
+        c = sample_poisson(Box.unit(3), 1e-9, UniformLaw(0.5), stream(653, 0))
+        assert len(c) == 0
+        assert c.locations().shape == (0, 3)
+        assert c.mark_norms().shape == (0,)
+
+    class HalfInfiniteLaw(MarkLaw):
+        """Infinite marks for doubles above one half."""
+
+        uniforms = 1
+
+        def sample(self, rng):
+            u = rng.random()
+            return math.inf if u > 0.5 else u
+
+    @pytest.mark.parametrize(
+        "law",
+        [PointMassLaw(math.inf), PointMassLaw(math.nan), UniformLaw(math.inf),
+         TableLaw([0.5, math.inf], [0.5, 0.5]), HalfInfiniteLaw()],
+        ids=["point-inf", "point-nan", "uniform-inf", "table-inf", "custom-inf"],
+    )
+    def test_non_finite_mark_raises(self, law):
+        window = Box.centered_cube(2.0, 2)
+        with pytest.raises(ValueError, match="non-finite norm") as block_err:
+            for _ in range(20):
+                sample_poisson(window, 2.0, law, stream(654, 0))
+        with pytest.raises(ValueError, match="non-finite norm") as loop_err:
+            for _ in range(20):
+                loop_poisson(window, 2.0, law, stream(654, 0))
+        assert str(block_err.value) == str(loop_err.value)
 
 
 class TestRejection:
