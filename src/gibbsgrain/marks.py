@@ -94,7 +94,7 @@ class MarkLaw:
     ``sample`` returns on that row's doubles, of the same type and value,
     and the norm ``points.MarkedPoint.make`` computes for it, bit for bit.
     The default replays ``sample`` row by row, so a custom law needs only
-    ``sample``; the built-in scalar laws override it with one array formula.
+    ``sample``; ``UniformLaw`` overrides it with one array formula.
 
     ``max_norm`` bounds the norm of every draw (the end of a scalar law's
     support), or is ``None`` when the law has no such bound; ``run_chain``
@@ -134,10 +134,6 @@ class PointMassLaw(MarkLaw):
 
     def sample(self, rng) -> float:
         return self.value
-
-    def marks_from_uniforms(self, u):
-        n = len(u)
-        return [self.value] * n, np.full(n, _mark_norm_of(self.value))
 
     def descriptor(self) -> dict:
         return {"kind": "point", "value": self.value}
@@ -204,14 +200,6 @@ class TruncatedSubbotinLaw(MarkLaw):
         x = float(self._gammaincinv(self._shape, rng.random() * self._mass)) ** self._shape
         return min(x, self.cutoff)
 
-    def marks_from_uniforms(self, u):
-        # gammaincinv batches bit for bit; the power stays a Python float
-        # one, which numpy's array power does not always match
-        shape, cutoff = self._shape, self.cutoff
-        g = self._gammaincinv(shape, u[:, 0] * self._mass).tolist()
-        marks = [min(x**shape, cutoff) for x in g]
-        return marks, np.abs(marks)
-
     def descriptor(self) -> dict:
         return {"kind": "subbotin", "exponent": self.exponent, "cutoff": self.cutoff}
 
@@ -245,11 +233,6 @@ class TableLaw(MarkLaw):
         u = rng.random()
         i = min(int(np.searchsorted(self._cum, u, side="right")), self._last)
         return float(self.values[i])
-
-    def marks_from_uniforms(self, u):
-        i = np.minimum(np.searchsorted(self._cum, u[:, 0], side="right"), self._last)
-        x = self.values[i]
-        return x.tolist(), np.abs(x)
 
     def descriptor(self) -> dict:
         return {"kind": "table", "values": self.values.tolist(), "probs": self.probs.tolist()}

@@ -114,12 +114,17 @@ class Configuration:
     @staticmethod
     def from_arrays(locations: np.ndarray, marks: list, norms: np.ndarray) -> "Configuration":
         """Configuration of the atoms (locations[i], marks[i]), whose mark
-        norms the caller has computed as ``norms`` and checked finite.
+        norms the caller has computed as ``norms``.
 
-        The atoms are built without ``MarkedPoint.make``'s per-atom norm and
-        check, and the two arrays, made read-only, become ``locations()``
-        and ``mark_norms()``; the dimension and simplicity checks still run.
+        The norms are checked finite in one pass, with ``MarkedPoint.make``'s
+        error, and the atoms are built without its per-atom norm and check;
+        the two arrays, made read-only, become ``locations()`` and
+        ``mark_norms()``. The dimension and simplicity checks still run.
         """
+        finite = np.isfinite(norms)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"mark {marks[i]!r} has non-finite norm {float(norms[i])!r}")
         new = object.__new__
         pts = [new(MarkedPoint) for _ in marks]
         for p, x, mark, norm in zip(pts, map(tuple, locations.tolist()), marks, norms.tolist()):

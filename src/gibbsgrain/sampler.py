@@ -7,14 +7,14 @@ instead of one call per point and mark, and builds the configuration from
 that block in one array pass. The block holds the same doubles in the same
 order as the per-point loop, and the locations come from the loop's own
 expression on its location columns. The marks and their norms come from
-``MarkLaw.marks_from_uniforms`` on its mark columns: a built-in scalar law
-evaluates one array formula that returns, for every row, the mark its
-``sample`` returns on that row's doubles (same type, same value to the bit)
-and the norm ``MarkedPoint.make`` computes for it; any other law falls back
-to replaying its ``sample`` row by row. So every configuration is the loop's
-to the bit, while the norms are checked finite once per block, the atoms are
-built without a per-atom law call, and the location and norm arrays become
-the configuration's ``locations()`` and ``mark_norms()``.
+``MarkLaw.marks_from_uniforms`` on its mark columns: ``UniformLaw`` evaluates
+one array formula that returns, for every row, the mark its ``sample``
+returns on that row's doubles (same type, same value to the bit) and the
+norm ``MarkedPoint.make`` computes for it; every other law falls back to
+replaying its ``sample`` row by row. So every configuration is the loop's to
+the bit, while ``Configuration.from_arrays`` checks the norms finite once per
+block, builds the atoms without a per-atom check, and keeps the location and
+norm arrays as the configuration's ``locations()`` and ``mark_norms()``.
 
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
@@ -151,10 +151,6 @@ def sample_poisson(
     d = window.dimension
     block = rng.random((n, d + k))
     marks, norms = mark_law.marks_from_uniforms(block[:, d:])
-    finite = np.isfinite(norms)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise ValueError(f"mark {marks[i]!r} has non-finite norm {float(norms[i])!r}")
     return Configuration.from_arrays(_box_locations(window, block[:, :d]), marks, norms)
 
 

@@ -272,51 +272,40 @@ def assert_formula_is_sample(law, u):
 NEAR_ONE = [1.0 - k * 2.0**-53 for k in range(1, 9)]
 
 
-@st.composite
-def builtin_laws(draw):
-    kind = draw(st.sampled_from(["point", "uniform", "subbotin", "table"]))
-    if kind == "point":
-        return PointMassLaw(draw(st.integers(0, 5) | st.floats(0.0, 5.0)))
-    if kind == "uniform":
-        return UniformLaw(draw(st.integers(1, 5) | st.floats(1e-3, 50.0)))
-    if kind == "subbotin":
-        return TruncatedSubbotinLaw(draw(st.floats(0.3, 4.0)), draw(st.floats(0.1, 4.0)))
-    values = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
-    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(values),
-                            max_size=len(values)))
-    return TableLaw(values, np.asarray(weights) / sum(weights))
-
-
 class TestBlockFormulas:
-    """Each built-in law's ``marks_from_uniforms`` against its ``sample``,
-    and the configurations ``sample_poisson`` builds from them."""
+    """``UniformLaw``'s array formula and the default row replay against
+    ``sample``, and the configurations ``sample_poisson`` builds from them."""
 
     @given(
-        law=builtin_laws(),
+        b=st.integers(1, 5) | st.floats(1e-3, 50.0),
         u=st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(NEAR_ONE),
                    max_size=40),
     )
     @settings(max_examples=300)
-    def test_formula_is_sample(self, law, u):
-        assert_formula_is_sample(law, u)
+    def test_uniform_formula_is_sample(self, b, u):
+        assert_formula_is_sample(UniformLaw(b), u)
+
+    class NegatedLaw(MarkLaw):
+        """Marks -u, so u = 0 draws -0.0."""
+
+        uniforms = 1
+
+        def sample(self, rng):
+            return -rng.random()
+
+    def test_replay_norms_are_those_of_make(self):
+        # each norm is MarkedPoint.make's, |mark|, also for -0.0
+        marks = assert_formula_is_sample(self.NegatedLaw(), [0.0, 0.3] + NEAR_ONE)
+        assert math.copysign(1.0, marks[0]) == -1.0
 
     @pytest.mark.parametrize("exponent, cutoff", [(1.7, 1.0), (3.0, 0.5)])
     def test_subbotin_clamp_near_one(self, exponent, cutoff):
+        # the inverse overshoots the cutoff here, and sample clamps it
         law = TruncatedSubbotinLaw(exponent, cutoff)
-        marks = assert_formula_is_sample(law, [0.0, 0.5] + NEAR_ONE)
-        # the inverse overshoots the cutoff here, so the clamp applies
         shape = 1.0 / exponent
         raw = [float(law._gammaincinv(shape, v * law._mass)) ** shape for v in NEAR_ONE]
         assert max(raw) > cutoff
-        assert max(marks) == cutoff
-
-    def test_table_on_cumulative_boundaries(self):
-        law = TableLaw([0.1, 0.5, 4.0, 2.0], [0.25, 0.5, 0.125, 0.125])
-        assert law._cum.tolist() == [0.25, 0.75, 0.875, 1.0]
-        u = [0.0, 0.25, np.nextafter(0.25, 0.0), 0.75, 0.875, np.nextafter(0.875, 1.0)]
-        marks = assert_formula_is_sample(law, u + NEAR_ONE)
-        # side="right": a u on a boundary takes the next value
-        assert marks[:6] == [0.1, 0.5, 0.1, 4.0, 2.0, 2.0]
+        assert [law.sample(Replay([v])) for v in NEAR_ONE] == [min(x, cutoff) for x in raw]
 
     def test_table_past_a_short_cumulative_sum(self):
         # ten tenths add up to the largest double below 1, which a u can
@@ -324,17 +313,11 @@ class TestBlockFormulas:
         # index past the table or the value of probability 0
         law = TableLaw([0.5 * k for k in range(11)], [0.1] * 10 + [0.0])
         assert law._cum[-1] == NEAR_ONE[0]
-        marks = assert_formula_is_sample(law, [0.05, 0.95] + NEAR_ONE)
+        marks = [law.sample(Replay([v])) for v in [0.05, 0.95] + NEAR_ONE]
         assert marks == [0.0, 4.5] + [4.5] * len(NEAR_ONE)
-
-    def test_table_keeps_negative_zero_marks(self):
-        law = TableLaw([-0.0, 1.0], [0.5, 0.5])
-        marks = assert_formula_is_sample(law, [0.1, 0.7])
-        assert math.copysign(1.0, marks[0]) == -1.0
 
     def test_point_mass_int_stays_int(self, tmp_path):
         law = PointMassLaw(1)
-        assert assert_formula_is_sample(law, [0.0, 0.5, 0.9]) == [1, 1, 1]
         window = Box([(-1.0, 2.0), (0.5, 2.5)])
         block = [sample_poisson(window, 1.5, law, stream(651, 0)) for _ in range(3)]
         loop = [loop_poisson(window, 1.5, law, stream(651, 0)) for _ in range(3)]
@@ -401,6 +384,11 @@ class TestBlockFormulas:
             for _ in range(20):
                 loop_poisson(window, 2.0, law, stream(654, 0))
         assert str(block_err.value) == str(loop_err.value)
+
+    def test_from_arrays_checks_norms(self):
+        locations = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="mark 'x' has non-finite norm nan"):
+            Configuration.from_arrays(locations, [0.5, "x"], np.array([0.5, math.nan]))
 
 
 class TestRejection:
