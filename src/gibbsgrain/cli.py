@@ -175,7 +175,9 @@ def load_config(args, command: str) -> dict:
             cfg[key] = flag
     if cfg.get("seed") is None:
         raise ConfigError("seed is mandatory (config key 'seed' or --seed)")
-    cfg["seed"] = int(cfg["seed"])
+    cfg["seed"] = _whole(cfg["seed"], "seed")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -419,7 +421,10 @@ def _prepare_entropy(cfg: dict):
     _fit(model, law, d)
     n_list = cfg.get("n_list", [1, 2])
     if isinstance(n_list, str):
-        n_list = [int(x) for x in n_list.split(",")]
+        n_list = [float(x) for x in n_list.split(",")]
+    if not isinstance(n_list, list) or not n_list:
+        raise ConfigError(f"n_list must be a non-empty list of integers, got {n_list!r}")
+    n_list = [_whole(n, "n_list") for n in n_list]
     z = float(cfg.get("z", 0.3))
     delta = float(cfg.get("delta", 1.0))
     options = dict(
@@ -625,10 +630,12 @@ _COMMANDS = {
 
 # ConfigError is a ValueError, and a stray ValueError from numerical code still
 # exits 2 too, although the config values known to reach numerical code are
-# checked in prepare: temper t and delta, geometry mc_points, the chain
-# keys (whole-number steps, burn_in, thin, chains, drift_check_every and
-# step_count; thin >= 1 and 0 <= burn_in < steps), the whole-number counts
-# of entropy and audit, and the fit of model, mark law and dimension.
+# checked before the run directory exists: the seed (a non-negative whole
+# number) in load_config, and in prepare temper t and delta, geometry
+# mc_points, the chain keys (whole-number steps, burn_in, thin, chains,
+# drift_check_every and step_count; thin >= 1 and 0 <= burn_in < steps), the
+# whole-number counts of entropy and audit and entropy's n_list entries, and
+# the fit of model, mark law and dimension.
 _EXIT_CODES = (
     (ValueError, 2, "config error"),
     (PreconditionError, 3, "precondition violated"),

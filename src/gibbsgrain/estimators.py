@@ -172,23 +172,14 @@ class EntropyReport:
 
 
 def relative_entropy_estimate(
-    model,
-    window: Window,
-    samples: Sequence[Configuration],
-    partition: PartitionReport,
+    energies: Sequence[float], window: Window, partition: PartitionReport
 ) -> EntropyReport:
-    """Relative entropy of the finite-volume law w.r.t. its Poisson reference:
-    I = -E[H] - log Z, with errors propagated from both estimates."""
-    return _entropy_report([model.energy(c) for c in samples], window, partition)
-
-
-def _entropy_report(
-    sample_energies: Sequence[float], window: Window, partition: PartitionReport
-) -> EntropyReport:
-    """``relative_entropy_estimate`` from the samples' energies."""
+    """Relative entropy of the finite-volume law w.r.t. its Poisson reference
+    from the energies of samples of that law: I = -E[H] - log Z, with errors
+    propagated from both estimates."""
     if partition.degenerate:
         raise PreconditionError("partition estimate degenerated to 0; no log Z")
-    energies = np.array(sample_energies, dtype=float)
+    energies = np.array(energies, dtype=float)
     if not np.all(np.isfinite(energies)):
         raise PreconditionError(
             "samples with infinite energy cannot come from the target law"
@@ -291,7 +282,7 @@ def specific_entropy_curve(
         part = partition_estimate(
             model, window, z, mark_law, n_partition_samples, stream(seed, 60 + i)
         )
-        report = _entropy_report(energies, window, part)
+        report = relative_entropy_estimate(energies, window, part)
         stats = [mark_statistic(c, exponent) for c in samples]
         for h, s in zip(energies, stats):
             if s > 0:

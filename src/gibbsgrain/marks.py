@@ -420,8 +420,7 @@ def super_exp_moment_estimate(
     exponent = d + 2.0 * delta
     norms = np.empty(n_samples)
     for i in range(n_samples):
-        m = law.sample(rng)
-        norms[i] = m.sup_norm if isinstance(m, PathMark) else abs(float(m))
+        norms[i] = _mark_norm_of(law.sample(rng))
     with np.errstate(over="ignore"):
         terms = np.exp(norms**exponent)
     ok = np.isfinite(terms)

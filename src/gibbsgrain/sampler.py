@@ -23,6 +23,12 @@ their decisions agree; the cut-off kernel sampler relies on this to be
 bit-identical to the full kernel once the cap and the environment window are
 past their thresholds.
 
+Every proposal is ``points[idx : idx + 1] = added``, at most one atom each
+side (a birth appends at ``idx == n``), and one increment, ``_delta``, prices
+all four kinds. It alone refuses (+inf) a new atom above the mark cap, inside
+the degeneracy band, or at the location of another interior atom, which it
+reads from the index cell at that location: chain states stay simple.
+
 Every increment reads a neighbour index instead of every atom: a sparse
 uniform grid (cell lists), a dict from integer cell key floor(x / side) to
 the (stamp, atom) entries in that cell, over the interior atoms and the
@@ -331,7 +337,7 @@ class _CellIndex:
         return self.tol and self.tol * max(self.floor, self.extent + max(self.bound, norm))
 
     def _key(self, loc: tuple[float, ...]) -> tuple[int, ...]:
-        return tuple(math.floor(c / self.side) for c in loc)
+        return tuple([math.floor(c / self.side) for c in loc])
 
     def replace(self, idx: int, added: list[MarkedPoint]) -> None:
         """Mirror ``points[idx : idx + 1] = added`` (at most one atom each)."""
@@ -368,6 +374,15 @@ class _CellIndex:
         found.sort()
         return found
 
+    def collides(self, loc: tuple[float, ...], skip: int = -1) -> bool:
+        """Whether an interior atom other than index ``skip`` sits at loc,
+        read from loc's own cell."""
+        hidden = self.interior[skip][0] if skip >= 0 else -1
+        for stamp, q in self.cells.get(self._key(loc), ()):
+            if q.location == loc and stamp < _ENV_STAMP and stamp != hidden:
+                return True
+        return False
+
     def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint]:
         """Atoms within reach of p, interior index ``skip`` left out, in
         list order: interior atoms first, then the environment."""
@@ -384,8 +399,8 @@ class _CellIndex:
 class ChainState:
     """Mutable chain state: interior atoms, fixed environment, cached energy.
 
-    ``occupied`` holds the interior locations and ``index`` the neighbour
-    cells; ``replace`` keeps both in step with ``points``.
+    ``index`` holds the neighbour cells; ``replace`` keeps it in step with
+    ``points``.
     """
 
     window: Window
@@ -396,18 +411,14 @@ class ChainState:
     mark_cap: float | None = None
     proposals: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
     accepts: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
-    occupied: set = field(default_factory=set)
     index: _CellIndex | None = None
 
     def snapshot(self) -> Configuration:
         return Configuration(list(self.points), dimension=self.window.dimension)
 
     def replace(self, idx: int, added: list[MarkedPoint]) -> None:
-        """``points[idx : idx + 1] = added``, with the location set and the
-        neighbour index updated to match."""
-        for q in self.points[idx : idx + 1]:
-            self.occupied.discard(q.location)
-        self.occupied.update(q.location for q in added)
+        """``points[idx : idx + 1] = added``, with the neighbour index updated
+        to match."""
         self.index.replace(idx, added)
         self.points[idx : idx + 1] = added
 
@@ -460,34 +471,28 @@ def init_chain(
     )
 
 
-def _occupied(state: ChainState, loc: tuple[float, ...], skip: int = -1) -> bool:
-    """Whether an interior atom other than index ``skip`` sits at loc.
-
-    Births and moves onto an occupied location are rejected, which keeps every
-    chain state a simple configuration; remarks keep their location.
+def _delta(model, state: ChainState, idx: int, added: list[MarkedPoint]) -> float:
+    """Energy increment of ``points[idx : idx + 1] = added`` (see module
+    docstring); +inf for the empty proposal and for a refused new atom. The
+    new atom is priced first, at its band, then the removed one (finite by
+    invariant) at band 0: a move or a remark pays gain - loss, a death -loss.
     """
-    return loc in state.occupied and (skip < 0 or state.points[skip].location != loc)
-
-
-def _delta_add(model, state: ChainState, p: MarkedPoint, skip: int = -1) -> float:
-    """Energy increment for inserting p, with interior index ``skip`` hidden
-    (for swaps); +inf inside the degeneracy band (see module docstring)."""
     index = state.index
-    return model.local_delta(p, index.neighbours(p, skip), index.band(p.mark_norm))
-
-
-def _delta_remove(model, state: ChainState, idx: int) -> float:
-    """Energy increment for deleting interior point idx (finite by invariant)."""
-    p = state.points[idx]
-    return -model.local_delta(p, state.index.neighbours(p, idx))
-
-
-def _delta_swap(model, state: ChainState, idx: int, new_p: MarkedPoint) -> float:
-    """Energy increment for replacing interior point idx by new_p."""
-    gain = _delta_add(model, state, new_p, skip=idx)
-    if gain == math.inf:
+    removes = idx < len(state.points)
+    if not (added or removes):
         return math.inf
-    return gain + _delta_remove(model, state, idx)
+    skip = idx if removes else -1
+    if added:
+        p = added[0]
+        capped = state.mark_cap is not None and p.mark_norm > state.mark_cap
+        if capped or index.collides(p.location, skip):
+            return math.inf
+        gain = model.local_delta(p, index.neighbours(p, skip), index.band(p.mark_norm))
+        if gain == math.inf or not removes:
+            return gain
+    old = state.points[idx]
+    loss = model.local_delta(old, index.neighbours(old, idx))
+    return gain - loss if added else -loss
 
 
 def bdm_step(
@@ -500,46 +505,42 @@ def bdm_step(
 ) -> ChainState:
     """One Metropolis-Hastings proposal, mutating the state in place.
 
-    Each kind draws its full schedule first; a proposal is accepted when its
-    acceptance uniform falls below ``hastings_ratio``, i.e. with probability
-    min(1, ratio). Proposals whose increment is +inf are rejected, as are
-    births and remarks exceeding the mark cap, moves leaving the window, and
-    births or moves onto an occupied location.
+    Each kind draws its full schedule first and names its proposal as
+    ``points[idx : idx + 1] = added``: a birth appends, a death removes, a
+    move or a remark replaces one atom. A move leaving the window, or any
+    kind but birth on the empty state, leaves the empty proposal. One
+    ``_delta`` prices every proposal, +inf for those it refuses, and the
+    proposal is accepted when its acceptance uniform falls below
+    ``hastings_ratio``, i.e. with probability min(1, ratio).
     """
     u_kind = rng.random()
     n = len(state.points)
-    # The proposal replaces points[idx : idx + 1] by `added`; idx == n appends.
-    idx, added, dh = n, [], math.inf
+    # The proposal replaces points[idx : idx + 1] by `added`; idx == n
+    # appends, and (n, []) is the empty proposal, which _delta refuses.
+    idx, added = n, []
     if u_kind < mix.birth:
         kind = "birth"
         loc = _draw_location(state.window, rng)
         mark = mark_law.sample(rng)
         u_acc = rng.random()
-        p = MarkedPoint.make(loc, mark)
-        capped = state.mark_cap is not None and p.mark_norm > state.mark_cap
-        if not capped and not _occupied(state, p.location):
-            added = [p]
-            dh = _delta_add(model, state, p)
+        added = [MarkedPoint.make(loc, mark)]
     elif u_kind < mix.birth + mix.death:
         kind = "death"
         u_sel = rng.random()
         u_acc = rng.random()
         if n > 0:
             idx = min(int(u_sel * n), n - 1)
-            dh = _delta_remove(model, state, idx)
     elif u_kind < mix.birth + mix.death + mix.move:
         kind = "move"
         u_sel = rng.random()
         disp = rng.standard_normal(state.window.dimension) * mix.move_scale
         u_acc = rng.random()
         if n > 0:
-            idx = min(int(u_sel * n), n - 1)
-            old = state.points[idx]
+            sel = min(int(u_sel * n), n - 1)
+            old = state.points[sel]
             new_loc = tuple(float(c + d) for c, d in zip(old.location, disp))
-            inside = bool(state.window.contains(np.array(new_loc))[0])
-            if inside and not _occupied(state, new_loc, skip=idx):
-                added = [MarkedPoint(new_loc, old.mark, old.mark_norm)]
-                dh = _delta_swap(model, state, idx, added[0])
+            if state.window.contains(np.array(new_loc))[0]:
+                idx, added = sel, [MarkedPoint(new_loc, old.mark, old.mark_norm)]
     else:
         kind = "remark"
         u_sel = rng.random()
@@ -547,11 +548,8 @@ def bdm_step(
         u_acc = rng.random()
         if n > 0:
             idx = min(int(u_sel * n), n - 1)
-            p = MarkedPoint.make(state.points[idx].location, mark)
-            capped = state.mark_cap is not None and p.mark_norm > state.mark_cap
-            if not capped:
-                added = [p]
-                dh = _delta_swap(model, state, idx, p)
+            added = [MarkedPoint.make(state.points[idx].location, mark)]
+    dh = _delta(model, state, idx, added)
     state.proposals[kind] += 1
     if u_acc < hastings_ratio(kind, z * state.volume, n, dh):
         state.replace(idx, added)

@@ -706,6 +706,47 @@ class TestRunWrapper:
         assert samples[0].count(b"\n") == 6
 
     @pytest.mark.parametrize(
+        "seed, flags, message",
+        [(3.7, [], "seed must be an integer"), (True, [], "seed must be an integer"),
+         (-1, [], "seed must be non-negative"),
+         (None, ["--seed", "-1"], "seed must be non-negative")],
+        ids=["fractional", "bool", "negative", "negative-flag"],
+    )
+    def test_bad_seed_exits_2_without_run_dir(self, tmp_path, seed, flags, message, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", dict(self._CHAIN_BASE["sample"], seed=seed))
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "root")] + flags) == 2
+        assert not (tmp_path / "root").exists()
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_seed_runs_as_its_integer(self, tmp_path):
+        for name, seed in (("int", 3), ("float", 3.0)):
+            cfg = write_cfg(tmp_path, f"{name}.json", dict(self._CHAIN_BASE["sample"], seed=seed))
+            assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--name", name]) == 0
+        manifest = (tmp_path / "int" / "manifest.json").read_bytes()
+        assert (tmp_path / "float" / "manifest.json").read_bytes() == manifest
+        seed = json.loads(manifest)["seed"]
+        assert seed == 3 and isinstance(seed, int)
+        samples = [(tmp_path / name / "samples_chain0.jsonl").read_bytes()
+                   for name in ("int", "float")]
+        assert samples[0] == samples[1]
+
+    @pytest.mark.parametrize(
+        "n_list, message",
+        [([1.5, 2], "n_list must be an integer"), ("1.5,2", "n_list must be an integer"),
+         (5, "n_list must be a non-empty list"), ([], "n_list must be a non-empty list")],
+        ids=["fractional", "fractional-flag", "not-a-list", "empty"],
+    )
+    def test_bad_n_list_exits_2_without_run_dir(self, tmp_path, n_list, message, capsys):
+        payload = dict(self._COUNT_BASE["entropy"], seed=1)
+        flags = ["--n-list", n_list] if isinstance(n_list, str) else []
+        if not flags:
+            payload["n_list"] = n_list
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        assert main(["entropy", "--config", cfg, "--out", str(tmp_path / "root")] + flags) == 2
+        assert not (tmp_path / "root").exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags",
         [["--t", "0"], ["--t", "-3"], ["--delta", "0"], ["--delta", "-0.5"]],
         ids=["t-0", "t-negative", "delta-0", "delta-negative"],

@@ -186,7 +186,7 @@ class TestRelativeEntropy:
         part = partition_estimate(
             IdealModel(), w, 0.8, UniformLaw(1.0), 1200, stream(909, 1)
         )
-        rep = relative_entropy_estimate(IdealModel(), w, samples, part)
+        rep = relative_entropy_estimate([IdealModel().energy(c) for c in samples], w, part)
         assert rep.i_hat == 0.0
         assert rep.stderr == 0.0
         assert rep.per_volume == 0.0
@@ -200,7 +200,7 @@ class TestRelativeEntropy:
         part = partition_estimate(
             model, ROD_WINDOW, ROD_Z, PointMassLaw(0.5), 20_000, stream(910, 1)
         )
-        rep = relative_entropy_estimate(model, ROD_WINDOW, list(res.samples), part)
+        rep = relative_entropy_estimate([model.energy(c) for c in res.samples], ROD_WINDOW, part)
         truth = -math.log(rod_partition_oracle())  # E[H] = 0 under the target
         assert rep.mean_energy == 0.0
         assert abs(rep.i_hat - truth) <= 3.0 * rep.stderr
@@ -216,7 +216,7 @@ class TestRelativeEntropy:
             model, w, 0.5, UniformLaw(0.5), 2000, stream(911, 0)
         )
         with caplog.at_level(logging.WARNING, logger="gibbsgrain.estimators"):
-            rep = relative_entropy_estimate(model, w, [gamma] * 200, part)
+            rep = relative_entropy_estimate([model.energy(gamma)] * 200, w, part)
         assert not rep.nonneg_ok
         assert rep.i_hat < 0
         assert "negative beyond 3 sigma" in caplog.text
@@ -228,7 +228,7 @@ class TestRelativeEntropy:
             HardSphereModel(), w, 0.5, PointMassLaw(0.5), 1000, stream(912, 0)
         )
         with pytest.raises(PreconditionError):
-            relative_entropy_estimate(HardSphereModel(), w, [bad] * 10, part)
+            relative_entropy_estimate([HardSphereModel().energy(bad)] * 10, w, part)
 
     def test_degenerate_partition_rejected(self):
         part = PartitionReport(
@@ -236,7 +236,7 @@ class TestRelativeEntropy:
         )
         with pytest.raises(PreconditionError):
             relative_entropy_estimate(
-                IdealModel(), Box.unit(2), [Configuration.empty(2)] * 10, part
+                [IdealModel().energy(Configuration.empty(2))] * 10, Box.unit(2), part
             )
 
 

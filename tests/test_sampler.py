@@ -41,9 +41,7 @@ from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate
 from gibbsgrain.io import write_configs_jsonl
 from gibbsgrain.sampler import (
     BoundaryCondition,
-    _delta_add,
-    _delta_remove,
-    _delta_swap,
+    _delta,
     _draw_location,
     bdm_step,
     hastings_ratio,
@@ -775,20 +773,20 @@ def plain_swap(model, state, idx, new_p):
 
 
 def assert_increments_match(model, state, rng, law, queries=12):
-    """Indexed _delta_add/_delta_remove/_delta_swap against the plain loop,
+    """Indexed _delta of births, deaths and swaps against the plain loop,
     bit for bit, for fresh atoms, every removal and moves plus remarks."""
     assert [q for _stamp, q in state.index.interior] == state.points
     for _ in range(queries):
         p = MarkedPoint.make(_draw_location(state.window, rng), law.sample(rng))
-        assert _delta_add(model, state, p).hex() == plain_add(model, state, p).hex()
+        assert _delta(model, state, len(state.points), [p]).hex() == plain_add(model, state, p).hex()
     for idx in range(len(state.points)):
-        assert _delta_remove(model, state, idx).hex() == plain_remove(model, state, idx).hex()
+        assert _delta(model, state, idx, []).hex() == plain_remove(model, state, idx).hex()
         old = state.points[idx]
         for new_p in (
             MarkedPoint.make(_draw_location(state.window, rng), old.mark),
             MarkedPoint.make(old.location, law.sample(rng)),
         ):
-            got = _delta_swap(model, state, idx, new_p)
+            got = _delta(model, state, idx, [new_p])
             assert got.hex() == plain_swap(model, state, idx, new_p).hex()
 
 
@@ -879,7 +877,7 @@ class TestNeighbourIndex:
         assert math.dist(p.location, state.points[0].location) == model.reach(0.5, 0.5)
         expected = soft_bump(1.0)
         assert expected > 0.0
-        assert _delta_add(model, state, p) == plain_add(model, state, p) == expected
+        assert _delta(model, state, len(state.points), [p]) == plain_add(model, state, p) == expected
 
     def test_zero_reach_queries_only_coincident_atoms(self, monkeypatch):
         # The ideal model's reach is 0, so an increment can only meet atoms at
@@ -1007,12 +1005,12 @@ class TestIncrementAudit:
         assert before < math.inf
         for _ in range(6):
             p = MarkedPoint.make(_draw_location(window, rng), law.sample(rng))
-            got = _delta_add(model, state, p)
+            got = _delta(model, state, len(state.points), [p])
             plain = plain_add(model, state, p) if pairwise else None
             assert_increment_is_global_difference(model, state, before, got, pts + [p], plain)
         for idx in rng.permutation(len(pts))[:6].tolist():
             rest = pts[:idx] + pts[idx + 1 :]
-            got = _delta_remove(model, state, idx)
+            got = _delta(model, state, idx, [])
             plain = plain_remove(model, state, idx) if pairwise else None
             assert_increment_is_global_difference(model, state, before, got, rest, plain)
             old = pts[idx]
@@ -1022,14 +1020,86 @@ class TestIncrementAudit:
             if window.contains(np.array(moved))[0]:
                 proposals.append(MarkedPoint(moved, old.mark, old.mark_norm))
             for new_p in proposals:
-                got = _delta_swap(model, state, idx, new_p)
+                got = _delta(model, state, idx, [new_p])
                 plain = plain_swap(model, state, idx, new_p) if pairwise else None
                 after = pts[:idx] + [new_p] + pts[idx + 1 :]
                 assert_increment_is_global_difference(model, state, before, got, after, plain)
 
 
 # ---------------------------------------------------------------------------
-# Degeneracy band of the quermass chain
+# Reversibility: every proposal against its reverse
+# ---------------------------------------------------------------------------
+
+REVERSE_KIND = {"birth": "death", "death": "birth", "move": "move", "remark": "remark"}
+
+
+def draw_proposal(state, kind, law, rng):
+    """(idx, added) of a ``kind`` proposal as ``bdm_step`` makes it, on a
+    non-empty state unless ``kind`` is birth (a move may leave the window)."""
+    n = len(state.points)
+    if kind == "birth":
+        return n, [MarkedPoint.make(_draw_location(state.window, rng), law.sample(rng))]
+    idx = int(rng.integers(n))
+    old = state.points[idx]
+    if kind == "death":
+        return idx, []
+    if kind == "remark":
+        return idx, [MarkedPoint.make(old.location, law.sample(rng))]
+    disp = rng.standard_normal(2) * 0.3
+    return idx, [MarkedPoint(tuple(float(c + e) for c, e in zip(old.location, disp)),
+                             old.mark, old.mark_norm)]
+
+
+class TestReversibility:
+    """On chain-reached states, every finite proposal and its reverse pay
+    opposite increments, and their Hastings ratios multiply to 1: detailed
+    balance, one proposal at a time. The reverse of a death is a birth
+    appended at the end."""
+
+    @pytest.mark.parametrize("with_env", [False, True], ids=["free", "env"])
+    @pytest.mark.parametrize("name", sorted(AUDIT_MODELS))
+    def test_reverse_proposal_pays_minus_the_increment(self, name, with_env):
+        model = AUDIT_MODELS[name]
+        rng = stream(629, 2 * sorted(AUDIT_MODELS).index(name) + with_env)
+        law = PATH_LAW if name == "diffusion" else UniformLaw(0.6)
+        window = Box.centered_cube(2.0, 2)
+        bc = None
+        if with_env:
+            # a shell just outside the window, which interior atoms meet
+            shell = [_draw_location(Box.centered_cube(3.0, 2), rng) for _ in range(16)]
+            bc = BoundaryCondition(config([MarkedPoint.make(loc, law.sample(rng))
+                                           for loc in shell]))
+        state = init_chain(model, window, bc, law.max_norm)
+        z, mix = 1.0, ProposalMix()
+        checked = {kind: 0 for kind in REVERSE_KIND}
+        for _ in range(30):
+            for _ in range(40):
+                bdm_step(state, model, z, law, mix, rng)
+            for kind in REVERSE_KIND:
+                n = len(state.points)
+                if n == 0 and kind != "birth":
+                    continue
+                idx, added = draw_proposal(state, kind, law, rng)
+                if added and not window.contains(np.array(added[0].location))[0]:
+                    continue
+                forward = _delta(model, state, idx, added)
+                if forward == math.inf:
+                    continue
+                removed = state.points[idx : idx + 1]
+                state.replace(idx, added)
+                back = (n, []) if idx == n else (idx if added else n - 1, removed)
+                reverse = _delta(model, state, *back)
+                assert forward == -reverse, (kind, forward, reverse)
+                if abs(forward) < 700.0:  # e^{-dH} and e^{dH} both finite
+                    ratio = hastings_ratio(kind, z * state.volume, n, forward)
+                    ratio *= hastings_ratio(REVERSE_KIND[kind], z * state.volume,
+                                            len(state.points), reverse)
+                    assert ratio == pytest.approx(1.0, rel=1e-12, abs=0.0), kind
+                state.replace(*back)
+                checked[kind] += 1
+        assert min(checked.values()) >= 10, checked
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -1235,7 +1305,7 @@ class TestDegeneracyBand:
     def test_quermass_chain_needs_the_plane(self):
         state = init_chain(QUERMASS, Box.centered_cube(1.0, 3))
         with pytest.raises(PreconditionError):
-            _delta_add(QUERMASS, state, mp((0.0, 0.0, 0.0), 0.3))
+            _delta(QUERMASS, state, 0, [mp((0.0, 0.0, 0.0), 0.3)])
 
 
 def test_deaths_ignore_grains_that_only_touch(caplog):
@@ -1246,5 +1316,5 @@ def test_deaths_ignore_grains_that_only_touch(caplog):
         state.replace(len(state.points), [g])
     lone = QUERMASS.energy(config([mp((1.0, 0.0), 0.5)]))
     with caplog.at_level("WARNING"):
-        assert _delta_remove(QUERMASS, state, 1) == -lone
+        assert _delta(QUERMASS, state, 1, []) == -lone
     assert caplog.records == []
