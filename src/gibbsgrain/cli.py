@@ -454,7 +454,10 @@ def _prepare_entropy(cfg: dict):
         print(f"entropy curve ({len(curve.points)} volumes) under ceiling: "
               f"{curve.under_ceiling}, trend ok: {curve.trend_ok} -> {out}")
         return {"outputs": ["entropy.csv", "plot_entropy.csv"],
-                "under_ceiling": curve.under_ceiling, "trend_ok": curve.trend_ok}
+                "under_ceiling": curve.under_ceiling, "trend_ok": curve.trend_ok,
+                "partition": [{"n": p.n, "ess": p.partition_ess,
+                               "max_weight_share": p.max_weight_share}
+                              for p in curve.points]}
 
     return body
 

@@ -31,9 +31,12 @@ where N is the set of grains of A whose open disc meets p's: the grains
 away from p's disc cancel by inclusion-exclusion, and the identity holds
 for N replaced by any subfamily of A that contains it. The chain's
 increments (``local_delta``) use it with A the interior plus the
-environment. ``conditional_energy`` stays a global recomputation: it is the
-reference that the chain's 1e-9 drift check compares the summed increments
-against.
+environment, and price it from p's link alone (``geometry.link_increment``):
+the arcs inside p's disc and the cliques of N that share a point with p,
+with a closed form when N is empty. ``conditional_energy`` stays a global
+recomputation of F: it is the reference that the chain's 1e-9 drift check
+compares the summed increments against, so the check compares two
+independent computations.
 
 The functional is exact only away from tangencies, internal tangencies and
 triple points, and the package has one rule for them (``geometry``): a
@@ -57,6 +60,7 @@ from .geometry import (
     Disc,
     _degenerate,
     euler_characteristic,
+    link_increment,
     meeting_discs,
     union_area_perimeter,
 )
@@ -390,7 +394,8 @@ class QuermassModel(EnergyModel):
 
     def local_delta(self, p, neighbours, band=0.0) -> float:
         """F(N with p) - F(N), N the neighbours whose open disc meets p's
-        (distance below the radius sum); see the module docstring.
+        (distance below the radius sum), from p's link alone
+        (``geometry.link_increment``); see the module docstring.
 
         +inf when ``geometry.meeting_discs`` at tol = ``band`` finds p
         degenerate with its neighbours (a tangency, an internal tangency or
@@ -408,9 +413,8 @@ class QuermassModel(EnergyModel):
         hits = meeting_discs(disc, others, band)
         if hits is None:
             return math.inf
-        meet = [others[i] for i in hits]
-        alone = self._functional(meet) if meet else 0.0
-        return self._functional(meet + [disc]) - alone
+        area, perimeter, chi = link_increment(disc, [others[i] for i in hits])
+        return self.a_area * area + self.a_perimeter * perimeter + self.a_euler * chi
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         self.validate_config(interior)

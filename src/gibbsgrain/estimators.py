@@ -57,6 +57,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PartitionReport:
+    """``ess`` is Kish's effective sample size of the importance weights,
+    (sum w)^2 / sum w^2, and ``max_weight_share`` the largest weight's share
+    of their sum; both are 0 when every weight is 0."""
+
     z_hat: float
     stderr: float
     log_z_hat: float
@@ -65,6 +69,8 @@ class PartitionReport:
     n_infinite: int
     lower_bound: float
     degenerate: bool
+    ess: float = 0.0
+    max_weight_share: float = 0.0
 
 
 def partition_estimate(
@@ -114,6 +120,10 @@ def partition_estimate(
             0.0, stderr, math.nan, math.nan, n_samples, n_inf, lower, True
         )
     total = weights.sum()
+    # scaled by the largest weight, so that no square overflows
+    scaled = weights / weights.max()
+    ess = float(scaled.sum() ** 2 / np.dot(scaled, scaled))
+    share = float(1.0 / scaled.sum())
     loo = np.log((total - weights) / (n_samples - 1))
     log_plug = math.log(z_hat)
     log_jack = n_samples * log_plug - (n_samples - 1) * float(loo.mean())
@@ -121,7 +131,7 @@ def partition_estimate(
         math.sqrt((n_samples - 1) / n_samples * np.sum((loo - loo.mean()) ** 2))
     )
     return PartitionReport(
-        z_hat, stderr, log_jack, log_se, n_samples, n_inf, lower, False
+        z_hat, stderr, log_jack, log_se, n_samples, n_inf, lower, False, ess, share
     )
 
 
@@ -204,11 +214,14 @@ def relative_entropy_estimate(
 
 @dataclass(frozen=True)
 class EntropyPoint(EntropyReport):
-    """The entropy report of the cube [-n, n)^d with its ceiling terms."""
+    """The entropy report of the cube [-n, n)^d with its ceiling terms and
+    the weight diagnostics of its partition estimate."""
 
     n: int
     a1_hat: float
     ceiling: float
+    partition_ess: float
+    max_weight_share: float
 
 
 @dataclass(frozen=True)
@@ -288,10 +301,11 @@ def specific_entropy_curve(
             if s > 0:
                 c_hat = max(c_hat, -h / s)
         a1 = float(np.mean(stats)) / window.volume()
-        per_n.append((int(n), report, a1))
+        per_n.append((int(n), report, a1, part))
     points = tuple(
-        EntropyPoint(**vars(report), n=n, a1_hat=a1, ceiling=c_hat * a1 + z)
-        for n, report, a1 in per_n
+        EntropyPoint(**vars(report), n=n, a1_hat=a1, ceiling=c_hat * a1 + z,
+                     partition_ess=part.ess, max_weight_share=part.max_weight_share)
+        for n, report, a1, part in per_n
     )
     return EntropyCurve(points, c_hat, z, exponent)
 

@@ -11,6 +11,17 @@ nerve. Discs are convex, so by Helly's theorem a set of discs has a common
 point exactly when all its triples do; the enumeration therefore grows cliques
 of the overlap graph and only ever tests triples.
 
+``link_increment(p, meet)`` gives what adding a disc p changes in all three
+functionals from the discs that meet it, without evaluating either union:
+p's arcs exposed against ``meet`` are added and the arcs of ``meet`` that
+are exposed and lie inside p's disc are taken away, and the Euler
+characteristic changes by 1 - chi(link), the link being the cliques of
+``meet`` that share a point with p. The link and the whole nerve share one
+clique enumerator (``_nerve_chi``, with p as its apex), and the arcs of
+both come from one cover-and-merge walk (``_exposed_arcs``, which can keep
+only the arcs inside a disc). A disc that meets nothing adds its own area,
+perimeter and 1 in closed form.
+
 The functionals take a plain list of discs, and exactness is claimed away
 from degeneracies. One predicate, ``meeting_discs(p, discs, tol)``, decides
 them everywhere: it returns the discs whose open disc meets p's, or None
@@ -38,6 +49,7 @@ __all__ = [
     "Disc",
     "union_area_perimeter",
     "euler_characteristic",
+    "link_increment",
     "GeometryOracle",
     "mc_geometry_oracle",
     "meeting_discs",
@@ -153,11 +165,36 @@ def _circle_vertices(a: Disc, b: Disc) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
-def _exposed_arcs(i: int, discs: list[Disc]) -> list[tuple[float, float]]:
+def _add_arc(covered: list[tuple[float, float]], lo: float, width: float) -> None:
+    """Append the arc from ``lo`` of angular ``width`` to ``covered``, split in
+    two where it wraps past 2 pi."""
+    lo %= _TWO_PI
+    hi = lo + width
+    if hi > _TWO_PI:
+        covered.append((lo, _TWO_PI))
+        covered.append((0.0, hi - _TWO_PI))
+    else:
+        covered.append((lo, hi))
+
+
+def _exposed_arcs(
+    i: int, discs: list[Disc], inside: Disc | None = None
+) -> list[tuple[float, float]]:
     """Arcs of circle i on the union boundary, as (theta1, theta2) with
-    theta2 > theta1; an uncovered circle returns [(0, 2 pi)]."""
+    theta2 > theta1; an uncovered circle returns [(0, 2 pi)]. With
+    ``inside``, only the parts of those arcs that lie in that open disc."""
     a = discs[i]
     covered: list[tuple[float, float]] = []
+    if inside is not None:
+        d = math.hypot(inside.x - a.x, inside.y - a.y)
+        if d >= a.r + inside.r or d <= a.r - inside.r:
+            return []  # circle i misses the disc, or runs around it
+        if d > inside.r - a.r:
+            # the part of circle i outside the disc counts as covered
+            phi = math.atan2(inside.y - a.y, inside.x - a.x)
+            cos_alpha = (d * d + a.r * a.r - inside.r * inside.r) / (2.0 * d * a.r)
+            alpha = math.acos(min(1.0, max(-1.0, cos_alpha)))
+            _add_arc(covered, phi + alpha, _TWO_PI - 2.0 * alpha)
     for j, b in enumerate(discs):
         if j == i:
             continue
@@ -171,14 +208,7 @@ def _exposed_arcs(i: int, discs: list[Disc]) -> list[tuple[float, float]]:
         phi = math.atan2(b.y - a.y, b.x - a.x)
         cos_alpha = (d * d + a.r * a.r - b.r * b.r) / (2.0 * d * a.r)
         alpha = math.acos(min(1.0, max(-1.0, cos_alpha)))
-        lo, hi = phi - alpha, phi + alpha
-        lo %= _TWO_PI
-        hi = lo + 2.0 * alpha
-        if hi > _TWO_PI:
-            covered.append((lo, _TWO_PI))
-            covered.append((0.0, hi - _TWO_PI))
-        else:
-            covered.append((lo, hi))
+        _add_arc(covered, phi - alpha, 2.0 * alpha)
     if not covered:
         return [(0.0, _TWO_PI)]
     covered.sort()
@@ -199,6 +229,16 @@ def _exposed_arcs(i: int, discs: list[Disc]) -> list[tuple[float, float]]:
     return exposed
 
 
+def _arc_area(d: Disc, lo: float, hi: float, x: float, y: float) -> float:
+    """Green's theorem term of the arc (lo, hi) of circle d, whose centre sits
+    at (x, y) relative to the origin of the sum."""
+    return 0.5 * (
+        d.r * d.r * (hi - lo)
+        + x * d.r * (math.sin(hi) - math.sin(lo))
+        - y * d.r * (math.cos(hi) - math.cos(lo))
+    )
+
+
 def union_area_perimeter(discs: list[Disc]) -> tuple[float, float]:
     """Area and boundary length of the open union of ``discs``, from one walk
     over each circle's exposed arcs: area by Green's theorem, perimeter as
@@ -207,12 +247,34 @@ def union_area_perimeter(discs: list[Disc]) -> tuple[float, float]:
     for i, d in enumerate(discs):
         for lo, hi in _exposed_arcs(i, discs):
             perimeter += d.r * (hi - lo)
-            area += 0.5 * (
-                d.r * d.r * (hi - lo)
-                + d.x * d.r * (math.sin(hi) - math.sin(lo))
-                - d.y * d.r * (math.cos(hi) - math.cos(lo))
-            )
+            area += _arc_area(d, lo, hi, d.x, d.y)
     return area, perimeter
+
+
+def link_increment(p: Disc, meet: list[Disc]) -> tuple[float, float, int]:
+    """Area, perimeter and Euler characteristic of the union of ``meet`` with
+    p, minus those of the union of ``meet``, for ``meet`` the discs whose
+    open disc meets p's (``meeting_discs``), free of degeneracies with p and
+    with each other.
+
+    The union's boundary loses the exposed arcs of ``meet`` that lie inside
+    D_p and gains p's arcs exposed against ``meet``, so both sums walk only
+    arcs inside D_p; Green's theorem takes p's centre as its origin. The
+    Euler characteristic changes by 1 - chi(D_p with the union of ``meet``),
+    and the nerve of that intersection is p's link: the cliques of ``meet``
+    that share a point with p. A lone grain adds (pi r^2, 2 pi r, 1).
+    """
+    if not meet:
+        return math.pi * p.r * p.r, _TWO_PI * p.r, 1
+    area = perimeter = 0.0
+    for lo, hi in _exposed_arcs(len(meet), meet + [p]):
+        perimeter += p.r * (hi - lo)
+        area += 0.5 * p.r * p.r * (hi - lo)
+    for i, q in enumerate(meet):
+        for lo, hi in _exposed_arcs(i, meet, inside=p):
+            perimeter -= q.r * (hi - lo)
+            area -= _arc_area(q, lo, hi, q.x - p.x, q.y - p.y)
+    return area, perimeter, 1 - _nerve_chi(meet, apex=p)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +305,22 @@ def euler_characteristic(discs: list[Disc]) -> int:
     higher intersections to triples). Raises NumericalFailure if the clique
     complex exceeds the face budget.
     """
+    return _nerve_chi(discs)
+
+
+def _nerve_chi(discs: list[Disc], apex: Disc | None = None) -> int:
+    """``euler_characteristic`` of ``discs``, or with an ``apex`` disc that
+    every disc meets, of the link of the apex: the cliques whose discs share
+    a point with it. By Helly, a clique shares a point with the apex when
+    all its triples do and the apex does with each of its pairs, so the
+    apex only thins the overlap graph to the pairs that meet inside it."""
     n = len(discs)
     neighbors: list[set[int]] = [set() for _ in range(n)]
     for i, j in combinations(range(n), 2):
         a, b = discs[i], discs[j]
-        if math.hypot(b.x - a.x, b.y - a.y) < a.r + b.r:
+        if math.hypot(b.x - a.x, b.y - a.y) < a.r + b.r and (
+            apex is None or _triple_solid(apex, a, b)
+        ):
             neighbors[i].add(j)
             neighbors[j].add(i)
     solid_cache: dict[tuple[int, int, int], bool] = {}

@@ -49,8 +49,9 @@ environment) and leaves out only exact-0.0 ones: the increments are bit for
 bit those of the plain loop (but for the sign of an all-zero sum). The
 quermass ``local_delta`` keeps the neighbours whose open disc meets p's,
 environment included, and returns F(N with p) - F(N) on those few discs
-(the valuation identity in ``energy``), so a step costs the same in any
-window. Births, moves and remarks whose new grain lies within ``band`` of a
+(the valuation identity in ``energy``) from p's link alone: the arcs inside
+p's disc and the cliques of N through p (``geometry.link_increment``), so a
+step costs the same in any window. Births, moves and remarks whose new grain lies within ``band`` of a
 tangency or triple point with its neighbours are rejected, and so is an
 environment with such a relation among the grains the chain can meet
 (``init_chain``). This is the package's one degeneracy rule: the quermass

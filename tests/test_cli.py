@@ -369,6 +369,10 @@ class TestEntropyCommand:
         record = json.loads((tmp_path / "ent" / "record.json").read_text())
         assert record["under_ceiling"] is True
         assert record["trend_ok"] is True
+        # ideal weights are all 1: every partition draw counts
+        assert record["partition"] == [
+            {"n": n, "ess": 1200.0, "max_weight_share": 1.0 / 1200} for n in (1, 2)
+        ]
 
 
 class TestDlrCommand:

@@ -131,6 +131,38 @@ class TestPartition:
                 IdealModel(), Box.unit(2), 0.5, UniformLaw(1.0), 999, stream(905, 0)
             )
 
+    def test_weight_diagnostics(self):
+        # Equal weights: every draw counts. One planted draw with energy -40
+        # carries all but about 1e-14 of the weight: the estimate rests on it.
+        flat = partition_estimate(
+            IdealModel(), Box.unit(2), 0.7, UniformLaw(1.0), 1500, stream(906, 0)
+        )
+        assert flat.ess == 1500.0
+        assert flat.max_weight_share == 1.0 / 1500
+
+        class OneDominantDraw:
+            calls = 0
+
+            def energy(self, c):
+                self.calls += 1
+                return -40.0 if self.calls == 700 else 0.0
+
+        plain = partition_estimate(
+            OneDominantDraw(), Box.unit(2), 0.7, UniformLaw(1.0), 1000, stream(906, 1)
+        )
+        assert plain.ess == pytest.approx(1.0, abs=1e-9)
+        assert plain.max_weight_share == pytest.approx(1.0, abs=1e-9)
+
+    def test_weight_diagnostics_of_a_degenerate_batch(self):
+        class AlwaysInf:
+            def energy(self, c):
+                return math.inf
+
+        rep = partition_estimate(
+            AlwaysInf(), Box.unit(2), 0.5, PointMassLaw(0.2), 1000, stream(907, 0)
+        )
+        assert rep.degenerate and rep.ess == 0.0 and rep.max_weight_share == 0.0
+
 
 class TestJStatistic:
     def test_poisson_campbell_mean(self):

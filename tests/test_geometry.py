@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gibbsgrain import (
     Disc,
+    NumericalFailure,
     QuermassModel,
     euler_characteristic,
     mc_geometry_oracle,
@@ -18,7 +19,8 @@ from gibbsgrain import (
     stream,
     union_area_perimeter,
 )
-from gibbsgrain.geometry import _DEGENERACY_TOL, _find_degenerate, meeting_discs
+from gibbsgrain import geometry
+from gibbsgrain.geometry import _DEGENERACY_TOL, _find_degenerate, link_increment, meeting_discs
 from conftest import config, mp
 
 
@@ -345,6 +347,104 @@ class TestGeometryProperties:
             for got, want in zip(local[:2], full[:2]):
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
             assert local[2] == full[2]
+
+
+def through_origin(rng, k, r_lo=0.4, r_hi=1.2):
+    """k discs whose open discs all contain the origin."""
+    discs = []
+    for _ in range(k):
+        r = float(rng.uniform(r_lo, r_hi))
+        rho, theta = float(rng.uniform(0.05, 0.9)) * r, float(rng.uniform(0.0, 2.0 * math.pi))
+        discs.append(Disc(rho * math.cos(theta), rho * math.sin(theta), r))
+    return discs
+
+
+def link_family(case, rng):
+    """p, then the other discs, of one shape of the link test."""
+    if case == "random":
+        *others, p = random_disc_system(rng, 3 + int(rng.integers(0, 16)), extent=3.0)
+    elif case == "empty":
+        others = random_disc_system(rng, 6, extent=4.0)
+        p = Disc(-3.0, float(rng.uniform(-1.0, 5.0)), float(rng.uniform(0.3, 1.2)))
+    elif case == "p-buried":
+        # p inside q, among discs that cross q's circle
+        others = [Disc(0.0, 0.0, 1.5)] + through_origin(rng, 4, 0.3, 0.6)
+        others = others[:1] + [Disc(d.x + 1.5, d.y, d.r) for d in others[1:]]
+        p = Disc(*rng.uniform(-0.5, 0.5, 2).tolist(), float(rng.uniform(0.1, 0.6)))
+    elif case == "q-buried":
+        # discs inside p, and discs across p's circle
+        p = Disc(0.0, 0.0, 1.6)
+        inner = [Disc(*(0.8 * rng.uniform(-0.7, 0.7, 2)).tolist(), float(rng.uniform(0.1, 0.7)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        angles = rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(0, 4)))
+        rim = [Disc(1.6 * math.cos(a), 1.6 * math.sin(a), float(rng.uniform(0.3, 0.6)))
+               for a in angles]
+        others = inner + rim
+    elif case == "lens-chain":
+        # consecutive discs along the x axis overlap in lenses; p crosses the chain
+        r = float(rng.uniform(0.4, 0.8))
+        xs = np.cumsum(rng.uniform(1.1 * r, 1.9 * r, int(rng.integers(3, 9))))
+        others = [Disc(float(x), float(rng.uniform(-0.2, 0.2)) * r, r) for x in xs]
+        p = Disc(float(rng.uniform(xs[0], xs[-1])), float(rng.uniform(-0.8, 0.8)),
+                 float(rng.uniform(0.3, 1.2)))
+    else:  # "common-point": six or more discs and p through the origin
+        others = through_origin(rng, int(rng.integers(6, 10)))
+        p = through_origin(rng, 1)[0]
+    return [p] + others
+
+
+class TestLinkIncrement:
+    """``link_increment`` against the difference of the functionals of the
+    meeting discs with and without p, computed here as the reference."""
+
+    @settings(max_examples=240)
+    @given(
+        case=st.sampled_from(["random", "empty", "p-buried", "q-buried", "lens-chain",
+                              "common-point"]),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        lam=st.floats(0.2, 5.0),
+        zeroed=st.sampled_from([None, "a_area", "a_perimeter", "a_euler"]),
+    )
+    def test_matches_the_difference_of_functionals(self, case, seed, shift, lam, zeroed):
+        p, *others = [Disc(lam * d.x + shift[0], lam * d.y + shift[1], lam * d.r)
+                      for d in link_family(case, np.random.default_rng(seed))]
+        scale = max([1.0] + [abs(d.x) + abs(d.y) + d.r for d in others + [p]])
+        hits = meeting_discs(p, others, _DEGENERACY_TOL * scale)
+        assume(hits is not None)
+        meet = [others[i] for i in hits]
+        assume(not _find_degenerate(meet, _DEGENERACY_TOL * scale))
+        area, perimeter, chi = link_increment(p, meet)
+        with_p, without = union_area_perimeter(meet + [p]), union_area_perimeter(meet)
+        assert abs(area - (with_p[0] - without[0])) <= 1e-12 * scale**2
+        assert abs(perimeter - (with_p[1] - without[1])) <= 1e-12 * scale
+        assert chi == euler_characteristic(meet + [p]) - euler_characteristic(meet)
+        if case == "empty":
+            assert meet == []
+            assert (area, perimeter, chi) == (math.pi * p.r * p.r, 2.0 * math.pi * p.r, 1)
+        if case == "p-buried":
+            assert (area, perimeter, chi) == (0.0, 0.0, 0)
+        if case == "common-point":
+            assert len(meet) >= 6 and chi == 0
+        # the chain's increment, with one coefficient zeroed
+        coefs = {"a_area": 0.4, "a_perimeter": -0.2, "a_euler": 0.3}
+        if zeroed:
+            coefs[zeroed] = 0.0
+        model = QuermassModel(**coefs)
+        got = model.local_delta(mp((p.x, p.y), p.r), [mp((d.x, d.y), d.r) for d in others],
+                                _DEGENERACY_TOL * scale)
+        want = model._functional(meet + [p]) - model._functional(meet)
+        assert abs(got - want) <= 1e-12 * scale**2
+
+    def test_face_budget(self, monkeypatch):
+        # p and eight discs through one point: the link is a full simplex of
+        # 2^8 - 1 faces
+        rng = np.random.default_rng(7)
+        meet, p = through_origin(rng, 8), through_origin(rng, 1)[0]
+        assert link_increment(p, meet)[2] == 0
+        monkeypatch.setattr(geometry, "_FACE_BUDGET", 200)
+        with pytest.raises(NumericalFailure, match="face budget"):
+            link_increment(p, meet)
 
 
 class TestOracles:

@@ -36,8 +36,9 @@ from gibbsgrain import (
     stream,
     tame_statistic,
 )
+from gibbsgrain import energy as energy_module
 from gibbsgrain import sampler
-from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate
+from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate, link_increment
 from gibbsgrain.io import write_configs_jsonl
 from gibbsgrain.sampler import (
     BoundaryCondition,
@@ -973,6 +974,27 @@ def assert_increment_is_global_difference(model, state, before, got, after, plai
         assert got.hex() == plain.hex()
 
 
+
+def spy_link_sizes(monkeypatch):
+    """The sizes of the links that the quermass increments price, in call
+    order."""
+    sizes = []
+
+    def link(disc, meet):
+        sizes.append(len(meet))
+        return link_increment(disc, meet)
+
+    monkeypatch.setattr(energy_module, "link_increment", link)
+    return sizes
+
+
+def dense_shell(rng, law):
+    """A boundary of 16 grains just outside [-2, 2)^2, which interior grains
+    meet."""
+    shell = [_draw_location(Box.centered_cube(3.0, 2), rng) for _ in range(16)]
+    return BoundaryCondition(config([MarkedPoint.make(loc, law.sample(rng)) for loc in shell]))
+
+
 class TestIncrementAudit:
     @pytest.mark.parametrize("name", sorted(AUDIT_MODELS))
     @settings(max_examples=20)
@@ -1024,6 +1046,37 @@ class TestIncrementAudit:
                 plain = plain_swap(model, state, idx, new_p) if pairwise else None
                 after = pts[:idx] + [new_p] + pts[idx + 1 :]
                 assert_increment_is_global_difference(model, state, before, got, after, plain)
+
+
+    @pytest.mark.parametrize("with_env", [False, True], ids=["free", "env"])
+    def test_dense_quermass_increments_equal_global_differences(self, with_env, monkeypatch):
+        # U(1.2) at z 1.0 packs grains so that links of three and more discs,
+        # and so triple faces through p, occur on chain-reached states
+        model, law = AUDIT_MODELS["quermass"], UniformLaw(1.2)
+        window = Box.centered_cube(2.0, 2)
+        rng = stream(631, with_env)
+        links = spy_link_sizes(monkeypatch)
+        state = init_chain(model, window, dense_shell(rng, law) if with_env else None,
+                           law.max_norm)
+        for _ in range(8):
+            for _ in range(150):
+                bdm_step(state, model, 1.0, law, ProposalMix(), rng)
+            pts = state.points
+            before = model.conditional_energy(state.snapshot(), state.env)
+            for _ in range(4):
+                p = MarkedPoint.make(_draw_location(window, rng), law.sample(rng))
+                got = _delta(model, state, len(pts), [p])
+                assert_increment_is_global_difference(model, state, before, got, pts + [p], None)
+            for idx in rng.permutation(len(pts))[:4].tolist():
+                got = _delta(model, state, idx, [])
+                rest = pts[:idx] + pts[idx + 1 :]
+                assert_increment_is_global_difference(model, state, before, got, rest, None)
+                new_p = MarkedPoint.make(pts[idx].location, law.sample(rng))
+                got = _delta(model, state, idx, [new_p])
+                after = pts[:idx] + [new_p] + pts[idx + 1 :]
+                assert_increment_is_global_difference(model, state, before, got, after, None)
+        assert max(links) >= 3 and sum(n >= 3 for n in links) >= 50, max(links)
+
 
 
 # ---------------------------------------------------------------------------
@@ -1099,6 +1152,38 @@ class TestReversibility:
                 checked[kind] += 1
         assert min(checked.values()) >= 10, checked
 
+    @pytest.mark.parametrize("with_env", [False, True], ids=["free", "env"])
+    def test_dense_quermass_reverse_pays_minus_the_increment(self, with_env, monkeypatch):
+        # U(1.2) at z 1.0: links of three and more discs, so the exact check
+        # reaches triple faces through p
+        model, law = AUDIT_MODELS["quermass"], UniformLaw(1.2)
+        window = Box.centered_cube(2.0, 2)
+        rng = stream(630, with_env)
+        links = spy_link_sizes(monkeypatch)
+        state = init_chain(model, window, dense_shell(rng, law) if with_env else None,
+                           law.max_norm)
+        z, mix = 1.0, ProposalMix()
+        checked = {kind: 0 for kind in REVERSE_KIND}
+        for _ in range(20):
+            for _ in range(40):
+                bdm_step(state, model, z, law, mix, rng)
+            for kind in REVERSE_KIND:
+                n = len(state.points)
+                idx, added = draw_proposal(state, kind, law, rng)
+                if added and not window.contains(np.array(added[0].location))[0]:
+                    continue
+                forward = _delta(model, state, idx, added)
+                if forward == math.inf:
+                    continue
+                removed = state.points[idx : idx + 1]
+                state.replace(idx, added)
+                back = (n, []) if idx == n else (idx if added else n - 1, removed)
+                assert forward == -_delta(model, state, *back), kind
+                state.replace(*back)
+                checked[kind] += 1
+        assert min(checked.values()) >= 10, checked
+        assert max(links) >= 3 and sum(n >= 3 for n in links) >= 50, max(links)
+
 
 # ---------------------------------------------------------------------------
 
@@ -1154,6 +1239,8 @@ class TestDegeneracyBand:
         before = list(state.points)
         evaluated = []
         monkeypatch.setattr(QUERMASS, "_functional", lambda discs: evaluated.append(discs))
+        monkeypatch.setattr(energy_module, "link_increment",
+                            lambda disc, meet: evaluated.append(meet + [disc]))
         increments = []
 
         def local_delta(p, neighbours, band=0.0):
@@ -1203,10 +1290,10 @@ class TestDegeneracyBand:
         band = init_chain(QUERMASS, window, bc).index.band(0.6)
         where, handed, recomputed = ["chain"], [], []
 
-        def functional(discs):
+        def link(disc, meet):
             if where[0] == "chain":
-                handed.append(list(discs))
-            return QuermassModel._functional(QUERMASS, discs)
+                handed.append(meet + [disc])
+            return link_increment(disc, meet)
 
         def conditional_energy(interior, environment):
             where[0] = "drift check"
@@ -1216,7 +1303,7 @@ class TestDegeneracyBand:
             finally:
                 where[0] = "chain"
 
-        monkeypatch.setattr(QUERMASS, "_functional", functional)
+        monkeypatch.setattr(energy_module, "link_increment", link)
         monkeypatch.setattr(QUERMASS, "conditional_energy", conditional_energy)
         with caplog.at_level("WARNING"):
             res = run_chain(QUERMASS, window, 0.5, UniformLaw(0.6), 4000, stream(627, 0),

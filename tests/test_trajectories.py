@@ -115,9 +115,10 @@ PINNED = {
         "samples": "132283123d75b27815c4aaf63a6e6df545caef10199c21061830344e4ab32080",
         "proposals": {"birth": 1075, "death": 1050, "move": 588, "remark": 287},
         "accepts": {"birth": 781, "death": 776, "move": 416, "remark": 241},
-        # The sum of local increments F(N with p) - F(N) rounds differently
-        # from the earlier differences of global energies (0x1.5b94e8db24650p-3).
-        "final_energy": "0x1.5b94e8db246d6p-3",
+        # Increments priced on each new grain's link round differently from
+        # the differences F(N with p) - F(N) (0x1.5b94e8db246d6p-3), which
+        # rounded differently from global energies (0x1.5b94e8db24650p-3).
+        "final_energy": "0x1.5b94e8db245e0p-3",
     },
     "wide-nonnegpair": {
         "samples": "d847fa5c46433aa2735b36aa260d081f6b40089550a4175cf8eb464d0bd75a9c",
