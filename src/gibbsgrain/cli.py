@@ -631,16 +631,17 @@ _COMMANDS = {
         "input": str, "series": str, "u_min": float, "u_max": float}),
 }
 
-# ConfigError is a ValueError, and a stray ValueError from numerical code still
-# exits 2 too, although the config values known to reach numerical code are
-# checked before the run directory exists: the seed (a non-negative whole
+# Only a ConfigError exits 2. The config values known to reach numerical code
+# are checked before the run directory exists: the seed (a non-negative whole
 # number) in load_config, and in prepare temper t and delta, geometry
 # mc_points, the chain keys (whole-number steps, burn_in, thin, chains,
 # drift_check_every and step_count; thin >= 1 and 0 <= burn_in < steps), the
 # whole-number counts of entropy and audit and entropy's n_list entries, and
-# the fit of model, mark law and dimension.
+# the fit of model, mark law and dimension; any other ValueError they raise
+# becomes a ConfigError in _run. A ValueError from a run body is a fault of
+# the code, not of the config: it is unmapped and exits 1.
 _EXIT_CODES = (
-    (ValueError, 2, "config error"),
+    (ConfigError, 2, "config error"),
     (PreconditionError, 3, "precondition violated"),
     (NumericalFailure, 4, "numerical failure"),
 )
@@ -661,8 +662,14 @@ def _run(command: str, args) -> None:
     manifest on, record.json is always written: status "ok" with the body's
     fields, or status "failed" with the exit code and error, re-raised.
     """
-    cfg = load_config(args, command)
-    body = _COMMANDS[command][1](cfg)
+    try:
+        cfg = load_config(args, command)
+        body = _COMMANDS[command][1](cfg)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        # everything up to here reads the config
+        raise ConfigError(str(e)) from e
     out = _out_dir(cfg, command)
     digest = _manifest(out, cfg)
     record = {"manifest": digest}

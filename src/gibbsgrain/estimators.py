@@ -59,7 +59,9 @@ log = logging.getLogger(__name__)
 class PartitionReport:
     """``ess`` is Kish's effective sample size of the importance weights,
     (sum w)^2 / sum w^2, and ``max_weight_share`` the largest weight's share
-    of their sum; both are 0 when every weight is 0."""
+    of their sum; both are 0 when every weight is 0. ``z_hat`` and
+    ``stderr`` are +inf when Z overflows a double; the log estimates stay
+    finite."""
 
     z_hat: float
     stderr: float
@@ -71,6 +73,16 @@ class PartitionReport:
     degenerate: bool
     ess: float = 0.0
     max_weight_share: float = 0.0
+
+
+def _scaled(x: float, log_scale: float) -> float:
+    """x * e^log_scale for x >= 0; +inf only when the product overflows."""
+    if x == 0.0:
+        return 0.0
+    try:
+        return math.exp(math.log(x) + log_scale)
+    except OverflowError:
+        return math.inf
 
 
 def partition_estimate(
@@ -85,53 +97,60 @@ def partition_estimate(
     """Importance-sampling estimate of the normalizer: mean of exp(-H) over
     Poisson draws, with a jackknife-corrected log estimate.
 
-    The empty configuration contributes weight one, so the true value is at
-    least exp(-z |W|); the report carries that floor. A batch in which every
-    draw has infinite energy yields estimate 0 with a logged warning instead
-    of an exception (it is a legitimate outcome for hard cores at high
-    activity, and the caller sees ``degenerate=True``).
+    The weights are kept in log space: each is exp(-H - s), s the largest
+    -H of the batch, so the largest is 1 and no energy is clamped. The
+    leave-one-out sums of the jackknife are taken on those weights too,
+    the largest draw's from the others alone, shifted by their own largest
+    -H, so that a draw carrying nearly all the weight cannot cancel itself
+    out. The empty configuration contributes weight one, so the true value
+    is at least exp(-z |W|); the report carries that floor. A batch in which
+    every draw has infinite energy yields estimate 0 with a logged warning
+    instead of an exception (it is a legitimate outcome for hard cores at
+    high activity, and the caller sees ``degenerate=True``).
     """
     if n_samples < 1000:
         raise PreconditionError("partition_estimate needs at least 1000 samples")
     env_out = restrict_complement(env, window) if env is not None else None
-    weights = np.empty(n_samples)
-    n_inf = 0
+    neg_h = np.empty(n_samples)
     for i in range(n_samples):
         gamma = sample_poisson(window, z, mark_law, rng)
         if env_out is not None:
-            h = model.conditional_energy(gamma, env_out)
+            neg_h[i] = -model.conditional_energy(gamma, env_out)
         else:
-            h = model.energy(gamma)
-        if h == math.inf:
-            weights[i] = 0.0
-            n_inf += 1
-        else:
-            weights[i] = math.exp(-min(max(h, -700.0), 700.0))
-    z_hat = float(weights.mean())
-    stderr = float(weights.std(ddof=1) / math.sqrt(n_samples))
+            neg_h[i] = -model.energy(gamma)
+    n_inf = int(np.count_nonzero(neg_h == -math.inf))
     lower = math.exp(-z * window.volume())
-    if z_hat == 0.0:
+    top = int(neg_h.argmax())
+    shift = float(neg_h[top])
+    if shift == -math.inf:
         log.warning(
             "all %d importance draws had infinite energy; partition estimate "
             "degenerates to 0",
             n_samples,
         )
-        return PartitionReport(
-            0.0, stderr, math.nan, math.nan, n_samples, n_inf, lower, True
-        )
-    total = weights.sum()
-    # scaled by the largest weight, so that no square overflows
-    scaled = weights / weights.max()
-    ess = float(scaled.sum() ** 2 / np.dot(scaled, scaled))
-    share = float(1.0 / scaled.sum())
-    loo = np.log((total - weights) / (n_samples - 1))
-    log_plug = math.log(z_hat)
-    log_jack = n_samples * log_plug - (n_samples - 1) * float(loo.mean())
+        return PartitionReport(0.0, 0.0, math.nan, math.nan, n_samples, n_inf, lower, True)
+    weights = np.exp(neg_h - shift)
+    total = float(weights.sum())
+    z_hat = _scaled(total / n_samples, shift)
+    stderr = _scaled(float(weights.std(ddof=1)) / math.sqrt(n_samples), shift)
+    ess = total**2 / float(np.dot(weights, weights))
+    # leave-one-out log means, relative to the shift; the top draw's sum may
+    # cancel to 0 here and is recomputed from the others (it stays -inf when
+    # every other draw has infinite energy)
+    with np.errstate(divide="ignore"):
+        loo = np.log((total - weights) / (n_samples - 1))
+    others = np.delete(neg_h, top)
+    second = float(others.max())
+    if second > -math.inf:
+        rest = float(np.exp(others - second).sum())
+        loo[top] = second - shift + math.log(rest / (n_samples - 1))
+    log_plug = math.log(total / n_samples)
+    log_jack = shift + n_samples * log_plug - (n_samples - 1) * float(loo.mean())
     log_se = float(
         math.sqrt((n_samples - 1) / n_samples * np.sum((loo - loo.mean()) ** 2))
     )
     return PartitionReport(
-        z_hat, stderr, log_jack, log_se, n_samples, n_inf, lower, False, ess, share
+        z_hat, stderr, log_jack, log_se, n_samples, n_inf, lower, False, ess, 1.0 / total
     )
 
 
@@ -295,6 +314,12 @@ def specific_entropy_curve(
         part = partition_estimate(
             model, window, z, mark_law, n_partition_samples, stream(seed, 60 + i)
         )
+        if part.ess < 0.01 * part.n_samples:
+            log.warning(
+                "partition estimate on [-%d, %d)^%d rests on few draws: ESS %.3g of %d "
+                "(largest weight share %.3g); log Z is not credible",
+                n, n, d, part.ess, part.n_samples, part.max_weight_share,
+            )
         report = relative_entropy_estimate(energies, window, part)
         stats = [mark_statistic(c, exponent) for c in samples]
         for h, s in zip(energies, stats):

@@ -117,19 +117,24 @@ def write_configs_jsonl(
 
 
 def read_configs_jsonl(path) -> Iterator[Configuration]:
-    """Configurations in file order; a line that is not one raises ConfigError."""
+    """Configurations in file order; a line that is not one, or a file that
+    is not text, raises ConfigError."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                config = record_to_config(json.loads(line))
-            except (ValueError, KeyError, TypeError) as e:
-                raise ConfigError(
-                    f"{path} line {lineno} is not a configuration record ({e!r})"
-                ) from e
-            yield config
+        lineno = 0
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    config = record_to_config(json.loads(line))
+                except (ValueError, KeyError, TypeError) as e:
+                    raise ConfigError(
+                        f"{path} line {lineno} is not a configuration record ({e!r})"
+                    ) from e
+                yield config
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not text after line {lineno} ({e!r})") from e
 
 
 @dataclass(frozen=True)
@@ -163,22 +168,29 @@ def write_report_csv(path, rows: Sequence[ReportRow]) -> None:
 
 
 def read_report_csv(path) -> list[ReportRow]:
+    """Rows of a report CSV; a file that is not one raises ConfigError."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _REPORT_FIELDS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"report {path} lacks columns {missing}")
-        return [
-            ReportRow(
-                row["quantity"],
-                float(row["estimate"]),
-                float(row["stderr"]),
-                int(row["n"]),
-                row["model_id"],
-                int(row["seed"]),
-            )
-            for row in reader
-        ]
+        try:
+            reader = csv.DictReader(fh)
+            missing = [c for c in _REPORT_FIELDS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ConfigError(f"report {path} lacks columns {missing}")
+            return [
+                ReportRow(
+                    row["quantity"],
+                    float(row["estimate"]),
+                    float(row["stderr"]),
+                    int(row["n"]),
+                    row["model_id"],
+                    int(row["seed"]),
+                )
+                for row in reader
+            ]
+        except ConfigError:
+            raise
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"report {path} line {reader.line_num} is not a report row "
+                              f"({e!r})") from e
 
 
 def write_plot_csv(path, series: Sequence[tuple[float, float, float]]) -> None:

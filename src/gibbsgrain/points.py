@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import PreconditionError
+
 __all__ = [
     "MarkedPoint",
     "Configuration",
@@ -183,16 +185,25 @@ class Configuration:
 
 
 class Window:
-    """Bounded observation region: membership test plus box bounds.
+    """Bounded observation region: membership tests, uniform draws and box
+    bounds.
 
-    ``contains`` follows each concrete window's own boundary convention
-    (half-open boxes, open balls).
+    ``contains`` tests an array of points and ``loc in window`` one point,
+    both with the concrete window's own boundary convention (half-open
+    boxes, open balls). ``draw(rng)`` returns one location uniform on the
+    window; the samplers take every location they propose from it.
     """
 
     dimension: int
 
     def contains(self, locations: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def __contains__(self, loc) -> bool:
+        return bool(self.contains(loc)[0])
+
+    def draw(self, rng: np.random.Generator) -> tuple[float, ...]:
+        raise PreconditionError(f"cannot sample uniformly from {type(self).__name__}")
 
     def bounding_box(self) -> "Box":
         raise NotImplementedError
@@ -213,8 +224,11 @@ def _as_points(locations, dimension: int) -> np.ndarray:
 class Box(Window):
     """Half-open axis parallel box: lo_i <= x_i < hi_i.
 
-    ``lo`` (the lower corner), ``span`` (hi - lo) and the volume are computed
-    once, at construction: the samplers read them on every draw.
+    ``lo`` (the lower corner), ``hi`` and ``span`` (hi - lo) are tuples of
+    Python floats, computed once with the volume at construction: the
+    samplers read them on every draw and every move. A draw is
+    lo_i + u_i * span_i per coordinate, on the doubles of one
+    ``rng.random(d)`` call, which are numpy's array operations to the bit.
     """
 
     def __init__(self, bounds):
@@ -226,10 +240,11 @@ class Box(Window):
         b.flags.writeable = False
         self.bounds = b
         self.dimension = b.shape[0]
-        self.lo = b[:, 0]
-        self.span = b[:, 1] - self.lo
-        self.span.flags.writeable = False
-        self._volume = float(np.prod(self.span))
+        self.lo = tuple(b[:, 0].tolist())
+        self.hi = tuple(b[:, 1].tolist())
+        span = b[:, 1] - b[:, 0]
+        self.span = tuple(span.tolist())
+        self._volume = float(np.prod(span))
 
     @staticmethod
     def centered_cube(n: float, dimension: int) -> "Box":
@@ -246,6 +261,18 @@ class Box(Window):
         x = _as_points(locations, self.dimension)
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         return np.all((x >= lo) & (x < hi), axis=-1)
+
+    def __contains__(self, loc) -> bool:
+        if len(loc) != self.dimension:
+            raise ValueError(f"point has dimension {len(loc)}, window has {self.dimension}")
+        for x, lo, hi in zip(loc, self.lo, self.hi):
+            if not lo <= x < hi:
+                return False
+        return True
+
+    def draw(self, rng: np.random.Generator) -> tuple[float, ...]:
+        u = rng.random(self.dimension).tolist()
+        return tuple([lo + v * span for lo, v, span in zip(self.lo, u, self.span)])
 
     def bounding_box(self) -> "Box":
         return self
@@ -276,6 +303,14 @@ class Ball(Window):
     def contains(self, locations) -> np.ndarray:
         x = _as_points(locations, self.dimension)
         return np.linalg.norm(x - self.center, axis=-1) < self.radius
+
+    def draw(self, rng: np.random.Generator) -> tuple[float, ...]:
+        # bounding-box rejection, tested with numpy's norm; how many draws it
+        # takes depends on the stream alone, not on the chain state
+        while True:
+            loc = self._box.draw(rng)
+            if loc in self:
+                return loc
 
     def bounding_box(self) -> Box:
         return self._box

@@ -5,16 +5,17 @@ The Poisson reference on a box, with a law whose ``MarkLaw.uniforms`` is set,
 takes all the doubles of one configuration from a single ``rng.random`` call
 instead of one call per point and mark, and builds the configuration from
 that block in one array pass. The block holds the same doubles in the same
-order as the per-point loop, and the locations come from the loop's own
-expression on its location columns. The marks and their norms come from
-``MarkLaw.marks_from_uniforms`` on its mark columns: ``UniformLaw`` evaluates
-one array formula that returns, for every row, the mark its ``sample``
-returns on that row's doubles (same type, same value to the bit) and the
-norm ``MarkedPoint.make`` computes for it; every other law falls back to
-replaying its ``sample`` row by row. So every configuration is the loop's to
-the bit, while ``Configuration.from_arrays`` checks the norms finite once per
-block, builds the atoms without a per-atom check, and keeps the location and
-norm arrays as the configuration's ``locations()`` and ``mark_norms()``.
+order as the per-point loop, and the locations come from ``Box.draw``'s
+expression, lo + u * span, on its location columns. The marks and their
+norms come from ``MarkLaw.marks_from_uniforms`` on its mark columns:
+``UniformLaw`` evaluates one array formula that returns, for every row, the
+mark its ``sample`` returns on that row's doubles (same type, same value to
+the bit) and the norm ``MarkedPoint.make`` computes for it; every other law
+falls back to replaying its ``sample`` row by row. So every configuration is
+the loop's to the bit, while ``Configuration.from_arrays`` checks the norms
+finite once per block, builds the atoms without a per-atom check, and keeps
+the location and norm arrays as the configuration's ``locations()`` and
+``mark_norms()``.
 
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
@@ -22,6 +23,15 @@ so two chains driven by the same stream stay coupled step for step as long as
 their decisions agree; the cut-off kernel sampler relies on this to be
 bit-identical to the full kernel once the cap and the environment window are
 past their thresholds.
+
+A chain step works in Python floats. A birth's location is
+``window.draw(rng)``, a move's displacement is one ``rng.standard_normal(d)``
+call scaled and turned into floats, and the moved location is kept when
+``loc in window``. A box draws lo + u * span per coordinate from one
+``rng.random(d)`` call and tests lo <= x < hi, which are numpy's array
+operations to the bit; a ball draws by rejection from its bounding box and
+tests with numpy's norm. So the chain reads the same doubles in the same
+order, and makes the same decisions, as array code would.
 
 Every proposal is ``points[idx : idx + 1] = added``, at most one atom each
 side (a birth appends at ``idx == n``), and one increment, ``_delta``, prices
@@ -40,8 +50,10 @@ reach(|p|, bound) + band of p (padded against roundoff), sorts the entries
 by stamp and hands them to ``model.local_delta``. ``bound`` is the largest
 mark norm indexed so far and never decreases; the cell side is
 reach(bound, bound), or 1.0 when that is 0, and the grid is rebuilt, in
-O(n), whenever an accepted atom raises the bound. A query whose reach is 0
-(always for the ideal model) keeps only the atoms at p's own location.
+O(n), whenever an accepted atom raises the bound; otherwise an accepted
+proposal writes, deletes or appends its one entry in place. A query whose
+reach is 0 (always for the ideal model) keeps only the atoms at p's own
+location.
 
 Pairwise models' ``local_delta`` is ``model.interaction`` over the
 neighbours, which adds the terms in the plain loop's order (points, then
@@ -74,7 +86,6 @@ from .errors import NumericalFailure, PreconditionError
 from .geometry import Disc, meeting_discs
 from .marks import MarkLaw
 from .points import (
-    Ball,
     Box,
     Configuration,
     MarkedPoint,
@@ -109,24 +120,6 @@ def _window_volume(window: Window) -> float:
         ) from None
 
 
-def _box_locations(box: Box, u: np.ndarray) -> np.ndarray:
-    """Points of ``box`` from uniforms on [0, 1): ``u`` has shape (d,) or (n, d)."""
-    return box.lo + u * box.span
-
-
-def _draw_location(window: Window, rng: np.random.Generator) -> tuple[float, ...]:
-    if isinstance(window, Box):
-        return tuple(float(v) for v in _box_locations(window, rng.random(window.dimension)))
-    if isinstance(window, Ball):
-        # bounding-box rejection; draw count is state independent
-        bb = window.bounding_box()
-        while True:
-            x = _box_locations(bb, rng.random(window.dimension))
-            if window.contains(x)[0]:
-                return tuple(float(v) for v in x)
-    raise PreconditionError(f"cannot sample uniformly from {type(window).__name__}")
-
-
 def sample_poisson(
     window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator
 ) -> Configuration:
@@ -136,11 +129,11 @@ def sample_poisson(
     drawn as one (n, d + uniforms) block. The per-point loop reads d location
     doubles, then the mark's, point after point, which is the block's row-major
     order, so both read the same doubles in the same order. The locations go
-    through the loop's own expression (``_box_locations``) and the marks
-    through the law's ``marks_from_uniforms`` (see the module docstring), so
-    the configuration is the loop's to the bit and the stream is left where
-    the loop leaves it. Balls (whose bounding-box rejection reads a variable
-    number of doubles) and other laws keep the loop.
+    through ``Box.draw``'s expression, lo + u * span, as one array operation,
+    and the marks through the law's ``marks_from_uniforms`` (see the module
+    docstring), so the configuration is the loop's to the bit and the stream
+    is left where the loop leaves it. Balls (whose bounding-box rejection
+    reads a variable number of doubles) and other laws keep the loop.
     """
     if z < 0:
         raise ValueError("activity z must be non-negative")
@@ -151,14 +144,15 @@ def sample_poisson(
     k = mark_law.uniforms
     if k is None or not isinstance(window, Box):
         pts = [
-            MarkedPoint.make(_draw_location(window, rng), mark_law.sample(rng))
+            MarkedPoint.make(window.draw(rng), mark_law.sample(rng))
             for _ in range(n)
         ]
         return Configuration(pts, dimension=window.dimension)
     d = window.dimension
     block = rng.random((n, d + k))
     marks, norms = mark_law.marks_from_uniforms(block[:, d:])
-    return Configuration.from_arrays(_box_locations(window, block[:, :d]), marks, norms)
+    locations = np.add(window.lo, block[:, :d] * window.span)
+    return Configuration.from_arrays(locations, marks, norms)
 
 
 @dataclass(frozen=True)
@@ -341,23 +335,26 @@ class _CellIndex:
         return tuple([math.floor(c / self.side) for c in loc])
 
     def replace(self, idx: int, added: list[MarkedPoint]) -> None:
-        """Mirror ``points[idx : idx + 1] = added`` (at most one atom each)."""
-        old = self.interior[idx : idx + 1]
-        for entry in old:
-            self.cells[self._key(entry[1].location)].remove(entry)
-        if old:
-            stamp = old[0][0]
+        """Mirror ``points[idx : idx + 1] = added`` (at most one atom each):
+        the one entry is written, deleted or appended in place."""
+        interior = self.interior
+        if idx < len(interior):
+            stamp, old = entry = interior[idx]
+            self.cells[self._key(old.location)].remove(entry)
+            if not added:
+                del interior[idx]
+                return
+            entry = interior[idx] = (stamp, added[0])
         else:
-            stamp, self.births = self.births, self.births + 1
-        new = [(stamp, p) for p in added]
-        self.interior[idx : idx + 1] = new
-        grown = max((p.mark_norm for p in added), default=0.0)
-        if grown > self.bound:
-            self.bound = grown
+            entry = (self.births, added[0])
+            self.births += 1
+            interior.append(entry)
+        p = entry[1]
+        if p.mark_norm > self.bound:
+            self.bound = p.mark_norm
             self._build()
-            return
-        for entry in new:
-            self.cells.setdefault(self._key(entry[1].location), []).append(entry)
+        else:
+            self.cells.setdefault(self._key(p.location), []).append(entry)
 
     def near(self, loc: tuple[float, ...], r: float) -> list[tuple[int, MarkedPoint]]:
         """(stamp, atom) entries of the cells within r of loc, in stamp order."""
@@ -521,7 +518,7 @@ def bdm_step(
     idx, added = n, []
     if u_kind < mix.birth:
         kind = "birth"
-        loc = _draw_location(state.window, rng)
+        loc = state.window.draw(rng)
         mark = mark_law.sample(rng)
         u_acc = rng.random()
         added = [MarkedPoint.make(loc, mark)]
@@ -534,13 +531,13 @@ def bdm_step(
     elif u_kind < mix.birth + mix.death + mix.move:
         kind = "move"
         u_sel = rng.random()
-        disp = rng.standard_normal(state.window.dimension) * mix.move_scale
+        disp = (rng.standard_normal(state.window.dimension) * mix.move_scale).tolist()
         u_acc = rng.random()
         if n > 0:
             sel = min(int(u_sel * n), n - 1)
             old = state.points[sel]
-            new_loc = tuple(float(c + d) for c, d in zip(old.location, disp))
-            if state.window.contains(np.array(new_loc))[0]:
+            new_loc = tuple([c + dc for c, dc in zip(old.location, disp)])
+            if new_loc in state.window:
                 idx, added = sel, [MarkedPoint(new_loc, old.mark, old.mark_norm)]
     else:
         kind = "remark"

@@ -12,7 +12,7 @@ import pytest
 import numpy as np
 
 import gibbsgrain
-from gibbsgrain import MarkedPoint, PathMark
+from gibbsgrain import MarkedPoint, PathMark, sampler
 from gibbsgrain.cli import main
 from gibbsgrain.io import read_configs_jsonl, read_report_csv, write_configs_jsonl
 
@@ -578,6 +578,59 @@ class TestRunWrapper:
         assert record["exit_code"] == code
         assert record["error"].startswith(error + ": ")
         assert record["manifest"] == manifest["hash"]
+
+    def test_value_error_in_a_run_body_exits_1(self, tmp_path, monkeypatch):
+        # A ValueError from numerical code is a fault of the code, not of the
+        # config: main lets it through, so the console script exits 1 with
+        # its traceback, and the record says so.
+        def domain_error(*args):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(sampler, "hastings_ratio", domain_error)
+        cfg = write_cfg(tmp_path, "cfg.json", dict(self._CHAIN_BASE["sample"], seed=4))
+        with pytest.raises(ValueError, match="math domain error"):
+            main(["sample", "--config", cfg, "--out", str(tmp_path), "--name", "f"])
+        record = json.loads((tmp_path / "f" / "record.json").read_text())
+        assert record["status"] == "failed" and record["exit_code"] == 1
+        assert record["error"] == "ValueError: math domain error"
+        src = str(Path(gibbsgrain.__file__).resolve().parent.parent)
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from gibbsgrain import sampler\n"
+            "def domain_error(*args): raise ValueError('math domain error')\n"
+            "sampler.hastings_ratio = domain_error\n"
+            "from gibbsgrain.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, src, "sample", "--config", cfg,
+             "--out", str(tmp_path), "--name", "g"],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert "ValueError: math domain error" in out.stderr
+        assert json.loads((tmp_path / "g" / "record.json").read_text())["exit_code"] == 1
+
+    def test_unreadable_config_inputs_exit_2(self, tmp_path, capsys):
+        root = tmp_path / "root"
+        # read before the run directory: a config file that is not text, and
+        # a value that is not a number
+        (tmp_path / "bytes.json").write_bytes(b'{"seed": 1, "z": "\xff"}')
+        bad_z = write_cfg(tmp_path, "z.json", dict(self._CHAIN_BASE["sample"], seed=1, z="x"))
+        for cfg in (str(tmp_path / "bytes.json"), bad_z):
+            assert main(["sample", "--config", cfg, "--out", str(root)]) == 2
+            assert not root.exists()
+        # read by the run body: a sample file that is not text, and a report
+        # with an estimate that is not a number
+        (tmp_path / "bytes.jsonl").write_bytes(b"\xff\xfe\x00\n")
+        (tmp_path / "bad.csv").write_text(
+            "quantity,estimate,stderr,n,model_id,seed\ni_per_volume,x,0.1,1,ideal,1\n")
+        for argv, name in ((["temper", "--input", str(tmp_path / "bytes.jsonl")], "t"),
+                           (["plot-data", "--series", "entropy",
+                             "--input", str(tmp_path / "bad.csv")], "p")):
+            capsys.readouterr()
+            assert main(argv + ["--seed", "1", "--out", str(root), "--name", name]) == 2
+            assert "line" in capsys.readouterr().err
+            assert json.loads((root / name / "record.json").read_text())["exit_code"] == 2
 
     # Small runs, so that a case prepare lets through still ends soon; it then
     # fails by its exit code or its run directory.

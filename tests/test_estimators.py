@@ -153,6 +153,59 @@ class TestPartition:
         assert plain.ess == pytest.approx(1.0, abs=1e-9)
         assert plain.max_weight_share == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def planted(h_top, at=700):
+        """A model with energy ``h_top`` on draw ``at`` and 0 on every other."""
+
+        class Planted:
+            calls = 0
+
+            def energy(self, c):
+                self.calls += 1
+                return h_top if self.calls == at else 0.0
+
+        return Planted()
+
+    @staticmethod
+    def closed_form(log_w, n):
+        """log Z, the jackknife estimate and its stderr for one draw of
+        log-weight ``log_w`` and n - 1 of weight 1, from the two distinct
+        leave-one-out means: without the draw (0) and with it."""
+        log_plug = log_w + math.log1p((n - 1) * math.exp(-log_w)) - math.log(n)
+        with_top = log_w + math.log1p((n - 2) * math.exp(-log_w)) - math.log(n - 1)
+        mean = (n - 1) * with_top / n
+        jack = n * log_plug - (n - 1) * mean
+        se = math.sqrt((n - 1) / n * ((n - 1) * (with_top - mean) ** 2 + mean**2))
+        return log_plug, jack, se
+
+    @pytest.mark.parametrize("h_top", [-600.0, -800.0])
+    def test_a_dominant_draw_keeps_a_finite_log_estimate(self, h_top):
+        # The old weights exp(-clamp(H, -700, 700)) gave +inf and NaN at
+        # H = -600 (e^600 + 999 rounds to e^600, so the dominant draw's
+        # leave-one-out sum was 0) and read H = -800 as -700.
+        n = 1000
+        rep = partition_estimate(
+            self.planted(h_top), Box.unit(2), 0.7, UniformLaw(1.0), n, stream(908, 0)
+        )
+        _log_plug, jack, se = self.closed_form(-h_top, n)
+        assert math.isfinite(rep.log_z_hat) and math.isfinite(rep.log_stderr)
+        assert rep.log_z_hat == pytest.approx(jack, rel=0, abs=1e-9)
+        assert rep.log_stderr == pytest.approx(se, rel=0, abs=1e-9)
+        assert rep.ess == pytest.approx(1.0, abs=1e-9)
+        assert not rep.degenerate and rep.n_infinite == 0
+
+    def test_the_log_weight_is_not_clamped(self):
+        n = 1000
+        rep = partition_estimate(
+            self.planted(-800.0), Box.unit(2), 0.7, UniformLaw(1.0), n, stream(908, 1)
+        )
+        # the draw's log-weight is 800; the clamp read it as 700, which puts
+        # the jackknife estimate about 200 lower
+        assert rep.log_z_hat == pytest.approx(self.closed_form(800.0, n)[1], rel=0, abs=1e-9)
+        assert rep.log_z_hat - self.closed_form(700.0, n)[1] > 199.0
+        # Z itself is about e^793, beyond a double
+        assert rep.z_hat == math.inf and rep.stderr == math.inf
+
     def test_weight_diagnostics_of_a_degenerate_batch(self):
         class AlwaysInf:
             def energy(self, c):
@@ -359,12 +412,42 @@ class TestEntropyCurve:
             chain_steps=2000, stat_exponent=2.0,
         )
         assert [p.n for p in curve.points] == [1]
+        # Weights shifted by the largest -H (here > 0) round log Z differently
+        # from the unshifted ones (-0x1.3c5ec422a7800p-4), 3e-14 apart; the
+        # rejection-path curve above has empty draws, so its shift is 0.
         assert self.curve_hex(curve) == [
             "0x1.a32d8d440e66fp-6",
-            ["0x1.0000000000000p+2", "0x1.27e21f5880083p-4", "-0x1.3c5ec422a7800p-4",
-             "0x1.47ca4ca2777d0p-8", "0x1.6411b62400f3ap-6", "0x1.47ca4ca2777d0p-10",
-             "0x1.6411b62400f3ap-8", "0x1.f68b0df4ca94ap-2", "0x1.a67515a7fec7ap-2"],
+            ["0x1.0000000000000p+2", "0x1.27e21f5880083p-4", "-0x1.3c5ec422a7000p-4",
+             "0x1.47ca4ca26f7d0p-8", "0x1.6411b62400f37p-6", "0x1.47ca4ca26f7d0p-10",
+             "0x1.6411b62400f37p-8", "0x1.f68b0df4ca94ap-2", "0x1.a67515a7fec7ap-2"],
         ]
+
+    def test_low_partition_ess_warns(self, caplog):
+        # The rejection path asks the model for 40 energies (all 0, all
+        # accepted), then partition_estimate for 1000; draw 500 of those
+        # carries nearly all the weight.
+        class Planted(IdealModel):
+            calls = 0
+
+            def energy(self, c):
+                self.calls += 1
+                return -40.0 if self.calls == 40 + 500 else 0.0
+
+        def run(model):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="gibbsgrain.estimators"):
+                curve = specific_entropy_curve(
+                    model, 2, (1,), 0.5, UniformLaw(0.6), 0.5, seed=933,
+                    n_energy_samples=40, n_partition_samples=1000,
+                )
+            return curve.points[0], caplog.text
+
+        point, text = run(Planted())
+        assert point.partition_ess == pytest.approx(1.0, abs=1e-9)
+        assert "rests on few draws: ESS 1 of 1000" in text
+        point, text = run(IdealModel())
+        assert point.partition_ess == 1000.0
+        assert "rests on few draws" not in text
 
     def test_n_list_must_increase(self):
         for bad in ((2, 1), (1, 1)):

@@ -1,8 +1,12 @@
 """Configurations, windows, restriction, and the tame statistic."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsgrain import (
     Ball,
@@ -186,3 +190,107 @@ class TestWindows:
     def test_ball_volume(self):
         assert Ball((0.0, 0.0), 2.0).volume() == pytest.approx(math.pi * 4.0)
         assert Ball((0.0,), 1.0).volume() == pytest.approx(2.0)
+
+
+def old_box_draw(box, rng):
+    """The samplers' former Box draw: numpy's lo + u * span on one
+    rng.random(d) call."""
+    lo, hi = box.bounds[:, 0], box.bounds[:, 1]
+    return tuple(float(v) for v in lo + rng.random(box.dimension) * (hi - lo))
+
+
+def old_ball_draw(ball, rng):
+    """The samplers' former Ball draw: bounding-box rejection tested by
+    ``contains``."""
+    while True:
+        x = np.array(old_box_draw(ball.bounding_box(), rng))
+        if ball.contains(x)[0]:
+            return tuple(x.tolist())
+
+
+corners = st.floats(-50.0, 50.0, allow_subnormal=False)
+widths = st.floats(1e-3, 20.0, allow_subnormal=False)
+
+
+def near(x, steps=2):
+    """x and its neighbouring doubles, ``steps`` on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestWindowDraws:
+    """``Window.draw`` and ``loc in window`` against the array expressions
+    the samplers used before: the same values, the same stream position,
+    the same membership on and near the boundary."""
+
+    @settings(max_examples=60)
+    @given(d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_box_draw_matches_array_expression(self, d, data, seed):
+        lows = data.draw(st.lists(corners, min_size=d, max_size=d))
+        spans = data.draw(st.lists(widths, min_size=d, max_size=d))
+        box = Box([(a, a + w) for a, w in zip(lows, spans)])
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            loc = box.draw(new)
+            assert [v.hex() for v in loc] == [v.hex() for v in old_box_draw(box, old)]
+            assert all(type(v) is float for v in loc)
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @settings(max_examples=60)
+    @given(d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_ball_draw_matches_array_expression(self, d, data, seed):
+        center = data.draw(st.lists(corners, min_size=d, max_size=d))
+        ball = Ball(center, data.draw(widths))
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            loc = ball.draw(new)
+            assert [v.hex() for v in loc] == [v.hex() for v in old_ball_draw(ball, old)]
+            assert all(type(v) is float for v in loc)
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @settings(max_examples=60)
+    @given(d=st.integers(1, 3), data=st.data())
+    def test_box_membership_at_its_faces(self, d, data):
+        lows = data.draw(st.lists(corners, min_size=d, max_size=d))
+        spans = data.draw(st.lists(widths, min_size=d, max_size=d))
+        box = Box([(a, a + w) for a, w in zip(lows, spans)])
+        # every coordinate at, or a double or two beside, its lo or its hi
+        faces = [near(lo) + near(hi) for lo, hi in box.bounds.tolist()]
+        for _ in range(20):
+            loc = tuple(data.draw(st.sampled_from(f)) for f in faces)
+            assert (loc in box) is bool(box.contains(np.array(loc))[0])
+        assert tuple(box.lo) in box and tuple(box.hi) not in box
+
+    @settings(max_examples=60)
+    @given(d=st.integers(1, 3), data=st.data())
+    def test_ball_membership_on_and_near_its_sphere(self, d, data):
+        center = data.draw(st.lists(corners, min_size=d, max_size=d))
+        ball = Ball(center, data.draw(widths))
+        direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        if not np.linalg.norm(direction) > 1e-3:
+            direction = np.eye(d)[0]
+        on = ball.center + ball.radius * direction / np.linalg.norm(direction)
+        # the rounded point on the sphere and the doubles around it
+        for loc in itertools.product(*(near(c, 1) for c in on.tolist())):
+            assert (loc in ball) is bool(ball.contains(np.array(loc))[0])
+        assert tuple(ball.center.tolist()) in ball
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exactly_on_the_sphere_is_outside(self, d):
+        # |x - c| == r exactly: an axis point, and the (3, 4, 5) triangle
+        ball = Ball([0.0] * d, 5.0)
+        points = [(5.0,) + (0.0,) * (d - 1), (-5.0,) + (0.0,) * (d - 1)]
+        if d > 1:
+            points.append((3.0, 4.0) + (0.0,) * (d - 2))
+        for loc in points:
+            assert loc not in ball and not ball.contains(np.array(loc))[0]
+            inner = (math.nextafter(loc[0], 0.0),) + loc[1:]
+            assert (inner in ball) is bool(ball.contains(np.array(inner))[0])
+        assert (math.nextafter(5.0, 0.0),) + (0.0,) * (d - 1) in ball
+
+    def test_membership_needs_the_window_dimension(self):
+        with pytest.raises(ValueError):
+            (0.0, 0.0, 0.0) in Box.centered_cube(1.0, 2)

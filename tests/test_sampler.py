@@ -43,7 +43,6 @@ from gibbsgrain.io import write_configs_jsonl
 from gibbsgrain.sampler import (
     BoundaryCondition,
     _delta,
-    _draw_location,
     bdm_step,
     hastings_ratio,
     init_chain,
@@ -778,13 +777,13 @@ def assert_increments_match(model, state, rng, law, queries=12):
     bit for bit, for fresh atoms, every removal and moves plus remarks."""
     assert [q for _stamp, q in state.index.interior] == state.points
     for _ in range(queries):
-        p = MarkedPoint.make(_draw_location(state.window, rng), law.sample(rng))
+        p = MarkedPoint.make(state.window.draw(rng), law.sample(rng))
         assert _delta(model, state, len(state.points), [p]).hex() == plain_add(model, state, p).hex()
     for idx in range(len(state.points)):
         assert _delta(model, state, idx, []).hex() == plain_remove(model, state, idx).hex()
         old = state.points[idx]
         for new_p in (
-            MarkedPoint.make(_draw_location(state.window, rng), old.mark),
+            MarkedPoint.make(state.window.draw(rng), old.mark),
             MarkedPoint.make(old.location, law.sample(rng)),
         ):
             got = _delta(model, state, idx, [new_p])
@@ -795,19 +794,19 @@ def scramble(state, rng, law, n_ops, n_births=0):
     """``n_births`` births, then ``n_ops`` births, deaths, moves and remarks,
     through ChainState.replace."""
     for _ in range(n_births):
-        loc = _draw_location(state.window, rng)
+        loc = state.window.draw(rng)
         state.replace(len(state.points), [MarkedPoint.make(loc, law.sample(rng))])
     for _ in range(n_ops):
         n = len(state.points)
         op = int(rng.integers(0, 4)) if n else 0
         idx = int(rng.integers(0, n)) if n else 0
         if op == 0:
-            loc = _draw_location(state.window, rng)
+            loc = state.window.draw(rng)
             state.replace(n, [MarkedPoint.make(loc, law.sample(rng))])
         elif op == 1:
             state.replace(idx, [])
         elif op == 2:
-            loc = _draw_location(state.window, rng)
+            loc = state.window.draw(rng)
             state.replace(idx, [MarkedPoint.make(loc, state.points[idx].mark)])
         else:
             state.replace(idx, [MarkedPoint.make(state.points[idx].location, law.sample(rng))])
@@ -830,7 +829,7 @@ class TestNeighbourIndex:
         law = PATH_LAW if name == "diffusion" else (SPREAD_LAW if spread else UniformLaw(0.6))
         window = Ball([0.0] * d, half) if ball else Box.centered_cube(half, d)
         # environment: a shell just outside the window plus far-away atoms
-        near = [_draw_location(Box.centered_cube(half + 2.0, d), rng) for _ in range(20)]
+        near = [Box.centered_cube(half + 2.0, d).draw(rng) for _ in range(20)]
         far = [tuple(float(c) for c in rng.uniform(-1.0, 1.0, d) * 50.0 + 60.0) for _ in range(3)]
         xi = Configuration(
             [MarkedPoint.make(loc, law.sample(rng)) for loc in near + far], dimension=d
@@ -949,7 +948,7 @@ def scramble_finite(model, state, rng, law, n_births, n_ops):
     for k in range(n_births + n_ops):
         saved = list(state.points)
         if k < n_births:
-            loc = _draw_location(state.window, rng)
+            loc = state.window.draw(rng)
             state.replace(len(saved), [MarkedPoint.make(loc, law.sample(rng))])
         else:
             scramble(state, rng, law, 1)
@@ -991,7 +990,7 @@ def spy_link_sizes(monkeypatch):
 def dense_shell(rng, law):
     """A boundary of 16 grains just outside [-2, 2)^2, which interior grains
     meet."""
-    shell = [_draw_location(Box.centered_cube(3.0, 2), rng) for _ in range(16)]
+    shell = [Box.centered_cube(3.0, 2).draw(rng) for _ in range(16)]
     return BoundaryCondition(config([MarkedPoint.make(loc, law.sample(rng)) for loc in shell]))
 
 
@@ -1017,7 +1016,7 @@ class TestIncrementAudit:
         bc = None
         if with_env:
             # a shell just outside the window, which interior grains meet
-            shell = [_draw_location(Box.centered_cube(half + 1.0, 2), rng) for _ in range(16)]
+            shell = [Box.centered_cube(half + 1.0, 2).draw(rng) for _ in range(16)]
             xi = [MarkedPoint.make(loc, law.sample(rng)) for loc in shell]
             bc = BoundaryCondition(Configuration(xi, dimension=2))
         state = init_chain(model, window, bc)
@@ -1026,7 +1025,7 @@ class TestIncrementAudit:
         before = model.conditional_energy(state.snapshot(), state.env)
         assert before < math.inf
         for _ in range(6):
-            p = MarkedPoint.make(_draw_location(window, rng), law.sample(rng))
+            p = MarkedPoint.make(window.draw(rng), law.sample(rng))
             got = _delta(model, state, len(state.points), [p])
             plain = plain_add(model, state, p) if pairwise else None
             assert_increment_is_global_difference(model, state, before, got, pts + [p], plain)
@@ -1064,7 +1063,7 @@ class TestIncrementAudit:
             pts = state.points
             before = model.conditional_energy(state.snapshot(), state.env)
             for _ in range(4):
-                p = MarkedPoint.make(_draw_location(window, rng), law.sample(rng))
+                p = MarkedPoint.make(window.draw(rng), law.sample(rng))
                 got = _delta(model, state, len(pts), [p])
                 assert_increment_is_global_difference(model, state, before, got, pts + [p], None)
             for idx in rng.permutation(len(pts))[:4].tolist():
@@ -1091,7 +1090,7 @@ def draw_proposal(state, kind, law, rng):
     non-empty state unless ``kind`` is birth (a move may leave the window)."""
     n = len(state.points)
     if kind == "birth":
-        return n, [MarkedPoint.make(_draw_location(state.window, rng), law.sample(rng))]
+        return n, [MarkedPoint.make(state.window.draw(rng), law.sample(rng))]
     idx = int(rng.integers(n))
     old = state.points[idx]
     if kind == "death":
@@ -1119,7 +1118,7 @@ class TestReversibility:
         bc = None
         if with_env:
             # a shell just outside the window, which interior atoms meet
-            shell = [_draw_location(Box.centered_cube(3.0, 2), rng) for _ in range(16)]
+            shell = [Box.centered_cube(3.0, 2).draw(rng) for _ in range(16)]
             bc = BoundaryCondition(config([MarkedPoint.make(loc, law.sample(rng))
                                            for loc in shell]))
         state = init_chain(model, window, bc, law.max_norm)

@@ -15,6 +15,7 @@ import math
 import pytest
 
 from gibbsgrain import (
+    Ball,
     BoundaryCondition,
     Box,
     DiffusionModel,
@@ -84,6 +85,12 @@ CASES = {
         model=PairPotentialModel(soft_bump),
         half=6.0, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_W6,
     ),
+    # A disc window: births by bounding-box rejection, moves refused when
+    # they leave the disc. ENV lies outside it; the name sorts last.
+    "window-ball-nonnegpair": dict(
+        model=PairPotentialModel(soft_bump), window=Ball((0.0, 0.0), 1.7),
+        z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
+    ),
 }
 
 PINNED = {
@@ -126,6 +133,12 @@ PINNED = {
         "accepts": {"birth": 6094, "death": 5951, "move": 3492, "remark": 1834},
         "final_energy": "0x1.404a7a4217708p+4",
     },
+    "window-ball-nonnegpair": {
+        "samples": "fd3e79a9462630270b21eaea3b42be1ab33cacc8143f935fe2bf5d35dcaf1462",
+        "proposals": {"birth": 7100, "death": 6913, "move": 3970, "remark": 2017},
+        "accepts": {"birth": 5592, "death": 5582, "move": 3122, "remark": 1825},
+        "final_energy": "0x1.3000a2bc8e7e5p+1",
+    },
 }
 
 PINNED_VISITS = [
@@ -150,9 +163,10 @@ def samples_digest(samples) -> str:
 def fingerprint(name):
     case = CASES[name]
     bc = BoundaryCondition(case["env"]) if case["env"] is not None else None
+    window = case.get("window") or Box.centered_cube(case["half"], 2)
     res = run_chain(
         case["model"],
-        Box.centered_cube(case["half"], 2),
+        window,
         case["z"],
         case["law"],
         case["steps"],
