@@ -28,7 +28,6 @@ from .energy import (
     IdealModel,
     PairPotentialModel,
     QuermassModel,
-    lj_pair,
 )
 from .errors import ConfigError, NumericalFailure, PreconditionError
 from .estimators import dlr_residual, specific_entropy_curve
@@ -42,7 +41,6 @@ from .geometry import (
 from .io import (
     ReportRow,
     read_configs_jsonl,
-    read_report_csv,
     write_configs_jsonl,
     write_manifest,
     write_plot_csv,
@@ -566,35 +564,6 @@ def _prepare_diffusion(cfg: dict):
     return _prepare_sample(preset, report)
 
 
-def _prepare_plot_data(cfg: dict):
-    series = cfg.get("series", "entropy")
-    if series == "entropy":
-        path = _input_path(cfg, "plot-data series 'entropy' needs an 'input' report CSV")
-
-        def points():
-            rows = [r for r in read_report_csv(path) if r.quantity == "i_per_volume"]
-            return [(r.n, r.estimate, r.stderr) for r in rows]
-    elif series == "lj":
-        u_min = float(cfg.get("u_min", 1.2))
-        u_max = float(cfg.get("u_max", 3.0))
-        if not (0.0 < u_min < u_max):
-            raise ConfigError("need 0 < u_min < u_max")
-
-        def points():
-            grid = sorted(set(np.linspace(u_min, u_max, 60).tolist()) | {1.5})
-            return [(u, lj_pair(u), 0.0) for u in grid]
-    else:
-        raise ConfigError(f"unknown series {series!r}; have entropy, lj")
-    fname = f"plot_{series}.csv"
-
-    def body(out: Path, digest: str) -> dict:
-        write_plot_csv(out / fname, points())
-        print(f"plot data -> {out/fname}")
-        return {"outputs": [fname]}
-
-    return body
-
-
 # ---------------------------------------------------------------------------
 # Command table, run wrapper and entry point
 # ---------------------------------------------------------------------------
@@ -627,8 +596,6 @@ _COMMANDS = {
     "diffusion": ("sample preset for the path-marked model", _prepare_diffusion, {
         "steps": int, "z": float, "burn_in": None, "thin": None, "step_count": None,
         "potential": None}),
-    "plot-data": ("emit (x, y, err) series from reports", _prepare_plot_data, {
-        "input": str, "series": str, "u_min": float, "u_max": float}),
 }
 
 # Only a ConfigError exits 2. The config values known to reach numerical code

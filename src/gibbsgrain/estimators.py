@@ -92,7 +92,6 @@ def partition_estimate(
     mark_law: MarkLaw,
     n_samples: int,
     rng: np.random.Generator,
-    env: Configuration | None = None,
 ) -> PartitionReport:
     """Importance-sampling estimate of the normalizer: mean of exp(-H) over
     Poisson draws, with a jackknife-corrected log estimate.
@@ -110,14 +109,9 @@ def partition_estimate(
     """
     if n_samples < 1000:
         raise PreconditionError("partition_estimate needs at least 1000 samples")
-    env_out = restrict_complement(env, window) if env is not None else None
     neg_h = np.empty(n_samples)
     for i in range(n_samples):
-        gamma = sample_poisson(window, z, mark_law, rng)
-        if env_out is not None:
-            neg_h[i] = -model.conditional_energy(gamma, env_out)
-        else:
-            neg_h[i] = -model.energy(gamma)
+        neg_h[i] = -model.energy(sample_poisson(window, z, mark_law, rng))
     n_inf = int(np.count_nonzero(neg_h == -math.inf))
     lower = math.exp(-z * window.volume())
     top = int(neg_h.argmax())

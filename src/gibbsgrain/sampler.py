@@ -37,23 +37,24 @@ Every proposal is ``points[idx : idx + 1] = added``, at most one atom each
 side (a birth appends at ``idx == n``), and one increment, ``_delta``, prices
 all four kinds. It alone refuses (+inf) a new atom above the mark cap, inside
 the degeneracy band, or at the location of another interior atom, which it
-reads from the index cell at that location: chain states stay simple.
+reads from the cell at that location.
 
-Every increment reads a neighbour index instead of every atom: a sparse
-uniform grid (cell lists), a dict from integer cell key floor(x / side) to
-the (stamp, atom) entries in that cell, over the interior atoms and the
-fixed environment. Interior atoms are stamped in birth order and keep their
-stamp through moves and remarks, which replace in place, so stamp order is
-``ChainState.points`` order; environment atoms are stamped after every
-interior atom, in environment order. A query collects the cells within
-reach(|p|, bound) + band of p (padded against roundoff), sorts the entries
-by stamp and hands them to ``model.local_delta``. ``bound`` is the largest
-mark norm indexed so far and never decreases; the cell side is
-reach(bound, bound), or 1.0 when that is 0, and the grid is rebuilt, in
-O(n), whenever an accepted atom raises the bound; otherwise an accepted
-proposal writes, deletes or appends its one entry in place. A query whose
-reach is 0 (always for the ideal model) keeps only the atoms at p's own
-location.
+One ``ChainState`` holds the atoms once, with their neighbour cells, and
+every increment reads those cells instead of every atom: a sparse uniform
+grid (cell lists), a dict from integer cell key floor(x / side) to the
+(stamp, atom) entries in that cell, over the interior atoms and the fixed
+environment. Interior atoms are stamped in birth order and keep their stamp
+through moves and remarks, which replace in place, so ``stamps`` runs
+parallel to ``points`` and stamp order is ``points`` order; environment
+atoms are stamped after every interior atom, in environment order. A query
+collects the cells within reach(|p|, bound) + band of p (padded against
+roundoff), sorts the entries by stamp and hands them to
+``model.local_delta``. ``bound`` is the largest mark norm held so far and
+never decreases; the cell side is reach(bound, bound), or 1.0 when that is
+0, and the grid is rebuilt, in O(n), whenever an accepted atom raises the
+bound; otherwise an accepted proposal writes, deletes or appends its one
+entry in place. A query whose reach is 0 (always for the ideal model) keeps
+only the atoms at p's own location.
 
 Pairwise models' ``local_delta`` is ``model.interaction`` over the
 neighbours, which adds the terms in the plain loop's order (points, then
@@ -77,7 +78,7 @@ models) is documented beside ``geometry._DEGENERACY_TOL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -298,18 +299,26 @@ _KINDS = ("birth", "death", "move", "remark")
 _ENV_STAMP = 1 << 62
 
 
-class _CellIndex:
-    """Cell-list neighbour index of a chain (see module docstring).
+class ChainState:
+    """Mutable chain state: the interior atoms, the fixed environment and
+    their neighbour cells (see module docstring), with the cached energy and
+    the proposal and accept counts.
 
-    ``interior`` holds the (stamp, atom) entries parallel to
-    ``ChainState.points``; ``replace`` mirrors every change to that list.
+    ``points`` holds the interior atoms and ``stamps`` their stamps, index
+    for index; ``replace`` changes both and the cells together. The
+    constructor refuses a degenerate environment (see
+    ``_check_environment``); ``init_chain`` builds a fresh state.
     """
 
-    def __init__(self, model, env: Configuration, window: Window):
-        self.reach = model.reach
-        self.interior: list[tuple[int, MarkedPoint]] = []
-        self.env = [(_ENV_STAMP + j, q) for j, q in enumerate(env.points)]
+    def __init__(self, model, window: Window, env: Configuration, mark_cap: float | None):
+        self.window = window
+        self.env = env
+        self.mark_cap = mark_cap
+        self.points: list[MarkedPoint] = []
+        self.stamps: list[int] = []
+        self.env_entries = [(_ENV_STAMP + j, q) for j, q in enumerate(env.points)]
         self.births = 0
+        self.reach = model.reach
         self.bound = max((q.mark_norm for q in env.points), default=0.0)
         # band = tol * max(1, E, W + bound), E the largest |x|+|y|+r in the
         # environment, W the largest |x|+|y| over the window's bounding box;
@@ -318,43 +327,72 @@ class _CellIndex:
         self.floor = max([1.0] + [sum(map(abs, q.location)) + q.mark_norm for q in env.points])
         self.extent = float(np.abs(window.bounding_box().bounds).max(axis=1).sum())
         self._build()
+        if self.tol and window.dimension == 2:
+            self._check_environment()
+        self.volume = _window_volume(window)
+        self.cached_energy = 0.0
+        self.proposals = {k: 0 for k in _KINDS}
+        self.accepts = {k: 0 for k in _KINDS}
 
     def _build(self) -> None:
         # A zero reach asks only for p's own cell (see neighbours), which a
         # unit side keeps small.
         self.side = self.reach(self.bound, self.bound) or 1.0
-        self.cells: dict[tuple[int, ...], list] = {}
-        for entry in self.interior + self.env:
+        self.cells: dict[tuple[int, ...], list[tuple[int, MarkedPoint]]] = {}
+        for entry in [*zip(self.stamps, self.points), *self.env_entries]:
             self.cells.setdefault(self._key(entry[1].location), []).append(entry)
 
+    def _check_environment(self) -> None:
+        """PreconditionError when an environment grain that the chain can
+        meet lies within its largest band of a tangency or triple point with
+        earlier such grains (``geometry._find_degenerate``'s prefix rule,
+        against the earlier grains of the grain's own cells; see
+        ``_DEGENERACY_TOL``)."""
+        cap = self.mark_cap
+        band = self.band(cap or 0.0)
+        lo, hi = self.window.bounding_box().bounds.T
+        grains = {s: Disc(*q.location, q.mark_norm) for s, q in self.env_entries if q.mark_norm and (
+            cap is None
+            or math.dist(q.location, np.clip(q.location, lo, hi)) < q.mark_norm + cap + band)}
+        for stamp, d in grains.items():
+            near = self.near((d.x, d.y), d.r + self.bound + band)
+            earlier = [grains[s] for s, _ in near if s < stamp and s in grains]
+            if meeting_discs(d, earlier, band) is None:
+                raise PreconditionError(
+                    f"environment grains are degenerate: the one at ({d.x:g}, {d.y:g}) with radius "
+                    f"{d.r:g} lies within {band:.3g} of a tangency or triple point with earlier ones")
+
     def band(self, norm: float) -> float:
-        """Degeneracy band for a grain of this mark norm joining the index."""
+        """Degeneracy band for a grain of this mark norm joining the state."""
         return self.tol and self.tol * max(self.floor, self.extent + max(self.bound, norm))
 
     def _key(self, loc: tuple[float, ...]) -> tuple[int, ...]:
         return tuple([math.floor(c / self.side) for c in loc])
 
+    def snapshot(self) -> Configuration:
+        return Configuration(list(self.points), dimension=self.window.dimension)
+
     def replace(self, idx: int, added: list[MarkedPoint]) -> None:
-        """Mirror ``points[idx : idx + 1] = added`` (at most one atom each):
-        the one entry is written, deleted or appended in place."""
-        interior = self.interior
-        if idx < len(interior):
-            stamp, old = entry = interior[idx]
-            self.cells[self._key(old.location)].remove(entry)
+        """``points[idx : idx + 1] = added`` (at most one atom each side),
+        with the one cell entry written, deleted or appended in place."""
+        points, stamps = self.points, self.stamps
+        if idx < len(points):
+            stamp = stamps[idx]
+            self.cells[self._key(points[idx].location)].remove((stamp, points[idx]))
             if not added:
-                del interior[idx]
+                del points[idx], stamps[idx]
                 return
-            entry = interior[idx] = (stamp, added[0])
+            p = points[idx] = added[0]
         else:
-            entry = (self.births, added[0])
+            stamp, p = self.births, added[0]
             self.births += 1
-            interior.append(entry)
-        p = entry[1]
+            points.append(p)
+            stamps.append(stamp)
         if p.mark_norm > self.bound:
             self.bound = p.mark_norm
             self._build()
         else:
-            self.cells.setdefault(self._key(p.location), []).append(entry)
+            self.cells.setdefault(self._key(p.location), []).append((stamp, p))
 
     def near(self, loc: tuple[float, ...], r: float) -> list[tuple[int, MarkedPoint]]:
         """(stamp, atom) entries of the cells within r of loc, in stamp order."""
@@ -375,7 +413,7 @@ class _CellIndex:
     def collides(self, loc: tuple[float, ...], skip: int = -1) -> bool:
         """Whether an interior atom other than index ``skip`` sits at loc,
         read from loc's own cell."""
-        hidden = self.interior[skip][0] if skip >= 0 else -1
+        hidden = self.stamps[skip] if skip >= 0 else -1
         for stamp, q in self.cells.get(self._key(loc), ()):
             if q.location == loc and stamp < _ENV_STAMP and stamp != hidden:
                 return True
@@ -389,55 +427,8 @@ class _CellIndex:
         if r == 0.0:
             # only atoms at p's own location can interact
             found = [entry for entry in found if entry[1].location == p.location]
-        hidden = self.interior[skip][0] if skip >= 0 else -1
+        hidden = self.stamps[skip] if skip >= 0 else -1
         return [q for stamp, q in found if stamp != hidden]
-
-
-@dataclass
-class ChainState:
-    """Mutable chain state: interior atoms, fixed environment, cached energy.
-
-    ``index`` holds the neighbour cells; ``replace`` keeps it in step with
-    ``points``.
-    """
-
-    window: Window
-    points: list[MarkedPoint]
-    env: Configuration
-    cached_energy: float
-    volume: float
-    mark_cap: float | None = None
-    proposals: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
-    accepts: dict = field(default_factory=lambda: {k: 0 for k in _KINDS})
-    index: _CellIndex | None = None
-
-    def snapshot(self) -> Configuration:
-        return Configuration(list(self.points), dimension=self.window.dimension)
-
-    def replace(self, idx: int, added: list[MarkedPoint]) -> None:
-        """``points[idx : idx + 1] = added``, with the neighbour index updated
-        to match."""
-        self.index.replace(idx, added)
-        self.points[idx : idx + 1] = added
-
-
-def _check_environment(index: _CellIndex, window: Window, mark_cap: float | None) -> None:
-    """PreconditionError when an environment grain that the chain can meet
-    lies within its largest band of a tangency or triple point with earlier
-    such grains (``geometry._find_degenerate``'s prefix rule, against the
-    earlier grains of the grain's own cells; see ``_DEGENERACY_TOL``)."""
-    band = index.band(mark_cap or 0.0)
-    lo, hi = window.bounding_box().bounds.T
-    grains = {s: Disc(*q.location, q.mark_norm) for s, q in index.env if q.mark_norm and (
-        mark_cap is None
-        or math.dist(q.location, np.clip(q.location, lo, hi)) < q.mark_norm + mark_cap + band)}
-    for stamp, d in grains.items():
-        near = index.near((d.x, d.y), d.r + index.bound + band)
-        earlier = [grains[s] for s, _ in near if s < stamp and s in grains]
-        if meeting_discs(d, earlier, band) is None:
-            raise PreconditionError(
-                f"environment grains are degenerate: the one at ({d.x:g}, {d.y:g}) with radius "
-                f"{d.r:g} lies within {band:.3g} of a tangency or triple point with earlier ones")
 
 
 def init_chain(
@@ -447,26 +438,15 @@ def init_chain(
     mark_cap: float | None = None,
 ) -> ChainState:
     """Fresh chain at the empty configuration (conditional energy 0); refuses
-    a degenerate environment (see ``_check_environment``), at the band of
-    ``mark_cap`` when one is given and at the initial band otherwise."""
+    a degenerate environment (see ``ChainState._check_environment``), at the
+    band of ``mark_cap`` when one is given and at the initial band otherwise."""
     bc = bc or BoundaryCondition.free()
     env = (
         restrict_complement(bc.xi, window)
         if bc.xi is not None
         else Configuration.empty(window.dimension)
     )
-    index = _CellIndex(model, env, window)
-    if index.tol and window.dimension == 2:
-        _check_environment(index, window, mark_cap)
-    return ChainState(
-        window=window,
-        points=[],
-        env=env,
-        cached_energy=0.0,
-        volume=_window_volume(window),
-        mark_cap=mark_cap,
-        index=index,
-    )
+    return ChainState(model, window, env, mark_cap)
 
 
 def _delta(model, state: ChainState, idx: int, added: list[MarkedPoint]) -> float:
@@ -475,7 +455,6 @@ def _delta(model, state: ChainState, idx: int, added: list[MarkedPoint]) -> floa
     new atom is priced first, at its band, then the removed one (finite by
     invariant) at band 0: a move or a remark pays gain - loss, a death -loss.
     """
-    index = state.index
     removes = idx < len(state.points)
     if not (added or removes):
         return math.inf
@@ -483,13 +462,13 @@ def _delta(model, state: ChainState, idx: int, added: list[MarkedPoint]) -> floa
     if added:
         p = added[0]
         capped = state.mark_cap is not None and p.mark_norm > state.mark_cap
-        if capped or index.collides(p.location, skip):
+        if capped or state.collides(p.location, skip):
             return math.inf
-        gain = model.local_delta(p, index.neighbours(p, skip), index.band(p.mark_norm))
+        gain = model.local_delta(p, state.neighbours(p, skip), state.band(p.mark_norm))
         if gain == math.inf or not removes:
             return gain
     old = state.points[idx]
-    loss = model.local_delta(old, index.neighbours(old, idx))
+    loss = model.local_delta(old, state.neighbours(old, idx))
     return gain - loss if added else -loss
 
 
@@ -500,8 +479,8 @@ def bdm_step(
     mark_law: MarkLaw,
     mix: ProposalMix,
     rng: np.random.Generator,
-) -> ChainState:
-    """One Metropolis-Hastings proposal, mutating the state in place.
+) -> None:
+    """One Metropolis-Hastings proposal, made on the state in place.
 
     Each kind draws its full schedule first and names its proposal as
     ``points[idx : idx + 1] = added``: a birth appends, a death removes, a
@@ -553,7 +532,6 @@ def bdm_step(
         state.replace(idx, added)
         state.cached_energy += dh
         state.accepts[kind] += 1
-    return state
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 import numpy as np
 
 import gibbsgrain
-from gibbsgrain import MarkedPoint, PathMark, sampler
+from gibbsgrain import Ball, MarkedPoint, PathMark, sampler
 from gibbsgrain.cli import main
 from gibbsgrain.io import read_configs_jsonl, read_report_csv, write_configs_jsonl
 
@@ -57,6 +57,32 @@ class TestSampleCommand:
         samples = list(read_configs_jsonl(tmp_path / "zrun" / "samples_chain0.jsonl"))
         assert len(samples) == 30
         assert all(len(c) == 0 for c in samples)
+
+    def test_nonnegpair_on_a_ball_window(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            "run.json",
+            {
+                "seed": 12,
+                "model": {"id": "nonnegpair", "phi": "soft_bump"},
+                "window": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.5},
+                "z": 0.8,
+                "mark_law": {"kind": "uniform", "b": 0.6},
+                "steps": 600,
+                "burn_in": 100,
+                "thin": 50,
+            },
+        )
+        rc = main(["sample", "--config", cfg, "--out", str(tmp_path), "--name", "ball"])
+        assert rc == 0
+        samples = list(read_configs_jsonl(tmp_path / "ball" / "samples_chain0.jsonl"))
+        assert len(samples) == 10
+        assert any(len(c) for c in samples)
+        ball = Ball([0.0, 0.0], 1.5)
+        assert all(ball.contains(c.locations()).all() for c in samples if len(c))
+        record = json.loads((tmp_path / "ball" / "record.json").read_text())
+        assert record["status"] == "ok"
+        assert sum(record["chain_stats"][0]["accepts"].values()) > 0
 
     def test_unknown_model_exits_2_without_outputs(self, tmp_path):
         cfg = write_cfg(
@@ -465,50 +491,6 @@ class TestDiffusionCommand:
         )
 
 
-class TestPlotDataCommand:
-    def test_lj_series_contains_the_zero_crossing(self, tmp_path):
-        rc = main(
-            ["plot-data", "--seed", "91", "--series", "lj",
-             "--u-min", "1.2", "--u-max", "3.0",
-             "--out", str(tmp_path), "--name", "lj"]
-        )
-        assert rc == 0
-        lines = (tmp_path / "lj" / "plot_lj.csv").read_text().splitlines()
-        assert "1.5,0.0,0.0" in lines
-
-    def test_entropy_series_from_report(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            "ent.json",
-            {
-                "seed": 92,
-                "model": {"id": "ideal"},
-                "mark_law": {"kind": "uniform", "b": 0.5},
-                "z": 0.4,
-                "n_list": [1, 2],
-                "n_energy_samples": 200,
-                "n_partition_samples": 1200,
-            },
-        )
-        assert main(["entropy", "--config", cfg, "--out", str(tmp_path), "--name", "e"]) == 0
-        rc = main(
-            ["plot-data", "--seed", "92", "--series", "entropy",
-             "--input", str(tmp_path / "e" / "entropy.csv"),
-             "--out", str(tmp_path), "--name", "pd"]
-        )
-        assert rc == 0
-        lines = (tmp_path / "pd" / "plot_entropy.csv").read_text().splitlines()
-        assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "2.0"]
-
-    def test_missing_entropy_input_exits_2(self, tmp_path):
-        rc = main(
-            ["plot-data", "--seed", "93", "--series", "entropy",
-             "--input", str(tmp_path / "absent.csv"),
-             "--out", str(tmp_path), "--name", "x"]
-        )
-        assert rc == 2
-
-
 class TestRunWrapper:
     """Config errors stop before the run directory; later failures leave a
     record.json that says what went wrong."""
@@ -517,10 +499,8 @@ class TestRunWrapper:
         "argv, payload",
         [
             (["audit"], {"local": {"t": 2, "radius": 1.0}}),
-            (["plot-data", "--series", "entropy"], {}),
             (["temper"], {}),
             (["compat", "--flavor", "bogus"], {}),
-            (["plot-data", "--series", "bogus"], {}),
             (["audit"], {"local": 5}),
             (["audit"], {"local": {"t": [2]}}),
             (["audit"], {"local": {"t": 1.5}}),
@@ -528,22 +508,45 @@ class TestRunWrapper:
             (["diffusion", "--z", "-1"], {"steps": 100}),
             (["sample"], {"drift_check_every": 0, "steps": 100, "burn_in": 10}),
             (["sample"], {"drift_check_every": -1, "steps": 100, "burn_in": 10}),
+            (["sample"], {"model": {"phi": "soft_bump"}, "steps": 100, "burn_in": 10}),
+            (["sample"], {"model": {"id": "nonnegpair", "phi": "bogus"}, "steps": 100,
+                          "burn_in": 10}),
+            (["sample"], {"window": {"kind": "torus"}, "steps": 100, "burn_in": 10}),
+            (["sample"], {"chains": 0, "steps": 100, "burn_in": 10}),
+            (["sample", "--seed", "1"], None),
+            (["sample", "--seed", "1"], '{"seed": 1,'),
+            (["sample", "--seed", "1"], "[1, 2]"),
+            (["sample"], {"boundary": {"file": "absent.jsonl", "t": 1, "delta": 1.0},
+                          "steps": 100, "burn_in": 10}),
+            (["sample"], {"boundary": {"file": "empty.jsonl", "t": 1, "delta": 1.0},
+                          "steps": 100, "burn_in": 10}),
         ],
-        ids=["audit-local-key", "plot-data-no-input", "temper-no-input",
-             "bogus-flavor", "bogus-series", "audit-local-not-object",
+        ids=["audit-local-key", "temper-no-input",
+             "bogus-flavor", "audit-local-not-object",
              "audit-local-bad-value", "audit-local-fractional-t", "geometry-few-mc-points",
-             "diffusion-negative-z", "drift-check-every-0", "drift-check-every-negative"],
+             "diffusion-negative-z", "drift-check-every-0", "drift-check-every-negative",
+             "model-no-id", "bogus-phi", "bogus-window-kind", "chains-0",
+             "config-file-missing", "config-file-not-json", "config-file-not-object",
+             "boundary-file-missing", "boundary-file-empty"],
     )
-    def test_config_errors_exit_2_without_run_dir(self, tmp_path, argv, payload):
-        cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))
+    def test_config_errors_exit_2_without_run_dir(self, tmp_path, monkeypatch, argv, payload):
+        # a dict is written as a config with its seed; a string is the raw
+        # text of the config file, and None leaves the file absent
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.jsonl").write_text("")
+        if isinstance(payload, dict):
+            cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))
+        else:
+            cfg = str(tmp_path / "cfg.json")
+            if payload is not None:
+                Path(cfg).write_text(payload)
         rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "root")])
         assert rc == 2
         assert not (tmp_path / "root").exists()
 
     @pytest.mark.parametrize(
         "command, payload",
-        [("audit", {"two_sided": False}), ("diffusion", {"window_n": 1}),
-         ("plot-data", {"series": "lj", "count": 60})],
+        [("audit", {"two_sided": False}), ("diffusion", {"window_n": 1})],
     )
     def test_fixed_values_are_not_config_keys(self, tmp_path, command, payload):
         cfg = write_cfg(tmp_path, "cfg.json", dict(payload, seed=1))
@@ -619,17 +622,15 @@ class TestRunWrapper:
         for cfg in (str(tmp_path / "bytes.json"), bad_z):
             assert main(["sample", "--config", cfg, "--out", str(root)]) == 2
             assert not root.exists()
-        # read by the run body: a sample file that is not text, and a report
-        # with an estimate that is not a number
+        # read by the run body: a sample file that is not text, and one that
+        # holds no configuration
         (tmp_path / "bytes.jsonl").write_bytes(b"\xff\xfe\x00\n")
-        (tmp_path / "bad.csv").write_text(
-            "quantity,estimate,stderr,n,model_id,seed\ni_per_volume,x,0.1,1,ideal,1\n")
-        for argv, name in ((["temper", "--input", str(tmp_path / "bytes.jsonl")], "t"),
-                           (["plot-data", "--series", "entropy",
-                             "--input", str(tmp_path / "bad.csv")], "p")):
+        (tmp_path / "empty.jsonl").write_text("")
+        for name, message in (("bytes", "is not text"), ("empty", "holds no configurations")):
             capsys.readouterr()
-            assert main(argv + ["--seed", "1", "--out", str(root), "--name", name]) == 2
-            assert "line" in capsys.readouterr().err
+            argv = ["temper", "--input", str(tmp_path / f"{name}.jsonl"), "--seed", "1"]
+            assert main(argv + ["--out", str(root), "--name", name]) == 2
+            assert message in capsys.readouterr().err
             assert json.loads((root / name / "record.json").read_text())["exit_code"] == 2
 
     # Small runs, so that a case prepare lets through still ends soon; it then

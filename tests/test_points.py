@@ -18,6 +18,7 @@ from gibbsgrain import (
     restrict_complement,
     stream,
     tame_statistic,
+    window_contains,
 )
 from gibbsgrain import points as points_module
 from conftest import config, mp, random_scalar_config
@@ -294,3 +295,42 @@ class TestWindowDraws:
     def test_membership_needs_the_window_dimension(self):
         with pytest.raises(ValueError):
             (0.0, 0.0, 0.0) in Box.centered_cube(1.0, 2)
+
+
+SQUARE = Box([(-2.0, 2.0), (-2.0, 2.0)])
+DISC = Ball([0.0, 0.0], 5.0)
+
+
+class TestWindowContains:
+    @pytest.mark.parametrize(
+        "outer, inner, expected",
+        [
+            # ball in ball: the centre gap plus the inner radius, against the
+            # outer radius; internal contact (1 + 2 == 3) counts, as both are open
+            (Ball([0.0, 0.0], 3.0), Ball([1.0, 0.0], 2.0), True),
+            (Ball([0.0, 0.0], 3.0), Ball([0.5, 0.0], 2.0), True),
+            (Ball([0.0, 0.0], 3.0), Ball([1.0, 0.0], 2.5), False),
+            (Ball([0.0, 0.0, 0.0], 2.0), Ball([0.0, 0.0, -1.0], 1.0), True),
+            # ball in box: every face, contact included
+            (SQUARE, Ball([1.0, 0.0], 1.0), True),
+            (SQUARE, Ball([-1.0, 0.0], 1.0), True),
+            (SQUARE, Ball([0.0, 0.0], 2.0), True),
+            (SQUARE, Ball([1.0, 0.5], 1.5), False),
+            (SQUARE, Ball([0.0, -1.5], 1.0), False),
+            # box in ball: the corners of the box, against the open ball
+            (DISC, Box([(-2.0, 2.0), (-3.0, 3.0)]), True),
+            (DISC, Box([(-3.0, 3.0), (-4.0, 4.0)]), False),
+            (DISC, Box([(-3.0, 3.0), (-4.0, 3.9)]), False),
+            (DISC, Box([(-3.0, 2.9), (-3.9, 3.9)]), True),
+        ],
+        ids=["ball-ball-contact", "ball-ball-inside", "ball-ball-across", "ball-ball-3d",
+             "ball-box-hi-face", "ball-box-lo-face", "ball-box-every-face", "ball-box-across-hi",
+             "ball-box-across-lo", "box-ball-inside", "box-ball-corners-on-sphere",
+             "box-ball-lo-corner-on-sphere", "box-ball-near-contact"],
+    )
+    def test_nesting(self, outer, inner, expected):
+        assert window_contains(outer, inner) is expected
+
+    def test_windows_of_different_dimensions_are_refused(self):
+        with pytest.raises(ValueError, match="different dimensions"):
+            window_contains(DISC, Box.centered_cube(1.0, 3))

@@ -775,7 +775,8 @@ def plain_swap(model, state, idx, new_p):
 def assert_increments_match(model, state, rng, law, queries=12):
     """Indexed _delta of births, deaths and swaps against the plain loop,
     bit for bit, for fresh atoms, every removal and moves plus remarks."""
-    assert [q for _stamp, q in state.index.interior] == state.points
+    held = sorted(entry for cell in state.cells.values() for entry in cell)
+    assert held == list(zip(state.stamps, state.points)) + state.env_entries
     for _ in range(queries):
         p = MarkedPoint.make(state.window.draw(rng), law.sample(rng))
         assert _delta(model, state, len(state.points), [p]).hex() == plain_add(model, state, p).hex()
@@ -849,7 +850,7 @@ class TestNeighbourIndex:
         scramble(state, rng, law, 30, n_births=60)
         assert len(state.points) >= 30
         # more cells hold atoms than one query spans (3 x 3 cells)
-        assert len({state.index._key(q.location) for q in state.points}) > 9
+        assert len({state._key(q.location) for q in state.points}) > 9
         assert_increments_match(model, state, rng, law)
 
     def test_remark_that_raises_the_bound_rebuilds_the_grid(self):
@@ -857,12 +858,12 @@ class TestNeighbourIndex:
         rng = stream(624, 0)
         state = init_chain(model, Box.centered_cube(6.0, 2))
         scramble(state, rng, UniformLaw(0.3), 80)
-        side = state.index.side
+        side = state.side
         assert side <= 0.6
         idx = len(state.points) // 2
         state.replace(idx, [MarkedPoint.make(state.points[idx].location, 2.5)])
-        assert state.index.bound == 2.5
-        assert state.index.side == model.reach(2.5, 2.5) > side
+        assert state.bound == 2.5
+        assert state.side == model.reach(2.5, 2.5) > side
         assert_increments_match(model, state, rng, UniformLaw(0.3))
         assert_increments_match(model, state, rng, UniformLaw(3.0))
 
@@ -872,12 +873,37 @@ class TestNeighbourIndex:
         model = INDEX_MODELS["nonnegpair"]
         state = init_chain(model, Box.centered_cube(4.0, 2))
         state.replace(0, [mp((1.0, 0.0), 0.5)])
-        assert state.index.side == 1.0
+        assert state.side == 1.0
         p = mp((0.0, 0.0), 0.5)
         assert math.dist(p.location, state.points[0].location) == model.reach(0.5, 0.5)
         expected = soft_bump(1.0)
         assert expected > 0.0
         assert _delta(model, state, len(state.points), [p]) == plain_add(model, state, p) == expected
+
+    @pytest.mark.parametrize("name", ["ideal", "nonnegpair"])
+    def test_a_new_atom_on_another_interior_atom_is_refused(self, name):
+        # Both models price coincident atoms finitely (the plain loop does),
+        # so +inf can only come from the collision rule.
+        model = INDEX_MODELS[name]
+        outside = mp((2.5, 0.5), 0.3)
+        state = init_chain(model, Box.centered_cube(2.0, 2), BoundaryCondition(config([outside])))
+        a, b = mp((0.5, 0.5), 0.3), mp((-1.0, 1.0), 0.4)
+        state.replace(0, [a])
+        state.replace(1, [b])
+        birth = mp(a.location, 0.2)
+        assert math.isfinite(plain_add(model, state, birth))
+        assert _delta(model, state, 2, [birth]) == math.inf
+        move = mp(a.location, b.mark_norm)
+        assert math.isfinite(plain_swap(model, state, 1, move))
+        assert _delta(model, state, 1, [move]) == math.inf
+        # a remark keeps the location of the atom it replaces, which is skipped
+        remark = mp(a.location, 0.2)
+        assert _delta(model, state, 0, [remark]) == plain_swap(model, state, 0, remark)
+        assert math.isfinite(_delta(model, state, 0, [remark]))
+        # an environment atom at the location does not block
+        probe = mp(outside.location, 0.2)
+        assert _delta(model, state, 2, [probe]) == plain_add(model, state, probe)
+        assert math.isfinite(_delta(model, state, 2, [probe]))
 
     def test_zero_reach_queries_only_coincident_atoms(self, monkeypatch):
         # The ideal model's reach is 0, so an increment can only meet atoms at
@@ -900,13 +926,13 @@ class TestNeighbourIndex:
         coincident = mp((0.5, -1.5), 0.2)
         state = init_chain(IdealModel(), Box.centered_cube(1.0, 2),
                            BoundaryCondition(config([coincident, mp((0.5, -1.25))])))
-        assert state.index.neighbours(mp((0.5, -1.5))) == [coincident]
+        assert state.neighbours(mp((0.5, -1.5))) == [coincident]
 
-        def plain_neighbours(index, p, skip=-1):
-            interior = [q for i, (_stamp, q) in enumerate(index.interior) if i != skip]
-            return interior + [q for _stamp, q in index.env]
+        def plain_neighbours(state, p, skip=-1):
+            interior = [q for i, q in enumerate(state.points) if i != skip]
+            return interior + list(state.env.points)
 
-        monkeypatch.setattr(sampler._CellIndex, "neighbours", plain_neighbours)
+        monkeypatch.setattr(sampler.ChainState, "neighbours", plain_neighbours)
         plain_calls, plain = run()
         assert indexed == plain
         assert indexed_calls * 100 < plain_calls
@@ -1286,7 +1312,7 @@ class TestDegeneracyBand:
         )
         window, bc = Box.centered_cube(2.0, 2), BoundaryCondition(xi)
         # U(0.6) marks never raise the bound past the environment's 0.6
-        band = init_chain(QUERMASS, window, bc).index.band(0.6)
+        band = init_chain(QUERMASS, window, bc).band(0.6)
         where, handed, recomputed = ["chain"], [], []
 
         def link(disc, meet):
@@ -1344,7 +1370,7 @@ class TestDegeneracyBand:
         gapped = Configuration([mp((1.2, 0.0), 0.5), mp((1.2, 1.0 + 5e-9), 0.5)], dimension=2)
         window, bc = Box.centered_cube(1.0, 2), BoundaryCondition(gapped)
         state = init_chain(QUERMASS, window, bc)
-        assert state.index.band(0.0) < 5e-9 < state.index.band(5.0)
+        assert state.band(0.0) < 5e-9 < state.band(5.0)
         with pytest.raises(PreconditionError, match="environment grains"):
             init_chain(QUERMASS, window, bc, mark_cap=5.0)
         # an uncapped chain is certified at its mark law's largest norm
@@ -1375,18 +1401,18 @@ class TestDegeneracyBand:
                 with pytest.raises(PreconditionError, match="environment grains"):
                     init_chain(QUERMASS, window, bc)
             else:
-                assert init_chain(QUERMASS, window, bc).index.band(0.0) == _DEGENERACY_TOL * scale
+                assert init_chain(QUERMASS, window, bc).band(0.0) == _DEGENERACY_TOL * scale
 
     def test_band_covers_every_disc_system_scale(self):
         # E (environment) and W + bound (window and largest mark, the new
         # grain's included) all count.
         xi = Configuration([mp((9.0, 0.5), 0.5)], dimension=2)
         state = init_chain(QUERMASS, Box.centered_cube(2.0, 2), BoundaryCondition(xi))
-        assert state.index.band(0.3) == _DEGENERACY_TOL * 10.0
-        assert state.index.band(6.5) == _DEGENERACY_TOL * 10.5
+        assert state.band(0.3) == _DEGENERACY_TOL * 10.0
+        assert state.band(6.5) == _DEGENERACY_TOL * 10.5
         state.replace(0, [mp((1.0, 1.0), 7.0)])
-        assert state.index.band(0.3) == _DEGENERACY_TOL * 11.0
-        assert init_chain(HardSphereModel(), Box.centered_cube(2.0, 2)).index.band(9.0) == 0.0
+        assert state.band(0.3) == _DEGENERACY_TOL * 11.0
+        assert init_chain(HardSphereModel(), Box.centered_cube(2.0, 2)).band(9.0) == 0.0
 
     def test_quermass_chain_needs_the_plane(self):
         state = init_chain(QUERMASS, Box.centered_cube(1.0, 3))
