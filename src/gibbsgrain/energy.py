@@ -11,16 +11,22 @@ grain union, which leaves the value of the stationary-limit definition
 unchanged (inclusion-exclusion for area and Euler characteristic, boundary
 bookkeeping for perimeter).
 
-A pairwise ``energy`` or ``conditional_energy`` of at least
-``_ALL_PAIRS_BELOW`` atoms visits only candidate pairs: those whose squared
-distance, in one numpy pass over a block of rows, is not above
-reach(|m_i|, |m_j|)^2 padded by a relative slack, so that the candidates are
-a superset of the pairs within reach. Each atom's candidates go, in
-ascending order, to ``interaction``, as its whole row did before, and the
-sum is bit for bit the all-pairs one: by the ``reach`` contract every pair
-left out has a term of exactly +0.0; a total that starts at +0.0 never
-becomes -0.0, so adding +0.0 leaves it unchanged; and no pair left out is
-+inf, so the first +inf term, where the sum stops, is the same pair.
+A pairwise ``energy`` or ``conditional_energy`` walks index pairs (i, j)
+in row-major order and prices each by the model's float-level rule
+``_term`` on ``math.dist`` of the two location rows and the two norms, read
+from the configuration's lists (``Configuration._columns``): a draw built
+by ``Configuration.from_arrays`` is priced without building its atoms.
+``pair_term`` calls the same rule on two atoms, so each rule is written
+once; ``DiffusionModel``, whose terms read the paths, hands each row's pairs
+to its batched ``interaction`` on the atoms instead. Below
+``_ALL_PAIRS_BELOW`` atoms the walk visits every pair; from there on it
+visits only candidate pairs: those whose squared distance, in one numpy
+pass over a block of rows, is not above reach(|m_i|, |m_j|)^2 padded by a
+relative slack, so that the candidates are a superset of the pairs within
+reach. The sum is bit for bit the all-pairs one: by the ``reach`` contract
+every pair left out has a term of exactly +0.0; a total that starts at +0.0
+never becomes -0.0, so adding +0.0 leaves it unchanged; and no pair left
+out is +inf, so the first +inf term, where the sum stops, is the same pair.
 
 The quermass functional F is a valuation of the grain union, so adding a
 grain p to any disc family A changes it by
@@ -50,6 +56,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, groupby, product
+from operator import itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -183,7 +191,23 @@ class EnergyModel:
 
 
 class _PairwiseModel(EnergyModel):
+    """Pairwise models. Each prices a pair by one float-level rule,
+    ``_term(d, norm_p, norm_q)`` of the distance and the two mark norms;
+    ``pair_term`` calls it on ``math.dist`` and the atoms' norms, and the
+    total and conditional energies call it on the configurations' location
+    and norm lists without building atoms (see the module docstring). Self
+    terms are 0 unless a model overrides ``self_term`` and ``_self_sum``."""
+
     pairwise = True
+
+    def _term(self, d: float, norm_p: float, norm_q: float) -> float:
+        raise NotImplementedError
+
+    def self_term(self, point) -> float:
+        return 0.0
+
+    def pair_term(self, p, q) -> float:
+        return self._term(math.dist(p.location, q.location), p.mark_norm, q.mark_norm)
 
     def interaction(
         self, p: MarkedPoint, others: Iterable[MarkedPoint], total: float = 0.0
@@ -191,10 +215,10 @@ class _PairwiseModel(EnergyModel):
         """Add p's pair terms with ``others`` to ``total``, one at a time in
         iteration order; +inf at the first infinite term.
 
-        Every pairwise sum in the package goes through here: total and
-        conditional energies, the chain's increments and the lattice
-        instances' state energies all add their terms the same way.
-        ``DiffusionModel`` batches its path parts but keeps this order.
+        The chain's increments and the lattice instances' state energies
+        add their terms through here, and the total and conditional energies
+        (``_add_pairs``) add them the same way. ``DiffusionModel`` batches
+        its path parts but keeps this order.
         """
         for q in others:
             v = self.pair_term(p, q)
@@ -206,15 +230,15 @@ class _PairwiseModel(EnergyModel):
     def local_delta(self, p, neighbours, band=0.0) -> float:
         return self.interaction(p, neighbours, self.self_term(p))
 
-    def _within_reach(self, rows: Configuration, cols: Configuration, upper: bool):
-        """(p, candidates) for each atom p of ``rows`` that has candidates:
-        the atoms q of ``cols`` (only those after p when ``upper``), in list
-        order, whose squared distance to p is not above reach(|m_p|, |m_q|)^2
-        padded by ``_REACH_SLACK``, a superset of the atoms with a nonzero
-        term (see the module docstring). The rows are searched in blocks of
+    def _candidates(self, rows: Configuration, cols: Configuration, upper: bool):
+        """(i, j) index pairs, in row-major order, of each atom i of ``rows``
+        with the atoms j of ``cols`` (only j > i when ``upper``) whose squared
+        distance to it is not above reach(|m_i|, |m_j|)^2 padded by
+        ``_REACH_SLACK``, a superset of the pairs with a nonzero term (see
+        the module docstring). The rows are searched in blocks of
         ``_CANDIDATE_ROWS``, so no n x n array is built."""
-        a, a_norms, a_pts = rows.locations(), rows.mark_norms(), rows.points
-        b, b_norms, b_pts = cols.locations(), cols.mark_norms(), cols.points
+        a, a_norms = rows.locations(), rows.mark_norms()
+        b, b_norms = cols.locations(), cols.mark_norms()
         if len(a) and len(b) and a.shape[1] != b.shape[1]:
             raise ValueError("interior and environment live in different dimensions")
         for start in range(0, len(a), _CANDIDATE_ROWS):
@@ -226,56 +250,54 @@ class _PairwiseModel(EnergyModel):
                 diff = np.subtract.outer(a[block, k], b[first:, k])
                 d2 += diff * diff
             r = self.reach(a_norms[block, None], b_norms[None, first:])
-            # "not above" keeps NaN distances, whose terms the loop adds too
+            # "not above" keeps NaN distances, whose terms the sum adds too
             near = ~(d2 > r * r * (1.0 + _REACH_SLACK) + _REACH_FLOOR)
             n_rows, width = near.shape
             if upper:
                 # block row i sits at start + i and keeps columns from start + i + 1
                 near[:, :_CANDIDATE_ROWS] &= _UPPER[:n_rows, :width]
-            group, row = None, -1
             for flat in near.ravel().nonzero()[0].tolist():
                 i, j = divmod(flat, width)
-                if i != row:
-                    if group:
-                        yield a_pts[start + row], group
-                    group, row = [], i
-                group.append(b_pts[first + j])
-            if group:
-                yield a_pts[start + row], group
+                yield start + i, first + j
 
-    def _add_rows(self, rows, total: float) -> float:
-        """Add each (p, others) of ``rows`` to ``total`` through
-        ``interaction``, stopping at +inf."""
-        for p, others in rows:
-            total = self.interaction(p, others, total)
-            if total == math.inf:
-                break
+    def _self_sum(self, config: Configuration) -> float:
+        """Sum of the self terms over the atoms, in atom order."""
+        return 0.0
+
+    def _add_pairs(self, rows: Configuration, cols: Configuration, pairs, total: float) -> float:
+        """Add the pair terms of the (i, j) ``pairs``, row atom i of ``rows``
+        with column atom j of ``cols``, to ``total`` in order; +inf at the
+        first infinite term. The terms come from ``_term`` on the location
+        and norm lists (``Configuration._columns``), so no atom is built."""
+        term, dist, inf = self._term, math.dist, math.inf
+        x, a = rows._columns()
+        y, b = (x, a) if cols is rows else cols._columns()
+        for i, j in pairs:
+            v = term(dist(x[i], y[j]), a[i], b[j])
+            if v == inf:
+                return inf
+            total += v
         return total
 
     def energy(self, config: Configuration) -> float:
         self.validate_config(config)
-        pts = config.points
-        total = 0.0
-        for p in pts:
-            total += self.self_term(p)
-        if len(pts) >= _ALL_PAIRS_BELOW:
-            return self._add_rows(self._within_reach(config, config, upper=True), total)
-        # the all-pairs loop written out: at these sizes a generator's overhead shows
-        for i, p in enumerate(pts):
-            total = self.interaction(p, pts[i + 1 :], total)
-            if total == math.inf:
-                break
-        return total
+        n = len(config)
+        if n < _ALL_PAIRS_BELOW:
+            pairs = combinations(range(n), 2)
+        else:
+            pairs = self._candidates(config, config, upper=True)
+        return self._add_pairs(config, config, pairs, self._self_sum(config))
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         self.validate_config(interior)
         total = self.energy(interior)
-        env = environment.points
-        if total == math.inf or not env:
+        if total == math.inf or not len(environment):
             return total
-        if len(interior) + len(env) < _ALL_PAIRS_BELOW:
-            return self._add_rows(((p, env) for p in interior.points), total)
-        return self._add_rows(self._within_reach(interior, environment, upper=False), total)
+        if len(interior) + len(environment) < _ALL_PAIRS_BELOW:
+            pairs = product(range(len(interior)), range(len(environment)))
+        else:
+            pairs = self._candidates(interior, environment, upper=False)
+        return self._add_pairs(interior, environment, pairs, total)
 
 
 class IdealModel(_PairwiseModel):
@@ -284,10 +306,7 @@ class IdealModel(_PairwiseModel):
     model_id = "ideal"
     nonnegative = True
 
-    def self_term(self, point) -> float:
-        return 0.0
-
-    def pair_term(self, p, q) -> float:
+    def _term(self, d, norm_p, norm_q) -> float:
         return 0.0
 
     def reach(self, norm_p, norm_q) -> float:
@@ -304,14 +323,10 @@ class HardSphereModel(_PairwiseModel):
     model_id = "hardcore"
     nonnegative = True
 
-    def self_term(self, point) -> float:
-        return 0.0
-
-    def pair_term(self, p, q) -> float:
-        if p.mark_norm == 0.0 or q.mark_norm == 0.0:
+    def _term(self, d, norm_p, norm_q) -> float:
+        if norm_p == 0.0 or norm_q == 0.0:
             return 0.0
-        d = math.dist(p.location, q.location)
-        return math.inf if d < p.mark_norm + q.mark_norm else 0.0
+        return math.inf if d < norm_p + norm_q else 0.0
 
     def reach(self, norm_p, norm_q) -> float:
         return norm_p + norm_q
@@ -335,12 +350,8 @@ class PairPotentialModel(_PairwiseModel):
                 raise ValueError("pair potential must be non-negative")
         self.phi = phi
 
-    def self_term(self, point) -> float:
-        return 0.0
-
-    def pair_term(self, p, q) -> float:
-        d = math.dist(p.location, q.location)
-        if d > p.mark_norm + q.mark_norm:
+    def _term(self, d, norm_p, norm_q) -> float:
+        if d > norm_p + norm_q:
             return 0.0
         return self.phi(d)
 
@@ -481,6 +492,12 @@ class DiffusionModel(_PairwiseModel):
     def self_term(self, point) -> float:
         return float(_default_psi(point.mark_norm))
 
+    def _self_sum(self, config) -> float:
+        total = 0.0
+        for p in config.points:
+            total += self.self_term(p)
+        return total
+
     def pair_term(self, p, q) -> float:
         d = math.dist(p.location, q.location)
         if d > self.a0 + p.mark_norm + q.mark_norm:
@@ -506,6 +523,16 @@ class DiffusionModel(_PairwiseModel):
         if near:
             for v, part in zip(lj, _path_parts(p, near).tolist()):
                 total += v + part
+        return total
+
+    def _add_pairs(self, rows, cols, pairs, total) -> float:
+        """``_PairwiseModel._add_pairs`` on the atoms, whose path marks the
+        terms read: each row's pairs go to ``interaction`` together."""
+        p_rows, q_cols = rows.points, cols.points
+        for i, row in groupby(pairs, key=itemgetter(0)):
+            total = self.interaction(p_rows[i], [q_cols[j] for _, j in row], total)
+            if total == math.inf:
+                break
         return total
 
     def reach(self, norm_p, norm_q) -> float:

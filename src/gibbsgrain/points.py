@@ -72,37 +72,46 @@ class MarkedPoint:
         return len(self.location)
 
 
+def _check_simple(locs: list) -> None:
+    """ValueError at the first location that repeats an earlier one."""
+    if len(set(locs)) != len(locs):
+        seen = set()
+        for loc in locs:
+            if loc in seen:
+                raise ValueError(f"duplicate location {loc}: configurations are simple")
+            seen.add(loc)
+
+
 class Configuration:
     """Immutable finite simple marked configuration.
 
     Simplicity (no two atoms at the same location) is enforced at construction;
-    everything downstream may assume it.
+    everything downstream may assume it. A configuration built by
+    ``from_arrays`` keeps its arrays and marks and builds its ``points`` the
+    first time they are read.
     """
 
-    __slots__ = ("points", "dimension", "_locs", "_norms")
+    __slots__ = ("_points", "dimension", "_coords", "_marks", "_locs", "_norms")
 
     def __init__(self, points: Iterable[MarkedPoint], dimension: int | None = None):
         pts = tuple(points)
+        locs = [p.location for p in pts]
         if pts:
-            locs = [p.location for p in pts]
             dims = set(map(len, locs))
             if len(dims) != 1:
                 raise ValueError(f"mixed dimensions in configuration: {sorted(dims)}")
             d = dims.pop()
             if dimension is not None and dimension != d:
                 raise ValueError(f"declared dimension {dimension} != point dimension {d}")
-            if len(set(locs)) != len(locs):
-                seen = set()
-                for loc in locs:
-                    if loc in seen:
-                        raise ValueError(f"duplicate location {loc}: configurations are simple")
-                    seen.add(loc)
+            _check_simple(locs)
         else:
             d = dimension
             if d is None:
                 raise ValueError("empty configuration needs an explicit dimension")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_points", pts)
         object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "_coords", locs)
+        object.__setattr__(self, "_marks", None)
         object.__setattr__(self, "_locs", None)
         object.__setattr__(self, "_norms", None)
 
@@ -118,25 +127,54 @@ class Configuration:
         """Configuration of the atoms (locations[i], marks[i]), whose mark
         norms the caller has computed as ``norms``.
 
-        The norms are checked finite in one pass, with ``MarkedPoint.make``'s
-        error, and the atoms are built without its per-atom norm and check;
-        the two arrays, made read-only, become ``locations()`` and
-        ``mark_norms()``. The dimension and simplicity checks still run.
+        The norms are checked finite with one sum, with ``MarkedPoint.make``'s
+        error, and the simplicity check runs on the location rows, with the
+        constructor's error. The two arrays, made read-only, become
+        ``locations()`` and ``mark_norms()``; the atoms are built, without
+        ``MarkedPoint.make``'s per-atom norm and check, only when ``points``
+        is first read.
         """
-        finite = np.isfinite(norms)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise ValueError(f"mark {marks[i]!r} has non-finite norm {float(norms[i])!r}")
-        new = object.__new__
-        pts = [new(MarkedPoint) for _ in marks]
-        for p, x, mark, norm in zip(pts, map(tuple, locations.tolist()), marks, norms.tolist()):
-            p.__dict__.update(location=x, mark=mark, mark_norm=norm)
-        config = Configuration(pts, dimension=locations.shape[1])
+        # a sum of finite norms is finite unless it overflows
+        if not math.isfinite(sum(norms.tolist())):
+            for i, norm in enumerate(norms.tolist()):
+                if not math.isfinite(norm):
+                    raise ValueError(f"mark {marks[i]!r} has non-finite norm {norm!r}")
+        locs = locations.tolist()
+        # two atoms at one location share their first coordinate
+        if len(set(locations[:, 0].tolist())) < len(locs):
+            _check_simple(list(map(tuple, locs)))
         locations.setflags(write=False)
         norms.setflags(write=False)
-        object.__setattr__(config, "_locs", locations)
-        object.__setattr__(config, "_norms", norms)
+        config = object.__new__(Configuration)
+        put = object.__setattr__
+        put(config, "_points", None)
+        put(config, "dimension", locations.shape[1])
+        put(config, "_coords", locs)
+        put(config, "_marks", marks)
+        put(config, "_locs", locations)
+        put(config, "_norms", norms)
         return config
+
+    @property
+    def points(self) -> tuple[MarkedPoint, ...]:
+        pts = self._points
+        if pts is None:
+            new = object.__new__
+            pts = tuple([new(MarkedPoint) for _ in self._marks])
+            coords = map(tuple, self._coords)
+            for p, x, mark, norm in zip(pts, coords, self._marks, self._norms.tolist()):
+                p.__dict__.update(location=x, mark=mark, mark_norm=norm)
+            object.__setattr__(self, "_points", pts)
+            object.__setattr__(self, "_marks", None)
+        return pts
+
+    def _columns(self) -> tuple[list, list]:
+        """The atoms' locations (sequences of floats) and mark norms
+        (floats), as lists in atom order, without building the atoms."""
+        norms = self._norms
+        if norms is None:
+            return self._coords, [p.mark_norm for p in self._points]
+        return self._coords, norms.tolist()
 
     def locations(self) -> np.ndarray:
         if self._locs is None:
@@ -162,7 +200,7 @@ class Configuration:
         return Configuration(self.points + other.points, dimension=self.dimension)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._coords)
 
     def __iter__(self) -> Iterator[MarkedPoint]:
         return iter(self.points)
@@ -286,7 +324,12 @@ class Box(Window):
 
 
 class Ball(Window):
-    """Open Euclidean ball B(center, radius)."""
+    """Open Euclidean ball B(center, radius).
+
+    ``loc in ball`` sums the squared coordinate differences left to right in
+    Python floats and compares the square root with the radius, which is what
+    numpy's ``norm`` over the last axis computes at these sizes, to the bit.
+    """
 
     def __init__(self, center, radius: float):
         c = np.asarray(center, dtype=float)
@@ -296,6 +339,7 @@ class Ball(Window):
             raise ValueError("radius must be positive")
         c.flags.writeable = False
         self.center = c
+        self._center = tuple(c.tolist())
         self.radius = float(radius)
         self.dimension = c.shape[0]
         self._box = Box(np.stack([c - self.radius, c + self.radius], axis=1))
@@ -304,9 +348,18 @@ class Ball(Window):
         x = _as_points(locations, self.dimension)
         return np.linalg.norm(x - self.center, axis=-1) < self.radius
 
+    def __contains__(self, loc) -> bool:
+        if len(loc) != self.dimension:
+            raise ValueError(f"point has dimension {len(loc)}, window has {self.dimension}")
+        s = 0.0
+        for x, c in zip(loc, self._center):
+            t = x - c
+            s += t * t
+        return math.sqrt(s) < self.radius
+
     def draw(self, rng: np.random.Generator) -> tuple[float, ...]:
-        # bounding-box rejection, tested with numpy's norm; how many draws it
-        # takes depends on the stream alone, not on the chain state
+        # bounding-box rejection; how many draws it takes depends on the
+        # stream alone, not on the chain state
         while True:
             loc = self._box.draw(rng)
             if loc in self:
@@ -326,9 +379,13 @@ class Ball(Window):
 def window_contains(outer: Window, inner: Window) -> bool:
     """True when every point of ``inner`` lies in ``outer``.
 
-    Exact for nested boxes and balls; other pairings fall back to testing the
-    corners of the inner bounding box, which is exact for convex outer windows
-    up to boundary-contact cases.
+    Exact for nested boxes and balls. A box lies in a ball when its lower
+    corner, the one corner the half-open box holds, is in the open ball and
+    every other corner is in the closed one: the squared distance to the
+    centre is strictly convex, so every other point of the box is strictly
+    nearer than some corner. Other pairings fall back to testing the corners
+    of the inner bounding box, which is exact for convex outer windows up to
+    boundary-contact cases.
     """
     if inner.dimension != outer.dimension:
         raise ValueError("windows live in different dimensions")
@@ -348,6 +405,9 @@ def window_contains(outer: Window, inner: Window) -> bool:
         )
     box = inner.bounding_box().bounds
     corners = np.array(list(itertools.product(*box)))
+    if isinstance(inner, Box) and isinstance(outer, Ball):
+        gaps = np.linalg.norm(corners - outer.center, axis=-1)
+        return inner.lo in outer and bool(np.all(gaps <= outer.radius))
     return bool(np.all(outer.contains(corners)))
 
 

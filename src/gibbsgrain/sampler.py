@@ -13,9 +13,12 @@ mark its ``sample`` returns on that row's doubles (same type, same value to
 the bit) and the norm ``MarkedPoint.make`` computes for it; every other law
 falls back to replaying its ``sample`` row by row. So every configuration is
 the loop's to the bit, while ``Configuration.from_arrays`` checks the norms
-finite once per block, builds the atoms without a per-atom check, and keeps
-the location and norm arrays as the configuration's ``locations()`` and
-``mark_norms()``.
+finite and the locations simple once per block, keeps the location and norm
+arrays as the configuration's ``locations()`` and ``mark_norms()``, and
+builds the atoms only when ``points`` is first read. The pairwise energies,
+the mark statistics and ``len`` read the arrays, so the draws that
+``rejection_sample`` rejects, and those that ``partition_estimate`` and the
+stability audits price, never build their atoms.
 
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
@@ -30,8 +33,10 @@ call scaled and turned into floats, and the moved location is kept when
 ``loc in window``. A box draws lo + u * span per coordinate from one
 ``rng.random(d)`` call and tests lo <= x < hi, which are numpy's array
 operations to the bit; a ball draws by rejection from its bounding box and
-tests with numpy's norm. So the chain reads the same doubles in the same
-order, and makes the same decisions, as array code would.
+tests with the square root of the squared coordinate differences summed
+left to right, which is numpy's norm to the bit. So the chain reads the same
+doubles in the same order, and makes the same decisions, as array code
+would.
 
 Every proposal is ``points[idx : idx + 1] = added``, at most one atom each
 side (a birth appends at ``idx == n``), and one increment, ``_delta``, prices

@@ -15,6 +15,7 @@ from gibbsgrain import (
     ConfigError,
     HardSphereModel,
     IdealModel,
+    MarkedPoint,
     PairPotentialModel,
     PointMassLaw,
     PreconditionError,
@@ -623,3 +624,58 @@ class TestDlrResidual:
                 IdealModel(), self.lam, 0.5, UniformLaw(0.5),
                 [Configuration.empty(2)], self.lib[:1], 100, stream(925, 1),
             )
+
+
+class TestDrawsBuildNoAtoms:
+    """Poisson draws that the estimators price and throw away are read from
+    their arrays: no atom of a block draw is built."""
+
+    MODEL = PairPotentialModel(lambda u: 1.2 * u * math.exp(-u))
+    WINDOW = Box.centered_cube(4.0, 2)
+    LAW = UniformLaw(0.6)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Sizes of the configurations whose atoms get built, lazily or by
+        ``MarkedPoint.make``, while the test runs."""
+        sizes = []
+        points = Configuration.points
+
+        def counting(config):
+            if config._points is None:
+                sizes.append(len(config))
+            return points.fget(config)
+
+        make = MarkedPoint.make
+        monkeypatch.setattr(Configuration, "points", property(counting))
+        monkeypatch.setattr(MarkedPoint, "make",
+                            staticmethod(lambda loc, mark: sizes.append(1) or make(loc, mark)))
+        return sizes
+
+    def test_the_count_sees_atoms_read(self, built):
+        draw = sample_poisson(self.WINDOW, 0.5, self.LAW, stream(941, 0))
+        assert built == []
+        draw.points
+        assert built == [len(draw)] and len(draw) > 13
+
+    def test_partition_estimate(self, built):
+        report = partition_estimate(self.MODEL, self.WINDOW, 0.5, self.LAW, 1000,
+                                    stream(941, 1))
+        assert 0.0 < report.z_hat and built == []
+
+    def test_stability_audit(self, built):
+        report = stability_audit(
+            self.MODEL, lambda r: sample_poisson(self.WINDOW, 0.5, self.LAW, r), 300,
+            stream(941, 2), 2.5)
+        assert report.n_used > 0 and built == []
+
+    @pytest.mark.parametrize("with_env", [False, True])
+    def test_rejection_sample(self, built, with_env):
+        env = None
+        if with_env:
+            env = Configuration([MarkedPoint((4.2, y), 0.5, 0.5) for y in (-3.0, 0.0, 3.0)], 2)
+            built.clear()
+        res = rejection_sample(self.MODEL, self.WINDOW, 0.5, self.LAW, 20, stream(941, 3),
+                               env=env)
+        assert res.n_proposed > res.n_accepted == 20
+        assert built == []

@@ -21,6 +21,10 @@ from gibbsgrain import (
     window_contains,
 )
 from gibbsgrain import points as points_module
+from gibbsgrain.energy import HardSphereModel
+from gibbsgrain.io import read_configs_jsonl, write_configs_jsonl
+from gibbsgrain.marks import UniformLaw
+from gibbsgrain.sampler import sample_cutoff_kernel
 from conftest import config, mp, random_scalar_config
 
 
@@ -92,6 +96,82 @@ class TestConfiguration:
         g = config([mp((0.0, 0.0), 0.5)])
         with pytest.raises(AttributeError):
             g.points = ()
+
+
+def hexes(c):
+    return [([x.hex() for x in p.location], p.mark, p.mark_norm.hex()) for p in c.points]
+
+
+class TestLazyConfiguration:
+    """``Configuration.from_arrays`` keeps its arrays and builds its atoms on
+    first read of ``points``; it must be the configuration that the
+    constructor builds from the same atoms."""
+
+    @staticmethod
+    def pair(locs, marks, d=2):
+        """(from_arrays configuration, constructor configuration) of one set
+        of atoms; the first is built anew, atoms unread, on every call."""
+        arr = np.array(locs, dtype=float).reshape(len(marks), d)
+        norms = np.array([abs(m) for m in marks], dtype=float)
+        lazy = Configuration.from_arrays(arr.copy(), list(marks), norms)
+        eager = Configuration([MarkedPoint.make(x, m) for x, m in zip(arr.tolist(), marks)],
+                              dimension=arr.shape[1])
+        return lazy, eager
+
+    @settings(max_examples=60)
+    @given(d=st.integers(1, 3), n=st.integers(0, 8), data=st.data())
+    def test_equals_the_constructed_configuration(self, d, n, data, tmp_path_factory):
+        locs = data.draw(st.lists(st.lists(corners, min_size=d, max_size=d),
+                                  min_size=n, max_size=n, unique_by=tuple))
+        marks = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        lazy, eager = self.pair(locs, marks, d)
+        assert len(lazy) == n and lazy.dimension == d
+        assert lazy._points is None
+        assert lazy == eager and eager == self.pair(locs, marks, d)[0]
+        assert hash(self.pair(locs, marks, d)[0]) == hash(eager)
+        lazy = self.pair(locs, marks, d)[0]
+        assert hexes(lazy) == hexes(eager)
+        assert all(type(x) is float for p in lazy for x in p.location)
+        assert lazy.locations().tobytes() == eager.locations().tobytes()
+        assert lazy.mark_norms().tobytes() == eager.mark_norms().tobytes()
+        other = config([mp((60.0,) * d, 0.5)])
+        for a, b in ((self.pair(locs, marks, d)[0].union(other), eager.union(other)),
+                     (other.union(self.pair(locs, marks, d)[0]), other.union(eager))):
+            assert hexes(a) == hexes(b)
+        box = Box([(-20.0, 20.0)] * d)
+        for cut in (restrict, restrict_complement):
+            assert hexes(cut(self.pair(locs, marks, d)[0], box)) == hexes(cut(eager, box))
+        folder = tmp_path_factory.mktemp("lazy")
+        write_configs_jsonl(folder / "lazy.jsonl", [self.pair(locs, marks, d)[0]])
+        write_configs_jsonl(folder / "eager.jsonl", [eager])
+        assert (folder / "lazy.jsonl").read_bytes() == (folder / "eager.jsonl").read_bytes()
+        (back,) = read_configs_jsonl(folder / "lazy.jsonl")
+        assert hexes(back) == hexes(eager)
+
+    @pytest.mark.parametrize(
+        "locs, message",
+        [([(0.0, 0.0), (0.0, 0.0)], "duplicate location (0.0, 0.0): configurations are simple"),
+         ([(0.0, 1.0), (2.0, 1.0), (0.0, 1.0)],
+          "duplicate location (0.0, 1.0): configurations are simple"),
+         ([(1.0, 2.0), (-0.0, 0.5), (0.0, 0.5)],
+          "duplicate location (0.0, 0.5): configurations are simple")],
+        ids=["rejected", "duplicate", "signed-zero-duplicate"],
+    )
+    def test_duplicate_errors_are_the_constructors(self, locs, message):
+        marks = [0.1] * len(locs)
+        with pytest.raises(ValueError) as eager:
+            Configuration([mp(x, m) for x, m in zip(locs, marks)])
+        with pytest.raises(ValueError) as lazy:
+            Configuration.from_arrays(np.array(locs), marks, np.array(marks))
+        assert str(lazy.value) == str(eager.value) == message
+
+    def test_shared_first_coordinates_are_not_duplicates(self):
+        lazy, eager = self.pair([(0.0, 1.0), (0.0, 2.0), (-0.0, 3.0)], [0.1, 0.2, 0.3])
+        assert hexes(lazy) == hexes(eager)
+
+    def test_atoms_are_built_once(self):
+        lazy, _ = self.pair([(0.0, 1.0), (2.0, 1.0)], [0.1, 0.2])
+        assert lazy.points is lazy.points
 
 
 class TestRestrict:
@@ -295,6 +375,19 @@ class TestWindowDraws:
     def test_membership_needs_the_window_dimension(self):
         with pytest.raises(ValueError):
             (0.0, 0.0, 0.0) in Box.centered_cube(1.0, 2)
+        with pytest.raises(ValueError):
+            (0.0,) in Ball([0.0, 0.0], 1.0)
+
+    @settings(max_examples=200)
+    @given(d=st.integers(1, 3), data=st.data())
+    def test_ball_membership_in_floats_is_contains(self, d, data):
+        center = data.draw(st.lists(corners, min_size=d, max_size=d))
+        ball = Ball(center, data.draw(widths))
+        spread = st.floats(-1.5, 1.5)
+        for _ in range(20):
+            u = data.draw(st.lists(spread, min_size=d, max_size=d))
+            loc = tuple((ball.center + ball.radius * np.array(u)).tolist())
+            assert (loc in ball) is bool(ball.contains(np.array(loc))[0])
 
 
 SQUARE = Box([(-2.0, 2.0), (-2.0, 2.0)])
@@ -322,14 +415,31 @@ class TestWindowContains:
             (DISC, Box([(-3.0, 3.0), (-4.0, 4.0)]), False),
             (DISC, Box([(-3.0, 3.0), (-4.0, 3.9)]), False),
             (DISC, Box([(-3.0, 2.9), (-3.9, 3.9)]), True),
+            # of a half-open box only the lower corner lies in it: the other
+            # corners may lie on the sphere, the lower one may not
+            (DISC, Box([(0.0, 3.0), (0.0, 4.0)]), True),
+            (DISC, Box([(-3.0, 0.0), (-4.0, 0.0)]), False),
+            (Ball([0.0, 0.0, 0.0], 3.0), Box([(0.0, 1.0), (0.0, 2.0), (0.0, 2.0)]), True),
+            (Ball([0.0, 0.0, 0.0], 3.0), Box([(-1.0, 0.0), (-2.0, 0.0), (-2.0, 0.0)]), False),
         ],
         ids=["ball-ball-contact", "ball-ball-inside", "ball-ball-across", "ball-ball-3d",
              "ball-box-hi-face", "ball-box-lo-face", "ball-box-every-face", "ball-box-across-hi",
              "ball-box-across-lo", "box-ball-inside", "box-ball-corners-on-sphere",
-             "box-ball-lo-corner-on-sphere", "box-ball-near-contact"],
+             "box-ball-lo-corner-on-sphere", "box-ball-near-contact",
+             "box-ball-hi-corner-on-sphere", "box-ball-lower-corner-on-sphere",
+             "box-ball-3d-hi-corner-on-sphere", "box-ball-3d-lower-corner-on-sphere"],
     )
     def test_nesting(self, outer, inner, expected):
         assert window_contains(outer, inner) is expected
+
+    def test_cutoff_kernel_accepts_a_box_touching_its_ball(self):
+        # the interior box's upper corner (3, 4) lies on the truncation sphere
+        lam, delta_win = Box([(0.0, 3.0), (0.0, 4.0)]), Ball([0.0, 0.0], 5.0)
+        xi = config([mp((-1.0, -1.0), 0.2), mp((4.5, 0.5), 0.2), mp((6.0, 0.0), 0.2)])
+        res = sample_cutoff_kernel(HardSphereModel(), lam, delta_win, 0.5, xi, 0.5,
+                                   UniformLaw(0.3), 200, stream(661, 0), thin=50)
+        assert len(res.samples) == 4
+        assert all(tuple(p.location) in lam for c in res.samples for p in c)
 
     def test_windows_of_different_dimensions_are_refused(self):
         with pytest.raises(ValueError, match="different dimensions"):
