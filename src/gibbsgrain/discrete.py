@@ -7,8 +7,9 @@ birth-death-move-remark chain can be validated against it (total variation
 after many steps) without trusting any sampler output. The acceptance tables
 come from ``sampler.hastings_ratio``, the rule the continuum chain
 ``bdm_step`` applies, and the energies from the model's own
-``conditional_energy``, so the check covers the acceptance rule and the
-energy code the continuum chain uses.
+``conditional_energy``. So the check covers the chain's acceptance rule and
+the energy its drift check recomputes; the increments the chain prices its
+proposals with (``local_delta``) are not on this path.
 
 The same enumeration drives the kernel compatibility check: conditioning the
 big-window kernel on its own moat configuration must reproduce the

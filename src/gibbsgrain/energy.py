@@ -215,10 +215,10 @@ class _PairwiseModel(EnergyModel):
         """Add p's pair terms with ``others`` to ``total``, one at a time in
         iteration order; +inf at the first infinite term.
 
-        The chain's increments and the lattice instances' state energies
-        add their terms through here, and the total and conditional energies
-        (``_add_pairs``) add them the same way. ``DiffusionModel`` batches
-        its path parts but keeps this order.
+        The chain's increments (``local_delta``) add their terms through
+        here; the total and conditional energies, and with them the lattice
+        instances' state energies, add theirs in ``_add_pairs`` the same
+        way. ``DiffusionModel`` batches its path parts but keeps this order.
         """
         for q in others:
             v = self.pair_term(p, q)
@@ -574,7 +574,7 @@ def conditional_energy(
     Preconditions: interior atoms lie in the window, and xi is t-tempered.
     Only the restriction of xi to the window complement enters the value.
     """
-    if len(interior) and not bool(np.all(window.contains(interior.locations()))):
+    if not all(p.location in window for p in interior.points):
         raise PreconditionError("interior configuration has atoms outside the window")
     if check_tempered:
         ok, report = is_tempered(xi, t, delta)
@@ -618,7 +618,7 @@ def additivity_check(
     both stay fixed while the Lambda interior switches between the two
     supplied fillings.
     """
-    if len(middle) and bool(np.any(lam.contains(middle.locations()))):
+    if any(p.location in lam for p in middle.points):
         raise PreconditionError("middle configuration must avoid the inner window")
     increments = []
     for interior in (interior_a, interior_b):

@@ -83,7 +83,8 @@ class _RowReplay:
 
 
 class MarkLaw:
-    """Common interface: ``sample(rng)`` plus a serialisable descriptor.
+    """Common interface: ``sample(rng)``. The CLI builds the built-in laws
+    from their config blocks with ``law_from_descriptor``.
 
     ``uniforms`` is how many ``rng.random()`` doubles one ``sample`` call
     reads, for a law whose ``sample`` reads exactly that many and calls no
@@ -114,9 +115,6 @@ class MarkLaw:
         marks = [self.sample(_RowReplay(row)) for row in u.tolist()]
         return marks, np.array([_mark_norm_of(m) for m in marks], dtype=float)
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PointMassLaw(MarkLaw):
@@ -134,9 +132,6 @@ class PointMassLaw(MarkLaw):
 
     def sample(self, rng) -> float:
         return self.value
-
-    def descriptor(self) -> dict:
-        return {"kind": "point", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -166,9 +161,6 @@ class UniformLaw(MarkLaw):
         # u >= +0.0 and b > 0, so each mark is its own norm
         x = u[:, 0] * self.b
         return x.tolist(), x
-
-    def descriptor(self) -> dict:
-        return {"kind": "uniform", "b": self.b}
 
 
 class TruncatedSubbotinLaw(MarkLaw):
@@ -200,9 +192,6 @@ class TruncatedSubbotinLaw(MarkLaw):
         x = float(self._gammaincinv(self._shape, rng.random() * self._mass)) ** self._shape
         return min(x, self.cutoff)
 
-    def descriptor(self) -> dict:
-        return {"kind": "subbotin", "exponent": self.exponent, "cutoff": self.cutoff}
-
 
 class TableLaw(MarkLaw):
     """Discrete law over a user-supplied table of radius values.
@@ -233,9 +222,6 @@ class TableLaw(MarkLaw):
         u = rng.random()
         i = min(int(np.searchsorted(self._cum, u, side="right")), self._last)
         return float(self.values[i])
-
-    def descriptor(self) -> dict:
-        return {"kind": "table", "values": self.values.tolist(), "probs": self.probs.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +351,12 @@ class LangevinSpec(MarkLaw):
                     return x, True
         return x, False
 
-    def descriptor(self) -> dict:
-        return {"kind": "langevin", "potential": self.name, "step_count": self.step_count}
-
 
 def law_from_descriptor(desc: dict) -> MarkLaw:
-    """Inverse of ``descriptor`` for the built-in laws."""
+    """The built-in law that a mark-law block names: ``{"kind": k, ...}``
+    with the law's parameters (``point``: value; ``uniform``: b;
+    ``subbotin``: exponent, cutoff; ``table``: values, probs; ``langevin``:
+    potential, step_count)."""
     kind = desc.get("kind")
     body = {k: v for k, v in desc.items() if k != "kind"}
     if kind == "point":

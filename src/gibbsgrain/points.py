@@ -226,19 +226,17 @@ class Window:
     """Bounded observation region: membership tests, uniform draws and box
     bounds.
 
-    ``contains`` tests an array of points and ``loc in window`` one point,
-    both with the concrete window's own boundary convention (half-open
-    boxes, open balls). ``draw(rng)`` returns one location uniform on the
-    window; the samplers take every location they propose from it.
+    ``loc in window`` is the one membership test, with the window's own
+    boundary convention (half-open boxes, open balls); the chain, the
+    environment cut and the energy preconditions all ask it. ``draw(rng)``
+    returns one location uniform on the window; the samplers take every
+    location they propose from it.
     """
 
     dimension: int
 
-    def contains(self, locations: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def __contains__(self, loc) -> bool:
-        return bool(self.contains(loc)[0])
+        raise NotImplementedError
 
     def draw(self, rng: np.random.Generator) -> tuple[float, ...]:
         raise PreconditionError(f"cannot sample uniformly from {type(self).__name__}")
@@ -248,15 +246,6 @@ class Window:
 
     def volume(self) -> float:
         raise NotImplementedError
-
-
-def _as_points(locations, dimension: int) -> np.ndarray:
-    arr = np.asarray(locations, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[-1] != dimension:
-        raise ValueError(f"points have dimension {arr.shape[-1]}, window has {dimension}")
-    return arr
 
 
 class Box(Window):
@@ -295,11 +284,6 @@ class Box(Window):
     def unit(dimension: int) -> "Box":
         return Box([(0.0, 1.0)] * dimension)
 
-    def contains(self, locations) -> np.ndarray:
-        x = _as_points(locations, self.dimension)
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        return np.all((x >= lo) & (x < hi), axis=-1)
-
     def __contains__(self, loc) -> bool:
         if len(loc) != self.dimension:
             raise ValueError(f"point has dimension {len(loc)}, window has {self.dimension}")
@@ -326,9 +310,10 @@ class Box(Window):
 class Ball(Window):
     """Open Euclidean ball B(center, radius).
 
-    ``loc in ball`` sums the squared coordinate differences left to right in
-    Python floats and compares the square root with the radius, which is what
-    numpy's ``norm`` over the last axis computes at these sizes, to the bit.
+    A point is in the ball when the square root of its squared coordinate
+    differences from the centre, summed left to right in Python floats, is
+    below the radius. That sum is the definition: numpy's ``norm`` sums
+    pairwise and can round the other way near the sphere from d = 8 on.
     """
 
     def __init__(self, center, radius: float):
@@ -343,10 +328,6 @@ class Ball(Window):
         self.radius = float(radius)
         self.dimension = c.shape[0]
         self._box = Box(np.stack([c - self.radius, c + self.radius], axis=1))
-
-    def contains(self, locations) -> np.ndarray:
-        x = _as_points(locations, self.dimension)
-        return np.linalg.norm(x - self.center, axis=-1) < self.radius
 
     def __contains__(self, loc) -> bool:
         if len(loc) != self.dimension:
@@ -403,12 +384,11 @@ def window_contains(outer: Window, inner: Window) -> bool:
             np.all(outer.bounds[:, 0] <= inner.bounds[:, 0])
             and np.all(inner.bounds[:, 1] <= outer.bounds[:, 1])
         )
-    box = inner.bounding_box().bounds
-    corners = np.array(list(itertools.product(*box)))
+    corners = list(itertools.product(*inner.bounding_box().bounds.tolist()))
     if isinstance(inner, Box) and isinstance(outer, Ball):
-        gaps = np.linalg.norm(corners - outer.center, axis=-1)
+        gaps = np.linalg.norm(np.array(corners) - outer.center, axis=-1)
         return inner.lo in outer and bool(np.all(gaps <= outer.radius))
-    return bool(np.all(outer.contains(corners)))
+    return all(corner in outer for corner in corners)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +400,8 @@ def restrict(config: Configuration, window: Window) -> Configuration:
     """Sub-configuration of atoms whose location lies in the window."""
     if len(config) == 0:
         return config
-    mask = window.contains(config.locations())
     return Configuration(
-        (p for p, keep in zip(config.points, mask) if keep), dimension=config.dimension
+        (p for p in config.points if p.location in window), dimension=config.dimension
     )
 
 
@@ -430,9 +409,8 @@ def restrict_complement(config: Configuration, window: Window) -> Configuration:
     """Sub-configuration of atoms strictly outside the window."""
     if len(config) == 0:
         return config
-    mask = window.contains(config.locations())
     return Configuration(
-        (p for p, keep in zip(config.points, mask) if not keep), dimension=config.dimension
+        (p for p in config.points if p.location not in window), dimension=config.dimension
     )
 
 

@@ -119,19 +119,36 @@ class TestRadiusLaws:
         with pytest.raises(ValueError):
             make()
 
-    def test_descriptor_round_trip(self):
+    def test_law_from_descriptor_builds_each_kind(self):
         rng1 = stream(306, 0)
         rng2 = stream(306, 0)
-        for law in (
-            PointMassLaw(0.7),
-            UniformLaw(1.3),
-            TableLaw([0.5, 1.5], [0.4, 0.6]),
-            TruncatedSubbotinLaw(exponent=5.0, cutoff=1.8),
+        for block, law, params in (
+            ({"kind": "point", "value": 0.7}, PointMassLaw(0.7), {"value": 0.7}),
+            ({"kind": "uniform", "b": 1.3}, UniformLaw(1.3), {"b": 1.3}),
+            (
+                {"kind": "table", "values": [0.5, 1.5], "probs": [0.4, 0.6]},
+                TableLaw([0.5, 1.5], [0.4, 0.6]),
+                {"values": [0.5, 1.5], "probs": [0.4, 0.6]},
+            ),
+            (
+                {"kind": "subbotin", "exponent": 5.0, "cutoff": 1.8},
+                TruncatedSubbotinLaw(exponent=5.0, cutoff=1.8),
+                {"exponent": 5.0, "cutoff": 1.8},
+            ),
         ):
-            clone = law_from_descriptor(law.descriptor())
+            built = law_from_descriptor(block)
+            assert type(built) is type(law)
+            for name, value in params.items():
+                assert np.array_equal(getattr(built, name), value), name
             a = [law.sample(rng1) for _ in range(200)]
-            b = [clone.sample(rng2) for _ in range(200)]
+            b = [built.sample(rng2) for _ in range(200)]
             assert a == b
+        paths = law_from_descriptor({"kind": "langevin", "potential": "quartic", "step_count": 16})
+        assert isinstance(paths, LangevinSpec)
+        assert (paths.name, paths.step_count) == ("quartic", 16)
+        assert law_from_descriptor({"kind": "langevin", "potential": "quartic"}).step_count == 256
+        with pytest.raises(ValueError):
+            law_from_descriptor({"kind": "gamma", "shape": 2.0})
 
 
 class TestPathMarks:

@@ -21,7 +21,8 @@ from gibbsgrain import (
     window_contains,
 )
 from gibbsgrain import points as points_module
-from gibbsgrain.energy import HardSphereModel
+from gibbsgrain.energy import HardSphereModel, IdealModel, conditional_energy
+from gibbsgrain.errors import PreconditionError
 from gibbsgrain.io import read_configs_jsonl, write_configs_jsonl
 from gibbsgrain.marks import UniformLaw
 from gibbsgrain.sampler import sample_cutoff_kernel
@@ -261,8 +262,8 @@ class TestMarkSup:
 class TestWindows:
     def test_centered_cube_volume(self):
         assert Box.centered_cube(2.0, 3).volume() == pytest.approx(64.0)
-        assert Box.centered_cube(1.0, 2).contains((-1.0, 0.0))
-        assert not Box.centered_cube(1.0, 2).contains((1.0, 0.0))  # half-open
+        assert (-1.0, 0.0) in Box.centered_cube(1.0, 2)
+        assert (1.0, 0.0) not in Box.centered_cube(1.0, 2)  # half-open
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -280,13 +281,25 @@ def old_box_draw(box, rng):
     return tuple(float(v) for v in lo + rng.random(box.dimension) * (hi - lo))
 
 
+def array_in_box(box, loc):
+    """The array membership test boxes had: numpy's lo <= x < hi."""
+    x = np.array([loc])
+    return bool(np.all((x >= box.bounds[:, 0]) & (x < box.bounds[:, 1]), axis=-1)[0])
+
+
+def array_in_ball(ball, loc):
+    """The array membership test balls had: numpy's norm over the last axis
+    below the radius."""
+    return bool(np.linalg.norm(np.array([loc]) - ball.center, axis=-1)[0] < ball.radius)
+
+
 def old_ball_draw(ball, rng):
-    """The samplers' former Ball draw: bounding-box rejection tested by
-    ``contains``."""
+    """The samplers' former Ball draw: bounding-box rejection tested by the
+    array membership test."""
     while True:
-        x = np.array(old_box_draw(ball.bounding_box(), rng))
-        if ball.contains(x)[0]:
-            return tuple(x.tolist())
+        loc = old_box_draw(ball.bounding_box(), rng)
+        if array_in_ball(ball, loc):
+            return loc
 
 
 corners = st.floats(-50.0, 50.0, allow_subnormal=False)
@@ -342,7 +355,7 @@ class TestWindowDraws:
         faces = [near(lo) + near(hi) for lo, hi in box.bounds.tolist()]
         for _ in range(20):
             loc = tuple(data.draw(st.sampled_from(f)) for f in faces)
-            assert (loc in box) is bool(box.contains(np.array(loc))[0])
+            assert (loc in box) is array_in_box(box, loc)
         assert tuple(box.lo) in box and tuple(box.hi) not in box
 
     @settings(max_examples=60)
@@ -356,7 +369,7 @@ class TestWindowDraws:
         on = ball.center + ball.radius * direction / np.linalg.norm(direction)
         # the rounded point on the sphere and the doubles around it
         for loc in itertools.product(*(near(c, 1) for c in on.tolist())):
-            assert (loc in ball) is bool(ball.contains(np.array(loc))[0])
+            assert (loc in ball) is array_in_ball(ball, loc)
         assert tuple(ball.center.tolist()) in ball
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -367,9 +380,9 @@ class TestWindowDraws:
         if d > 1:
             points.append((3.0, 4.0) + (0.0,) * (d - 2))
         for loc in points:
-            assert loc not in ball and not ball.contains(np.array(loc))[0]
+            assert loc not in ball and not array_in_ball(ball, loc)
             inner = (math.nextafter(loc[0], 0.0),) + loc[1:]
-            assert (inner in ball) is bool(ball.contains(np.array(inner))[0])
+            assert (inner in ball) is array_in_ball(ball, inner)
         assert (math.nextafter(5.0, 0.0),) + (0.0,) * (d - 1) in ball
 
     def test_membership_needs_the_window_dimension(self):
@@ -387,7 +400,38 @@ class TestWindowDraws:
         for _ in range(20):
             u = data.draw(st.lists(spread, min_size=d, max_size=d))
             loc = tuple((ball.center + ball.radius * np.array(u)).tolist())
-            assert (loc in ball) is bool(ball.contains(np.array(loc))[0])
+            assert (loc in ball) is array_in_ball(ball, loc)
+
+
+class TestOneMembershipRule:
+    """The environment cut and the energy precondition classify points as
+    ``loc in window`` does, in the dimensions where numpy's pairwise sum of
+    the squares can round the other way."""
+
+    @pytest.mark.parametrize("d", [8, 9, 16])
+    def test_ball_cut_agrees_with_membership_near_the_sphere(self, d):
+        rng = np.random.default_rng(d)
+        ball = Ball([0.0] * d, 1.0)
+        directions = rng.standard_normal((400, d))
+        on = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        locs = set()
+        for row in on.tolist():
+            # the rounded point on the sphere, and that point with one
+            # coordinate moved up to three doubles either way
+            locs.add(tuple(row))
+            k = int(rng.integers(d))
+            for step in near(row[k], 3):
+                locs.add(tuple(row[:k] + [step] + row[k + 1 :]))
+        gamma = Configuration([MarkedPoint.make(loc, 0.1) for loc in sorted(locs)])
+        inside = {p for p in gamma if p.location in ball}
+        assert 0 < len(inside) < len(gamma)
+        assert set(restrict(gamma, ball).points) == inside
+        assert set(restrict_complement(gamma, ball).points) == set(gamma.points) - inside
+        model, xi = IdealModel(), Configuration.empty(d)
+        assert conditional_energy(model, Configuration(inside), xi, ball, 1, 1.0) == 0.0
+        for p in set(gamma.points) - inside:
+            with pytest.raises(PreconditionError):
+                conditional_energy(model, Configuration([p]), xi, ball, 1, 1.0)
 
 
 SQUARE = Box([(-2.0, 2.0), (-2.0, 2.0)])
