@@ -289,7 +289,6 @@ class _PairwiseModel(EnergyModel):
         return self._add_pairs(config, config, pairs, self._self_sum(config))
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
-        self.validate_config(interior)
         total = self.energy(interior)
         if total == math.inf or not len(environment):
             return total
@@ -456,9 +455,28 @@ class QuermassModel(EnergyModel):
 def _path_parts(p: MarkedPoint, qs: list[MarkedPoint]) -> np.ndarray:
     """Path part of p's pair terms with each of ``qs``: the trapezoid integral
     over s of min(|m_p(s) - m_q(s)|^2, 1e6), one value per q. Every row is
-    summed on its own, so a value does not depend on the other rows."""
-    sep = np.linalg.norm(p.mark.samples - np.stack([q.mark.samples for q in qs]), axis=2)
-    return np.trapezoid(np.minimum(sep * sep, 1.0e6), dx=1.0 / p.mark.step_count, axis=1)
+    summed on its own, so a value does not depend on the other rows.
+
+    The value is ``np.trapezoid(np.minimum(sep * sep, 1e6), dx=dx, axis=1)``
+    with ``sep = np.linalg.norm(diff, axis=2)``, written as the expressions
+    those two functions evaluate, without their call overhead: the norm is
+    ``sqrt(add.reduce(diff * diff, axis=2))``, and a reduce over two terms is
+    one addition; the trapezoid rule is
+    ``add.reduce(dx * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)``, the same
+    operations on arrays of the same layout, so the same pairwise sums. The
+    bits are the library calls' bits. The neighbours' samples are copied into
+    one block by ``np.array``, which checks their shapes in one call where
+    ``np.stack`` makes several, and one neighbour is a view of its samples."""
+    if len(qs) == 1:
+        b = qs[0].mark.samples[None]
+    else:
+        b = np.array([q.mark.samples for q in qs])
+    diff = p.mark.samples - b
+    sq = diff * diff
+    sep = np.sqrt(sq[..., 0] + sq[..., 1])
+    y = np.minimum(sep * sep, 1.0e6)
+    dx = 1.0 / p.mark.step_count
+    return np.add.reduce(dx * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
 
 
 def _default_psi(norm: float) -> float:
@@ -574,7 +592,8 @@ def conditional_energy(
     Preconditions: interior atoms lie in the window, and xi is t-tempered.
     Only the restriction of xi to the window complement enters the value.
     """
-    if not all(p.location in window for p in interior.points):
+    locs, _ = interior._columns()
+    if not all(loc in window for loc in locs):
         raise PreconditionError("interior configuration has atoms outside the window")
     if check_tempered:
         ok, report = is_tempered(xi, t, delta)

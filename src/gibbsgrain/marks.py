@@ -8,13 +8,16 @@ true path supremum by the amount the path wanders between grid points.
 A path is drawn by one Euler loop over Python floats, not numpy arrays: a
 two-element array costs far more per step in call overhead than the
 arithmetic itself. The noise block is drawn in one call as before, so the
-stream is consumed identically, and each coordinate is updated as
-``x - (0.5 * h) * g + noise``, the same IEEE double operations in the same
-order as the array expression ``x - 0.5 * h * grad(x) + noise[i]``. The
-built-in gradients have float twins that repeat their array arithmetic
-operation for operation (a two-term ``np.sum`` is one addition), and any other
-gradient is called on a fresh two-element array, so every path is bit for bit
-the one the array loop drew.
+stream is consumed identically, and read as one flat list of floats. Each
+coordinate is updated as ``x - (0.5 * h) * g + noise``, the same IEEE double
+operations in the same order as the array expression
+``x - 0.5 * h * grad(x) + noise[i]``. For the quartic potential the loop is
+fused: the gradient is inlined as ``s = 4.0 * (x0 * x0 + x1 * x1)`` and
+``g = s * x`` (a two-term ``np.sum`` is one addition), so a step makes no
+call. The other built-in gradients have float twins that repeat their array
+arithmetic operation for operation, and any other gradient is called on a
+fresh two-element array, so every path is bit for bit the one the array loop
+drew.
 """
 
 from __future__ import annotations
@@ -54,13 +57,17 @@ class PathMark:
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
             raise ValueError("path samples must be a (K+1, 2) array with K >= 1")
-        if not np.all(arr[0] == 0.0):
+        if arr[0].tolist() != [0.0, 0.0]:
             raise ValueError("paths start at the origin")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("path samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sup_norm", float(np.linalg.norm(arr, axis=1).max()))
+        # np.linalg.norm(arr, axis=1).max() to the bit: the norm's two-term
+        # reduce is one addition, and a correctly rounded sqrt is monotone,
+        # so the square root of the largest sum is the largest root
+        sq = arr * arr
+        object.__setattr__(self, "sup_norm", math.sqrt((sq[:, 0] + sq[:, 1]).max()))
 
     @property
     def step_count(self) -> int:
@@ -253,11 +260,6 @@ def _zero_grad(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _quartic_grad_scalar(x0, x1):
-    s = 4.0 * (x0 * x0 + x1 * x1)
-    return s * x0, s * x1
-
-
 def _quadratic_grad_scalar(x0, x1):
     return 2.0 * x0, 2.0 * x1
 
@@ -269,11 +271,32 @@ def _zero_grad_scalar(x0, x1):
 # Float twins of the built-in gradients for LangevinSpec.sample; each does the
 # array version's IEEE operations in its order. Keyed by the id of the array
 # gradient, so a custom grad needs no hash to fall through to the adapter.
+# The quartic gradient has no twin: its loop is fused (``_quartic_path``).
 _SCALAR_GRADS: dict[int, Callable] = {
-    id(_quartic_grad): _quartic_grad_scalar,
     id(_quadratic_grad): _quadratic_grad_scalar,
     id(_zero_grad): _zero_grad_scalar,
 }
+
+
+def _quartic_path(noise: list[float], hh: float) -> list[float]:
+    """The Euler loop for ``_quartic_grad`` with the gradient inlined: the
+    flat list x0, x1 of the K + 1 path points, from the flat noise list
+    n0, n1 of the K steps and hh = h / 2. Each step computes
+    s = 4.0 * (x0 * x0 + x1 * x1) from the old point, then
+    x - hh * (s * x) + n per coordinate: the operations of ``_quartic_grad``
+    and of the array step, in their order."""
+    x0 = x1 = 0.0
+    flat = [x0, x1]
+    put = flat.append
+    steps = iter(noise)
+    for n0, n1 in zip(steps, steps):
+        s = 4.0 * (x0 * x0 + x1 * x1)
+        x0 = x0 - hh * (s * x0) + n0
+        x1 = x1 - hh * (s * x1) + n1
+        put(x0)
+        put(x1)
+    return flat
+
 
 _POTENTIALS: dict[str, tuple[Callable, Callable]] = {
     "quartic": (_quartic, _quartic_grad),
@@ -298,10 +321,13 @@ class LangevinSpec(MarkLaw):
     the potential in manifests; use "custom" for ad-hoc callables.
 
     ``sample`` steps both coordinates as Python floats (see the module
-    docstring). The built-in gradients run as their float twins; any other
-    ``grad`` is adapted as ``tuple(grad(np.array((x0, x1))))``, so it sees
-    the same (2,) array the array loop passed it. ``sample_endpoints``
-    advances many chains at once and keeps the array form.
+    docstring). When ``grad`` is the built-in quartic gradient (by identity,
+    whatever the ``name``) the loop is fused, with the gradient inlined
+    (``_quartic_path``); the other built-in gradients run as their float
+    twins, and any other ``grad`` is adapted as
+    ``tuple(grad(np.array((x0, x1))))``, so it sees the same (2,) array the
+    array loop passed it. ``sample_endpoints`` advances many chains at once
+    and keeps the array form.
     """
 
     potential: Callable = _quartic
@@ -321,23 +347,28 @@ class LangevinSpec(MarkLaw):
     def sample(self, rng) -> PathMark:
         k = self.step_count
         h = 1.0 / k
-        noise = (rng.standard_normal((k, 2)) * math.sqrt(h)).tolist()
-        grad = _SCALAR_GRADS.get(id(self.grad))
-        if grad is None:
-            array_grad = self.grad
-
-            def grad(x0, x1):
-                return tuple(array_grad(np.array((x0, x1))))
-
         hh = 0.5 * h
-        x0 = x1 = 0.0
-        flat = [x0, x1]
-        for n0, n1 in noise:
-            g0, g1 = grad(x0, x1)
-            x0 = x0 - hh * g0 + n0
-            x1 = x1 - hh * g1 + n1
-            flat += (x0, x1)
-        return PathMark(np.array(flat).reshape(k + 1, 2))
+        # n0, n1 of each step in turn
+        noise = (rng.standard_normal((k, 2)) * math.sqrt(h)).ravel().tolist()
+        if self.grad is _quartic_grad:
+            flat = _quartic_path(noise, hh)
+        else:
+            grad = _SCALAR_GRADS.get(id(self.grad))
+            if grad is None:
+                array_grad = self.grad
+
+                def grad(x0, x1):
+                    return tuple(array_grad(np.array((x0, x1))))
+
+            x0 = x1 = 0.0
+            flat = [x0, x1]
+            steps = iter(noise)
+            for n0, n1 in zip(steps, steps):
+                g0, g1 = grad(x0, x1)
+                x0 = x0 - hh * g0 + n0
+                x1 = x1 - hh * g1 + n1
+                flat += (x0, x1)
+        return PathMark(np.fromiter(flat, float, len(flat)).reshape(k + 1, 2))
 
     def sample_endpoints(self, rng, n_chains: int, n_steps: int, guard_radius: float):
         """Vectorised chains for the invariant check; returns (endpoints, diverged)."""

@@ -396,22 +396,33 @@ def window_contains(outer: Window, inner: Window) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def restrict(config: Configuration, window: Window) -> Configuration:
-    """Sub-configuration of atoms whose location lies in the window."""
+def _select(config: Configuration, window: Window, inside: bool) -> Configuration:
+    """Sub-configuration of the atoms for which ``loc in window`` is ``inside``,
+    decided row by row on the location rows.
+
+    When the atoms are not built yet, the result is built from the kept rows
+    of the location array, the marks and the norms, so no atom is built.
+    """
     if len(config) == 0:
         return config
-    return Configuration(
-        (p for p in config.points if p.location in window), dimension=config.dimension
-    )
+    keep = [i for i, loc in enumerate(config._coords) if (loc in window) == inside]
+    if config._points is None:
+        marks = config._marks
+        return Configuration.from_arrays(
+            config._locs[keep], [marks[i] for i in keep], config._norms[keep]
+        )
+    points = config._points
+    return Configuration([points[i] for i in keep], dimension=config.dimension)
+
+
+def restrict(config: Configuration, window: Window) -> Configuration:
+    """Sub-configuration of atoms whose location lies in the window."""
+    return _select(config, window, True)
 
 
 def restrict_complement(config: Configuration, window: Window) -> Configuration:
     """Sub-configuration of atoms strictly outside the window."""
-    if len(config) == 0:
-        return config
-    return Configuration(
-        (p for p in config.points if p.location not in window), dimension=config.dimension
-    )
+    return _select(config, window, False)
 
 
 def mark_statistic(config: Configuration, exponent: float) -> float:

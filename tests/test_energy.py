@@ -347,6 +347,12 @@ class TestDiffusionBatch:
              from_self=True)
     @example(d=3, n_points=1025, kinds=["near", "far", "near", "overflow", "near"],
              scale=3000.0, seed=3, from_self=True)
+    # six near neighbours of wide paths, so the 1e6 clip fires inside a batch
+    @example(d=2, n_points=257, kinds=["near"] * 6, scale=3000.0, seed=5, from_self=True)
+    # one near neighbour: a batch of one row, which is not stacked
+    @example(d=2, n_points=257, kinds=["near"], scale=1.0, seed=6, from_self=False)
+    @example(d=1, n_points=2, kinds=["far", "near", "far"], scale=3000.0, seed=7,
+             from_self=True)
     def test_interaction_matches_per_pair_loop(self, d, n_points, kinds, scale, seed,
                                                 from_self):
         rng = stream(seed, 0)

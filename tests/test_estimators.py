@@ -23,11 +23,12 @@ from gibbsgrain import (
     UniformLaw,
     rejection_sample,
     restrict,
+    restrict_complement,
     sample_poisson,
     stream,
     tame_statistic,
 )
-from gibbsgrain.audits import stability_audit
+from gibbsgrain.audits import local_stability_audit, stability_audit
 from gibbsgrain.estimators import (
     PartitionReport,
     dlr_residual,
@@ -679,3 +680,25 @@ class TestDrawsBuildNoAtoms:
                                env=env)
         assert res.n_proposed > res.n_accepted == 20
         assert built == []
+
+    def test_local_stability_audit(self, built):
+        # the audit cuts its interiors with restrict and its environments
+        # with restrict_complement; both cuts keep the block draws unbuilt
+        lam = Box.centered_cube(2.0, 2)
+        report = local_stability_audit(
+            self.MODEL, lam, 5, 200, stream(941, 4),
+            lambda r: sample_poisson(self.WINDOW, 0.5, self.LAW, r),
+            lambda r: sample_poisson(self.WINDOW, 0.5, self.LAW, r), 1.0, 3.0)
+        assert report.n_used > 100 and built == []
+
+    def test_restrict_keeps_the_rows_in_order(self, built):
+        draw = sample_poisson(self.WINDOW, 0.5, self.LAW, stream(941, 5))
+        lam = Box.centered_cube(2.0, 2)
+        inside, outside = restrict(draw, lam), restrict_complement(draw, lam)
+        assert built == [] and 0 < len(inside) < len(draw)
+        assert len(inside) + len(outside) == len(draw)
+        for part, want in ((inside, True), (outside, False)):
+            rows = [i for i, p in enumerate(draw.points) if (p.location in lam) == want]
+            assert part.points == tuple(draw.points[i] for i in rows)
+            assert part.locations().tobytes() == draw.locations()[rows].tobytes()
+            assert part.mark_norms().tobytes() == draw.mark_norms()[rows].tobytes()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -20,9 +20,11 @@ from gibbsgrain import (
     stream,
     super_exp_moment_estimate,
 )
+from gibbsgrain import marks
 from gibbsgrain.marks import (
     LangevinSpec,
     _cumulative_trapezoid,
+    _quartic_grad,
     langevin_invariant_check,
 )
 
@@ -169,6 +171,35 @@ class TestPathMarks:
         seg = PathMark(np.stack([np.linspace(0, 1, 17), np.zeros(17)], axis=1))
         assert seg.sup_norm == pytest.approx(1.0, rel=1e-12)
 
+    @given(
+        rows=st.integers(1, 40),
+        scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e150, 1e160]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sup_norm_is_the_norm_of_numpy(self, rows, scale, seed):
+        arr = np.random.default_rng(seed).standard_normal((rows + 1, 2)) * scale
+        arr[0] = 0.0
+        with np.errstate(over="ignore"):
+            want = float(np.linalg.norm(arr, axis=1).max())
+            assert PathMark(arr).sup_norm.hex() == want.hex()
+
+    @pytest.mark.parametrize("first", [(0.0, 1e-300), (math.nan, 0.0), (0.0, math.inf)])
+    def test_checks_the_start(self, first):
+        arr = np.zeros((4, 2))
+        arr[0] = first
+        with pytest.raises(ValueError, match="origin"):
+            PathMark(arr)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_checks_every_sample_finite(self, bad):
+        arr = np.zeros((4, 2))
+        arr[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PathMark(arr)
+
+    def test_signed_zero_start_is_the_origin(self):
+        assert PathMark(np.array([[-0.0, 0.0], [1.0, 0.0]])).sup_norm == 1.0
+
     def test_free_motion_endpoint_second_moment(self):
         # With no potential the scheme telescopes to a sum of Gaussian
         # increments, so |X_1|^2 has mean exactly 2 regardless of step count.
@@ -225,6 +256,9 @@ CUSTOM_GRADS = {
     "sextic": lambda x: 6.0 * np.sum(x * x, axis=-1)[..., None] ** 2 * x,
     "sinh": np.sinh,
     "unhashable": LinearGrad(1.5),
+    # the built-in quartic gradient in a hand-built spec: by identity it
+    # takes the fused loop, not the adapter
+    "quartic-by-hand": _quartic_grad,
 }
 
 
@@ -234,6 +268,10 @@ class TestScalarEulerLoop:
         step_count=st.integers(2, 256),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(potential="quartic", step_count=256, seed=0)
+    @example(potential="quartic", step_count=256, seed=2**32 - 1)
+    @example(potential="quartic-by-hand", step_count=256, seed=1)
+    @example(potential="quartic-by-hand", step_count=3, seed=2)
     def test_paths_match_the_array_loop_bit_for_bit(self, potential, step_count, seed):
         if potential in CUSTOM_GRADS:
             spec = LangevinSpec(grad=CUSTOM_GRADS[potential], step_count=step_count,
@@ -254,6 +292,17 @@ class TestScalarEulerLoop:
         assert path.sup_norm == reference.sup_norm
         # the stream is left where the array loop leaves it
         assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("spec", [
+        LangevinSpec.named("quartic", 64),
+        LangevinSpec(grad=_quartic_grad, step_count=64, name="custom"),
+    ], ids=["named", "by-hand"])
+    def test_quartic_specs_take_the_fused_loop(self, spec, monkeypatch):
+        # the fused loop looks up no float twin
+        monkeypatch.setattr(marks, "_SCALAR_GRADS", None)
+        path = spec.sample(np.random.default_rng(5))
+        want = array_euler_path(spec, np.random.default_rng(5))
+        assert path.samples.tobytes() == want.tobytes()
 
     def test_quartic_256_step_path_is_pinned(self):
         # digest recorded with the array loop
