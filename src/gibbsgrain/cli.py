@@ -43,7 +43,6 @@ from .io import (
     read_configs_jsonl,
     write_configs_jsonl,
     write_manifest,
-    write_plot_csv,
     write_record,
     write_report_csv,
 )
@@ -140,14 +139,22 @@ def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _whole(value, key: str) -> int:
+def _whole(value, key: str, low: int | None = None) -> int:
     """A whole number from a config (a temperedness level t, a chain length):
     2.0 counts as 2, while a bool, a string or a non-integral number is
-    refused rather than truncated."""
+    refused rather than truncated, and so is one below ``low``."""
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not whole:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return int(value) if low is None else _at_least(int(value), key, low)
+
+
+def _at_least(x, key: str, low, strict: bool = False):
+    """x from a config, refused (NaN too) when below ``low``, or at it when
+    ``strict``."""
+    if not (x > low if strict else x >= low):
+        raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, got {x!r}")
+    return x
 
 
 _COMMON_KEYS = {"seed", "name", "out"}
@@ -213,9 +220,9 @@ def _report(out: Path, name: str, rows) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _boundary(spec) -> BoundaryCondition:
+def _boundary(spec) -> BoundaryCondition | None:
     if spec == "free":
-        return BoundaryCondition.free()
+        return None
     if not isinstance(spec, dict) or not {"file", "t", "delta"} <= set(spec):
         raise ConfigError("boundary must be 'free' or {file, t, delta}")
     _reject_unknown(spec, {"file", "t", "delta"}, "boundary")
@@ -238,24 +245,16 @@ def _prepare_sample(cfg: dict, report=None):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "ideal"}))
     window = build_window(cfg.get("window", {"kind": "box", "n": 1, "d": 2}))
-    z = float(cfg.get("z", 0.5))
-    if z < 0:
-        raise ConfigError("activity z must be non-negative")
+    z = _at_least(float(cfg.get("z", 0.5)), "z", 0)
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.5}))
     _fit(model, law, window.dimension)
     steps = _whole(cfg.get("steps", 200_000), "steps")
     burn_in = _whole(cfg.get("burn_in", 100_000), "burn_in")
     if not 0 <= burn_in < steps:
         raise ConfigError(f"need 0 <= burn_in < steps, got burn_in {burn_in} and steps {steps}")
-    thin = _whole(cfg.get("thin", 100), "thin")
-    if thin < 1:
-        raise ConfigError("thin must be >= 1")
-    chains = _whole(cfg.get("chains", 1), "chains")
-    if chains < 1:
-        raise ConfigError("chains must be >= 1")
-    drift_check_every = _whole(cfg.get("drift_check_every", 10_000), "drift_check_every")
-    if drift_check_every < 1:
-        raise ConfigError("drift_check_every must be >= 1")
+    thin = _whole(cfg.get("thin", 100), "thin", 1)
+    chains = _whole(cfg.get("chains", 1), "chains", 1)
+    drift_check_every = _whole(cfg.get("drift_check_every", 10_000), "drift_check_every", 1)
     bc = _boundary(cfg.get("boundary", "free"))
 
     def body(out: Path, digest: str) -> dict:
@@ -295,7 +294,7 @@ def _prepare_geometry(cfg: dict):
     n_discs = _whole(cfg.get("n_discs", 12), "n_discs")
     extent = float(cfg.get("extent", 8.0))
     margin = float(cfg.get("margin", 0.03))
-    grid = _whole(cfg.get("grid", 2048), "grid")
+    grid = _whole(cfg.get("grid", 2048), "grid", 1)
     mc_points = _whole(cfg.get("mc_points", 200_000), "mc_points")
     if mc_points < 10_000:
         raise ConfigError("mc_points must be >= 10000 for a usable oracle stderr")
@@ -365,8 +364,8 @@ def _prepare_audit(cfg: dict):
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.8}))
     window = build_window(cfg.get("window", {"kind": "box", "n": 2, "d": 2}))
     _fit(model, law, window.dimension)
-    z = float(cfg.get("z", 0.4))
-    delta = float(cfg.get("delta", 1.0))
+    z = _at_least(float(cfg.get("z", 0.4)), "z", 0)
+    delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
     n_trials = _whole(cfg.get("n_trials", 1000), "n_trials")
     exponent = cfg.get("exponent")
     exponent = float(exponent) if exponent is not None else window.dimension + delta
@@ -376,9 +375,9 @@ def _prepare_audit(cfg: dict):
             raise ConfigError("audit.local must be an object {t, env_z, env_n}")
         _reject_unknown(local, {"t", "env_z", "env_n"}, "audit.local")
         try:
-            t = _whole(local.get("t", 2), "t")
+            t = _whole(local.get("t", 2), "t", 1)
             env_n = _whole(local.get("env_n", 3), "env_n")
-            env_z = float(local.get("env_z", z))
+            env_z = _at_least(float(local.get("env_z", z)), "env_z", 0)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad audit.local block: {e}") from e
         env_win = build_window({"kind": "box", "n": env_n, "d": window.dimension})
@@ -415,16 +414,16 @@ def _prepare_entropy(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.5}))
-    d = _whole(cfg.get("d", 2), "d")
+    d = _whole(cfg.get("d", 2), "d", 1)
     _fit(model, law, d)
     n_list = cfg.get("n_list", [1, 2])
     if isinstance(n_list, str):
         n_list = [float(x) for x in n_list.split(",")]
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError(f"n_list must be a non-empty list of integers, got {n_list!r}")
-    n_list = [_whole(n, "n_list") for n in n_list]
-    z = float(cfg.get("z", 0.3))
-    delta = float(cfg.get("delta", 1.0))
+    n_list = [_whole(n, "n_list", 1) for n in n_list]
+    z = _at_least(float(cfg.get("z", 0.3)), "z", 0)
+    delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
     options = dict(
         n_energy_samples=_whole(cfg.get("n_energy_samples", 300), "n_energy_samples"),
         n_partition_samples=_whole(cfg.get("n_partition_samples", 2000), "n_partition_samples"),
@@ -444,18 +443,13 @@ def _prepare_entropy(cfg: dict):
                 ReportRow("ceiling", p.ceiling, 0.0, p.n, model.model_id, seed),
                 ReportRow("a1_hat", p.a1_hat, 0.0, p.n, model.model_id, seed),
             ]
-        write_report_csv(out / "entropy.csv", rows)
-        write_plot_csv(
-            out / "plot_entropy.csv",
-            [(p.n, p.per_volume, p.per_volume_stderr) for p in curve.points],
-        )
         print(f"entropy curve ({len(curve.points)} volumes) under ceiling: "
               f"{curve.under_ceiling}, trend ok: {curve.trend_ok} -> {out}")
-        return {"outputs": ["entropy.csv", "plot_entropy.csv"],
-                "under_ceiling": curve.under_ceiling, "trend_ok": curve.trend_ok,
-                "partition": [{"n": p.n, "ess": p.partition_ess,
-                               "max_weight_share": p.max_weight_share}
-                              for p in curve.points]}
+        return dict(_report(out, "entropy.csv", rows),
+                    under_ceiling=curve.under_ceiling, trend_ok=curve.trend_ok,
+                    partition=[{"n": p.n, "ess": p.partition_ess,
+                                "max_weight_share": p.max_weight_share}
+                               for p in curve.points])
 
     return body
 
@@ -464,13 +458,13 @@ def _prepare_dlr(cfg: dict):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "hardcore"}))
     law = build_law(cfg.get("mark_law", {"kind": "point", "value": 0.3}))
-    d = _whole(cfg.get("d", 2), "d")
+    d = _whole(cfg.get("d", 2), "d", 1)
     _fit(model, law, d)
     big = Box.centered_cube(_whole(cfg.get("lam_n", 4), "lam_n"), d)
     lam_half = float(cfg.get("lam", 2.0))
     lam = Box([[-lam_half, lam_half]] * d)
-    z = float(cfg.get("z", 0.2))
-    delta = float(cfg.get("delta", 1.0))
+    z = _at_least(float(cfg.get("z", 0.2)), "z", 0)
+    delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
     n_outer = _whole(cfg.get("n_outer", 200), "n_outer")
     n_inner = _whole(cfg.get("n_inner", 100), "n_inner")
 
@@ -601,12 +595,14 @@ _COMMANDS = {
 # Only a ConfigError exits 2. The config values known to reach numerical code
 # are checked before the run directory exists: the seed (a non-negative whole
 # number) in load_config, and in prepare temper t and delta, geometry
-# mc_points, the chain keys (whole-number steps, burn_in, thin, chains,
-# drift_check_every and step_count; thin >= 1 and 0 <= burn_in < steps), the
-# whole-number counts of entropy and audit and entropy's n_list entries, and
-# the fit of model, mark law and dimension; any other ValueError they raise
-# becomes a ConfigError in _run. A ValueError from a run body is a fault of
-# the code, not of the config: it is unmapped and exits 1.
+# mc_points and grid, the chain keys (whole-number steps, burn_in, thin, chains,
+# drift_check_every and step_count; thin, chains and drift_check_every >= 1
+# and 0 <= burn_in < steps), every activity (z >= 0, audit's env_z too) and
+# every delta (> 0), the whole-number counts of entropy and audit, d >= 1,
+# entropy's n_list entries and audit's local t (>= 1), and the fit of model,
+# mark law and dimension; any other ValueError they raise becomes a
+# ConfigError in _run. A ValueError from a run body is a fault of the code,
+# not of the config: it is unmapped and exits 1.
 _EXIT_CODES = (
     (ConfigError, 2, "config error"),
     (PreconditionError, 3, "precondition violated"),

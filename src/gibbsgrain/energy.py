@@ -11,22 +11,23 @@ grain union, which leaves the value of the stationary-limit definition
 unchanged (inclusion-exclusion for area and Euler characteristic, boundary
 bookkeeping for perimeter).
 
-A pairwise ``energy`` or ``conditional_energy`` walks index pairs (i, j)
-in row-major order and prices each by the model's float-level rule
-``_term`` on ``math.dist`` of the two location rows and the two norms, read
-from the configuration's lists (``Configuration._columns``): a draw built
-by ``Configuration.from_arrays`` is priced without building its atoms.
+A pairwise ``energy`` or ``conditional_energy`` walks index pairs (i, j) in
+row-major order and prices each by the model's float-level rule ``_term``
+on ``math.dist`` of the two location rows and the two norms, read from the
+configuration's lists (``Configuration._columns``): a draw built by
+``Configuration.from_arrays`` is priced without building its atoms.
 ``pair_term`` calls the same rule on two atoms, so each rule is written
-once; ``DiffusionModel``, whose terms read the paths, hands each row's pairs
-to its batched ``interaction`` on the atoms instead. Below
-``_ALL_PAIRS_BELOW`` atoms the walk visits every pair; from there on it
-visits only candidate pairs: those whose squared distance, in one numpy
-pass over a block of rows, is not above reach(|m_i|, |m_j|)^2 padded by a
-relative slack, so that the candidates are a superset of the pairs within
-reach. The sum is bit for bit the all-pairs one: by the ``reach`` contract
-every pair left out has a term of exactly +0.0; a total that starts at +0.0
-never becomes -0.0, so adding +0.0 leaves it unchanged; and no pair left
-out is +inf, so the first +inf term, where the sum stops, is the same pair.
+once; ``DiffusionModel``, whose terms read the paths, hands each row's
+pairs to its batched ``interaction`` on the atoms instead, and its
+``pair_term`` is ``interaction`` on one atom. Below ``_ALL_PAIRS_BELOW``
+atoms the walk visits every pair; from there on it visits only candidate
+pairs: those whose squared distance, in one numpy pass over a block of
+rows, is not above reach(|m_i|, |m_j|)^2 padded by a relative slack, so
+that the candidates are a superset of the pairs within reach. The sum is
+bit for bit the all-pairs one: by the ``reach`` contract every pair left
+out has a term of exactly +0.0; a total that starts at +0.0 never becomes
+-0.0, so adding +0.0 leaves it unchanged; and no pair left out is +inf, so
+the first +inf term, where the sum stops, is the same pair.
 
 The quermass functional F is a valuation of the grain union, so adding a
 grain p to any disc family A changes it by
@@ -517,10 +518,7 @@ class DiffusionModel(_PairwiseModel):
         return total
 
     def pair_term(self, p, q) -> float:
-        d = math.dist(p.location, q.location)
-        if d > self.a0 + p.mark_norm + q.mark_norm:
-            return 0.0
-        return lj_pair(d) + float(_path_parts(p, [q])[0])
+        return self.interaction(p, [q])
 
     def interaction(self, p, others, total=0.0) -> float:
         """``_PairwiseModel.interaction`` with the path parts of all in-range

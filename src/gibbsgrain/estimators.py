@@ -106,11 +106,14 @@ def partition_estimate(
     weight the jackknife roughly doubles it: H = -600 on one draw of 1000,
     0 on the rest, gives ``log_z_hat`` 1184.6 against the plug-in log-mean
     593.1. A low ``ess`` is the signal that the estimate rests on a few
-    draws. The empty configuration contributes weight one, so the true
-    value is at least exp(-z |W|); the report carries that floor. A batch
-    in which every draw has infinite energy yields estimate 0 with a logged
-    warning instead of an exception (it is a legitimate outcome for hard
-    cores at high activity, and the caller sees ``degenerate=True``).
+    draws. With one finite-energy draw every other leave-one-out sum is 0,
+    so there is no jackknife: ``log_z_hat`` is the plug-in log-mean and
+    ``log_stderr`` is +inf. The empty configuration contributes weight one,
+    so the true value is at least exp(-z |W|); the report carries that
+    floor. A batch in which every draw has infinite energy yields estimate 0
+    with a logged warning instead of an exception (it is a legitimate
+    outcome for hard cores at high activity, and the caller sees
+    ``degenerate=True``).
     """
     if n_samples < 1000:
         raise PreconditionError("partition_estimate needs at least 1000 samples")
@@ -133,17 +136,18 @@ def partition_estimate(
     z_hat = _scaled(total / n_samples, shift)
     stderr = _scaled(float(weights.std(ddof=1)) / math.sqrt(n_samples), shift)
     ess = total**2 / float(np.dot(weights, weights))
-    # leave-one-out log means, relative to the shift; the top draw's sum may
-    # cancel to 0 here and is recomputed from the others (it stays -inf when
-    # every other draw has infinite energy)
-    with np.errstate(divide="ignore"):
-        loo = np.log((total - weights) / (n_samples - 1))
+    log_plug = math.log(total / n_samples)
     others = np.delete(neg_h, top)
     second = float(others.max())
-    if second > -math.inf:
-        rest = float(np.exp(others - second).sum())
-        loo[top] = second - shift + math.log(rest / (n_samples - 1))
-    log_plug = math.log(total / n_samples)
+    if second == -math.inf:
+        return PartitionReport(z_hat, stderr, shift + log_plug, math.inf, n_samples, n_inf,
+                               lower, False, ess, 1.0 / total)
+    # leave-one-out log means, relative to the shift; the top draw's sum may
+    # cancel to 0 here and is recomputed from the others
+    with np.errstate(divide="ignore"):
+        loo = np.log((total - weights) / (n_samples - 1))
+    rest = float(np.exp(others - second).sum())
+    loo[top] = second - shift + math.log(rest / (n_samples - 1))
     log_jack = shift + n_samples * log_plug - (n_samples - 1) * float(loo.mean())
     log_se = float(
         math.sqrt((n_samples - 1) / n_samples * np.sum((loo - loo.mean()) ** 2))

@@ -69,7 +69,7 @@ _TWO_PI = 2.0 * math.pi
 # r in the environment, W the largest |x| + |y| over the window's bounding
 # box and bound the largest radius indexed so far or p's, so the band covers
 # the scale of every family the drift check's energy examines.
-# ``sampler.init_chain`` refuses an environment with such a relation
+# ``sampler.ChainState`` refuses an environment with such a relation
 # (``_find_degenerate``'s prefix rule), so every grain of a disc list was
 # certified when it joined. It checks the grains a grain of the largest
 # mark can meet, at band(largest mark), the widest band the chain reaches;

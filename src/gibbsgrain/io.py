@@ -36,7 +36,6 @@ __all__ = [
     "ReportRow",
     "write_report_csv",
     "read_report_csv",
-    "write_plot_csv",
     "canonical_json",
     "manifest_hash",
     "write_manifest",
@@ -191,15 +190,6 @@ def read_report_csv(path) -> list[ReportRow]:
         except (ValueError, TypeError) as e:
             raise ConfigError(f"report {path} line {reader.line_num} is not a report row "
                               f"({e!r})") from e
-
-
-def write_plot_csv(path, series: Sequence[tuple[float, float, float]]) -> None:
-    """(x, y, err) triples for external plotting; no plotting dependency."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "err"])
-        for x, y, err in series:
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(err))])
 
 
 def canonical_json(obj) -> str:

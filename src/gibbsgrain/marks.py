@@ -38,7 +38,6 @@ __all__ = [
     "TruncatedSubbotinLaw",
     "TableLaw",
     "LangevinSpec",
-    "named_potential",
     "MomentAudit",
     "super_exp_moment_estimate",
     "InvariantCheck",
@@ -305,14 +304,6 @@ _POTENTIALS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def named_potential(name: str) -> tuple[Callable, Callable]:
-    """(V, grad V) for the built-in confining potentials; raises on unknown names."""
-    try:
-        return _POTENTIALS[name]
-    except KeyError:
-        raise ValueError(f"unknown potential {name!r}; have {sorted(_POTENTIALS)}") from None
-
-
 @dataclass(frozen=True)
 class LangevinSpec(MarkLaw):
     """Path mark law: dX = -1/2 grad V(X) dt + dW on [0, 1], X_0 = 0.
@@ -341,7 +332,9 @@ class LangevinSpec(MarkLaw):
 
     @staticmethod
     def named(name: str, step_count: int = 256) -> "LangevinSpec":
-        v, g = named_potential(name)
+        if name not in _POTENTIALS:
+            raise ValueError(f"unknown potential {name!r}; have {sorted(_POTENTIALS)}")
+        v, g = _POTENTIALS[name]
         return LangevinSpec(potential=v, grad=g, step_count=step_count, name=name)
 
     def sample(self, rng) -> PathMark:

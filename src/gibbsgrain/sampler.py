@@ -44,22 +44,24 @@ all four kinds. It alone refuses (+inf) a new atom above the mark cap, inside
 the degeneracy band, or at the location of another interior atom, which it
 reads from the cell at that location.
 
-One ``ChainState`` holds the atoms once, with their neighbour cells, and
-every increment reads those cells instead of every atom: a sparse uniform
-grid (cell lists), a dict from integer cell key floor(x / side) to the
-(stamp, atom) entries in that cell, over the interior atoms and the fixed
-environment. Interior atoms are stamped in birth order and keep their stamp
-through moves and remarks, which replace in place, so ``stamps`` runs
-parallel to ``points`` and stamp order is ``points`` order; environment
-atoms are stamped after every interior atom, in environment order. A query
-collects the cells within reach(|p|, bound) + band of p (padded against
-roundoff), sorts the entries by stamp and hands them to
-``model.local_delta``. ``bound`` is the largest mark norm held so far and
-never decreases; the cell side is reach(bound, bound), or 1.0 when that is
-0, and the grid is rebuilt, in O(n), whenever an accepted atom raises the
-bound; otherwise an accepted proposal writes, deletes or appends its one
-entry in place. A query whose reach is 0 (always for the ideal model) keeps
-only the atoms at p's own location.
+One ``ChainState`` holds the atoms once, with their neighbour cells. Its one
+constructor starts at the empty configuration, with the atoms of the
+boundary condition outside the window as the fixed environment, and
+``run_chain`` builds its state with it. Every increment reads those cells
+instead of every atom: a sparse uniform grid (cell lists), a dict from
+integer cell key floor(x / side) to the (stamp, atom) entries in that cell,
+over the interior atoms and the fixed environment. Interior atoms are
+stamped in birth order and keep their stamp through moves and remarks, which
+replace in place, so ``stamps`` runs parallel to ``points`` and stamp order
+is ``points`` order; environment atoms are stamped after every interior
+atom, in environment order. A query collects the cells within reach(|p|,
+bound) + band of p (padded against roundoff), sorts the entries by stamp and
+hands them to ``model.local_delta``. ``bound`` is the largest mark norm held
+so far and never decreases; the cell side is reach(bound, bound), or 1.0
+when that is 0, and the grid is rebuilt, in O(n), whenever an accepted atom
+raises the bound; otherwise an accepted proposal writes, deletes or appends
+its one entry in place. A query whose reach is 0 (always for the ideal
+model) keeps only the atoms at p's own location.
 
 Pairwise models' ``local_delta`` is ``model.interaction`` over the
 neighbours, which adds the terms in the plain loop's order (points, then
@@ -72,7 +74,7 @@ p's disc and the cliques of N through p (``geometry.link_increment``), so a
 step costs the same in any window. Births, moves and remarks whose new grain lies within ``band`` of a
 tangency or triple point with its neighbours are rejected, and so is an
 environment with such a relation among the grains the chain can meet
-(``init_chain``). This is the package's one degeneracy rule: the quermass
+(``ChainState``). This is the package's one degeneracy rule: the quermass
 energies are +inf on a degenerate grain family, so the chain targets the
 law restricted to non-degenerate states, a set closed under deletion, and
 keeps detailed balance; a degenerate family that reaches the drift check's
@@ -117,15 +119,6 @@ __all__ = [
 ]
 
 
-def _window_volume(window: Window) -> float:
-    try:
-        return window.volume()
-    except NotImplementedError:
-        raise PreconditionError(
-            "sampling needs a window with a known volume (box or ball)"
-        ) from None
-
-
 def sample_poisson(
     window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator
 ) -> Configuration:
@@ -145,8 +138,7 @@ def sample_poisson(
         raise ValueError("activity z must be non-negative")
     if z == 0:
         return Configuration.empty(window.dimension)
-    vol = _window_volume(window)
-    n = int(rng.poisson(z * vol))
+    n = int(rng.poisson(z * window.volume()))
     k = mark_law.uniforms
     if k is None or not isinstance(window, Box):
         pts = [
@@ -264,10 +256,6 @@ class BoundaryCondition:
     xi: Configuration | None = None
 
     @staticmethod
-    def free() -> "BoundaryCondition":
-        return BoundaryCondition(None)
-
-    @staticmethod
     def conditioned(xi: Configuration, t: int, delta: float) -> "BoundaryCondition":
         ok, report = is_tempered(xi, t, delta)
         if not ok:
@@ -309,15 +297,21 @@ class ChainState:
     their neighbour cells (see module docstring), with the cached energy and
     the proposal and accept counts.
 
-    ``points`` holds the interior atoms and ``stamps`` their stamps, index
-    for index; ``replace`` changes both and the cells together. The
-    constructor refuses a degenerate environment (see
-    ``_check_environment``); ``init_chain`` builds a fresh state.
+    A fresh state is at the empty configuration (conditional energy 0), with
+    the atoms of ``bc`` outside the window as its environment (none when
+    ``bc`` is None or ``BoundaryCondition()``). ``points`` holds the interior atoms and
+    ``stamps`` their stamps, index for index; ``replace`` changes both and
+    the cells together. The constructor refuses a degenerate environment
+    (see ``_check_environment``), at the band of ``mark_cap`` when one is
+    given and at the initial band otherwise.
     """
 
-    def __init__(self, model, window: Window, env: Configuration, mark_cap: float | None):
+    def __init__(self, model, window: Window, bc: BoundaryCondition | None = None,
+                 mark_cap: float | None = None):
+        xi = bc.xi if bc is not None else None
+        self.env = env = (restrict_complement(xi, window) if xi is not None
+                          else Configuration.empty(window.dimension))
         self.window = window
-        self.env = env
         self.mark_cap = mark_cap
         self.points: list[MarkedPoint] = []
         self.stamps: list[int] = []
@@ -334,7 +328,7 @@ class ChainState:
         self._build()
         if self.tol and window.dimension == 2:
             self._check_environment()
-        self.volume = _window_volume(window)
+        self.volume = window.volume()
         self.cached_energy = 0.0
         self.proposals = {k: 0 for k in _KINDS}
         self.accepts = {k: 0 for k in _KINDS}
@@ -434,24 +428,6 @@ class ChainState:
             found = [entry for entry in found if entry[1].location == p.location]
         hidden = self.stamps[skip] if skip >= 0 else -1
         return [q for stamp, q in found if stamp != hidden]
-
-
-def init_chain(
-    model,
-    window: Window,
-    bc: BoundaryCondition | None = None,
-    mark_cap: float | None = None,
-) -> ChainState:
-    """Fresh chain at the empty configuration (conditional energy 0); refuses
-    a degenerate environment (see ``ChainState._check_environment``), at the
-    band of ``mark_cap`` when one is given and at the initial band otherwise."""
-    bc = bc or BoundaryCondition.free()
-    env = (
-        restrict_complement(bc.xi, window)
-        if bc.xi is not None
-        else Configuration.empty(window.dimension)
-    )
-    return ChainState(model, window, env, mark_cap)
 
 
 def _delta(model, state: ChainState, idx: int, added: list[MarkedPoint]) -> float:
@@ -578,7 +554,7 @@ def run_chain(
     carrying the step and both values. Without ``mark_cap`` the chain is
     capped at the mark law's ``max_norm``, which no draw exceeds: it changes
     no decision, and the environment is certified at the widest band the
-    chain can reach (see ``init_chain``).
+    chain can reach (see ``ChainState``).
     """
     if z < 0:
         raise ValueError("activity z must be non-negative")
@@ -589,7 +565,7 @@ def run_chain(
     if drift_check_every < 1:
         raise PreconditionError("drift_check_every must be >= 1")
     mix = mix or ProposalMix()
-    state = init_chain(model, window, bc, mark_law.max_norm if mark_cap is None else mark_cap)
+    state = ChainState(model, window, bc, mark_law.max_norm if mark_cap is None else mark_cap)
     samples: list[Configuration] = []
     max_drift = 0.0
     checks = 0

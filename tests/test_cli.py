@@ -389,9 +389,6 @@ class TestEntropyCommand:
         per_vol = [r for r in rows if r.quantity == "i_per_volume"]
         assert [r.n for r in per_vol] == [1, 2]
         assert all(r.estimate == 0.0 for r in per_vol)
-        plot = (tmp_path / "ent" / "plot_entropy.csv").read_text().splitlines()
-        assert plot[0] == "x,y,err"
-        assert [line.split(",")[0] for line in plot[1:]] == ["1.0", "2.0"]
         record = json.loads((tmp_path / "ent" / "record.json").read_text())
         assert record["under_ceiling"] is True
         assert record["trend_ok"] is True
@@ -520,6 +517,19 @@ class TestRunWrapper:
                           "steps": 100, "burn_in": 10}),
             (["sample"], {"boundary": {"file": "empty.jsonl", "t": 1, "delta": 1.0},
                           "steps": 100, "burn_in": 10}),
+            (["entropy"], {"z": -1}),
+            (["audit"], {"z": -1}),
+            (["dlr"], {"z": -1}),
+            (["audit"], {"local": {"env_z": -1}}),
+            (["dlr"], {"delta": 0}),
+            (["dlr"], {"delta": -0.5}),
+            (["audit"], {"delta": 0, "local": {}}),
+            (["audit"], {"delta": -0.5}),
+            (["entropy"], {"delta": 0}),
+            (["entropy"], {"d": 0}),
+            (["entropy"], {"n_list": [0, 1]}),
+            (["audit"], {"local": {"t": 0}}),
+            (["geometry"], {"n_systems": 1, "n_discs": 3, "grid": 0}),
         ],
         ids=["audit-local-key", "temper-no-input",
              "bogus-flavor", "audit-local-not-object",
@@ -527,7 +537,11 @@ class TestRunWrapper:
              "diffusion-negative-z", "drift-check-every-0", "drift-check-every-negative",
              "model-no-id", "bogus-phi", "bogus-window-kind", "chains-0",
              "config-file-missing", "config-file-not-json", "config-file-not-object",
-             "boundary-file-missing", "boundary-file-empty"],
+             "boundary-file-missing", "boundary-file-empty",
+             "entropy-negative-z", "audit-negative-z", "dlr-negative-z",
+             "audit-local-negative-env-z", "dlr-delta-0", "dlr-delta-negative",
+             "audit-local-delta-0", "audit-delta-negative", "entropy-delta-0", "entropy-d-0",
+             "entropy-n-list-0", "audit-local-t-0", "geometry-grid-0"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, monkeypatch, argv, payload):
         # a dict is written as a config with its seed; a string is the raw

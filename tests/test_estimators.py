@@ -3,6 +3,7 @@ relative entropy, the stationarized empirical field, and DLR residuals."""
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ class TestPartition:
         assert rep.log_z_hat - self.closed_form(700.0, n)[1] > 199.0
         # Z itself is about e^793, beyond a double
         assert rep.z_hat == math.inf and rep.stderr == math.inf
+
+    @pytest.mark.parametrize("h_one", [0.0, 5.0])
+    def test_one_finite_draw_gives_the_plug_in_estimate(self, h_one):
+        # Every leave-one-out sum but the finite draw's own is 0 here, and
+        # its own is log 0, which made the jackknife +inf with a NaN stderr.
+        class OneFinite:
+            calls = 0
+
+            def energy(self, c):
+                self.calls += 1
+                return h_one if self.calls == 1 else math.inf
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = partition_estimate(
+                OneFinite(), Box.unit(2), 0.7, UniformLaw(1.0), 1000, stream(909, 0)
+            )
+        assert rep.log_z_hat == pytest.approx(-h_one - math.log(1000), rel=0, abs=1e-12)
+        assert rep.log_stderr == math.inf
+        assert not rep.degenerate and rep.n_infinite == 999
+        assert rep.ess == 1.0 and rep.max_weight_share == 1.0
 
     def test_weight_diagnostics_of_a_degenerate_batch(self):
         class AlwaysInf:

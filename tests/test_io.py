@@ -28,7 +28,6 @@ from gibbsgrain.io import (
     record_to_config,
     write_configs_jsonl,
     write_manifest,
-    write_plot_csv,
     write_record,
     write_report_csv,
 )
@@ -289,16 +288,6 @@ class TestReportCsv:
         path = tmp_path / "edge.csv"
         write_report_csv(path, rows)
         assert read_report_csv(path) == rows
-
-
-class TestPlotCsv:
-    def test_header_and_values(self, tmp_path):
-        path = tmp_path / "plot.csv"
-        write_plot_csv(path, [(1.0, 2.5, 0.1), (2.0, 2.25, 0.08)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,err"
-        assert lines[1] == "1.0,2.5,0.1"
-        assert len(lines) == 3
 
 
 class TestManifest:

@@ -312,6 +312,16 @@ class TestScalarEulerLoop:
             == "5b8bea42dd0ecdd474549088afa214199e36ef7519c50e0802dc260e97ed9ceb"
         )
 
+    def test_quartic_250_step_path_is_pinned(self):
+        # At 256 steps hh = 1/512 is a power of two, so a reassociated Euler
+        # product keeps that digest; at 250 it does not. Digest recorded with
+        # the array loop.
+        path = LangevinSpec.named("quartic", 250).sample(np.random.default_rng(0))
+        assert (
+            hashlib.sha256(path.samples.tobytes()).hexdigest()
+            == "aa30dc016f505cdc33486d38530480ba659a09a938122ee9b8228178d17a1f0f"
+        )
+
 
 class TestInvariantCheck:
     def test_ou_matches_gaussian_target(self):

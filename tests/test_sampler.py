@@ -42,10 +42,10 @@ from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate, link_in
 from gibbsgrain.io import write_configs_jsonl
 from gibbsgrain.sampler import (
     BoundaryCondition,
+    ChainState,
     _delta,
     bdm_step,
     hastings_ratio,
-    init_chain,
 )
 from conftest import config, mp
 
@@ -550,7 +550,7 @@ class TestChain:
         assert len(res.samples) == 60
         # replay the same stream step by step
         rng = stream(613, 0)
-        state = init_chain(model, w, None, None)
+        state = ChainState(model, w, None, None)
         mix = ProposalMix()
         for k in range(60):
             bdm_step(state, model, z, UniformLaw(0.8), mix, rng)
@@ -835,7 +835,7 @@ class TestNeighbourIndex:
         xi = Configuration(
             [MarkedPoint.make(loc, law.sample(rng)) for loc in near + far], dimension=d
         )
-        state = init_chain(model, window, BoundaryCondition(xi))
+        state = ChainState(model, window, BoundaryCondition(xi))
         # births first, so the wider windows hold atoms in many cells; the
         # count comes from the seed, since hypothesis favours small integers
         scramble(state, rng, law, n_ops, n_births=seed % 61)
@@ -846,7 +846,7 @@ class TestNeighbourIndex:
         model = INDEX_MODELS[name]
         rng = stream(628, 0)
         law = PATH_LAW if name == "diffusion" else UniformLaw(0.6)
-        state = init_chain(model, Box.centered_cube(6.0, 2))
+        state = ChainState(model, Box.centered_cube(6.0, 2))
         scramble(state, rng, law, 30, n_births=60)
         assert len(state.points) >= 30
         # more cells hold atoms than one query spans (3 x 3 cells)
@@ -856,7 +856,7 @@ class TestNeighbourIndex:
     def test_remark_that_raises_the_bound_rebuilds_the_grid(self):
         model = INDEX_MODELS["nonnegpair"]
         rng = stream(624, 0)
-        state = init_chain(model, Box.centered_cube(6.0, 2))
+        state = ChainState(model, Box.centered_cube(6.0, 2))
         scramble(state, rng, UniformLaw(0.3), 80)
         side = state.side
         assert side <= 0.6
@@ -871,7 +871,7 @@ class TestNeighbourIndex:
         # nonnegpair gates on d <= |m_p| + |m_q|: the pair at equality counts,
         # and here it sits in the next cell over.
         model = INDEX_MODELS["nonnegpair"]
-        state = init_chain(model, Box.centered_cube(4.0, 2))
+        state = ChainState(model, Box.centered_cube(4.0, 2))
         state.replace(0, [mp((1.0, 0.0), 0.5)])
         assert state.side == 1.0
         p = mp((0.0, 0.0), 0.5)
@@ -886,7 +886,7 @@ class TestNeighbourIndex:
         # so +inf can only come from the collision rule.
         model = INDEX_MODELS[name]
         outside = mp((2.5, 0.5), 0.3)
-        state = init_chain(model, Box.centered_cube(2.0, 2), BoundaryCondition(config([outside])))
+        state = ChainState(model, Box.centered_cube(2.0, 2), BoundaryCondition(config([outside])))
         a, b = mp((0.5, 0.5), 0.3), mp((-1.0, 1.0), 0.4)
         state.replace(0, [a])
         state.replace(1, [b])
@@ -924,7 +924,7 @@ class TestNeighbourIndex:
         indexed_calls, indexed = run()
         # an environment atom at p's location is still a neighbour
         coincident = mp((0.5, -1.5), 0.2)
-        state = init_chain(IdealModel(), Box.centered_cube(1.0, 2),
+        state = ChainState(IdealModel(), Box.centered_cube(1.0, 2),
                            BoundaryCondition(config([coincident, mp((0.5, -1.25))])))
         assert state.neighbours(mp((0.5, -1.5))) == [coincident]
 
@@ -1045,7 +1045,7 @@ class TestIncrementAudit:
             shell = [Box.centered_cube(half + 1.0, 2).draw(rng) for _ in range(16)]
             xi = [MarkedPoint.make(loc, law.sample(rng)) for loc in shell]
             bc = BoundaryCondition(Configuration(xi, dimension=2))
-        state = init_chain(model, window, bc)
+        state = ChainState(model, window, bc)
         scramble_finite(model, state, rng, law, n_births, n_ops)
         pts = state.points
         before = model.conditional_energy(state.snapshot(), state.env)
@@ -1081,7 +1081,7 @@ class TestIncrementAudit:
         window = Box.centered_cube(2.0, 2)
         rng = stream(631, with_env)
         links = spy_link_sizes(monkeypatch)
-        state = init_chain(model, window, dense_shell(rng, law) if with_env else None,
+        state = ChainState(model, window, dense_shell(rng, law) if with_env else None,
                            law.max_norm)
         for _ in range(8):
             for _ in range(150):
@@ -1147,7 +1147,7 @@ class TestReversibility:
             shell = [Box.centered_cube(3.0, 2).draw(rng) for _ in range(16)]
             bc = BoundaryCondition(config([MarkedPoint.make(loc, law.sample(rng))
                                            for loc in shell]))
-        state = init_chain(model, window, bc, law.max_norm)
+        state = ChainState(model, window, bc, law.max_norm)
         z, mix = 1.0, ProposalMix()
         checked = {kind: 0 for kind in REVERSE_KIND}
         for _ in range(30):
@@ -1185,7 +1185,7 @@ class TestReversibility:
         window = Box.centered_cube(2.0, 2)
         rng = stream(630, with_env)
         links = spy_link_sizes(monkeypatch)
-        state = init_chain(model, window, dense_shell(rng, law) if with_env else None,
+        state = ChainState(model, window, dense_shell(rng, law) if with_env else None,
                            law.max_norm)
         z, mix = 1.0, ProposalMix()
         checked = {kind: 0 for kind in REVERSE_KIND}
@@ -1257,7 +1257,7 @@ class TestDegeneracyBand:
     @pytest.mark.parametrize("plant", sorted(PLANTS))
     def test_planted_degeneracy_is_rejected(self, plant, monkeypatch, caplog):
         grains, draws = self.PLANTS[plant]
-        state = init_chain(QUERMASS, Box.centered_cube(2.0, 2))
+        state = ChainState(QUERMASS, Box.centered_cube(2.0, 2))
         for g in grains:
             state.replace(len(state.points), [g])
         state.cached_energy = QUERMASS.energy(state.snapshot())
@@ -1312,7 +1312,7 @@ class TestDegeneracyBand:
         )
         window, bc = Box.centered_cube(2.0, 2), BoundaryCondition(xi)
         # U(0.6) marks never raise the bound past the environment's 0.6
-        band = init_chain(QUERMASS, window, bc).band(0.6)
+        band = ChainState(QUERMASS, window, bc).band(0.6)
         where, handed, recomputed = ["chain"], [], []
 
         def link(disc, meet):
@@ -1358,21 +1358,21 @@ class TestDegeneracyBand:
         # radius at most 0.6 meets neither, one with a larger radius may.
         far = Configuration([mp((5.2, 0.0), 0.5), mp((5.2, 1.0), 0.5)], dimension=2)
         window, bc = Box.centered_cube(1.0, 2), BoundaryCondition(far)
-        init_chain(QUERMASS, window, bc, mark_cap=0.6)
+        ChainState(QUERMASS, window, bc, mark_cap=0.6)
         with pytest.raises(PreconditionError, match="environment grains"):
-            init_chain(QUERMASS, window, bc)
+            ChainState(QUERMASS, window, bc)
         with pytest.raises(PreconditionError, match="environment grains"):
-            init_chain(QUERMASS, window, bc, mark_cap=4.0)
+            ChainState(QUERMASS, window, bc, mark_cap=4.0)
 
     def test_capped_chain_certifies_its_environment_at_the_largest_band(self):
         # A tangency gap of 5e-9 lies between the initial band (2.7e-9) and
         # the band a grain of radius 5 reaches (7e-9).
         gapped = Configuration([mp((1.2, 0.0), 0.5), mp((1.2, 1.0 + 5e-9), 0.5)], dimension=2)
         window, bc = Box.centered_cube(1.0, 2), BoundaryCondition(gapped)
-        state = init_chain(QUERMASS, window, bc)
+        state = ChainState(QUERMASS, window, bc)
         assert state.band(0.0) < 5e-9 < state.band(5.0)
         with pytest.raises(PreconditionError, match="environment grains"):
-            init_chain(QUERMASS, window, bc, mark_cap=5.0)
+            ChainState(QUERMASS, window, bc, mark_cap=5.0)
         # an uncapped chain is certified at its mark law's largest norm
         assert UniformLaw(5.0).max_norm == 5.0
         with pytest.raises(PreconditionError, match="environment grains"):
@@ -1399,23 +1399,23 @@ class TestDegeneracyBand:
             assert bool(_find_degenerate(discs, _DEGENERACY_TOL * scale)) == refused
             if refused:
                 with pytest.raises(PreconditionError, match="environment grains"):
-                    init_chain(QUERMASS, window, bc)
+                    ChainState(QUERMASS, window, bc)
             else:
-                assert init_chain(QUERMASS, window, bc).band(0.0) == _DEGENERACY_TOL * scale
+                assert ChainState(QUERMASS, window, bc).band(0.0) == _DEGENERACY_TOL * scale
 
     def test_band_covers_every_disc_system_scale(self):
         # E (environment) and W + bound (window and largest mark, the new
         # grain's included) all count.
         xi = Configuration([mp((9.0, 0.5), 0.5)], dimension=2)
-        state = init_chain(QUERMASS, Box.centered_cube(2.0, 2), BoundaryCondition(xi))
+        state = ChainState(QUERMASS, Box.centered_cube(2.0, 2), BoundaryCondition(xi))
         assert state.band(0.3) == _DEGENERACY_TOL * 10.0
         assert state.band(6.5) == _DEGENERACY_TOL * 10.5
         state.replace(0, [mp((1.0, 1.0), 7.0)])
         assert state.band(0.3) == _DEGENERACY_TOL * 11.0
-        assert init_chain(HardSphereModel(), Box.centered_cube(2.0, 2)).band(9.0) == 0.0
+        assert ChainState(HardSphereModel(), Box.centered_cube(2.0, 2)).band(9.0) == 0.0
 
     def test_quermass_chain_needs_the_plane(self):
-        state = init_chain(QUERMASS, Box.centered_cube(1.0, 3))
+        state = ChainState(QUERMASS, Box.centered_cube(1.0, 3))
         with pytest.raises(PreconditionError):
             _delta(QUERMASS, state, 0, [mp((0.0, 0.0, 0.0), 0.3)])
 
@@ -1423,7 +1423,7 @@ class TestDegeneracyBand:
 def test_deaths_ignore_grains_that_only_touch(caplog):
     # Deaths query their neighbours at band 0, where open discs that touch
     # at one point do not meet: the increment is minus F of the lone grain.
-    state = init_chain(QUERMASS, Box.centered_cube(2.0, 2))
+    state = ChainState(QUERMASS, Box.centered_cube(2.0, 2))
     for g in (mp((0.0, 0.0), 0.5), mp((1.0, 0.0), 0.5)):
         state.replace(len(state.points), [g])
     lone = QUERMASS.energy(config([mp((1.0, 0.0), 0.5)]))
