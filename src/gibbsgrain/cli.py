@@ -46,7 +46,7 @@ from .io import (
     write_record,
     write_report_csv,
 )
-from .marks import LangevinSpec, law_from_descriptor
+from .marks import LangevinSpec, PathMark, law_from_descriptor
 from .points import Box, Window, mark_sup
 from .rng import stream
 from .sampler import BoundaryCondition, rejection_sample, run_chain, sample_poisson
@@ -220,7 +220,9 @@ def _report(out: Path, name: str, rows) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _boundary(spec) -> BoundaryCondition | None:
+def _boundary(spec, model, law, d: int) -> BoundaryCondition | None:
+    """The boundary block's condition, with its configuration fitted to the
+    window dimension d and, for the path model, to the law's path grid."""
     if spec == "free":
         return None
     if not isinstance(spec, dict) or not {"file", "t", "delta"} <= set(spec):
@@ -236,6 +238,14 @@ def _boundary(spec) -> BoundaryCondition | None:
     xi = next(iter(read_configs_jsonl(path)), None)
     if xi is None:
         raise ConfigError(f"boundary file {path} holds no configuration")
+    if xi.dimension != d:
+        raise ConfigError(f"boundary configuration has dimension {xi.dimension}, window has {d}")
+    if isinstance(model, DiffusionModel):
+        for q in xi.points:
+            k = q.mark.step_count if isinstance(q.mark, PathMark) else None
+            if k != law.step_count:
+                raise ConfigError(f"boundary mark at {q.location} is not a path of "
+                                  f"{law.step_count} steps (got {k or 'a scalar mark'})")
     return BoundaryCondition.conditioned(xi, t, delta)
 
 
@@ -255,7 +265,7 @@ def _prepare_sample(cfg: dict, report=None):
     thin = _whole(cfg.get("thin", 100), "thin", 1)
     chains = _whole(cfg.get("chains", 1), "chains", 1)
     drift_check_every = _whole(cfg.get("drift_check_every", 10_000), "drift_check_every", 1)
-    bc = _boundary(cfg.get("boundary", "free"))
+    bc = _boundary(cfg.get("boundary", "free"), model, law, window.dimension)
 
     def body(out: Path, digest: str) -> dict:
         outputs, counts, stats = [], [], []
@@ -290,8 +300,8 @@ def _prepare_sample(cfg: dict, report=None):
 
 def _prepare_geometry(cfg: dict):
     seed = cfg["seed"]
-    n_systems = _whole(cfg.get("n_systems", 5), "n_systems")
-    n_discs = _whole(cfg.get("n_discs", 12), "n_discs")
+    n_systems = _whole(cfg.get("n_systems", 5), "n_systems", 1)
+    n_discs = _whole(cfg.get("n_discs", 12), "n_discs", 1)
     extent = float(cfg.get("extent", 8.0))
     margin = float(cfg.get("margin", 0.03))
     grid = _whole(cfg.get("grid", 2048), "grid", 1)
@@ -366,7 +376,7 @@ def _prepare_audit(cfg: dict):
     _fit(model, law, window.dimension)
     z = _at_least(float(cfg.get("z", 0.4)), "z", 0)
     delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
-    n_trials = _whole(cfg.get("n_trials", 1000), "n_trials")
+    n_trials = _whole(cfg.get("n_trials", 1000), "n_trials", 1)
     exponent = cfg.get("exponent")
     exponent = float(exponent) if exponent is not None else window.dimension + delta
     local = cfg.get("local")
@@ -425,9 +435,9 @@ def _prepare_entropy(cfg: dict):
     z = _at_least(float(cfg.get("z", 0.3)), "z", 0)
     delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
     options = dict(
-        n_energy_samples=_whole(cfg.get("n_energy_samples", 300), "n_energy_samples"),
-        n_partition_samples=_whole(cfg.get("n_partition_samples", 2000), "n_partition_samples"),
-        chain_steps=_whole(cfg.get("chain_steps", 30_000), "chain_steps"),
+        n_energy_samples=_whole(cfg.get("n_energy_samples", 300), "n_energy_samples", 1),
+        n_partition_samples=_whole(cfg.get("n_partition_samples", 2000), "n_partition_samples", 1),
+        chain_steps=_whole(cfg.get("chain_steps", 30_000), "chain_steps", 1),
         stat_exponent=(
             float(cfg["stat_exponent"]) if cfg.get("stat_exponent") is not None else None
         ),
@@ -465,8 +475,8 @@ def _prepare_dlr(cfg: dict):
     lam = Box([[-lam_half, lam_half]] * d)
     z = _at_least(float(cfg.get("z", 0.2)), "z", 0)
     delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
-    n_outer = _whole(cfg.get("n_outer", 200), "n_outer")
-    n_inner = _whole(cfg.get("n_inner", 100), "n_inner")
+    n_outer = _whole(cfg.get("n_outer", 200), "n_outer", 1)
+    n_inner = _whole(cfg.get("n_inner", 100), "n_inner", 1)
 
     def body(out: Path, digest: str) -> dict:
         outer = rejection_sample(model, big, z, law, n_outer, stream(seed, 0)).samples
@@ -598,9 +608,9 @@ _COMMANDS = {
 # mc_points and grid, the chain keys (whole-number steps, burn_in, thin, chains,
 # drift_check_every and step_count; thin, chains and drift_check_every >= 1
 # and 0 <= burn_in < steps), every activity (z >= 0, audit's env_z too) and
-# every delta (> 0), the whole-number counts of entropy and audit, d >= 1,
-# entropy's n_list entries and audit's local t (>= 1), and the fit of model,
-# mark law and dimension; any other ValueError they raise becomes a
+# every delta (> 0), every count of draws, steps, trials, systems or discs,
+# d, entropy's n_list entries and audit's local t (all >= 1), and the fit of
+# model, mark law, dimension and boundary file; any other ValueError becomes a
 # ConfigError in _run. A ValueError from a run body is a fault of the code,
 # not of the config: it is unmapped and exits 1.
 _EXIT_CODES = (

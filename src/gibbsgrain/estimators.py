@@ -25,7 +25,6 @@ from .points import (
     Window,
     mark_statistic,
     restrict,
-    restrict_complement,
     tame_statistic,
     window_contains,
 )
@@ -208,10 +207,12 @@ def relative_entropy_estimate(
 ) -> EntropyReport:
     """Relative entropy of the finite-volume law w.r.t. its Poisson reference
     from the energies of samples of that law: I = -E[H] - log Z, with errors
-    propagated from both estimates."""
+    propagated from both estimates; at least two energies, for a stderr."""
     if partition.degenerate:
         raise PreconditionError("partition estimate degenerated to 0; no log Z")
     energies = np.array(energies, dtype=float)
+    if len(energies) < 2:
+        raise PreconditionError(f"need at least 2 energies for a stderr, got {len(energies)}")
     if not np.all(np.isfinite(energies)):
         raise PreconditionError(
             "samples with infinite energy cannot come from the target law"
@@ -454,9 +455,8 @@ def dlr_residual(
     outer_vals = np.empty((len(functionals), n_outer))
     inner_vals = np.empty((len(functionals), n_outer))
     for i, gamma in enumerate(outer_samples):
-        env = restrict_complement(gamma, lam)
         inner = rejection_sample(
-            model, lam, z, mark_law, n_inner, rng, env=env
+            model, lam, z, mark_law, n_inner, rng, env=gamma
         ).samples
         for fi, f in enumerate(functionals):
             outer_vals[fi, i] = f(gamma)

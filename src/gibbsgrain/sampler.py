@@ -39,14 +39,13 @@ doubles in the same order, and makes the same decisions, as array code
 would.
 
 Every proposal is ``points[idx : idx + 1] = added``, at most one atom each
-side (a birth appends at ``idx == n``), and one increment, ``_delta``, prices
-all four kinds. It alone refuses (+inf) a new atom above the mark cap, inside
-the degeneracy band, or at the location of another interior atom, which it
-reads from the cell at that location.
+side (a birth appends at ``idx == n``), and ``ChainState.delta`` prices all
+four kinds. It alone refuses (+inf) a new atom above the mark cap, on another
+interior atom (the neighbour walk reports it), or inside the degeneracy band.
 
-One ``ChainState`` holds the atoms once, with their neighbour cells. Its one
-constructor starts at the empty configuration, with the atoms of the
-boundary condition outside the window as the fixed environment, and
+One ``ChainState`` holds the model and the atoms once, with their neighbour
+cells. Its one constructor starts at the empty configuration, with the atoms
+of the boundary condition outside the window as the fixed environment, and
 ``run_chain`` builds its state with it. Every increment reads those cells
 instead of every atom: a sparse uniform grid (cell lists), a dict from
 integer cell key floor(x / side) to the (stamp, atom) entries in that cell,
@@ -293,17 +292,17 @@ _ENV_STAMP = 1 << 62
 
 
 class ChainState:
-    """Mutable chain state: the interior atoms, the fixed environment and
-    their neighbour cells (see module docstring), with the cached energy and
-    the proposal and accept counts.
+    """Mutable chain state: the model, the interior atoms, the fixed
+    environment and their neighbour cells (see module docstring), the cached
+    energy and the proposal and accept counts.
 
     A fresh state is at the empty configuration (conditional energy 0), with
     the atoms of ``bc`` outside the window as its environment (none when
-    ``bc`` is None or ``BoundaryCondition()``). ``points`` holds the interior atoms and
-    ``stamps`` their stamps, index for index; ``replace`` changes both and
-    the cells together. The constructor refuses a degenerate environment
-    (see ``_check_environment``), at the band of ``mark_cap`` when one is
-    given and at the initial band otherwise.
+    ``bc`` is None or ``BoundaryCondition()``). ``points`` holds the interior
+    atoms and ``stamps`` their stamps, index for index; ``delta`` prices a
+    change and ``replace`` makes it, in both lists and the cells. The
+    constructor refuses a degenerate environment (see ``_check_environment``),
+    at the band of ``mark_cap`` if one is given, else at the initial band.
     """
 
     def __init__(self, model, window: Window, bc: BoundaryCondition | None = None,
@@ -311,6 +310,7 @@ class ChainState:
         xi = bc.xi if bc is not None else None
         self.env = env = (restrict_complement(xi, window) if xi is not None
                           else Configuration.empty(window.dimension))
+        self.model = model
         self.window = window
         self.mark_cap = mark_cap
         self.points: list[MarkedPoint] = []
@@ -409,53 +409,45 @@ class ChainState:
         found.sort()
         return found
 
-    def collides(self, loc: tuple[float, ...], skip: int = -1) -> bool:
-        """Whether an interior atom other than index ``skip`` sits at loc,
-        read from loc's own cell."""
-        hidden = self.stamps[skip] if skip >= 0 else -1
-        for stamp, q in self.cells.get(self._key(loc), ()):
-            if q.location == loc and stamp < _ENV_STAMP and stamp != hidden:
-                return True
-        return False
-
-    def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint]:
+    def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint] | None:
         """Atoms within reach of p, interior index ``skip`` left out, in
-        list order: interior atoms first, then the environment."""
+        list order: interior atoms first, then the environment; None when
+        another interior atom sits at p's location, which p's own cell holds."""
         r = self.reach(p.mark_norm, self.bound) + self.band(p.mark_norm)
-        found = self.near(p.location, r)
-        if r == 0.0:
-            # only atoms at p's own location can interact
-            found = [entry for entry in found if entry[1].location == p.location]
         hidden = self.stamps[skip] if skip >= 0 else -1
-        return [q for stamp, q in found if stamp != hidden]
+        found = [entry for entry in self.near(p.location, r) if entry[0] != hidden]
+        here = [entry for entry in found if entry[1].location == p.location]
+        if here and here[0][0] < _ENV_STAMP:  # interior stamps sort first
+            return None
+        # with a zero reach only atoms at p's own location can interact
+        return [q for _, q in (found if r else here)]
 
-
-def _delta(model, state: ChainState, idx: int, added: list[MarkedPoint]) -> float:
-    """Energy increment of ``points[idx : idx + 1] = added`` (see module
-    docstring); +inf for the empty proposal and for a refused new atom. The
-    new atom is priced first, at its band, then the removed one (finite by
-    invariant) at band 0: a move or a remark pays gain - loss, a death -loss.
-    """
-    removes = idx < len(state.points)
-    if not (added or removes):
-        return math.inf
-    skip = idx if removes else -1
-    if added:
-        p = added[0]
-        capped = state.mark_cap is not None and p.mark_norm > state.mark_cap
-        if capped or state.collides(p.location, skip):
+    def delta(self, idx: int, added: list[MarkedPoint]) -> float:
+        """Energy increment of ``points[idx : idx + 1] = added`` (see module
+        docstring); +inf for the empty proposal and for a refused new atom. The
+        new atom is priced first, at its band, then the removed one (finite by
+        invariant) at band 0: a move or a remark pays gain - loss, a death -loss.
+        """
+        removes = idx < len(self.points)
+        if not (added or removes):
             return math.inf
-        gain = model.local_delta(p, state.neighbours(p, skip), state.band(p.mark_norm))
-        if gain == math.inf or not removes:
-            return gain
-    old = state.points[idx]
-    loss = model.local_delta(old, state.neighbours(old, idx))
-    return gain - loss if added else -loss
+        skip = idx if removes else -1
+        if added:
+            p = added[0]
+            capped = self.mark_cap is not None and p.mark_norm > self.mark_cap
+            near = None if capped else self.neighbours(p, skip)
+            if near is None:
+                return math.inf
+            gain = self.model.local_delta(p, near, self.band(p.mark_norm))
+            if gain == math.inf or not removes:
+                return gain
+        old = self.points[idx]
+        loss = self.model.local_delta(old, self.neighbours(old, idx))
+        return gain - loss if added else -loss
 
 
 def bdm_step(
     state: ChainState,
-    model,
     z: float,
     mark_law: MarkLaw,
     mix: ProposalMix,
@@ -467,14 +459,12 @@ def bdm_step(
     ``points[idx : idx + 1] = added``: a birth appends, a death removes, a
     move or a remark replaces one atom. A move leaving the window, or any
     kind but birth on the empty state, leaves the empty proposal. One
-    ``_delta`` prices every proposal, +inf for those it refuses, and the
+    ``state.delta`` prices every proposal, +inf for those it refuses, and the
     proposal is accepted when its acceptance uniform falls below
     ``hastings_ratio``, i.e. with probability min(1, ratio).
     """
     u_kind = rng.random()
     n = len(state.points)
-    # The proposal replaces points[idx : idx + 1] by `added`; idx == n
-    # appends, and (n, []) is the empty proposal, which _delta refuses.
     idx, added = n, []
     if u_kind < mix.birth:
         kind = "birth"
@@ -507,7 +497,7 @@ def bdm_step(
         if n > 0:
             idx = min(int(u_sel * n), n - 1)
             added = [MarkedPoint.make(state.points[idx].location, mark)]
-    dh = _delta(model, state, idx, added)
+    dh = state.delta(idx, added)
     state.proposals[kind] += 1
     if u_acc < hastings_ratio(kind, z * state.volume, n, dh):
         state.replace(idx, added)
@@ -540,13 +530,13 @@ def run_chain(
     steps: int,
     rng: np.random.Generator,
     bc: BoundaryCondition | None = None,
-    mix: ProposalMix | None = None,
     burn_in: int = 0,
     thin: int = 1,
     mark_cap: float | None = None,
     drift_check_every: int = 10_000,
 ) -> ChainResult:
-    """Run the chain from the empty configuration, collecting thinned samples.
+    """Run the chain from the empty configuration, with the default
+    ``ProposalMix``, collecting thinned samples.
 
     Every ``drift_check_every`` steps the cached energy is recomputed from
     scratch; a deviation above 1e-9 (relative to max(1, |H|)), or a cached
@@ -564,13 +554,13 @@ def run_chain(
         raise PreconditionError("thin must be >= 1")
     if drift_check_every < 1:
         raise PreconditionError("drift_check_every must be >= 1")
-    mix = mix or ProposalMix()
+    mix = ProposalMix()
     state = ChainState(model, window, bc, mark_law.max_norm if mark_cap is None else mark_cap)
     samples: list[Configuration] = []
     max_drift = 0.0
     checks = 0
     for s in range(1, steps + 1):
-        bdm_step(state, model, z, mark_law, mix, rng)
+        bdm_step(state, z, mark_law, mix, rng)
         if s % drift_check_every == 0:
             recomputed = model.conditional_energy(state.snapshot(), state.env)
             drift = abs(recomputed - state.cached_energy)
@@ -606,7 +596,6 @@ def sample_cutoff_kernel(
     mark_law: MarkLaw,
     steps: int,
     rng: np.random.Generator,
-    mix: ProposalMix | None = None,
     burn_in: int = 0,
     thin: int = 1,
     drift_check_every: int = 10_000,
@@ -623,9 +612,7 @@ def sample_cutoff_kernel(
         raise PreconditionError("mark cap m0 must be non-negative")
     if not window_contains(delta_win, lam):
         raise PreconditionError("truncation window must contain the interior window")
-    moat = restrict(restrict_complement(xi, lam), delta_win)
-    bc = BoundaryCondition(moat)
     return run_chain(
-        model, lam, z, mark_law, steps, rng, bc=bc, mix=mix, burn_in=burn_in,
-        thin=thin, mark_cap=m0, drift_check_every=drift_check_every,
+        model, lam, z, mark_law, steps, rng, bc=BoundaryCondition(restrict(xi, delta_win)),
+        burn_in=burn_in, thin=thin, mark_cap=m0, drift_check_every=drift_check_every,
     )

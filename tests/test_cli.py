@@ -13,7 +13,8 @@ import numpy as np
 
 import gibbsgrain
 from gibbsgrain import Ball, MarkedPoint, PathMark, sampler
-from gibbsgrain.cli import main
+from gibbsgrain.cli import build_law, build_window, main
+from gibbsgrain.errors import ConfigError
 from gibbsgrain.io import read_configs_jsonl, read_report_csv, write_configs_jsonl
 
 from conftest import config, legacy_path_lines, mp
@@ -530,6 +531,14 @@ class TestRunWrapper:
             (["entropy"], {"n_list": [0, 1]}),
             (["audit"], {"local": {"t": 0}}),
             (["geometry"], {"n_systems": 1, "n_discs": 3, "grid": 0}),
+            (["audit"], {"n_trials": 0}),
+            (["entropy"], {"n_energy_samples": 0}),
+            (["entropy"], {"n_partition_samples": 0}),
+            (["entropy"], {"chain_steps": 0}),
+            (["dlr"], {"n_outer": 0}),
+            (["dlr"], {"n_inner": 0}),
+            (["geometry"], {"n_systems": 0}),
+            (["geometry"], {"n_discs": 0}),
         ],
         ids=["audit-local-key", "temper-no-input",
              "bogus-flavor", "audit-local-not-object",
@@ -541,7 +550,10 @@ class TestRunWrapper:
              "entropy-negative-z", "audit-negative-z", "dlr-negative-z",
              "audit-local-negative-env-z", "dlr-delta-0", "dlr-delta-negative",
              "audit-local-delta-0", "audit-delta-negative", "entropy-delta-0", "entropy-d-0",
-             "entropy-n-list-0", "audit-local-t-0", "geometry-grid-0"],
+             "entropy-n-list-0", "audit-local-t-0", "geometry-grid-0", "audit-n-trials-0",
+             "entropy-n-energy-samples-0", "entropy-n-partition-samples-0",
+             "entropy-chain-steps-0", "dlr-n-outer-0", "dlr-n-inner-0",
+             "geometry-n-systems-0", "geometry-n-discs-0"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, monkeypatch, argv, payload):
         # a dict is written as a config with its seed; a string is the raw
@@ -889,6 +901,38 @@ class TestRunWrapper:
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
         assert "boundary must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "xi, model, error",
+        [
+            (config([mp((1.5,), 0.3)], dim=1), "ideal", "dimension 1, window has 2"),
+            (path_boundary(), "diffusion", "not a path of 16 steps (got 8)"),
+            (config([mp((1.4, 0.2), 0.3)]), "diffusion",
+             "not a path of 16 steps (got a scalar mark)"),
+        ],
+        ids=["one-d-points", "path-steps", "scalar-marks-for-paths"],
+    )
+    def test_boundary_that_does_not_fit_exits_2(self, tmp_path, xi, model, error, capsys):
+        path = tmp_path / "xi.jsonl"
+        write_configs_jsonl(path, [xi])
+        law = ({"kind": "langevin", "potential": "quartic", "step_count": 16}
+               if model == "diffusion" else {"kind": "uniform", "b": 0.5})
+        cfg = write_cfg(tmp_path, "bc.json", {
+            "seed": 1, "model": {"id": model}, "mark_law": law, "steps": 100, "burn_in": 10,
+            "boundary": {"file": str(path), "t": 1, "delta": 1.0}})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        assert error in capsys.readouterr().err
+
+    def test_law_block_errors_are_config_errors(self):
+        # UniformLaw() without b raises TypeError, which _run does not map
+        with pytest.raises(ConfigError, match="bad mark_law block"):
+            build_law({"kind": "uniform"})
+
+    @pytest.mark.parametrize("spec", [{"n": 1, "d": 2}, 5])
+    def test_window_block_needs_a_kind(self, spec):
+        with pytest.raises(ConfigError, match="window block needs a 'kind' key"):
+            build_window(spec)
 
 
 # Builds the model, window and mark law of each config in a fresh interpreter

@@ -31,6 +31,8 @@ from gibbsgrain import (
 )
 from gibbsgrain.audits import local_stability_audit, stability_audit
 from gibbsgrain.estimators import (
+    EntropyCurve,
+    EntropyPoint,
     PartitionReport,
     dlr_residual,
     empirical_field_draw,
@@ -348,8 +350,35 @@ class TestRelativeEntropy:
                 [IdealModel().energy(Configuration.empty(2))] * 10, Box.unit(2), part
             )
 
+    @pytest.mark.parametrize("energies", [[], [0.0]])
+    def test_fewer_than_two_energies_have_no_stderr(self, energies, caplog):
+        part = PartitionReport(1.0, 0.0, 0.0, 0.0, 1000, 0, 0.01, False)
+        with pytest.raises(PreconditionError, match="at least 2 energies"):
+            relative_entropy_estimate(energies, Box.unit(2), part)
+        assert caplog.records == []
+
 
 class TestEntropyCurve:
+    def test_trend_fails_on_an_upward_step_beyond_3_sigma(self):
+        # every point's per-volume stderr is 0.1, so the combined width of
+        # two points is 3 * hypot(0.1, 0.1) = 0.424
+        def curve(*per_volume):
+            pts = tuple(
+                EntropyPoint(
+                    i_hat=0.0, log_z=0.0, mean_energy=0.0, per_volume=v, stderr=0.4,
+                    per_volume_stderr=0.1, n_samples=100, volume=4.0 * n * n, n=n,
+                    a1_hat=1.0, ceiling=10.0, partition_ess=1000.0, max_weight_share=0.001,
+                )
+                for n, v in enumerate(per_volume, 1)
+            )
+            return EntropyCurve(pts, c_hat=0.0, z=0.5, exponent=2.5)
+
+        assert curve(0.5, 0.9).trend_ok
+        assert not curve(0.5, 1.0).trend_ok
+        # steps are checked between every pair, not only neighbours
+        assert not curve(0.5, 0.8, 1.0).trend_ok
+        assert curve(0.5, 0.2, 0.6).trend_ok
+
     def test_ideal_curve_is_flat_zero(self):
         curve = specific_entropy_curve(
             IdealModel(),

@@ -43,7 +43,6 @@ from gibbsgrain.io import write_configs_jsonl
 from gibbsgrain.sampler import (
     BoundaryCondition,
     ChainState,
-    _delta,
     bdm_step,
     hastings_ratio,
 )
@@ -470,6 +469,18 @@ class TestRejection:
                 min_rate=1e-3,
             )
 
+    def test_proposal_budget_abort(self):
+        # the ideal model accepts every proposal, so 3 proposals give 3 of 5
+        with pytest.raises(NumericalFailure, match=r"exceeded 3 proposals \(3 accepted\)"):
+            rejection_sample(IdealModel(), Box.unit(2), 1.0, UniformLaw(0.5), 5,
+                             stream(640, 0), max_proposals=3)
+
+    def test_negative_energy_breaks_the_certificate(self, monkeypatch):
+        model = HardSphereModel()
+        monkeypatch.setattr(model, "energy", lambda gamma: -1.0)
+        with pytest.raises(NumericalFailure, match="negative energy -1.0"):
+            rejection_sample(model, Box.unit(2), 1.0, UniformLaw(0.5), 5, stream(641, 0))
+
 
 class TestAcceptanceRatios:
     def test_birth_death_are_reciprocal(self):
@@ -553,7 +564,7 @@ class TestChain:
         state = ChainState(model, w, None, None)
         mix = ProposalMix()
         for k in range(60):
-            bdm_step(state, model, z, UniformLaw(0.8), mix, rng)
+            bdm_step(state, z, UniformLaw(0.8), mix, rng)
             got = res.samples[k]
             assert tuple(p.location for p in got.points) == tuple(
                 p.location for p in state.points
@@ -773,21 +784,21 @@ def plain_swap(model, state, idx, new_p):
 
 
 def assert_increments_match(model, state, rng, law, queries=12):
-    """Indexed _delta of births, deaths and swaps against the plain loop,
+    """Indexed ChainState.delta of births, deaths and swaps against the plain loop,
     bit for bit, for fresh atoms, every removal and moves plus remarks."""
     held = sorted(entry for cell in state.cells.values() for entry in cell)
     assert held == list(zip(state.stamps, state.points)) + state.env_entries
     for _ in range(queries):
         p = MarkedPoint.make(state.window.draw(rng), law.sample(rng))
-        assert _delta(model, state, len(state.points), [p]).hex() == plain_add(model, state, p).hex()
+        assert state.delta(len(state.points), [p]).hex() == plain_add(model, state, p).hex()
     for idx in range(len(state.points)):
-        assert _delta(model, state, idx, []).hex() == plain_remove(model, state, idx).hex()
+        assert state.delta(idx, []).hex() == plain_remove(model, state, idx).hex()
         old = state.points[idx]
         for new_p in (
             MarkedPoint.make(state.window.draw(rng), old.mark),
             MarkedPoint.make(old.location, law.sample(rng)),
         ):
-            got = _delta(model, state, idx, [new_p])
+            got = state.delta(idx, [new_p])
             assert got.hex() == plain_swap(model, state, idx, new_p).hex()
 
 
@@ -878,7 +889,7 @@ class TestNeighbourIndex:
         assert math.dist(p.location, state.points[0].location) == model.reach(0.5, 0.5)
         expected = soft_bump(1.0)
         assert expected > 0.0
-        assert _delta(model, state, len(state.points), [p]) == plain_add(model, state, p) == expected
+        assert state.delta(len(state.points), [p]) == plain_add(model, state, p) == expected
 
     @pytest.mark.parametrize("name", ["ideal", "nonnegpair"])
     def test_a_new_atom_on_another_interior_atom_is_refused(self, name):
@@ -892,18 +903,18 @@ class TestNeighbourIndex:
         state.replace(1, [b])
         birth = mp(a.location, 0.2)
         assert math.isfinite(plain_add(model, state, birth))
-        assert _delta(model, state, 2, [birth]) == math.inf
+        assert state.delta(2, [birth]) == math.inf
         move = mp(a.location, b.mark_norm)
         assert math.isfinite(plain_swap(model, state, 1, move))
-        assert _delta(model, state, 1, [move]) == math.inf
+        assert state.delta(1, [move]) == math.inf
         # a remark keeps the location of the atom it replaces, which is skipped
         remark = mp(a.location, 0.2)
-        assert _delta(model, state, 0, [remark]) == plain_swap(model, state, 0, remark)
-        assert math.isfinite(_delta(model, state, 0, [remark]))
+        assert state.delta(0, [remark]) == plain_swap(model, state, 0, remark)
+        assert math.isfinite(state.delta(0, [remark]))
         # an environment atom at the location does not block
         probe = mp(outside.location, 0.2)
-        assert _delta(model, state, 2, [probe]) == plain_add(model, state, probe)
-        assert math.isfinite(_delta(model, state, 2, [probe]))
+        assert state.delta(2, [probe]) == plain_add(model, state, probe)
+        assert math.isfinite(state.delta(2, [probe]))
 
     def test_zero_reach_queries_only_coincident_atoms(self, monkeypatch):
         # The ideal model's reach is 0, so an increment can only meet atoms at
@@ -1052,12 +1063,12 @@ class TestIncrementAudit:
         assert before < math.inf
         for _ in range(6):
             p = MarkedPoint.make(window.draw(rng), law.sample(rng))
-            got = _delta(model, state, len(state.points), [p])
+            got = state.delta(len(state.points), [p])
             plain = plain_add(model, state, p) if pairwise else None
             assert_increment_is_global_difference(model, state, before, got, pts + [p], plain)
         for idx in rng.permutation(len(pts))[:6].tolist():
             rest = pts[:idx] + pts[idx + 1 :]
-            got = _delta(model, state, idx, [])
+            got = state.delta(idx, [])
             plain = plain_remove(model, state, idx) if pairwise else None
             assert_increment_is_global_difference(model, state, before, got, rest, plain)
             old = pts[idx]
@@ -1067,7 +1078,7 @@ class TestIncrementAudit:
             if moved in window:
                 proposals.append(MarkedPoint(moved, old.mark, old.mark_norm))
             for new_p in proposals:
-                got = _delta(model, state, idx, [new_p])
+                got = state.delta(idx, [new_p])
                 plain = plain_swap(model, state, idx, new_p) if pairwise else None
                 after = pts[:idx] + [new_p] + pts[idx + 1 :]
                 assert_increment_is_global_difference(model, state, before, got, after, plain)
@@ -1085,19 +1096,19 @@ class TestIncrementAudit:
                            law.max_norm)
         for _ in range(8):
             for _ in range(150):
-                bdm_step(state, model, 1.0, law, ProposalMix(), rng)
+                bdm_step(state, 1.0, law, ProposalMix(), rng)
             pts = state.points
             before = model.conditional_energy(state.snapshot(), state.env)
             for _ in range(4):
                 p = MarkedPoint.make(window.draw(rng), law.sample(rng))
-                got = _delta(model, state, len(pts), [p])
+                got = state.delta(len(pts), [p])
                 assert_increment_is_global_difference(model, state, before, got, pts + [p], None)
             for idx in rng.permutation(len(pts))[:4].tolist():
-                got = _delta(model, state, idx, [])
+                got = state.delta(idx, [])
                 rest = pts[:idx] + pts[idx + 1 :]
                 assert_increment_is_global_difference(model, state, before, got, rest, None)
                 new_p = MarkedPoint.make(pts[idx].location, law.sample(rng))
-                got = _delta(model, state, idx, [new_p])
+                got = state.delta(idx, [new_p])
                 after = pts[:idx] + [new_p] + pts[idx + 1 :]
                 assert_increment_is_global_difference(model, state, before, got, after, None)
         assert max(links) >= 3 and sum(n >= 3 for n in links) >= 50, max(links)
@@ -1152,7 +1163,7 @@ class TestReversibility:
         checked = {kind: 0 for kind in REVERSE_KIND}
         for _ in range(30):
             for _ in range(40):
-                bdm_step(state, model, z, law, mix, rng)
+                bdm_step(state, z, law, mix, rng)
             for kind in REVERSE_KIND:
                 n = len(state.points)
                 if n == 0 and kind != "birth":
@@ -1160,13 +1171,13 @@ class TestReversibility:
                 idx, added = draw_proposal(state, kind, law, rng)
                 if added and added[0].location not in window:
                     continue
-                forward = _delta(model, state, idx, added)
+                forward = state.delta(idx, added)
                 if forward == math.inf:
                     continue
                 removed = state.points[idx : idx + 1]
                 state.replace(idx, added)
                 back = (n, []) if idx == n else (idx if added else n - 1, removed)
-                reverse = _delta(model, state, *back)
+                reverse = state.delta(*back)
                 assert forward == -reverse, (kind, forward, reverse)
                 if abs(forward) < 700.0:  # e^{-dH} and e^{dH} both finite
                     ratio = hastings_ratio(kind, z * state.volume, n, forward)
@@ -1191,19 +1202,19 @@ class TestReversibility:
         checked = {kind: 0 for kind in REVERSE_KIND}
         for _ in range(20):
             for _ in range(40):
-                bdm_step(state, model, z, law, mix, rng)
+                bdm_step(state, z, law, mix, rng)
             for kind in REVERSE_KIND:
                 n = len(state.points)
                 idx, added = draw_proposal(state, kind, law, rng)
                 if added and added[0].location not in window:
                     continue
-                forward = _delta(model, state, idx, added)
+                forward = state.delta(idx, added)
                 if forward == math.inf:
                     continue
                 removed = state.points[idx : idx + 1]
                 state.replace(idx, added)
                 back = (n, []) if idx == n else (idx if added else n - 1, removed)
-                assert forward == -_delta(model, state, *back), kind
+                assert forward == -state.delta(*back), kind
                 state.replace(*back)
                 checked[kind] += 1
         assert min(checked.values()) >= 10, checked
@@ -1275,7 +1286,7 @@ class TestDegeneracyBand:
         monkeypatch.setattr(QUERMASS, "local_delta", local_delta)
         mix = ProposalMix(move_scale=1.0)
         with caplog.at_level("WARNING"):
-            bdm_step(state, QUERMASS, 0.4, UniformLaw(1.0), mix, PlannedDraws(*draws))
+            bdm_step(state, 0.4, UniformLaw(1.0), mix, PlannedDraws(*draws))
         assert sum(state.proposals.values()) == 1
         assert increments == [math.inf]
         assert sum(state.accepts.values()) == 0
@@ -1417,7 +1428,7 @@ class TestDegeneracyBand:
     def test_quermass_chain_needs_the_plane(self):
         state = ChainState(QUERMASS, Box.centered_cube(1.0, 3))
         with pytest.raises(PreconditionError):
-            _delta(QUERMASS, state, 0, [mp((0.0, 0.0, 0.0), 0.3)])
+            state.delta(0, [mp((0.0, 0.0, 0.0), 0.3)])
 
 
 def test_deaths_ignore_grains_that_only_touch(caplog):
@@ -1428,5 +1439,5 @@ def test_deaths_ignore_grains_that_only_touch(caplog):
         state.replace(len(state.points), [g])
     lone = QUERMASS.energy(config([mp((1.0, 0.0), 0.5)]))
     with caplog.at_level("WARNING"):
-        assert _delta(QUERMASS, state, 1, []) == -lone
+        assert state.delta(1, []) == -lone
     assert caplog.records == []
