@@ -30,7 +30,14 @@ from .energy import (
     QuermassModel,
 )
 from .errors import ConfigError, NumericalFailure, PreconditionError
-from .estimators import dlr_residual, specific_entropy_curve
+from .estimators import (
+    MIN_ENERGIES,
+    MIN_INNER_SAMPLES,
+    MIN_OUTER_SAMPLES,
+    MIN_PARTITION_SAMPLES,
+    dlr_residual,
+    specific_entropy_curve,
+)
 from .functionals import build_library
 from .geometry import (
     euler_characteristic,
@@ -435,8 +442,10 @@ def _prepare_entropy(cfg: dict):
     z = _at_least(float(cfg.get("z", 0.3)), "z", 0)
     delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
     options = dict(
-        n_energy_samples=_whole(cfg.get("n_energy_samples", 300), "n_energy_samples", 1),
-        n_partition_samples=_whole(cfg.get("n_partition_samples", 2000), "n_partition_samples", 1),
+        n_energy_samples=_whole(cfg.get("n_energy_samples", 300), "n_energy_samples",
+                                MIN_ENERGIES),
+        n_partition_samples=_whole(cfg.get("n_partition_samples", 2000), "n_partition_samples",
+                                   MIN_PARTITION_SAMPLES),
         chain_steps=_whole(cfg.get("chain_steps", 30_000), "chain_steps", 1),
         stat_exponent=(
             float(cfg["stat_exponent"]) if cfg.get("stat_exponent") is not None else None
@@ -475,8 +484,8 @@ def _prepare_dlr(cfg: dict):
     lam = Box([[-lam_half, lam_half]] * d)
     z = _at_least(float(cfg.get("z", 0.2)), "z", 0)
     delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
-    n_outer = _whole(cfg.get("n_outer", 200), "n_outer", 1)
-    n_inner = _whole(cfg.get("n_inner", 100), "n_inner", 1)
+    n_outer = _whole(cfg.get("n_outer", 200), "n_outer", MIN_OUTER_SAMPLES)
+    n_inner = _whole(cfg.get("n_inner", 100), "n_inner", MIN_INNER_SAMPLES)
 
     def body(out: Path, digest: str) -> dict:
         outer = rejection_sample(model, big, z, law, n_outer, stream(seed, 0)).samples

@@ -49,6 +49,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# The smallest batches the estimators accept; the CLI refuses smaller
+# counts in a config before a run starts.
+MIN_PARTITION_SAMPLES = 1000
+MIN_ENERGIES = 2
+MIN_INNER_SAMPLES = 100
+MIN_OUTER_SAMPLES = 2
+
 
 # ---------------------------------------------------------------------------
 # Partition function
@@ -114,8 +121,9 @@ def partition_estimate(
     outcome for hard cores at high activity, and the caller sees
     ``degenerate=True``).
     """
-    if n_samples < 1000:
-        raise PreconditionError("partition_estimate needs at least 1000 samples")
+    if n_samples < MIN_PARTITION_SAMPLES:
+        raise PreconditionError(
+            f"partition_estimate needs at least {MIN_PARTITION_SAMPLES} samples")
     neg_h = np.empty(n_samples)
     for i in range(n_samples):
         neg_h[i] = -model.energy(sample_poisson(window, z, mark_law, rng))
@@ -211,8 +219,9 @@ def relative_entropy_estimate(
     if partition.degenerate:
         raise PreconditionError("partition estimate degenerated to 0; no log Z")
     energies = np.array(energies, dtype=float)
-    if len(energies) < 2:
-        raise PreconditionError(f"need at least 2 energies for a stderr, got {len(energies)}")
+    if len(energies) < MIN_ENERGIES:
+        raise PreconditionError(
+            f"need at least {MIN_ENERGIES} energies for a stderr, got {len(energies)}")
     if not np.all(np.isfinite(energies)):
         raise PreconditionError(
             "samples with infinite energy cannot come from the target law"
@@ -440,10 +449,11 @@ def dlr_residual(
     All functionals share the same outer and inner draws, so residuals are
     comparable across the library.
     """
-    if n_inner < 100:
-        raise PreconditionError("inner budget must be at least 100 kernel samples")
-    if len(outer_samples) < 2:
-        raise PreconditionError("need at least 2 outer samples")
+    if n_inner < MIN_INNER_SAMPLES:
+        raise PreconditionError(
+            f"inner budget must be at least {MIN_INNER_SAMPLES} kernel samples")
+    if len(outer_samples) < MIN_OUTER_SAMPLES:
+        raise PreconditionError(f"need at least {MIN_OUTER_SAMPLES} outer samples")
     origin = (0.0,) * lam.dimension
     for f in functionals:
         if not window_contains(lam, Ball(origin, f.support_radius)):

@@ -7,6 +7,19 @@ shape and the base64 of its little-endian float64 bytes, which is exact and
 about half the size of the decimal lists older files hold (still read).
 So writing and re-reading a configuration is bit-exact, and a fixed seed
 reproduces byte-identical files.
+
+A chain's samples are thinned snapshots of one slowly changing state, so
+most atoms of a record were in the record before it. The writer assembles
+each line from per-atom JSON texts: with sorted keys a nested object
+serialises on its own, so the line has the bytes of the one-record dump.
+It keeps the previous line's texts keyed by ``id(atom)`` beside the atom
+itself, which pins the atom so that its id cannot pass to a new one; an
+atom carried over reuses its text. The key is the identity, not the value,
+because equal atoms can print differently (0.0 == -0.0). The reader keeps
+the previous line's path marks keyed by their f8le text: a repeated path
+whose shape checks out is the earlier PathMark, not decoded again, so read
+atoms may share one (immutable) PathMark. Each map holds one line, so
+memory stays bounded by one configuration.
 Manifests are canonical JSON (sorted keys, fixed separators) hashed with
 sha256; volatile data like wall-clock time lives in a separate record file
 so the manifest hash is stable.
@@ -51,55 +64,85 @@ def _mark_payload(mark) -> dict:
     return {"kind": "scalar", "value": float(mark)}
 
 
-def _path_samples(payload: dict) -> np.ndarray:
-    """A path's samples from either stored form: "samples" (decimal lists,
-    as older files hold them) or "shape" plus "f8le" (base64 bytes)."""
+def _path_mark(payload: dict, seen: dict, kept: dict) -> PathMark:
+    """A path from either stored form: "samples" (decimal lists, as older
+    files hold them) or "shape" plus "f8le" (base64 bytes). A valid shape
+    whose f8le text ``seen`` maps to a PathMark of that shape reuses it;
+    each f8le PathMark read lands in ``kept`` under its text."""
     if ("samples" in payload) == ("f8le" in payload):
         raise ConfigError("a path mark needs exactly one of 'samples' and 'f8le'")
     if "samples" in payload:
-        return np.array(payload["samples"], dtype=float)
+        return PathMark(np.array(payload["samples"], dtype=float))
     shape = payload.get("shape")
     if not (isinstance(shape, list) and len(shape) == 2
             and all(type(n) is int for n in shape) and shape[0] >= 2 and shape[1] == 2):
         raise ConfigError(f"path shape must be [k+1, 2] with k >= 1, not {shape!r}")
-    try:
-        raw = base64.b64decode(payload["f8le"], validate=True)
-    except (ValueError, TypeError) as e:  # binascii.Error is a ValueError
-        raise ConfigError(f"path f8le is not base64 ({e})") from e
-    if len(raw) != 8 * shape[0] * shape[1]:
-        raise ConfigError(f"path f8le holds {len(raw)} bytes, shape {shape} needs "
-                          f"{8 * shape[0] * shape[1]}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    f8le = payload["f8le"]
+    text = f8le if type(f8le) is str else None  # a list f8le is unhashable: no lookup
+    mark = seen.get(text)
+    if mark is None or list(mark.samples.shape) != shape:
+        try:
+            raw = base64.b64decode(f8le, validate=True)
+        except (ValueError, TypeError) as e:  # binascii.Error is a ValueError
+            raise ConfigError(f"path f8le is not base64 ({e})") from e
+        if len(raw) != 8 * shape[0] * shape[1]:
+            raise ConfigError(f"path f8le holds {len(raw)} bytes, shape {shape} needs "
+                              f"{8 * shape[0] * shape[1]}")
+        mark = PathMark(np.frombuffer(raw, dtype="<f8").reshape(shape))
+    if text is not None:
+        kept[text] = mark
+    return mark
 
 
-def _mark_from_payload(payload: dict):
+def _mark_from_payload(payload: dict, seen: dict, kept: dict):
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "scalar":
         return float(payload["value"])
     if kind == "path":
-        return PathMark(_path_samples(payload))
+        return _path_mark(payload, seen, kept)
     raise ConfigError(f"unknown mark payload kind {kind!r}")
 
 
+def _point_record(p: MarkedPoint) -> dict:
+    return {"x": [float(c) for c in p.location], "mark": _mark_payload(p.mark)}
+
+
 def config_to_record(config: Configuration, meta: dict | None = None) -> dict:
-    rec = {
-        "dim": config.dimension,
-        "points": [
-            {"x": [float(c) for c in p.location], "mark": _mark_payload(p.mark)}
-            for p in config.points
-        ],
-    }
+    rec = {"dim": config.dimension, "points": [_point_record(p) for p in config.points]}
     if meta:
         rec["meta"] = meta
     return rec
 
 
 def record_to_config(record: dict) -> Configuration:
+    return _config_from_record(record, {}, {})
+
+
+def _config_from_record(record: dict, seen: dict, kept: dict) -> Configuration:
     pts = [
-        MarkedPoint.make(tuple(entry["x"]), _mark_from_payload(entry["mark"]))
+        MarkedPoint.make(tuple(entry["x"]), _mark_from_payload(entry["mark"], seen, kept))
         for entry in record["points"]
     ]
     return Configuration(pts, dimension=int(record["dim"]))
+
+
+def _record_lines(configs: Iterable[Configuration], meta: dict | None) -> Iterator[str]:
+    """``json.dumps(config_to_record(c, meta), sort_keys=True)`` for each
+    configuration, assembled from per-atom texts: an atom object that the
+    previous configuration held reuses its text. The map is keyed by
+    ``id`` and holds the atom beside its text, so that id names that atom
+    for as long as the entry lives."""
+    meta_text = f', "meta": {json.dumps(meta, sort_keys=True)}' if meta else ""
+    texts: dict = {}
+    for config in configs:
+        line, atoms = {}, []
+        for p in config.points:
+            entry = texts.get(id(p)) or (p, json.dumps(_point_record(p), sort_keys=True))
+            line[id(p)] = entry
+            atoms.append(entry[1])
+        points = ", ".join(atoms)
+        texts = line
+        yield f'{{"dim": {json.dumps(config.dimension)}{meta_text}, "points": [{points}]}}'
 
 
 def write_configs_jsonl(
@@ -108,8 +151,8 @@ def write_configs_jsonl(
     """One JSON object per configuration; returns the number written."""
     n = 0
     with open(path, "w") as fh:
-        for config in configs:
-            fh.write(json.dumps(config_to_record(config, meta), sort_keys=True))
+        for line in _record_lines(configs, meta):
+            fh.write(line)
             fh.write("\n")
             n += 1
     return n
@@ -117,20 +160,24 @@ def write_configs_jsonl(
 
 def read_configs_jsonl(path) -> Iterator[Configuration]:
     """Configurations in file order; a line that is not one, or a file that
-    is not text, raises ConfigError."""
+    is not text, raises ConfigError. A path mark whose f8le text the
+    previous line held is that line's PathMark object."""
     with open(path) as fh:
         lineno = 0
+        seen: dict = {}
         try:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
+                kept: dict = {}
                 try:
-                    config = record_to_config(json.loads(line))
+                    config = _config_from_record(json.loads(line), seen, kept)
                 except (ValueError, KeyError, TypeError) as e:
                     raise ConfigError(
                         f"{path} line {lineno} is not a configuration record ({e!r})"
                     ) from e
+                seen = kept
                 yield config
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path} is not text after line {lineno} ({e!r})") from e

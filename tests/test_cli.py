@@ -537,6 +537,10 @@ class TestRunWrapper:
             (["entropy"], {"chain_steps": 0}),
             (["dlr"], {"n_outer": 0}),
             (["dlr"], {"n_inner": 0}),
+            (["entropy"], {"n_partition_samples": 999}),
+            (["entropy"], {"n_energy_samples": 1}),
+            (["dlr"], {"n_inner": 99}),
+            (["dlr"], {"n_outer": 1}),
             (["geometry"], {"n_systems": 0}),
             (["geometry"], {"n_discs": 0}),
         ],
@@ -553,6 +557,8 @@ class TestRunWrapper:
              "entropy-n-list-0", "audit-local-t-0", "geometry-grid-0", "audit-n-trials-0",
              "entropy-n-energy-samples-0", "entropy-n-partition-samples-0",
              "entropy-chain-steps-0", "dlr-n-outer-0", "dlr-n-inner-0",
+             "entropy-n-partition-samples-999", "entropy-n-energy-samples-1",
+             "dlr-n-inner-99", "dlr-n-outer-1",
              "geometry-n-systems-0", "geometry-n-discs-0"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, monkeypatch, argv, payload):

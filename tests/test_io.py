@@ -11,7 +11,9 @@ from gibbsgrain import (
     Box,
     Configuration,
     ConfigError,
+    DiffusionModel,
     HardSphereModel,
+    LangevinSpec,
     MarkedPoint,
     PathMark,
     UniformLaw,
@@ -128,6 +130,86 @@ class TestJsonlRoundTrip:
             list(read_configs_jsonl(path))
 
 
+def hardcore_samples():
+    return run_chain(HardSphereModel(), Box.centered_cube(2, 2), 0.7, UniformLaw(0.4),
+                     3000, stream(424243, 0), burn_in=500, thin=10).samples
+
+
+def path_samples():
+    return run_chain(DiffusionModel(), Box.centered_cube(1, 2), 0.6,
+                     LangevinSpec.named("quartic", 12), 400, stream(424244, 0),
+                     burn_in=100, thin=10).samples
+
+
+def shared_atoms(batch) -> int:
+    """How many atoms a configuration carries over from the one before it."""
+    return sum(len({id(p) for p in a.points} & {id(p) for p in b.points})
+               for a, b in zip(batch, batch[1:]))
+
+
+def assert_lines_are_dumps(tmp_path, configs, expected, meta=None):
+    """The writer's file holds, line by line, the one-record dumps of
+    ``expected``."""
+    path = tmp_path / "lines.jsonl"
+    assert write_configs_jsonl(path, configs, meta=meta) == len(expected)
+    dumps = [json.dumps(config_to_record(c, meta), sort_keys=True) + "\n" for c in expected]
+    assert path.read_text().splitlines(keepends=True) == dumps
+
+
+class TestLinesFromAtomTexts:
+    """Each line is assembled from per-atom texts, an atom carried over from
+    the line before reusing its text; the bytes are those of the one-record
+    dumps."""
+
+    @pytest.mark.parametrize("meta", [None, {"seed": 7, "model_id": "hardcore", "x": [-0.0]}])
+    def test_chain_samples_that_share_atoms(self, tmp_path, meta):
+        batch = hardcore_samples()
+        assert shared_atoms(batch) > len(batch)
+        assert_lines_are_dumps(tmp_path, batch, batch, meta)
+
+    def test_path_marks(self, tmp_path):
+        batch = path_samples()
+        assert shared_atoms(batch) > 0
+        assert any(isinstance(p.mark, PathMark) for c in batch for p in c.points)
+        assert_lines_are_dumps(tmp_path, batch, batch, {"chain": 0})
+
+    def test_empty_configurations(self, tmp_path):
+        c = config([mp((0.5, 0.5), 0.2), mp((-1.0, 0.25), 0.3)])
+        batch = [Configuration.empty(2), c, Configuration.empty(2), c, c]
+        assert_lines_are_dumps(tmp_path, batch, batch)
+
+    def test_equal_atoms_of_different_signed_zeros(self, tmp_path):
+        # (-0.0, 0.5) == (0.0, 0.5), and the two hash alike, but they print
+        # differently: a new atom object gets its own text
+        batch = [config([mp((-0.0, 0.5), 0.3)]), config([mp((0.0, 0.5), 0.3)])]
+        assert_lines_are_dumps(tmp_path, batch, batch)
+        assert (tmp_path / "lines.jsonl").read_text().count("-0.0") == 1
+
+    def test_generator_whose_configurations_are_dropped_once_written(self, tmp_path):
+        # the atoms of a line are freed once it is written (the writer keeps
+        # them pinned for one line), so a new atom may take the address an
+        # atom two lines back had
+        def views():
+            for i in range(200):
+                yield LazyAtoms([((0.0, 0.5 * i), 0.01 * i), ((1.0, 0.5), 0.25)])
+
+        assert_lines_are_dumps(tmp_path, views(), list(views()))
+
+
+class LazyAtoms:
+    """A configuration that builds new atoms each time its ``points`` are
+    read, as a view over stored arrays might."""
+
+    dimension = 2
+
+    def __init__(self, atoms):
+        self.atoms = atoms
+
+    @property
+    def points(self):
+        return tuple(MarkedPoint.make(x, r) for x, r in self.atoms)
+
+
 def assert_same_paths(a, b):
     assert len(a) == len(b)
     for p, q in zip(a.points, b.points):
@@ -197,6 +279,40 @@ class TestPathEncoding:
         assert len(back) == 4
         for a, b in zip(batch, back):
             assert_same_paths(a, b)
+
+    def test_consecutive_lines_share_a_repeated_path(self, tmp_path):
+        p0, p1 = random_path_config(stream(1007, 0), n=2, k=5).points
+        moved = MarkedPoint.make((0.25, -0.75), p0.mark)  # a new atom, the same path
+        batch = [config([p0, p1]), config([moved, p1]), config([p1])]
+        path = tmp_path / "repeat.jsonl"
+        write_configs_jsonl(path, batch)
+        back = list(read_configs_jsonl(path))
+        for a, b in zip(batch, back):
+            assert_same_paths(a, b)
+        assert back[1].points[0].mark is back[0].points[0].mark
+        assert back[1].points[1].mark is back[0].points[1].mark
+        assert back[2].points[0].mark is back[1].points[1].mark
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (_set(shape=[6, 2]), "holds 112 bytes"),
+            (_set(shape=[7.0, 2.0]), "shape must be"),
+            (_set(shape=[14, 1]), "shape must be"),
+            (_set(samples=_PATH_7x2.tolist()), "exactly one of"),
+        ],
+        ids=["shape-6-by-2", "shape-floats", "shape-k-by-1", "both-forms"],
+    )
+    def test_repeated_f8le_is_checked_again(self, tmp_path, edit, reason):
+        rec = _path_record()
+        rec["points"][0]["mark"]["f8le"] = _f8le(_PATH_7x2)
+        bad = json.loads(json.dumps(rec))
+        edit(bad["points"][0]["mark"])
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 ") as err:
+            list(read_configs_jsonl(path))
+        assert reason in str(err.value)
 
     @pytest.mark.parametrize(
         "edit, reason",
