@@ -79,7 +79,6 @@ from .points import (
 )
 from .rng import stream
 from .sampler import (
-    BoundaryCondition,
     ChainResult,
     ChainState,
     ProposalMix,

@@ -31,6 +31,7 @@ from .energy import (
 )
 from .errors import ConfigError, NumericalFailure, PreconditionError
 from .estimators import (
+    MIN_CHAIN_STEPS,
     MIN_ENERGIES,
     MIN_INNER_SAMPLES,
     MIN_OUTER_SAMPLES,
@@ -54,9 +55,9 @@ from .io import (
     write_report_csv,
 )
 from .marks import LangevinSpec, PathMark, law_from_descriptor
-from .points import Box, Window, mark_sup
+from .points import Box, Configuration, Window, mark_sup, window_contains
 from .rng import stream
-from .sampler import BoundaryCondition, rejection_sample, run_chain, sample_poisson
+from .sampler import rejection_sample, run_chain, sample_poisson
 from .tempered import is_tempered, range_separation_check
 
 __all__ = ["main"]
@@ -227,9 +228,9 @@ def _report(out: Path, name: str, rows) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _boundary(spec, model, law, d: int) -> BoundaryCondition | None:
-    """The boundary block's condition, with its configuration fitted to the
-    window dimension d and, for the path model, to the law's path grid."""
+def _boundary(spec, model, law, d: int) -> Configuration | None:
+    """The boundary block's configuration, fitted to the window dimension d
+    and, for the path model, to the law's path grid, and t-tempered."""
     if spec == "free":
         return None
     if not isinstance(spec, dict) or not {"file", "t", "delta"} <= set(spec):
@@ -253,7 +254,12 @@ def _boundary(spec, model, law, d: int) -> BoundaryCondition | None:
             if k != law.step_count:
                 raise ConfigError(f"boundary mark at {q.location} is not a path of "
                                   f"{law.step_count} steps (got {k or 'a scalar mark'})")
-    return BoundaryCondition.conditioned(xi, t, delta)
+    ok, report = is_tempered(xi, t, delta)
+    if not ok:
+        raise PreconditionError(
+            f"boundary configuration is not {t}-tempered (minimal t = {report.minimal_t})"
+        )
+    return xi
 
 
 def _prepare_sample(cfg: dict, report=None):
@@ -272,7 +278,7 @@ def _prepare_sample(cfg: dict, report=None):
     thin = _whole(cfg.get("thin", 100), "thin", 1)
     chains = _whole(cfg.get("chains", 1), "chains", 1)
     drift_check_every = _whole(cfg.get("drift_check_every", 10_000), "drift_check_every", 1)
-    bc = _boundary(cfg.get("boundary", "free"), model, law, window.dimension)
+    env = _boundary(cfg.get("boundary", "free"), model, law, window.dimension)
 
     def body(out: Path, digest: str) -> dict:
         outputs, counts, stats = [], [], []
@@ -281,7 +287,7 @@ def _prepare_sample(cfg: dict, report=None):
             t0 = time.perf_counter()
             result = run_chain(
                 model, window, z, law, steps, stream(seed, chain),
-                bc=bc, burn_in=burn_in, thin=thin, drift_check_every=drift_check_every,
+                env=env, burn_in=burn_in, thin=thin, drift_check_every=drift_check_every,
             )
             t1 = time.perf_counter()
             chain_s += t1 - t0
@@ -309,8 +315,8 @@ def _prepare_geometry(cfg: dict):
     seed = cfg["seed"]
     n_systems = _whole(cfg.get("n_systems", 5), "n_systems", 1)
     n_discs = _whole(cfg.get("n_discs", 12), "n_discs", 1)
-    extent = float(cfg.get("extent", 8.0))
-    margin = float(cfg.get("margin", 0.03))
+    extent = _at_least(float(cfg.get("extent", 8.0)), "extent", 0, strict=True)
+    margin = _at_least(float(cfg.get("margin", 0.03)), "margin", 0)
     grid = _whole(cfg.get("grid", 2048), "grid", 1)
     mc_points = _whole(cfg.get("mc_points", 200_000), "mc_points")
     if mc_points < 10_000:
@@ -385,7 +391,8 @@ def _prepare_audit(cfg: dict):
     delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
     n_trials = _whole(cfg.get("n_trials", 1000), "n_trials", 1)
     exponent = cfg.get("exponent")
-    exponent = float(exponent) if exponent is not None else window.dimension + delta
+    exponent = (_at_least(float(exponent), "exponent", 0, strict=True) if exponent is not None
+                else window.dimension + delta)
     local = cfg.get("local")
     if local is not None:
         if not isinstance(local, dict):
@@ -446,9 +453,10 @@ def _prepare_entropy(cfg: dict):
                                 MIN_ENERGIES),
         n_partition_samples=_whole(cfg.get("n_partition_samples", 2000), "n_partition_samples",
                                    MIN_PARTITION_SAMPLES),
-        chain_steps=_whole(cfg.get("chain_steps", 30_000), "chain_steps", 1),
+        chain_steps=_whole(cfg.get("chain_steps", 30_000), "chain_steps", MIN_CHAIN_STEPS),
         stat_exponent=(
-            float(cfg["stat_exponent"]) if cfg.get("stat_exponent") is not None else None
+            _at_least(float(cfg["stat_exponent"]), "stat_exponent", 0, strict=True)
+            if cfg.get("stat_exponent") is not None else None
         ),
     )
 
@@ -479,9 +487,12 @@ def _prepare_dlr(cfg: dict):
     law = build_law(cfg.get("mark_law", {"kind": "point", "value": 0.3}))
     d = _whole(cfg.get("d", 2), "d", 1)
     _fit(model, law, d)
-    big = Box.centered_cube(_whole(cfg.get("lam_n", 4), "lam_n"), d)
+    lam_n = _whole(cfg.get("lam_n", 4), "lam_n")
+    big = Box.centered_cube(lam_n, d)
     lam_half = float(cfg.get("lam", 2.0))
     lam = Box([[-lam_half, lam_half]] * d)
+    if not window_contains(big, lam):
+        raise ConfigError(f"dlr needs lam <= lam_n, got lam {lam_half:g} and lam_n {lam_n}")
     z = _at_least(float(cfg.get("z", 0.2)), "z", 0)
     delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
     n_outer = _whole(cfg.get("n_outer", 200), "n_outer", MIN_OUTER_SAMPLES)
@@ -618,8 +629,11 @@ _COMMANDS = {
 # drift_check_every and step_count; thin, chains and drift_check_every >= 1
 # and 0 <= burn_in < steps), every activity (z >= 0, audit's env_z too) and
 # every delta (> 0), every count of draws, steps, trials, systems or discs,
-# d, entropy's n_list entries and audit's local t (all >= 1), and the fit of
-# model, mark law, dimension and boundary file; any other ValueError becomes a
+# d, entropy's n_list entries and audit's local t (all >= 1), entropy's
+# chain_steps (>= MIN_CHAIN_STEPS), geometry's extent (> 0) and margin (>= 0),
+# audit's exponent and entropy's stat_exponent (> 0), dlr's lam (inside lam_n),
+# and the fit of model, mark law, dimension and boundary file (whose
+# temperedness is a precondition, exit 3); any other ValueError becomes a
 # ConfigError in _run. A ValueError from a run body is a fault of the code,
 # not of the config: it is unmapped and exits 1.
 _EXIT_CODES = (

@@ -55,6 +55,9 @@ MIN_PARTITION_SAMPLES = 1000
 MIN_ENERGIES = 2
 MIN_INNER_SAMPLES = 100
 MIN_OUTER_SAMPLES = 2
+# a chain of c steps keeps ceil(c/2) // max(1, c // (2n)) of its last c/2
+# states for n >= MIN_ENERGIES energies: at least 2 from c = 3 on, 1 at c = 2
+MIN_CHAIN_STEPS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,8 @@ def specific_entropy_curve(
     """
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise PreconditionError("n_list must be strictly increasing")
+    if not getattr(model, "nonnegative", False) and chain_steps < MIN_CHAIN_STEPS:
+        raise PreconditionError(f"a chain-sampled model needs chain_steps >= {MIN_CHAIN_STEPS}")
     exponent = stat_exponent if stat_exponent is not None else d + delta
     per_n = []
     c_hat = -math.inf if audit_c is None else audit_c

@@ -5,19 +5,15 @@ discretisations of a Langevin diffusion on [0, 1] started at the origin; their
 norm is the supremum of |X_s| over the sample grid, which underestimates the
 true path supremum by the amount the path wanders between grid points.
 
-A path is drawn by one Euler loop over Python floats, not numpy arrays: a
-two-element array costs far more per step in call overhead than the
-arithmetic itself. The noise block is drawn in one call as before, so the
-stream is consumed identically, and read as one flat list of floats. Each
-coordinate is updated as ``x - (0.5 * h) * g + noise``, the same IEEE double
-operations in the same order as the array expression
-``x - 0.5 * h * grad(x) + noise[i]``. For the quartic potential the loop is
-fused: the gradient is inlined as ``s = 4.0 * (x0 * x0 + x1 * x1)`` and
-``g = s * x`` (a two-term ``np.sum`` is one addition), so a step makes no
-call. The other built-in gradients have float twins that repeat their array
-arithmetic operation for operation, and any other gradient is called on a
-fresh two-element array, so every path is bit for bit the one the array loop
-drew.
+A path is drawn by the Euler loop ``x = x - 0.5 * h * grad(x) + noise[i]``
+over (2,) arrays, from one (K, 2) noise block drawn in one call. The quartic
+potential, the one the diffusion model uses, has a fused twin of that loop
+over Python floats (a two-element array costs far more per step in call
+overhead than the arithmetic itself): the gradient is inlined as
+``s = 4.0 * (x0 * x0 + x1 * x1)`` and ``g = s * x`` (a two-term ``np.sum``
+is one addition), so a step makes no call and does the array loop's IEEE
+double operations in its order. Every path is bit for bit the one the array
+loop draws.
 """
 
 from __future__ import annotations
@@ -259,24 +255,6 @@ def _zero_grad(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _quadratic_grad_scalar(x0, x1):
-    return 2.0 * x0, 2.0 * x1
-
-
-def _zero_grad_scalar(x0, x1):
-    return 0.0, 0.0
-
-
-# Float twins of the built-in gradients for LangevinSpec.sample; each does the
-# array version's IEEE operations in its order. Keyed by the id of the array
-# gradient, so a custom grad needs no hash to fall through to the adapter.
-# The quartic gradient has no twin: its loop is fused (``_quartic_path``).
-_SCALAR_GRADS: dict[int, Callable] = {
-    id(_quadratic_grad): _quadratic_grad_scalar,
-    id(_zero_grad): _zero_grad_scalar,
-}
-
-
 def _quartic_path(noise: list[float], hh: float) -> list[float]:
     """The Euler loop for ``_quartic_grad`` with the gradient inlined: the
     flat list x0, x1 of the K + 1 path points, from the flat noise list
@@ -311,14 +289,11 @@ class LangevinSpec(MarkLaw):
     ``potential`` and ``grad`` must accept (..., 2) arrays. ``name`` identifies
     the potential in manifests; use "custom" for ad-hoc callables.
 
-    ``sample`` steps both coordinates as Python floats (see the module
-    docstring). When ``grad`` is the built-in quartic gradient (by identity,
-    whatever the ``name``) the loop is fused, with the gradient inlined
-    (``_quartic_path``); the other built-in gradients run as their float
-    twins, and any other ``grad`` is adapted as
-    ``tuple(grad(np.array((x0, x1))))``, so it sees the same (2,) array the
-    array loop passed it. ``sample_endpoints`` advances many chains at once
-    and keeps the array form.
+    ``sample`` runs the array Euler loop (see the module docstring), which
+    calls ``grad`` on a (2,) array each step. When ``grad`` is the built-in
+    quartic gradient (by identity, whatever the ``name``) it runs the fused
+    float loop instead, with the gradient inlined (``_quartic_path``).
+    ``sample_endpoints`` advances many chains at once.
     """
 
     potential: Callable = _quartic
@@ -341,27 +316,17 @@ class LangevinSpec(MarkLaw):
         k = self.step_count
         h = 1.0 / k
         hh = 0.5 * h
-        # n0, n1 of each step in turn
-        noise = (rng.standard_normal((k, 2)) * math.sqrt(h)).ravel().tolist()
+        noise = rng.standard_normal((k, 2)) * math.sqrt(h)
         if self.grad is _quartic_grad:
-            flat = _quartic_path(noise, hh)
-        else:
-            grad = _SCALAR_GRADS.get(id(self.grad))
-            if grad is None:
-                array_grad = self.grad
-
-                def grad(x0, x1):
-                    return tuple(array_grad(np.array((x0, x1))))
-
-            x0 = x1 = 0.0
-            flat = [x0, x1]
-            steps = iter(noise)
-            for n0, n1 in zip(steps, steps):
-                g0, g1 = grad(x0, x1)
-                x0 = x0 - hh * g0 + n0
-                x1 = x1 - hh * g1 + n1
-                flat += (x0, x1)
-        return PathMark(np.fromiter(flat, float, len(flat)).reshape(k + 1, 2))
+            # n0, n1 of each step in turn
+            flat = _quartic_path(noise.ravel().tolist(), hh)
+            return PathMark(np.fromiter(flat, float, len(flat)).reshape(k + 1, 2))
+        out = np.zeros((k + 1, 2))
+        x = np.zeros(2)
+        for i in range(k):
+            x = x - hh * self.grad(x) + noise[i]
+            out[i + 1] = x
+        return PathMark(out)
 
     def sample_endpoints(self, rng, n_chains: int, n_steps: int, guard_radius: float):
         """Vectorised chains for the invariant check; returns (endpoints, diverged)."""

@@ -360,30 +360,25 @@ class Ball(Window):
 def window_contains(outer: Window, inner: Window) -> bool:
     """True when every point of ``inner`` lies in ``outer``.
 
-    Exact for nested boxes and balls. A box lies in a ball when its lower
-    corner, the one corner the half-open box holds, is in the open ball and
-    every other corner is in the closed one: the squared distance to the
-    centre is strictly convex, so every other point of the box is strictly
-    nearer than some corner. Other pairings fall back to testing the corners
-    of the inner bounding box, which is exact for convex outer windows up to
-    boundary-contact cases.
+    Exact for nested boxes and balls. A window lies in a box when its
+    bounding box does: a box is its own, and an open ball's is
+    [c - r, c + r), whose faces the ball comes arbitrarily near. A box
+    lies in a ball when its lower corner, the one corner the half-open box
+    holds, is in the open ball and every other corner is in the closed one:
+    the squared distance to the centre is strictly convex, so every other
+    point of the box is strictly nearer than some corner. Other pairings fall
+    back to testing the corners of the inner bounding box, which is exact for
+    convex outer windows up to boundary-contact cases.
     """
     if inner.dimension != outer.dimension:
         raise ValueError("windows live in different dimensions")
-    if isinstance(inner, Ball):
-        if isinstance(outer, Ball):
-            gap = float(np.linalg.norm(inner.center - outer.center))
-            return gap + inner.radius <= outer.radius
-        if isinstance(outer, Box):
-            return bool(
-                np.all(outer.bounds[:, 0] <= inner.center - inner.radius)
-                and np.all(inner.center + inner.radius <= outer.bounds[:, 1])
-            )
-    if isinstance(inner, Box) and isinstance(outer, Box):
-        return bool(
-            np.all(outer.bounds[:, 0] <= inner.bounds[:, 0])
-            and np.all(inner.bounds[:, 1] <= outer.bounds[:, 1])
-        )
+    if isinstance(outer, Box):
+        box = inner.bounding_box().bounds
+        return bool(np.all(outer.bounds[:, 0] <= box[:, 0])
+                    and np.all(box[:, 1] <= outer.bounds[:, 1]))
+    if isinstance(inner, Ball) and isinstance(outer, Ball):
+        gap = float(np.linalg.norm(inner.center - outer.center))
+        return gap + inner.radius <= outer.radius
     corners = list(itertools.product(*inner.bounding_box().bounds.tolist()))
     if isinstance(inner, Box) and isinstance(outer, Ball):
         gaps = np.linalg.norm(np.array(corners) - outer.center, axis=-1)

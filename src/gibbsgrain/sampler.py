@@ -45,22 +45,22 @@ interior atom (the neighbour walk reports it), or inside the degeneracy band.
 
 One ``ChainState`` holds the model and the atoms once, with their neighbour
 cells. Its one constructor starts at the empty configuration, with the atoms
-of the boundary condition outside the window as the fixed environment, and
-``run_chain`` builds its state with it. Every increment reads those cells
-instead of every atom: a sparse uniform grid (cell lists), a dict from
-integer cell key floor(x / side) to the (stamp, atom) entries in that cell,
-over the interior atoms and the fixed environment. Interior atoms are
-stamped in birth order and keep their stamp through moves and remarks, which
-replace in place, so ``stamps`` runs parallel to ``points`` and stamp order
-is ``points`` order; environment atoms are stamped after every interior
-atom, in environment order. A query collects the cells within reach(|p|,
-bound) + band of p (padded against roundoff), sorts the entries by stamp and
-hands them to ``model.local_delta``. ``bound`` is the largest mark norm held
-so far and never decreases; the cell side is reach(bound, bound), or 1.0
-when that is 0, and the grid is rebuilt, in O(n), whenever an accepted atom
-raises the bound; otherwise an accepted proposal writes, deletes or appends
-its one entry in place. A query whose reach is 0 (always for the ideal
-model) keeps only the atoms at p's own location.
+of the boundary configuration ``env`` outside the window as the fixed
+environment, and ``run_chain`` builds its state with it. Every increment
+reads those cells instead of every atom: a sparse uniform grid (cell lists),
+a dict from integer cell key floor(x / side) to the (stamp, atom) entries in
+that cell, over the interior atoms and the fixed environment. Interior atoms
+are stamped in birth order and keep their stamp through moves and remarks,
+which replace in place, so ``stamps`` runs parallel to ``points`` and stamp
+order is ``points`` order; environment atoms are stamped after every
+interior atom, in environment order. A query collects the cells within
+reach(|p|, bound) + band of p (padded against roundoff), sorts the entries
+by stamp and hands them to ``model.local_delta``. ``bound`` is the largest
+mark norm held so far and never decreases; the cell side is reach(bound,
+bound), or 1.0 when that is 0, and the grid is rebuilt, in O(n), whenever an
+accepted atom raises the bound; otherwise an accepted proposal writes,
+deletes or appends its one entry in place. A query whose reach is 0 (always
+for the ideal model) keeps only the atoms at p's own location.
 
 Pairwise models' ``local_delta`` is ``model.interaction`` over the
 neighbours, which adds the terms in the plain loop's order (points, then
@@ -101,14 +101,12 @@ from .points import (
     restrict_complement,
     window_contains,
 )
-from .tempered import is_tempered
 
 __all__ = [
     "sample_poisson",
     "RejectionResult",
     "rejection_sample",
     "ProposalMix",
-    "BoundaryCondition",
     "ChainState",
     "bdm_step",
     "ChainResult",
@@ -248,22 +246,6 @@ class ProposalMix:
             raise ValueError("move_scale must be positive when moves are proposed")
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Free boundary, or a fixed tempered environment configuration."""
-
-    xi: Configuration | None = None
-
-    @staticmethod
-    def conditioned(xi: Configuration, t: int, delta: float) -> "BoundaryCondition":
-        ok, report = is_tempered(xi, t, delta)
-        if not ok:
-            raise PreconditionError(
-                f"boundary configuration is not {t}-tempered (minimal t = {report.minimal_t})"
-            )
-        return BoundaryCondition(xi)
-
-
 def hastings_ratio(kind: str, z_volume: float, n: int, dh: float) -> float:
     """Unclipped Hastings ratio of a proposal made from a state with n points.
 
@@ -297,18 +279,17 @@ class ChainState:
     energy and the proposal and accept counts.
 
     A fresh state is at the empty configuration (conditional energy 0), with
-    the atoms of ``bc`` outside the window as its environment (none when
-    ``bc`` is None or ``BoundaryCondition()``). ``points`` holds the interior
-    atoms and ``stamps`` their stamps, index for index; ``delta`` prices a
-    change and ``replace`` makes it, in both lists and the cells. The
-    constructor refuses a degenerate environment (see ``_check_environment``),
-    at the band of ``mark_cap`` if one is given, else at the initial band.
+    the atoms of ``env`` outside the window as its environment (none when
+    ``env`` is None). ``points`` holds the interior atoms and ``stamps`` their
+    stamps, index for index; ``delta`` prices a change and ``replace`` makes
+    it, in both lists and the cells. The constructor refuses a degenerate
+    environment (see ``_check_environment``), at the band of ``mark_cap`` if
+    one is given, else at the initial band.
     """
 
-    def __init__(self, model, window: Window, bc: BoundaryCondition | None = None,
+    def __init__(self, model, window: Window, env: Configuration | None = None,
                  mark_cap: float | None = None):
-        xi = bc.xi if bc is not None else None
-        self.env = env = (restrict_complement(xi, window) if xi is not None
+        self.env = env = (restrict_complement(env, window) if env is not None
                           else Configuration.empty(window.dimension))
         self.model = model
         self.window = window
@@ -529,7 +510,7 @@ def run_chain(
     mark_law: MarkLaw,
     steps: int,
     rng: np.random.Generator,
-    bc: BoundaryCondition | None = None,
+    env: Configuration | None = None,
     burn_in: int = 0,
     thin: int = 1,
     mark_cap: float | None = None,
@@ -555,7 +536,7 @@ def run_chain(
     if drift_check_every < 1:
         raise PreconditionError("drift_check_every must be >= 1")
     mix = ProposalMix()
-    state = ChainState(model, window, bc, mark_law.max_norm if mark_cap is None else mark_cap)
+    state = ChainState(model, window, env, mark_law.max_norm if mark_cap is None else mark_cap)
     samples: list[Configuration] = []
     max_drift = 0.0
     checks = 0
@@ -613,6 +594,6 @@ def sample_cutoff_kernel(
     if not window_contains(delta_win, lam):
         raise PreconditionError("truncation window must contain the interior window")
     return run_chain(
-        model, lam, z, mark_law, steps, rng, bc=BoundaryCondition(restrict(xi, delta_win)),
+        model, lam, z, mark_law, steps, rng, env=restrict(xi, delta_win),
         burn_in=burn_in, thin=thin, mark_cap=m0, drift_check_every=drift_check_every,
     )

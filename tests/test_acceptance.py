@@ -14,7 +14,6 @@ import numpy as np
 from scipy import stats
 
 from gibbsgrain import (
-    BoundaryCondition,
     Box,
     Configuration,
     DiffusionModel,
@@ -420,7 +419,7 @@ def test_criterion_07_cutoff_kernel_couples_past_thresholds():
     def full_run(key):
         return run_chain(
             model, lam, z, law, rng=stream(9701, key),
-            bc=BoundaryCondition(xi), **schedule,
+            env=xi, **schedule,
         ).samples
 
     def cutoff_run(key, m0, half_width):

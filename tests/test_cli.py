@@ -543,6 +543,15 @@ class TestRunWrapper:
             (["dlr"], {"n_outer": 1}),
             (["geometry"], {"n_systems": 0}),
             (["geometry"], {"n_discs": 0}),
+            (["entropy"], {"model": {"id": "quermass", "a_area": 0.4}, "n_list": [1],
+                           "n_partition_samples": 1000, "chain_steps": 2}),
+            (["geometry"], {"n_systems": 1, "n_discs": 3, "extent": 0}),
+            (["geometry"], {"n_systems": 1, "n_discs": 3, "margin": -1,
+                            "mc_points": 10_000, "grid": 64}),
+            (["audit"], {"n_trials": 10, "exponent": "nan"}),
+            (["entropy"], {"n_list": [1], "n_energy_samples": 2, "n_partition_samples": 1000,
+                           "stat_exponent": "nan"}),
+            (["dlr"], {"lam": 5, "lam_n": 4, "n_outer": 2}),
         ],
         ids=["audit-local-key", "temper-no-input",
              "bogus-flavor", "audit-local-not-object",
@@ -559,7 +568,9 @@ class TestRunWrapper:
              "entropy-chain-steps-0", "dlr-n-outer-0", "dlr-n-inner-0",
              "entropy-n-partition-samples-999", "entropy-n-energy-samples-1",
              "dlr-n-inner-99", "dlr-n-outer-1",
-             "geometry-n-systems-0", "geometry-n-discs-0"],
+             "geometry-n-systems-0", "geometry-n-discs-0", "entropy-chain-steps-2",
+             "geometry-extent-0", "geometry-margin-negative", "audit-exponent-nan",
+             "entropy-stat-exponent-nan", "dlr-lam-beyond-lam-n"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, monkeypatch, argv, payload):
         # a dict is written as a config with its seed; a string is the raw
@@ -929,6 +940,16 @@ class TestRunWrapper:
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
         assert error in capsys.readouterr().err
+
+    def test_untempered_boundary_exits_3_without_run_dir(self, tmp_path, capsys):
+        path = tmp_path / "xi.jsonl"
+        write_configs_jsonl(path, [config([mp((1.5, 0.0), 3.0)])])
+        cfg = write_cfg(tmp_path, "bc.json", {
+            "seed": 1, "steps": 100, "burn_in": 10,
+            "boundary": {"file": str(path), "t": 1, "delta": 1.0}})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        assert not (tmp_path / "r").exists()
+        assert "not 1-tempered (minimal t = 7)" in capsys.readouterr().err
 
     def test_law_block_errors_are_config_errors(self):
         # UniformLaw() without b raises TypeError, which _run does not map

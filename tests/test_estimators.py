@@ -429,6 +429,14 @@ class TestEntropyCurve:
         assert curve.under_ceiling
         assert curve.trend_ok
 
+    @pytest.mark.parametrize("chain_steps", [1, 2])
+    def test_chain_sampled_curve_refuses_too_few_steps(self, chain_steps):
+        # two steps keep a single state, too few energies for a stderr
+        with pytest.raises(PreconditionError, match="chain_steps >= 3"):
+            specific_entropy_curve(QuermassModel(0.4, -0.2, 0.3), 2, (1,), 0.4, UniformLaw(0.6),
+                                   0.5, seed=933, n_partition_samples=1000,
+                                   chain_steps=chain_steps)
+
     POINT_FIELDS = ("volume", "mean_energy", "log_z", "i_hat", "stderr", "per_volume",
                     "per_volume_stderr", "a1_hat", "ceiling")
 

@@ -298,9 +298,10 @@ class TestScalarEulerLoop:
         LangevinSpec(grad=_quartic_grad, step_count=64, name="custom"),
     ], ids=["named", "by-hand"])
     def test_quartic_specs_take_the_fused_loop(self, spec, monkeypatch):
-        # the fused loop looks up no float twin
-        monkeypatch.setattr(marks, "_SCALAR_GRADS", None)
+        calls, fused = [], marks._quartic_path
+        monkeypatch.setattr(marks, "_quartic_path", lambda *a: calls.append(1) or fused(*a))
         path = spec.sample(np.random.default_rng(5))
+        assert calls == [1]
         want = array_euler_path(spec, np.random.default_rng(5))
         assert path.samples.tobytes() == want.tobytes()
 

@@ -41,7 +41,6 @@ from gibbsgrain import sampler
 from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate, link_increment
 from gibbsgrain.io import write_configs_jsonl
 from gibbsgrain.sampler import (
-    BoundaryCondition,
     ChainState,
     bdm_step,
     hastings_ratio,
@@ -646,18 +645,12 @@ class TestChain:
             run_chain(model, Box.centered_cube(1.0, 2), 5.0, UniformLaw(0.5), 4_000,
                       stream(619, 0), drift_check_every=500)
 
-    def test_conditioned_boundary_requires_tempered_xi(self):
-        xi = config([mp((1.5, 0.0), 3.0)])
-        with pytest.raises(PreconditionError):
-            BoundaryCondition.conditioned(xi, t=1, delta=1.0)
-
     def test_environment_pressure_shows_up(self):
         # A hard wall of environment grains along one side of the window
         # must push interior mass away from it.
         wall = Configuration(
             [mp((1.25, -1.0 + 0.5 * k), 0.45) for k in range(9)], dimension=2
         )
-        bc = BoundaryCondition.conditioned(wall, t=9, delta=1.0)
         model = HardSphereModel()
         res = run_chain(
             model,
@@ -666,7 +659,7 @@ class TestChain:
             PointMassLaw(0.3),
             60_000,
             stream(619, 0),
-            bc=bc,
+            env=wall,
             burn_in=5_000,
             thin=25,
         )
@@ -732,9 +725,7 @@ class TestCutoffKernel:
             [mp((2.0, 0.5), 0.5), mp((-14.0, 3.0), 0.7), mp((0.5, 18.0), 0.3)],
             dimension=2,
         )
-        t = 4
-        bc = BoundaryCondition.conditioned(xi, t=t, delta=1.0)
-        full = run_chain(model, lam, 1.2, law, 5_000, stream(623, 0), bc=bc, thin=10)
+        full = run_chain(model, lam, 1.2, law, 5_000, stream(623, 0), env=xi, thin=10)
         cut = sample_cutoff_kernel(
             model,
             lam,
@@ -846,7 +837,7 @@ class TestNeighbourIndex:
         xi = Configuration(
             [MarkedPoint.make(loc, law.sample(rng)) for loc in near + far], dimension=d
         )
-        state = ChainState(model, window, BoundaryCondition(xi))
+        state = ChainState(model, window, xi)
         # births first, so the wider windows hold atoms in many cells; the
         # count comes from the seed, since hypothesis favours small integers
         scramble(state, rng, law, n_ops, n_births=seed % 61)
@@ -897,7 +888,7 @@ class TestNeighbourIndex:
         # so +inf can only come from the collision rule.
         model = INDEX_MODELS[name]
         outside = mp((2.5, 0.5), 0.3)
-        state = ChainState(model, Box.centered_cube(2.0, 2), BoundaryCondition(config([outside])))
+        state = ChainState(model, Box.centered_cube(2.0, 2), config([outside]))
         a, b = mp((0.5, 0.5), 0.3), mp((-1.0, 1.0), 0.4)
         state.replace(0, [a])
         state.replace(1, [b])
@@ -936,7 +927,7 @@ class TestNeighbourIndex:
         # an environment atom at p's location is still a neighbour
         coincident = mp((0.5, -1.5), 0.2)
         state = ChainState(IdealModel(), Box.centered_cube(1.0, 2),
-                           BoundaryCondition(config([coincident, mp((0.5, -1.25))])))
+                           config([coincident, mp((0.5, -1.25))]))
         assert state.neighbours(mp((0.5, -1.5))) == [coincident]
 
         def plain_neighbours(state, p, skip=-1):
@@ -1028,7 +1019,7 @@ def dense_shell(rng, law):
     """A boundary of 16 grains just outside [-2, 2)^2, which interior grains
     meet."""
     shell = [Box.centered_cube(3.0, 2).draw(rng) for _ in range(16)]
-    return BoundaryCondition(config([MarkedPoint.make(loc, law.sample(rng)) for loc in shell]))
+    return config([MarkedPoint.make(loc, law.sample(rng)) for loc in shell])
 
 
 class TestIncrementAudit:
@@ -1050,13 +1041,13 @@ class TestIncrementAudit:
         rng = np.random.default_rng(seed)
         law = PATH_LAW if name == "diffusion" else (SPREAD_LAW if spread else UniformLaw(0.6))
         window = Box.centered_cube(half, 2)
-        bc = None
+        env = None
         if with_env:
             # a shell just outside the window, which interior grains meet
             shell = [Box.centered_cube(half + 1.0, 2).draw(rng) for _ in range(16)]
             xi = [MarkedPoint.make(loc, law.sample(rng)) for loc in shell]
-            bc = BoundaryCondition(Configuration(xi, dimension=2))
-        state = ChainState(model, window, bc)
+            env = Configuration(xi, dimension=2)
+        state = ChainState(model, window, env)
         scramble_finite(model, state, rng, law, n_births, n_ops)
         pts = state.points
         before = model.conditional_energy(state.snapshot(), state.env)
@@ -1152,13 +1143,12 @@ class TestReversibility:
         rng = stream(629, 2 * sorted(AUDIT_MODELS).index(name) + with_env)
         law = PATH_LAW if name == "diffusion" else UniformLaw(0.6)
         window = Box.centered_cube(2.0, 2)
-        bc = None
+        env = None
         if with_env:
             # a shell just outside the window, which interior atoms meet
             shell = [Box.centered_cube(3.0, 2).draw(rng) for _ in range(16)]
-            bc = BoundaryCondition(config([MarkedPoint.make(loc, law.sample(rng))
-                                           for loc in shell]))
-        state = ChainState(model, window, bc, law.max_norm)
+            env = config([MarkedPoint.make(loc, law.sample(rng)) for loc in shell])
+        state = ChainState(model, window, env, law.max_norm)
         z, mix = 1.0, ProposalMix()
         checked = {kind: 0 for kind in REVERSE_KIND}
         for _ in range(30):
@@ -1321,9 +1311,9 @@ class TestDegeneracyBand:
              mp((-0.7, -2.3), 0.55)],
             dimension=2,
         )
-        window, bc = Box.centered_cube(2.0, 2), BoundaryCondition(xi)
+        window = Box.centered_cube(2.0, 2)
         # U(0.6) marks never raise the bound past the environment's 0.6
-        band = ChainState(QUERMASS, window, bc).band(0.6)
+        band = ChainState(QUERMASS, window, xi).band(0.6)
         where, handed, recomputed = ["chain"], [], []
 
         def link(disc, meet):
@@ -1343,7 +1333,7 @@ class TestDegeneracyBand:
         monkeypatch.setattr(QUERMASS, "conditional_energy", conditional_energy)
         with caplog.at_level("WARNING"):
             res = run_chain(QUERMASS, window, 0.5, UniformLaw(0.6), 4000, stream(627, 0),
-                            bc=bc, thin=100, drift_check_every=1000)
+                            env=xi, thin=100, drift_check_every=1000)
         assert res.stats.drift_checks == 4
         assert len(handed) > 4000
         assert all(not _find_degenerate(discs, band) for discs in handed)
@@ -1360,7 +1350,7 @@ class TestDegeneracyBand:
         monkeypatch.setattr(sampler, "bdm_step", lambda *a: steps.append(1) or step(*a))
         with pytest.raises(PreconditionError, match="environment grains"):
             run_chain(QUERMASS, Box.centered_cube(1.0, 2), 1.0, UniformLaw(0.6), 800,
-                      stream(seed, 0), bc=BoundaryCondition(TANGENT_ENV),
+                      stream(seed, 0), env=TANGENT_ENV,
                       drift_check_every=200)
         assert steps == []
 
@@ -1368,26 +1358,26 @@ class TestDegeneracyBand:
         # The pair touches at (5.2, 0.5); a grain centred in [-1, 1)^2 with
         # radius at most 0.6 meets neither, one with a larger radius may.
         far = Configuration([mp((5.2, 0.0), 0.5), mp((5.2, 1.0), 0.5)], dimension=2)
-        window, bc = Box.centered_cube(1.0, 2), BoundaryCondition(far)
-        ChainState(QUERMASS, window, bc, mark_cap=0.6)
+        window = Box.centered_cube(1.0, 2)
+        ChainState(QUERMASS, window, far, mark_cap=0.6)
         with pytest.raises(PreconditionError, match="environment grains"):
-            ChainState(QUERMASS, window, bc)
+            ChainState(QUERMASS, window, far)
         with pytest.raises(PreconditionError, match="environment grains"):
-            ChainState(QUERMASS, window, bc, mark_cap=4.0)
+            ChainState(QUERMASS, window, far, mark_cap=4.0)
 
     def test_capped_chain_certifies_its_environment_at_the_largest_band(self):
         # A tangency gap of 5e-9 lies between the initial band (2.7e-9) and
         # the band a grain of radius 5 reaches (7e-9).
         gapped = Configuration([mp((1.2, 0.0), 0.5), mp((1.2, 1.0 + 5e-9), 0.5)], dimension=2)
-        window, bc = Box.centered_cube(1.0, 2), BoundaryCondition(gapped)
-        state = ChainState(QUERMASS, window, bc)
+        window = Box.centered_cube(1.0, 2)
+        state = ChainState(QUERMASS, window, gapped)
         assert state.band(0.0) < 5e-9 < state.band(5.0)
         with pytest.raises(PreconditionError, match="environment grains"):
-            ChainState(QUERMASS, window, bc, mark_cap=5.0)
+            ChainState(QUERMASS, window, gapped, mark_cap=5.0)
         # an uncapped chain is certified at its mark law's largest norm
         assert UniformLaw(5.0).max_norm == 5.0
         with pytest.raises(PreconditionError, match="environment grains"):
-            run_chain(QUERMASS, window, 1.0, UniformLaw(5.0), 100, stream(0, 0), bc=bc)
+            run_chain(QUERMASS, window, 1.0, UniformLaw(5.0), 100, stream(0, 0), env=gapped)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_environment_check_follows_the_prefix_rule(self, seed):
@@ -1403,7 +1393,7 @@ class TestDegeneracyBand:
         window = Box.centered_cube(1.0, 2)
         for env, refused in ((grains, False), (grains + touching, True),
                              (triple[:1] + grains + triple[1:], True)):
-            bc = BoundaryCondition(Configuration(env, dimension=2))
+            bc = Configuration(env, dimension=2)
             scale = max([1.0 + max(q.mark_norm for q in env)]
                         + [sum(map(abs, q.location)) + q.mark_norm for q in env])
             discs = [Disc(*q.location, q.mark_norm) for q in env]
@@ -1418,7 +1408,7 @@ class TestDegeneracyBand:
         # E (environment) and W + bound (window and largest mark, the new
         # grain's included) all count.
         xi = Configuration([mp((9.0, 0.5), 0.5)], dimension=2)
-        state = ChainState(QUERMASS, Box.centered_cube(2.0, 2), BoundaryCondition(xi))
+        state = ChainState(QUERMASS, Box.centered_cube(2.0, 2), xi)
         assert state.band(0.3) == _DEGENERACY_TOL * 10.0
         assert state.band(6.5) == _DEGENERACY_TOL * 10.5
         state.replace(0, [mp((1.0, 1.0), 7.0)])

@@ -16,7 +16,6 @@ import pytest
 
 from gibbsgrain import (
     Ball,
-    BoundaryCondition,
     Box,
     DiffusionModel,
     HardSphereModel,
@@ -162,7 +161,6 @@ def samples_digest(samples) -> str:
 
 def fingerprint(name):
     case = CASES[name]
-    bc = BoundaryCondition(case["env"]) if case["env"] is not None else None
     window = case.get("window") or Box.centered_cube(case["half"], 2)
     res = run_chain(
         case["model"],
@@ -171,7 +169,7 @@ def fingerprint(name):
         case["law"],
         case["steps"],
         stream(4242, sorted(CASES).index(name)),
-        bc=bc,
+        env=case["env"],
         thin=10,
         drift_check_every=case["steps"] // 4,
     )
