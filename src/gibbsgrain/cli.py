@@ -71,37 +71,27 @@ _PHI_REGISTRY = {"soft_bump": _phi_soft_bump, "zero": lambda u: 0.0}
 
 
 def build_model(spec: dict):
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ConfigError("model block needs an 'id' key")
-    body = {k: v for k, v in spec.items() if k != "id"}
-    mid = spec["id"]
-    try:
-        if mid == "ideal":
-            _reject_unknown(body, set(), "model.ideal")
-            return IdealModel()
-        if mid == "hardcore":
-            _reject_unknown(body, set(), "model.hardcore")
-            return HardSphereModel()
-        if mid == "nonnegpair":
-            _reject_unknown(body, {"phi"}, "model.nonnegpair")
-            phi_name = body.get("phi", "soft_bump")
-            if phi_name not in _PHI_REGISTRY:
-                raise ConfigError(
-                    f"unknown phi {phi_name!r}; have {sorted(_PHI_REGISTRY)}"
-                )
-            return PairPotentialModel(_PHI_REGISTRY[phi_name])
-        if mid == "quermass":
-            _reject_unknown(body, {"a_area", "a_perimeter", "a_euler"}, "model.quermass")
-            return QuermassModel(
-                body.get("a_area", 0.0),
-                body.get("a_perimeter", 0.0),
-                body.get("a_euler", 0.0),
-            )
-        if mid == "diffusion":
-            _reject_unknown(body, set(), "model.diffusion")
-            return DiffusionModel()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    body = dict(_block(spec, "model"))
+    mid = _text(body.pop("id", None), "model.id")
+    if mid == "ideal":
+        _reject_unknown(body, set(), "model.ideal")
+        return IdealModel()
+    if mid == "hardcore":
+        _reject_unknown(body, set(), "model.hardcore")
+        return HardSphereModel()
+    if mid == "nonnegpair":
+        _reject_unknown(body, {"phi"}, "model.nonnegpair")
+        phi_name = _text(body.get("phi", "soft_bump"), "model.phi")
+        if phi_name not in _PHI_REGISTRY:
+            raise ConfigError(f"unknown phi {phi_name!r}; have {sorted(_PHI_REGISTRY)}")
+        return PairPotentialModel(_PHI_REGISTRY[phi_name])
+    if mid == "quermass":
+        keys = ("a_area", "a_perimeter", "a_euler")
+        _reject_unknown(body, set(keys), "model.quermass")
+        return QuermassModel(*(_real(body.get(k, 0.0), "model." + k) for k in keys))
+    if mid == "diffusion":
+        _reject_unknown(body, set(), "model.diffusion")
+        return DiffusionModel()
     raise ConfigError(f"unknown model id {mid!r}")
 
 
@@ -120,7 +110,7 @@ def build_window(spec: dict) -> Window:
             _reject_unknown(spec, {"kind", "center", "radius"}, "window.ball")
             from .points import Ball
 
-            return Ball(spec["center"], float(spec["radius"]))
+            return Ball(spec["center"], _real(spec["radius"], "window.radius", 0, strict=True))
     except (ValueError, KeyError) as e:
         raise ConfigError(f"bad window block: {e}") from e
     raise ConfigError(f"unknown window kind {spec['kind']!r}")
@@ -128,7 +118,7 @@ def build_window(spec: dict) -> Window:
 
 def build_law(spec: dict):
     try:
-        return law_from_descriptor(spec)
+        return law_from_descriptor(_block(spec, "mark_law"))
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad mark_law block: {e}") from e
 
@@ -154,15 +144,32 @@ def _whole(value, key: str, low: int | None = None) -> int:
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not whole:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value) if low is None else _at_least(int(value), key, low)
+    _real(value, key, low)
+    return int(value)
 
 
-def _at_least(x, key: str, low, strict: bool = False):
-    """x from a config, refused (NaN too) when below ``low``, or at it when
-    ``strict``."""
-    if not (x > low if strict else x >= low):
-        raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, got {x!r}")
-    return x
+def _real(value, key: str, low: float | None = None, strict: bool = False) -> float:
+    """A finite number from a config (an activity z, a delta): a bool, a
+    string, null, a list, inf and NaN are refused, and so is a number below
+    ``low``, or at it when ``strict``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if low is not None and not (value > low if strict else value >= low):
+        raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return float(value)
+
+
+def _text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _block(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 _COMMON_KEYS = {"seed", "name", "out"}
@@ -195,8 +202,8 @@ def load_config(args, command: str) -> dict:
 
 
 def _out_dir(cfg: dict, command: str) -> Path:
-    root = cfg.get("out") or os.environ.get("GIBBSGRAIN_OUT") or "runs"
-    name = cfg.get("name") or f"{command}-{cfg['seed']}"
+    root = _text(cfg.get("out") or os.environ.get("GIBBSGRAIN_OUT") or "runs", "out")
+    name = _text(cfg.get("name") or f"{command}-{cfg['seed']}", "name")
     return Path(root) / name
 
 
@@ -211,7 +218,7 @@ def _manifest(out: Path, cfg: dict) -> str:
 def _input_path(cfg: dict, missing: str) -> Path:
     if "input" not in cfg:
         raise ConfigError(missing)
-    path = Path(cfg["input"])
+    path = Path(_text(cfg["input"], "input"))
     if not path.exists():
         raise ConfigError(f"input file {path} not found")
     return path
@@ -236,11 +243,8 @@ def _boundary(spec, model, law, d: int) -> Configuration | None:
     if not isinstance(spec, dict) or not {"file", "t", "delta"} <= set(spec):
         raise ConfigError("boundary must be 'free' or {file, t, delta}")
     _reject_unknown(spec, {"file", "t", "delta"}, "boundary")
-    try:
-        t, delta = _whole(spec["t"], "t"), float(spec["delta"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad boundary block: {e}") from e
-    path = Path(spec["file"])
+    t, delta = _whole(spec["t"], "t", 1), _real(spec["delta"], "delta", 0, strict=True)
+    path = Path(_text(spec["file"], "boundary.file"))
     if not path.exists():
         raise ConfigError(f"boundary file {path} not found")
     xi = next(iter(read_configs_jsonl(path)), None)
@@ -268,7 +272,7 @@ def _prepare_sample(cfg: dict, report=None):
     seed = cfg["seed"]
     model = build_model(cfg.get("model", {"id": "ideal"}))
     window = build_window(cfg.get("window", {"kind": "box", "n": 1, "d": 2}))
-    z = _at_least(float(cfg.get("z", 0.5)), "z", 0)
+    z = _real(cfg.get("z", 0.5), "z", 0)
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.5}))
     _fit(model, law, window.dimension)
     steps = _whole(cfg.get("steps", 200_000), "steps")
@@ -315,12 +319,11 @@ def _prepare_geometry(cfg: dict):
     seed = cfg["seed"]
     n_systems = _whole(cfg.get("n_systems", 5), "n_systems", 1)
     n_discs = _whole(cfg.get("n_discs", 12), "n_discs", 1)
-    extent = _at_least(float(cfg.get("extent", 8.0)), "extent", 0, strict=True)
-    margin = _at_least(float(cfg.get("margin", 0.03)), "margin", 0)
+    extent = _real(cfg.get("extent", 8.0), "extent", 0, strict=True)
+    margin = _real(cfg.get("margin", 0.03), "margin", 0)
     grid = _whole(cfg.get("grid", 2048), "grid", 1)
-    mc_points = _whole(cfg.get("mc_points", 200_000), "mc_points")
-    if mc_points < 10_000:
-        raise ConfigError("mc_points must be >= 10000 for a usable oracle stderr")
+    # fewer points leave the oracle's stderr too wide to check against
+    mc_points = _whole(cfg.get("mc_points", 200_000), "mc_points", 10_000)
 
     def body(out: Path, digest: str) -> dict:
         rows = []
@@ -349,8 +352,8 @@ def _prepare_temper(cfg: dict):
     seed = cfg["seed"]
     path = _input_path(cfg, "temper needs an 'input' JSONL path")
     t = _whole(cfg.get("t", 1), "t")
-    delta = float(cfg.get("delta", 1.0))
-    if t < 1 or not delta > 0:
+    delta = _real(cfg.get("delta", 1.0), "delta")
+    if t < 1 or delta <= 0:
         raise ConfigError("temper needs t >= 1 and delta > 0")
 
     def body(out: Path, digest: str) -> dict:
@@ -387,23 +390,18 @@ def _prepare_audit(cfg: dict):
     law = build_law(cfg.get("mark_law", {"kind": "uniform", "b": 0.8}))
     window = build_window(cfg.get("window", {"kind": "box", "n": 2, "d": 2}))
     _fit(model, law, window.dimension)
-    z = _at_least(float(cfg.get("z", 0.4)), "z", 0)
-    delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
+    z = _real(cfg.get("z", 0.4), "z", 0)
+    delta = _real(cfg.get("delta", 1.0), "delta", 0, strict=True)
     n_trials = _whole(cfg.get("n_trials", 1000), "n_trials", 1)
     exponent = cfg.get("exponent")
-    exponent = (_at_least(float(exponent), "exponent", 0, strict=True) if exponent is not None
+    exponent = (_real(exponent, "exponent", 0, strict=True) if exponent is not None
                 else window.dimension + delta)
     local = cfg.get("local")
     if local is not None:
-        if not isinstance(local, dict):
-            raise ConfigError("audit.local must be an object {t, env_z, env_n}")
-        _reject_unknown(local, {"t", "env_z", "env_n"}, "audit.local")
-        try:
-            t = _whole(local.get("t", 2), "t", 1)
-            env_n = _whole(local.get("env_n", 3), "env_n")
-            env_z = _at_least(float(local.get("env_z", z)), "env_z", 0)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad audit.local block: {e}") from e
+        _reject_unknown(_block(local, "audit.local"), {"t", "env_z", "env_n"}, "audit.local")
+        t = _whole(local.get("t", 2), "t", 1)
+        env_n = _whole(local.get("env_n", 3), "env_n", 1)
+        env_z = _real(local.get("env_z", z), "env_z", 0)
         env_win = build_window({"kind": "box", "n": env_n, "d": window.dimension})
 
     def body(out: Path, digest: str) -> dict:
@@ -446,8 +444,8 @@ def _prepare_entropy(cfg: dict):
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError(f"n_list must be a non-empty list of integers, got {n_list!r}")
     n_list = [_whole(n, "n_list", 1) for n in n_list]
-    z = _at_least(float(cfg.get("z", 0.3)), "z", 0)
-    delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
+    z = _real(cfg.get("z", 0.3), "z", 0)
+    delta = _real(cfg.get("delta", 1.0), "delta", 0, strict=True)
     options = dict(
         n_energy_samples=_whole(cfg.get("n_energy_samples", 300), "n_energy_samples",
                                 MIN_ENERGIES),
@@ -455,7 +453,7 @@ def _prepare_entropy(cfg: dict):
                                    MIN_PARTITION_SAMPLES),
         chain_steps=_whole(cfg.get("chain_steps", 30_000), "chain_steps", MIN_CHAIN_STEPS),
         stat_exponent=(
-            _at_least(float(cfg["stat_exponent"]), "stat_exponent", 0, strict=True)
+            _real(cfg["stat_exponent"], "stat_exponent", 0, strict=True)
             if cfg.get("stat_exponent") is not None else None
         ),
     )
@@ -487,14 +485,14 @@ def _prepare_dlr(cfg: dict):
     law = build_law(cfg.get("mark_law", {"kind": "point", "value": 0.3}))
     d = _whole(cfg.get("d", 2), "d", 1)
     _fit(model, law, d)
-    lam_n = _whole(cfg.get("lam_n", 4), "lam_n")
+    lam_n = _whole(cfg.get("lam_n", 4), "lam_n", 1)
     big = Box.centered_cube(lam_n, d)
-    lam_half = float(cfg.get("lam", 2.0))
+    lam_half = _real(cfg.get("lam", 2.0), "lam", 0, strict=True)
     lam = Box([[-lam_half, lam_half]] * d)
     if not window_contains(big, lam):
         raise ConfigError(f"dlr needs lam <= lam_n, got lam {lam_half:g} and lam_n {lam_n}")
-    z = _at_least(float(cfg.get("z", 0.2)), "z", 0)
-    delta = _at_least(float(cfg.get("delta", 1.0)), "delta", 0, strict=True)
+    z = _real(cfg.get("z", 0.2), "z", 0)
+    delta = _real(cfg.get("delta", 1.0), "delta", 0, strict=True)
     n_outer = _whole(cfg.get("n_outer", 200), "n_outer", MIN_OUTER_SAMPLES)
     n_inner = _whole(cfg.get("n_inner", 100), "n_inner", MIN_INNER_SAMPLES)
 
@@ -622,20 +620,11 @@ _COMMANDS = {
         "potential": None}),
 }
 
-# Only a ConfigError exits 2. The config values known to reach numerical code
-# are checked before the run directory exists: the seed (a non-negative whole
-# number) in load_config, and in prepare temper t and delta, geometry
-# mc_points and grid, the chain keys (whole-number steps, burn_in, thin, chains,
-# drift_check_every and step_count; thin, chains and drift_check_every >= 1
-# and 0 <= burn_in < steps), every activity (z >= 0, audit's env_z too) and
-# every delta (> 0), every count of draws, steps, trials, systems or discs,
-# d, entropy's n_list entries and audit's local t (all >= 1), entropy's
-# chain_steps (>= MIN_CHAIN_STEPS), geometry's extent (> 0) and margin (>= 0),
-# audit's exponent and entropy's stat_exponent (> 0), dlr's lam (inside lam_n),
-# and the fit of model, mark law, dimension and boundary file (whose
-# temperedness is a precondition, exit 3); any other ValueError becomes a
-# ConfigError in _run. A ValueError from a run body is a fault of the code,
-# not of the config: it is unmapped and exits 1.
+# Only a ConfigError exits 2. Every config value is read through the reader
+# for its kind (_whole, _real, _text, _block), with its bounds, before the run
+# directory exists; a ValueError that a library constructor raises on a config
+# value then becomes a ConfigError in _run. A ValueError from a run body is a
+# fault of the code, not of the config: it is unmapped and exits 1.
 _EXIT_CODES = (
     (ConfigError, 2, "config error"),
     (PreconditionError, 3, "precondition violated"),

@@ -178,8 +178,8 @@ class TruncatedSubbotinLaw(MarkLaw):
     uniforms = 1
 
     def __init__(self, exponent: float, cutoff: float = 2.0):
-        if exponent <= 0 or cutoff <= 0:
-            raise ValueError("exponent and cutoff must be positive")
+        if not 0 < exponent < math.inf or cutoff <= 0:
+            raise ValueError("exponent must be positive and finite, cutoff positive")
         self.exponent = float(exponent)
         self.cutoff = self.max_norm = float(cutoff)
         # scipy.special is imported here, not at module level, so a run
@@ -212,7 +212,7 @@ class TableLaw(MarkLaw):
             raise ValueError("values and probs must be matching non-empty vectors")
         if np.any(v < 0):
             raise ValueError("radius marks are non-negative")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
             raise ValueError("probs must be a probability vector")
         self.values = v
         self.max_norm = float(v.max())
@@ -302,7 +302,10 @@ class LangevinSpec(MarkLaw):
     name: str = "quartic"
 
     def __post_init__(self):
-        if self.step_count < 2:
+        k = self.step_count
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"step_count must be an integer, got {k!r}")
+        if k < 2:
             raise ValueError("step_count must be at least 2")
 
     @staticmethod
@@ -345,17 +348,19 @@ def law_from_descriptor(desc: dict) -> MarkLaw:
     """The built-in law that a mark-law block names: ``{"kind": k, ...}``
     with the law's parameters (``point``: value; ``uniform``: b;
     ``subbotin``: exponent, cutoff; ``table``: values, probs; ``langevin``:
-    potential, step_count)."""
+    potential, step_count). A point, uniform or table block whose largest
+    mark is not finite is refused here; the constructors still build such a
+    law, whose draws the samplers' own norm check then refuses."""
     kind = desc.get("kind")
     body = {k: v for k, v in desc.items() if k != "kind"}
-    if kind == "point":
-        return PointMassLaw(**body)
-    if kind == "uniform":
-        return UniformLaw(**body)
+    scalar = {"point": PointMassLaw, "uniform": UniformLaw, "table": TableLaw}.get(kind)
+    if scalar is not None:
+        law = scalar(**body)
+        if not math.isfinite(law.max_norm):
+            raise ValueError(f"{kind} mark law needs finite marks, got max_norm {law.max_norm}")
+        return law
     if kind == "subbotin":
         return TruncatedSubbotinLaw(**body)
-    if kind == "table":
-        return TableLaw(**body)
     if kind == "langevin":
         return LangevinSpec.named(body["potential"], body.get("step_count", 256))
     raise ValueError(f"unknown mark law kind {kind!r}")

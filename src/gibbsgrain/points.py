@@ -262,6 +262,8 @@ class Box(Window):
         b = np.asarray(bounds, dtype=float)
         if b.ndim != 2 or b.shape[1] != 2:
             raise ValueError("bounds must be a (d, 2) array of (lo, hi) pairs")
+        if not np.isfinite(b).all():
+            raise ValueError("bounds must be finite")
         if np.any(b[:, 0] >= b[:, 1]):
             raise ValueError("each lo must be < hi")
         b.flags.writeable = False
@@ -318,8 +320,8 @@ class Ball(Window):
 
     def __init__(self, center, radius: float):
         c = np.asarray(center, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("center must be a vector")
+        if c.ndim != 1 or not np.isfinite(c).all():
+            raise ValueError("center must be a finite vector")
         if radius <= 0:
             raise ValueError("radius must be positive")
         c.flags.writeable = False

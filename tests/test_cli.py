@@ -552,6 +552,39 @@ class TestRunWrapper:
             (["entropy"], {"n_list": [1], "n_energy_samples": 2, "n_partition_samples": 1000,
                            "stat_exponent": "nan"}),
             (["dlr"], {"lam": 5, "lam_n": 4, "n_outer": 2}),
+            (["sample"], {"z": None, "steps": 100, "burn_in": 10}),
+            (["sample"], {"z": [1], "steps": 100, "burn_in": 10}),
+            (["sample"], {"z": True, "steps": 100, "burn_in": 10}),
+            (["sample"], {"z": "0.5", "steps": 100, "burn_in": 10}),
+            (["audit"], {"delta": None}),
+            (["dlr"], {"lam": None}),
+            (["temper"], {"input": 5}),
+            (["sample"], {"boundary": {"file": 5, "t": 1, "delta": 1}, "steps": 100,
+                          "burn_in": 10}),
+            (["sample"], {"model": {"id": "nonnegpair", "phi": ["x"]}, "steps": 100,
+                          "burn_in": 10}),
+            (["sample"], {"model": {"id": "quermass", "a_area": None}, "steps": 100,
+                          "burn_in": 10}),
+            (["sample"], {"window": {"kind": "ball", "center": [0, 0], "radius": None},
+                          "steps": 100, "burn_in": 10}),
+            (["sample"], {"mark_law": "uniform", "steps": 100, "burn_in": 10}),
+            (["sample"], {"name": 5, "steps": 100, "burn_in": 10}),
+            (["entropy"], {"z": 1e309, "n_list": [1]}),
+            (["geometry"], {"n_systems": 1, "n_discs": 3, "extent": "8", "grid": 64,
+                            "mc_points": 10_000}),
+            (["sample"], {"window": {"kind": "box", "bounds": [[None, 1], [0, 1]]},
+                          "steps": 100, "burn_in": 10}),
+            (["sample"], {"window": {"kind": "box", "bounds": [[0, 1e309], [0, 1]]},
+                          "steps": 100, "burn_in": 10}),
+            (["sample"], {"mark_law": {"kind": "point", "value": 1e309}, "steps": 100,
+                          "burn_in": 10}),
+            (["sample"], {"mark_law": {"kind": "uniform", "b": 1e309}, "steps": 100,
+                          "burn_in": 10}),
+            (["sample"], {"mark_law": {"kind": "table", "values": [0.1, 1e309],
+                                       "probs": [0.5, 0.5]}, "steps": 100, "burn_in": 10}),
+            (["sample"], {"model": {"id": "diffusion"},
+                          "mark_law": {"kind": "langevin", "potential": "quartic",
+                                       "step_count": 2.5}, "steps": 100, "burn_in": 10}),
         ],
         ids=["audit-local-key", "temper-no-input",
              "bogus-flavor", "audit-local-not-object",
@@ -570,7 +603,13 @@ class TestRunWrapper:
              "dlr-n-inner-99", "dlr-n-outer-1",
              "geometry-n-systems-0", "geometry-n-discs-0", "entropy-chain-steps-2",
              "geometry-extent-0", "geometry-margin-negative", "audit-exponent-nan",
-             "entropy-stat-exponent-nan", "dlr-lam-beyond-lam-n"],
+             "entropy-stat-exponent-nan", "dlr-lam-beyond-lam-n", "sample-z-null",
+             "sample-z-list", "sample-z-bool", "sample-z-string", "audit-delta-null",
+             "dlr-lam-null", "temper-input-not-string", "boundary-file-not-string",
+             "phi-not-string", "quermass-a-area-null", "ball-radius-null",
+             "mark-law-not-object", "name-not-string", "entropy-z-inf",
+             "geometry-extent-string", "box-bounds-null", "box-bounds-inf", "point-mark-inf",
+             "uniform-b-inf", "table-value-inf", "langevin-fractional-step-count"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, monkeypatch, argv, payload):
         # a dict is written as a config with its seed; a string is the raw
@@ -655,6 +694,16 @@ class TestRunWrapper:
         assert out.returncode == 1
         assert "ValueError: math domain error" in out.stderr
         assert json.loads((tmp_path / "g" / "record.json").read_text())["exit_code"] == 1
+
+    def test_out_that_is_not_a_string_exits_2_without_run_dir(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # without --out, the config's out key names the output root
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GIBBSGRAIN_OUT", raising=False)
+        cfg = write_cfg(tmp_path, "cfg.json", {"seed": 1, "out": 5, "steps": 100, "burn_in": 10})
+        assert main(["sample", "--config", cfg]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert "out must be a string, got 5" in capsys.readouterr().err
 
     def test_unreadable_config_inputs_exit_2(self, tmp_path, capsys):
         root = tmp_path / "root"

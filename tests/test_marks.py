@@ -114,7 +114,9 @@ class TestRadiusLaws:
             lambda: PointMassLaw(-0.5),
             lambda: TableLaw([1.0, -2.0], [0.5, 0.5]),
             lambda: TableLaw([1.0, 2.0], [0.7, 0.7]),
+            lambda: TableLaw([1.0, 2.0], [math.nan, math.nan]),
             lambda: TruncatedSubbotinLaw(exponent=0.0),
+            lambda: TruncatedSubbotinLaw(exponent=math.inf),
         ],
     )
     def test_bad_parameters_rejected(self, make):
@@ -151,6 +153,19 @@ class TestRadiusLaws:
         assert law_from_descriptor({"kind": "langevin", "potential": "quartic"}).step_count == 256
         with pytest.raises(ValueError):
             law_from_descriptor({"kind": "gamma", "shape": 2.0})
+
+    @pytest.mark.parametrize("block", [
+        {"kind": "point", "value": math.inf},
+        {"kind": "point", "value": math.nan},
+        {"kind": "uniform", "b": math.inf},
+        {"kind": "uniform", "b": math.nan},
+        {"kind": "table", "values": [0.1, math.inf], "probs": [0.5, 0.5]},
+        {"kind": "table", "values": [0.1, math.nan], "probs": [0.5, 0.5]},
+    ], ids=["point-inf", "point-nan", "uniform-inf", "uniform-nan", "table-inf", "table-nan"])
+    def test_law_from_descriptor_refuses_non_finite_marks(self, block):
+        # the constructors still build these, for the samplers' own check
+        with pytest.raises(ValueError, match="needs finite marks"):
+            law_from_descriptor(block)
 
 
 class TestPathMarks:
@@ -223,6 +238,14 @@ class TestPathMarks:
         with pytest.raises(ValueError):
             LangevinSpec.named("quartic", step_count=1)
 
+    @pytest.mark.parametrize("step_count", [2.5, 8.0, True, "8"])
+    def test_step_count_must_be_an_integer(self, step_count):
+        with pytest.raises(ValueError, match="step_count must be an integer"):
+            LangevinSpec.named("quartic", step_count)
+        with pytest.raises(ValueError, match="step_count must be an integer"):
+            law_from_descriptor({"kind": "langevin", "potential": "quartic",
+                                 "step_count": step_count})
+
 
 def array_euler_path(spec, rng):
     """The Euler loop over (2,) arrays that LangevinSpec.sample reproduces."""
@@ -248,8 +271,9 @@ class LinearGrad:
         return self.c * x
 
 
-# Custom gradients reach sample through its array adapter; the first indexes
-# the last axis, so it fails on anything but an array argument.
+# Custom gradients run in sample's array Euler loop, which calls them on a
+# (2,) array; the first indexes the last axis, so it fails on anything but an
+# array argument.
 CUSTOM_GRADS = {
     "axis-index": lambda x: np.stack([x[..., 0] ** 3, x[..., 1] + x[..., 0]], axis=-1),
     "free": lambda x: 0.0 * x,
@@ -257,7 +281,7 @@ CUSTOM_GRADS = {
     "sinh": np.sinh,
     "unhashable": LinearGrad(1.5),
     # the built-in quartic gradient in a hand-built spec: by identity it
-    # takes the fused loop, not the adapter
+    # takes the fused loop, not the array Euler loop
     "quartic-by-hand": _quartic_grad,
 }
 

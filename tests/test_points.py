@@ -269,6 +269,18 @@ class TestWindows:
         with pytest.raises(ValueError):
             Box([(0.0, 0.0)])
 
+    @pytest.mark.parametrize("make", [
+        lambda: Box([(0.0, math.inf)]),
+        lambda: Box([(math.nan, 1.0), (0.0, 1.0)]),
+        lambda: Ball((math.nan, 0.0), 1.0),
+        lambda: Ball((0.0, 0.0), math.inf),
+    ], ids=["box-inf", "box-nan", "ball-nan-center", "ball-inf-radius"])
+    def test_non_finite_window_rejected(self, make):
+        # a Poisson draw on a ball with a NaN centre rejected every point and
+        # never returned
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_ball_volume(self):
         assert Ball((0.0, 0.0), 2.0).volume() == pytest.approx(math.pi * 4.0)
         assert Ball((0.0,), 1.0).volume() == pytest.approx(2.0)
