@@ -163,6 +163,8 @@ def _real(value, key: str, low: float | None = None, strict: bool = False) -> fl
 def _text(value, key: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
+    if not value:
+        raise ConfigError(f"{key} must not be empty")
     return value
 
 
@@ -202,8 +204,10 @@ def load_config(args, command: str) -> dict:
 
 
 def _out_dir(cfg: dict, command: str) -> Path:
-    root = _text(cfg.get("out") or os.environ.get("GIBBSGRAIN_OUT") or "runs", "out")
-    name = _text(cfg.get("name") or f"{command}-{cfg['seed']}", "name")
+    """The run directory: a present key is read as given, never as absent."""
+    root = _text(cfg["out"], "out") if "out" in cfg else (
+        os.environ.get("GIBBSGRAIN_OUT") or "runs")
+    name = _text(cfg["name"], "name") if "name" in cfg else f"{command}-{cfg['seed']}"
     return Path(root) / name
 
 

@@ -19,7 +19,10 @@ because equal atoms can print differently (0.0 == -0.0). The reader keeps
 the previous line's path marks keyed by their f8le text: a repeated path
 whose shape checks out is the earlier PathMark, not decoded again, so read
 atoms may share one (immutable) PathMark. Each map holds one line, so
-memory stays bounded by one configuration.
+memory stays bounded by one configuration. The reader builds no atom: each
+configuration is made from its location array, its marks and its mark
+norms (``Configuration.from_arrays``), which is all the temperedness scan
+reads, and its atoms are built the first time something reads ``points``.
 Manifests are canonical JSON (sorted keys, fixed separators) hashed with
 sha256; volatile data like wall-clock time lives in a separate record file
 so the manifest hash is stable.
@@ -94,15 +97,6 @@ def _path_mark(payload: dict, seen: dict, kept: dict) -> PathMark:
     return mark
 
 
-def _mark_from_payload(payload: dict, seen: dict, kept: dict):
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind == "scalar":
-        return float(payload["value"])
-    if kind == "path":
-        return _path_mark(payload, seen, kept)
-    raise ConfigError(f"unknown mark payload kind {kind!r}")
-
-
 def _point_record(p: MarkedPoint) -> dict:
     return {"x": [float(c) for c in p.location], "mark": _mark_payload(p.mark)}
 
@@ -119,11 +113,42 @@ def record_to_config(record: dict) -> Configuration:
 
 
 def _config_from_record(record: dict, seen: dict, kept: dict) -> Configuration:
-    pts = [
-        MarkedPoint.make(tuple(entry["x"]), _mark_from_payload(entry["mark"], seen, kept))
-        for entry in record["points"]
-    ]
-    return Configuration(pts, dimension=int(record["dim"]))
+    """The configuration of one record, built from its location rows, marks
+    and mark norms (a scalar's absolute value, a path's sup norm) without
+    building an atom. Location rows of mixed widths, or of a width other
+    than the declared dimension, and non-finite coordinates are refused
+    here; duplicate locations and non-finite norms by ``from_arrays``."""
+    xs, marks, norms = [], [], []
+    for entry in record["points"]:
+        payload = entry["mark"]
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        if kind == "scalar":
+            mark = float(payload["value"])
+            norm = abs(mark)
+        elif kind == "path":
+            mark = _path_mark(payload, seen, kept)
+            norm = mark.sup_norm
+        else:
+            raise ConfigError(f"unknown mark payload kind {kind!r}")
+        xs.append(entry["x"])
+        marks.append(mark)
+        norms.append(norm)
+    dimension = int(record["dim"])
+    if not xs:
+        return Configuration.empty(dimension)
+    widths = set(map(len, xs))
+    if len(widths) != 1:
+        raise ValueError(f"mixed dimensions in configuration: {sorted(widths)}")
+    locations = np.array(xs, dtype=float)
+    if locations.ndim != 2 or not locations.shape[1]:
+        raise ValueError(f"location {xs[0]!r} is not a list of numbers")
+    if locations.shape[1] != dimension:
+        raise ValueError(f"declared dimension {dimension} != point dimension "
+                         f"{locations.shape[1]}")
+    finite = np.isfinite(locations)  # a null coordinate reads as NaN
+    if not finite.all():
+        raise ValueError(f"location {xs[int(np.argmin(finite.all(axis=1)))]!r} is not finite")
+    return Configuration.from_arrays(locations, marks, np.array(norms, dtype=float))
 
 
 def _record_lines(configs: Iterable[Configuration], meta: dict | None) -> Iterator[str]:
@@ -173,7 +198,7 @@ def read_configs_jsonl(path) -> Iterator[Configuration]:
                 kept: dict = {}
                 try:
                     config = _config_from_record(json.loads(line), seen, kept)
-                except (ValueError, KeyError, TypeError) as e:
+                except (ValueError, KeyError, TypeError, OverflowError) as e:
                     raise ConfigError(
                         f"{path} line {lineno} is not a configuration record ({e!r})"
                     ) from e

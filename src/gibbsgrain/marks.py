@@ -362,6 +362,9 @@ def law_from_descriptor(desc: dict) -> MarkLaw:
     if kind == "subbotin":
         return TruncatedSubbotinLaw(**body)
     if kind == "langevin":
+        unknown = set(body) - {"potential", "step_count"}
+        if unknown:
+            raise ValueError(f"unknown keys in a langevin mark law: {sorted(unknown)}")
         return LangevinSpec.named(body["potential"], body.get("step_count", 256))
     raise ValueError(f"unknown mark law kind {kind!r}")
 

@@ -26,6 +26,13 @@ __all__ = [
 ]
 
 
+def _radii(config: Configuration) -> np.ndarray:
+    """|x| of each atom: ``np.linalg.norm(locations, axis=1)`` to the bit,
+    which is this expression, without the wrapper's argument handling."""
+    locs = config.locations()
+    return np.sqrt(np.add.reduce(locs * locs, axis=1))
+
+
 def l1(t: float, eta: float, d: int, delta: float) -> float:
     """Radius beyond which every ball of a t-tempered configuration has
     relative mark norm below eta: (t / eta^(d+delta))^(1/delta)."""
@@ -72,13 +79,13 @@ def is_tempered(
         raise ValueError("delta must be positive")
     t = int(t)
     d = config.dimension
-    radii = np.linalg.norm(config.locations(), axis=1)
+    radii = _radii(config)
     weights = config.mark_norms() ** (d + delta)
     rows = []
     t_min = 1
     for l in range(1, int(math.ceil(radii.max(initial=0.0))) + 2):
         inside = radii < l  # the open ball B(0, l)
-        stat = float(np.count_nonzero(inside) + np.sum(weights[inside]))
+        stat = float(np.count_nonzero(inside) + np.add.reduce(weights[inside]))
         vol = l**d
         rows.append((l, stat, float(t) * vol, float(t) * vol - stat))
         # least level at l by the bound's own comparison: the ceiling of the
@@ -104,7 +111,7 @@ def in_underline_M(config: Configuration, l: int) -> bool:
         raise ValueError("l must be a positive integer")
     if len(config) == 0:
         return True
-    radii = np.linalg.norm(config.locations(), axis=1)
+    radii = _radii(config)
     norms = config.mark_norms()
     k_max = int(math.floor((radii.max() - 1.0) / 2.0))
     for k in range(int(l), k_max + 1):
@@ -131,7 +138,7 @@ def range_separation_check(
         raise ValueError(f"l = {l} is below the separation radius {l_star:.6g}")
     if len(config) == 0:
         return True, None
-    radii = np.linalg.norm(config.locations(), axis=1)
+    radii = _radii(config)
     norms = config.mark_norms()
     far = radii >= 2 * l + 1
     bad = far & (radii - norms < l)

@@ -334,6 +334,24 @@ class TestTemperCommand:
         assert record["exit_code"] == 2
         assert "bad.jsonl line 2" in record["error"]
 
+    @pytest.mark.parametrize("coordinate", ["NaN", "Infinity"])
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys, coordinate):
+        inp = tmp_path / "bad.jsonl"
+        inp.write_text(f'{{"dim": 2, "points": [{{"x": [{coordinate}, 0.0], '
+                       '"mark": {"kind": "scalar", "value": 0.5}}]}\n')
+        rc = main(["temper", "--input", str(inp), "--seed", "3",
+                   "--out", str(tmp_path), "--name", "bad"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl line 1" in err and "is not finite" in err
+        record = json.loads((tmp_path / "bad" / "record.json").read_text())
+        assert record["exit_code"] == 2
+        boundary = {"file": str(inp), "t": 1, "delta": 1.0}
+        cfg = write_cfg(tmp_path, "bc.json", {"seed": 1, "boundary": boundary})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        assert "bad.jsonl line 1" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(
             ["temper", "--input", str(tmp_path / "nope.jsonl"), "--seed", "1",
@@ -368,7 +386,7 @@ class TestAuditCommand:
 
 
 class TestEntropyCommand:
-    def test_ideal_curve_and_plot_series(self, tmp_path):
+    def test_ideal_curve_is_flat_and_every_draw_counts(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
             "ent.json",
@@ -585,6 +603,11 @@ class TestRunWrapper:
             (["sample"], {"model": {"id": "diffusion"},
                           "mark_law": {"kind": "langevin", "potential": "quartic",
                                        "step_count": 2.5}, "steps": 100, "burn_in": 10}),
+            (["sample"], {"model": {"id": "diffusion"},
+                          "mark_law": {"kind": "langevin", "potential": "quartic",
+                                       "steps": 8}, "steps": 100, "burn_in": 10}),
+            (["sample"], {"name": False, "steps": 100, "burn_in": 10}),
+            (["sample"], {"name": "", "steps": 100, "burn_in": 10}),
         ],
         ids=["audit-local-key", "temper-no-input",
              "bogus-flavor", "audit-local-not-object",
@@ -609,7 +632,8 @@ class TestRunWrapper:
              "phi-not-string", "quermass-a-area-null", "ball-radius-null",
              "mark-law-not-object", "name-not-string", "entropy-z-inf",
              "geometry-extent-string", "box-bounds-null", "box-bounds-inf", "point-mark-inf",
-             "uniform-b-inf", "table-value-inf", "langevin-fractional-step-count"],
+             "uniform-b-inf", "table-value-inf", "langevin-fractional-step-count",
+             "langevin-unknown-key", "name-false", "name-empty"],
     )
     def test_config_errors_exit_2_without_run_dir(self, tmp_path, monkeypatch, argv, payload):
         # a dict is written as a config with its seed; a string is the raw
@@ -704,6 +728,16 @@ class TestRunWrapper:
         assert main(["sample", "--config", cfg]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
         assert "out must be a string, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [False, ""], ids=["false", "empty"])
+    def test_falsy_out_exits_2_without_run_dir(self, tmp_path, monkeypatch, out):
+        # a falsy out is read as given, not as an absent key
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GIBBSGRAIN_OUT", raising=False)
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        {"seed": 1, "out": out, "steps": 100, "burn_in": 10})
+        assert main(["sample", "--config", cfg]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_unreadable_config_inputs_exit_2(self, tmp_path, capsys):
         root = tmp_path / "root"

@@ -33,6 +33,7 @@ from gibbsgrain.io import (
     write_record,
     write_report_csv,
 )
+from gibbsgrain.tempered import is_tempered, range_separation_check
 
 from conftest import config, legacy_path_lines, mp, random_scalar_config
 
@@ -377,6 +378,102 @@ class TestPathEncoding:
         path.write_text('{"dim": 2, "points": [{"x": [0.0, 0.0], "mark": 0.5}]}\n')
         with pytest.raises(ConfigError, match=r"bad\.jsonl line 1 "):
             list(read_configs_jsonl(path))
+
+
+def _append_line(path, line):
+    """A valid one-atom file with ``line`` as its second line."""
+    write_configs_jsonl(path, [config([mp((0.0, 0.0), 0.5)])])
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+
+
+def _scalar_atoms(dim, *xs):
+    points = ", ".join(f'{{"x": {x}, "mark": {{"kind": "scalar", "value": 0.5}}}}' for x in xs)
+    return f'{{"dim": {dim}, "points": [{points}]}}'
+
+
+class TestArrayBackedReads:
+    """The reader builds each configuration from its location rows, marks
+    and mark norms; the atoms wait until ``points`` is read."""
+
+    @pytest.mark.parametrize("samples", [hardcore_samples, path_samples],
+                             ids=["scalar", "path"])
+    def test_scans_build_no_atom(self, tmp_path, samples):
+        path = tmp_path / "s.jsonl"
+        write_configs_jsonl(path, samples())
+        back = list(read_configs_jsonl(path))
+        assert any(len(c) for c in back)
+        for c in back:
+            assert c._points is None
+            ok, report = is_tempered(c, 1, 0.5)
+            range_separation_check(c, report.minimal_t, 0.5)
+            assert c._points is None
+
+    @pytest.mark.parametrize("samples", [hardcore_samples, path_samples],
+                             ids=["scalar", "path"])
+    def test_read_arrays_match_atom_built_ones(self, tmp_path, samples):
+        batch = samples()
+        path = tmp_path / "s.jsonl"
+        write_configs_jsonl(path, batch)
+        back = list(read_configs_jsonl(path))
+        assert len(back) == len(batch)
+        for a, b in zip(batch, back):
+            atoms = Configuration([MarkedPoint.make(p.location, p.mark) for p in a.points],
+                                  dimension=a.dimension)
+            assert b.dimension == atoms.dimension
+            assert b.locations().tobytes() == atoms.locations().tobytes()
+            assert b.mark_norms().tobytes() == atoms.mark_norms().tobytes()
+            for p, q in zip(atoms.points, b.points):
+                assert [c.hex() for c in q.location] == [c.hex() for c in p.location]
+                assert q.mark_norm.hex() == p.mark_norm.hex()
+                if isinstance(p.mark, PathMark):
+                    assert q.mark.samples.tobytes() == p.mark.samples.tobytes()
+                else:
+                    assert type(q.mark) is float and q.mark.hex() == p.mark.hex()
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (_scalar_atoms(2, "[0.0, 1.0]", "[1.0]"), "mixed dimensions in configuration: [1, 2]"),
+            (_scalar_atoms(2, "[0.0, 1.0, 2.0]"), "declared dimension 2 != point dimension 3"),
+            (_scalar_atoms(2, "[0.0]", "[1.0]"), "declared dimension 2 != point dimension 1"),
+            (_scalar_atoms(2, "[0.5, 1.0]", "[2.0, 1.0]", "[0.5, 1.0]"),
+             "duplicate location (0.5, 1.0): configurations are simple"),
+            (_scalar_atoms(2, "[0.0, 1.0]", "[-0.0, 1.0]"),
+             "duplicate location (-0.0, 1.0): configurations are simple"),
+        ],
+        ids=["ragged", "wider", "narrower", "duplicate", "signed-zero-duplicate"],
+    )
+    def test_location_rows_keep_their_refusals(self, tmp_path, line, reason):
+        path = tmp_path / "bad.jsonl"
+        _append_line(path, line)
+        with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 ") as err:
+            list(read_configs_jsonl(path))
+        assert reason in str(err.value)
+
+    @pytest.mark.parametrize(
+        "x, reason",
+        [
+            ("[NaN, 0.0]", "[nan, 0.0] is not finite"),
+            ("[1.0, Infinity]", "[1.0, inf] is not finite"),
+            ("[-Infinity, 1.0]", "[-inf, 1.0] is not finite"),
+            ("[null, 0.0]", "[None, 0.0] is not finite"),
+            ("[1e308, 1e308]", None),
+            ("[1" + "0" * 400 + ", 0.0]", "too large to convert to float"),
+        ],
+        ids=["nan", "inf", "minus-inf", "null", "huge-but-finite", "huge-int"],
+    )
+    def test_non_finite_coordinate_is_config_error(self, tmp_path, x, reason):
+        path = tmp_path / "bad.jsonl"
+        # the second atom's coordinates sum to inf: only a non-finite one is refused
+        _append_line(path, _scalar_atoms(2, "[1e308, 1.0]", x))
+        if reason is None:
+            (_, c) = read_configs_jsonl(path)
+            assert c.locations().tolist() == [[1e308, 1.0], [1e308, 1e308]]
+            return
+        with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 ") as err:
+            list(read_configs_jsonl(path))
+        assert reason in str(err.value)
 
 
 class TestReportCsv:
