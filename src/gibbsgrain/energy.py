@@ -22,12 +22,28 @@ pairs to its batched ``interaction`` on the atoms instead, and its
 ``pair_term`` is ``interaction`` on one atom. Below ``_ALL_PAIRS_BELOW``
 atoms the walk visits every pair; from there on it visits only candidate
 pairs: those whose squared distance, in one numpy pass over a block of
-rows, is not above reach(|m_i|, |m_j|)^2 padded by a relative slack, so
-that the candidates are a superset of the pairs within reach. The sum is
+rows, is not above reach(|m_i|, |m_j|)^2 padded by a relative slack (the
+reach rule ``_near``), so that the candidates are a superset of the pairs
+within reach. The sum is
 bit for bit the all-pairs one: by the ``reach`` contract every pair left
 out has a term of exactly +0.0; a total that starts at +0.0 never becomes
 -0.0, so adding +0.0 leaves it unchanged; and no pair left out is +inf, so
 the first +inf term, where the sum stops, is the same pair.
+
+The samplers price their Poisson draws a block at a time, through the
+model's ``energies`` entry (``draw_energies``). Its default prices draw by
+draw with ``energy``, or ``conditional_energy`` given an environment. A
+pairwise model prices a block of draws held as arrays (``points.Draws``)
+itself: in chunks of draws, each searched once by ``_block_candidates``,
+keyed by (draw, cell), for the pairs of one draw that the same reach rule
+(``_near``) keeps, a superset of the pairs within reach. Each draw's
+candidates are added from +0.0 by ``_add_terms``, in row-major order, each
+term ``_term`` on ``math.hypot`` of the coordinate differences, which is
+``math.dist`` of the two rows to the bit; a model without self terms starts
+``energy`` at +0.0 too. So each energy is the draw's ``energy`` to the bit,
+by the argument above, and a draw that nobody keeps is priced without
+building a configuration. Conditional energies, the diffusion model (self
+terms and path marks) and draws held as configurations keep the default.
 
 The quermass functional F is a valuation of the grain union, so adding a
 grain p to any disc family A changes it by
@@ -56,6 +72,7 @@ NaN. The chain's increments refuse the same states through ``band``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, groupby, product
 from operator import itemgetter
@@ -76,6 +93,7 @@ from .geometry import (
 from .marks import PathMark
 from .points import (
     Configuration,
+    Draws,
     MarkedPoint,
     Window,
     mark_sup,
@@ -117,6 +135,12 @@ _REACH_SLACK = 1e-9
 _REACH_FLOOR = float(np.finfo(float).tiny)
 # Upper triangle of a block of the candidate search of ``energy``.
 _UPPER = np.triu(np.ones((_CANDIDATE_ROWS, _CANDIDATE_ROWS), dtype=bool))
+# Atoms per chunk of a block of draws priced by ``_PairwiseModel.energies``;
+# a chunk's search holds about twenty arrays of ~2.5 pairs per atom (uniform
+# atoms at density 0.5, U(0.6) marks). Chunks of 1024 to 4096 atoms priced
+# the ``entropy-nonnegpair`` draws equally fast within the noise; larger
+# chunks raised the process's peak RSS.
+_CHUNK_ATOMS = 2048
 
 
 def lj_pair(u: float) -> float:
@@ -190,6 +214,18 @@ class EnergyModel:
     def validate_config(self, config: Configuration) -> None:
         """Hook for mark-type and dimension requirements; default accepts all."""
 
+    def energies(self, draws: Draws, env: Configuration | None = None) -> list[float]:
+        """The energies of a block's draws, in draw order: ``energy`` of each
+        draw, or its ``conditional_energy`` given ``env`` (environment atoms
+        already outside the window) when one is given. The samplers price
+        their Poisson draws through here (``draw_energies``); pairwise models
+        price a block of array draws with one candidate search (see the
+        module docstring), and every other case keeps this per-draw default."""
+        configs = map(draws.config, range(len(draws)))
+        if env is None:
+            return [self.energy(c) for c in configs]
+        return [self.conditional_energy(c, env) for c in configs]
+
 
 class _PairwiseModel(EnergyModel):
     """Pairwise models. Each prices a pair by one float-level rule,
@@ -231,12 +267,19 @@ class _PairwiseModel(EnergyModel):
     def local_delta(self, p, neighbours, band=0.0) -> float:
         return self.interaction(p, neighbours, self.self_term(p))
 
+    def _near(self, d2, norm_p, norm_q):
+        """The reach rule of the candidate searches: True where the squared
+        distance ``d2`` is not above reach(norm_p, norm_q)^2 padded by
+        ``_REACH_SLACK`` (see the module docstring); arrays broadcast."""
+        r = self.reach(norm_p, norm_q)
+        # "not above" keeps NaN distances, whose terms the sum adds too
+        return ~(d2 > r * r * (1.0 + _REACH_SLACK) + _REACH_FLOOR)
+
     def _candidates(self, rows: Configuration, cols: Configuration, upper: bool):
         """(i, j) index pairs, in row-major order, of each atom i of ``rows``
-        with the atoms j of ``cols`` (only j > i when ``upper``) whose squared
-        distance to it is not above reach(|m_i|, |m_j|)^2 padded by
-        ``_REACH_SLACK``, a superset of the pairs with a nonzero term (see
-        the module docstring). The rows are searched in blocks of
+        with the atoms j of ``cols`` (only j > i when ``upper``) that
+        ``_near`` keeps, a superset of the pairs with a nonzero term (see the
+        module docstring). The rows are searched in blocks of
         ``_CANDIDATE_ROWS``, so no n x n array is built."""
         a, a_norms = rows.locations(), rows.mark_norms()
         b, b_norms = cols.locations(), cols.mark_norms()
@@ -250,9 +293,7 @@ class _PairwiseModel(EnergyModel):
             for k in range(1, a.shape[1]):
                 diff = np.subtract.outer(a[block, k], b[first:, k])
                 d2 += diff * diff
-            r = self.reach(a_norms[block, None], b_norms[None, first:])
-            # "not above" keeps NaN distances, whose terms the sum adds too
-            near = ~(d2 > r * r * (1.0 + _REACH_SLACK) + _REACH_FLOOR)
+            near = self._near(d2, a_norms[block, None], b_norms[None, first:])
             n_rows, width = near.shape
             if upper:
                 # block row i sits at start + i and keeps columns from start + i + 1
@@ -260,6 +301,56 @@ class _PairwiseModel(EnergyModel):
             for flat in near.ravel().nonzero()[0].tolist():
                 i, j = divmod(flat, width)
                 yield start + i, first + j
+
+    def _block_candidates(self, x: np.ndarray, norms: np.ndarray, starts: list):
+        """(i, j, diffs) of stacked draws, whose atoms are the rows
+        ``starts[k]:starts[k + 1]`` of ``x``: the row pairs (i, j) of one
+        draw, i < j, that ``_near`` keeps, sorted row-major, so a superset of
+        each draw's pairs with a nonzero term, with diffs[k] = x[i, k] - x[j, k].
+
+        One search keyed by (draw, cell) finds them. The cells tile the first
+        two axes (one when d = 1) with a side just above the widest reach in
+        the rows, so two atoms within reach sit in the same or neighbouring
+        cells. With the atoms sorted by key, the half shell of an atom is two
+        runs of keys: the atoms after it in its cell and those of the next cell
+        in its column, then the three neighbouring cells of the next column
+        (d = 1 has the first run only). So each pair of atoms in neighbouring
+        cells is generated once, from the atom that sorts first."""
+        n, d = x.shape
+        axes = min(d, 2)
+        top = float(norms.max())
+        lows = [float(c.min()) for c in x.T[:axes]]
+        width = max(float(c.max()) - low for c, low in zip(x.T, lows))
+        # the padding keeps roundoff in the keys from parting atoms within
+        # reach; the floor keeps each axis below 2^20 cells
+        side = max(float(self.reach(top, top)) * (1.0 + 1e-6) + 1e-150, width / 2**20)
+        key = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        for c, low in zip(x.T[:axes], lows):
+            cell = np.floor((c - low) / side).astype(np.int64) + 1
+            # an empty cell on either side keeps the columns and draws apart
+            size = int(cell.max()) + 2
+            key = key * size + cell
+        order = np.argsort(key)
+        key = key[order]
+        rows = np.arange(n)
+        first, end = rows + 1, np.searchsorted(key, key + 1, "right")
+        if axes == 2:
+            first = np.concatenate((first, np.searchsorted(key, key + (size - 1))))
+            end = np.concatenate((end, np.searchsorted(key, key + (size + 1), "right")))
+            rows = np.concatenate((rows, rows))
+        count = end - first
+        src = np.repeat(rows, count)
+        dst = np.arange(len(src)) + np.repeat(first - (np.cumsum(count) - count), count)
+        diffs = [c[src] - c[dst] for c in x[order].T]
+        d2 = diffs[0] * diffs[0]
+        for diff in diffs[1:]:
+            d2 += diff * diff
+        sorted_norms = norms[order]
+        near = np.flatnonzero(self._near(d2, sorted_norms[src], sorted_norms[dst]))
+        a, b = order[src[near]], order[dst[near]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        pairs = np.argsort(i * n + j)
+        return i[pairs], j[pairs], [diff[near[pairs]] for diff in diffs]
 
     def _self_sum(self, config: Configuration) -> float:
         """Sum of the self terms over the atoms, in atom order."""
@@ -280,6 +371,19 @@ class _PairwiseModel(EnergyModel):
             total += v
         return total
 
+    def _add_terms(self, dists: list, norms_p: list, norms_q: list) -> float:
+        """``_add_pairs`` on pairs given by their distances and norms, from
+        +0.0: the sum of ``_term`` over them in order; +inf at the first
+        infinite term."""
+        term, inf = self._term, math.inf
+        total = 0.0
+        for d, a, b in zip(dists, norms_p, norms_q):
+            v = term(d, a, b)
+            if v == inf:
+                return inf
+            total += v
+        return total
+
     def energy(self, config: Configuration) -> float:
         self.validate_config(config)
         n = len(config)
@@ -288,6 +392,40 @@ class _PairwiseModel(EnergyModel):
         else:
             pairs = self._candidates(config, config, upper=True)
         return self._add_pairs(config, config, pairs, self._self_sum(config))
+
+    def energies(self, draws: Draws, env: Configuration | None = None) -> list[float]:
+        """``EnergyModel.energies``, with a block of array draws priced
+        together: in chunks of about ``_CHUNK_ATOMS`` atoms, cut between
+        draws, each searched once by ``_block_candidates``; then each draw's
+        candidates are added by ``_add_terms`` in row-major order from +0.0.
+        So every energy is the draw's ``energy`` to the bit (see the module
+        docstring). Conditional energies and draws held as configurations
+        keep the per-draw default, and so does ``DiffusionModel``, whose self
+        terms and path marks the block does not price."""
+        if env is not None or draws.locations is None:
+            return super().energies(draws, env)
+        starts, out, k = draws.starts, [], 0
+        while k < len(draws):
+            # draws k to stop - 1: about _CHUNK_ATOMS atoms, or one larger draw
+            stop = max(k + 1, bisect_right(starts, starts[k] + _CHUNK_ATOMS) - 1)
+            first, end = starts[k], starts[stop]
+            out += self._chunk_energies(draws.locations[first:end], draws.norms[first:end],
+                                        [s - first for s in starts[k:stop + 1]])
+            k = stop
+        return out
+
+    def _chunk_energies(self, x: np.ndarray, norms: np.ndarray, starts: list) -> list[float]:
+        """The energies of the stacked draws whose atoms are the rows
+        ``starts[k]:starts[k + 1]`` of ``x`` (see ``energies``)."""
+        if len(x) < 2:
+            return [0.0] * (len(starts) - 1)
+        i, j, diffs = self._block_candidates(x, norms, starts)
+        # math.dist(x, y) is math.hypot of the differences x - y
+        dist = list(map(math.hypot, *[diff.tolist() for diff in diffs]))
+        a, b = norms[i].tolist(), norms[j].tolist()
+        cut = np.searchsorted(i, starts).tolist()
+        return [self._add_terms(dist[f:e], a[f:e], b[f:e]) if e > f else 0.0
+                for f, e in zip(cut, cut[1:])]
 
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         total = self.energy(interior)
@@ -554,6 +692,9 @@ class DiffusionModel(_PairwiseModel):
     def reach(self, norm_p, norm_q) -> float:
         return self.a0 + norm_p + norm_q
 
+    # the block pricing adds no self terms and reads no paths
+    energies = EnergyModel.energies
+
     def conditional_energy(self, interior: Configuration, environment: Configuration) -> float:
         self.validate_config(environment)
         return super().conditional_energy(interior, environment)
@@ -562,6 +703,16 @@ class DiffusionModel(_PairwiseModel):
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
+
+
+def draw_energies(model, draws: Draws, env: Configuration | None = None) -> list[float]:
+    """``model.energies(draws, env)``; a model without that entry (any object
+    with ``energy``, and ``conditional_energy`` when ``env`` is given) is
+    priced per draw, as ``EnergyModel.energies`` does."""
+    entry = getattr(model, "energies", None)
+    if entry is None:
+        return EnergyModel.energies(model, draws, env)
+    return entry(draws, env)
 
 
 def interaction_range(

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .energy import draw_energies
 from .errors import ConfigError, PreconditionError
 from .functionals import LocalFunctional
 from .marks import MarkLaw
@@ -29,7 +30,7 @@ from .points import (
     window_contains,
 )
 from .rng import stream
-from .sampler import rejection_sample, run_chain, sample_poisson
+from .sampler import _poisson_draws, rejection_sample, run_chain
 
 __all__ = [
     "PartitionReport",
@@ -58,6 +59,12 @@ MIN_OUTER_SAMPLES = 2
 # a chain of c steps keeps ceil(c/2) // max(1, c // (2n)) of its last c/2
 # states for n >= MIN_ENERGIES energies: at least 2 from c = 3 on, 1 at c = 2
 MIN_CHAIN_STEPS = 3
+# Draws per block of ``partition_estimate``: the draws of a block are read
+# from the stream one after another, then priced by one ``draw_energies``
+# call. On the ``entropy-nonnegpair`` settings, blocks of 64 to 256 draws
+# took the same time within the noise, and each doubling added up to about
+# 0.5 MB to the peak RSS of an entropy run.
+DRAW_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +126,10 @@ def partition_estimate(
     so there is no jackknife: ``log_z_hat`` is the plug-in log-mean and
     ``log_stderr`` is +inf. The empty configuration contributes weight one,
     so the true value is at least exp(-z |W|); the report carries that
-    floor. A batch in which every draw has infinite energy yields estimate 0
+    floor. The draws are read and priced in blocks of ``DRAW_BLOCK``
+    (``sampler._poisson_draws``, ``energy.draw_energies``), which leaves the
+    stream and every energy as draws priced one at a time would. A batch in
+    which every draw has infinite energy yields estimate 0
     with a logged warning instead of an exception (it is a legitimate
     outcome for hard cores at high activity, and the caller sees
     ``degenerate=True``).
@@ -128,8 +138,11 @@ def partition_estimate(
         raise PreconditionError(
             f"partition_estimate needs at least {MIN_PARTITION_SAMPLES} samples")
     neg_h = np.empty(n_samples)
-    for i in range(n_samples):
-        neg_h[i] = -model.energy(sample_poisson(window, z, mark_law, rng))
+    for start in range(0, n_samples, DRAW_BLOCK):
+        count = min(DRAW_BLOCK, n_samples - start)
+        draws, _ = _poisson_draws(window, z, mark_law, rng, count)
+        neg_h[start:start + count] = draw_energies(model, draws)
+    np.negative(neg_h, out=neg_h)
     n_inf = int(np.count_nonzero(neg_h == -math.inf))
     lower = math.exp(-z * window.volume())
     top = int(neg_h.argmax())

@@ -14,8 +14,11 @@ each line from per-atom JSON texts: with sorted keys a nested object
 serialises on its own, so the line has the bytes of the one-record dump.
 It keeps the previous line's texts keyed by ``id(atom)`` beside the atom
 itself, which pins the atom so that its id cannot pass to a new one; an
-atom carried over reuses its text. The key is the identity, not the value,
-because equal atoms can print differently (0.0 == -0.0). The reader keeps
+atom carried over reuses its text. A move makes a new atom with the old
+atom's mark object, so a new atom whose path mark an atom of the line
+before held reuses that path's text, and a path is encoded once while it
+stays in the chain. The key is the identity, not the value, because equal
+atoms can print differently (0.0 == -0.0). The reader keeps
 the previous line's path marks keyed by their f8le text: a repeated path
 whose shape checks out is the earlier PathMark, not decoded again, so read
 atoms may share one (immutable) PathMark. Each map holds one line, so
@@ -154,15 +157,26 @@ def _config_from_record(record: dict, seen: dict, kept: dict) -> Configuration:
 def _record_lines(configs: Iterable[Configuration], meta: dict | None) -> Iterator[str]:
     """``json.dumps(config_to_record(c, meta), sort_keys=True)`` for each
     configuration, assembled from per-atom texts: an atom object that the
-    previous configuration held reuses its text. The map is keyed by
-    ``id`` and holds the atom beside its text, so that id names that atom
-    for as long as the entry lives."""
+    previous configuration held reuses its text, and a new atom with a path
+    mark object that it held (a moved atom keeps its mark) reuses the path's
+    text. The map is keyed by ``id`` and holds the atom beside its texts, so
+    that the id names that atom, and its mark, for as long as the entry
+    lives."""
     meta_text = f', "meta": {json.dumps(meta, sort_keys=True)}' if meta else ""
     texts: dict = {}
     for config in configs:
-        line, atoms = {}, []
+        line, atoms, paths = {}, [], None
         for p in config.points:
-            entry = texts.get(id(p)) or (p, json.dumps(_point_record(p), sort_keys=True))
+            entry = texts.get(id(p))
+            if entry is None and isinstance(p.mark, PathMark):
+                if paths is None:
+                    paths = {id(q.mark): mark for q, _, mark in texts.values() if mark}
+                mark = paths.get(id(p.mark)) or json.dumps(_mark_payload(p.mark), sort_keys=True)
+                x = json.dumps([float(c) for c in p.location])
+                # the keys of _point_record, sorted
+                entry = (p, f'{{"mark": {mark}, "x": {x}}}', mark)
+            elif entry is None:
+                entry = (p, json.dumps(_point_record(p), sort_keys=True), None)
             line[id(p)] = entry
             atoms.append(entry[1])
         points = ", ".join(atoms)

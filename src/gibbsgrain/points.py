@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 _NORM_RTOL = 1e-12
+# Rows above which ``_check_rows`` checks with numpy: at 64 rows both ways
+# took about 4.7 us, at 1024 rows Python's sum and set took 87 us and
+# numpy's isfinite and sort 8 us.
+_NUMPY_CHECK_ABOVE = 64
 
 
 def _mark_norm_of(mark) -> float:
@@ -82,6 +86,35 @@ def _check_simple(locs: list) -> None:
             seen.add(loc)
 
 
+def _check_rows(locations: np.ndarray, marks: list, norms: np.ndarray, starts: list) -> None:
+    """The refusals of configurations built from arrays, whose atoms are the
+    rows ``starts[k]:starts[k + 1]`` of the arrays: a non-finite norm, with
+    ``MarkedPoint.make``'s error, and two atoms of one configuration at one
+    location, with the constructor's. One pass checks every norm and one
+    pass over the first coordinates every location; only when that pass finds
+    a repeat are the configurations checked one by one."""
+    x0 = locations[:, 0]
+    # two atoms at one location share their first coordinate; numpy checks
+    # and sorts long arrays faster than Python sums and hashes them, and
+    # short ones slower
+    if len(x0) > _NUMPY_CHECK_ABOVE:
+        finite = bool(np.isfinite(norms).all())
+        x0 = np.sort(x0)
+        repeat = bool((x0[1:] == x0[:-1]).any())
+    else:
+        # a sum of finite norms is finite unless it overflows
+        finite = math.isfinite(sum(norms.tolist()))
+        repeat = len(set(x0.tolist())) < len(x0)
+    if not finite:
+        for i, norm in enumerate(norms.tolist()):
+            if not math.isfinite(norm):
+                raise ValueError(f"mark {marks[i]!r} has non-finite norm {norm!r}")
+    if repeat:
+        rows = list(map(tuple, locations.tolist()))
+        for first, end in zip(starts, starts[1:]):
+            _check_simple(rows[first:end])
+
+
 class Configuration:
     """Immutable finite simple marked configuration.
 
@@ -127,29 +160,26 @@ class Configuration:
         """Configuration of the atoms (locations[i], marks[i]), whose mark
         norms the caller has computed as ``norms``.
 
-        The norms are checked finite with one sum, with ``MarkedPoint.make``'s
-        error, and the simplicity check runs on the location rows, with the
-        constructor's error. The two arrays, made read-only, become
+        The arrays are checked by ``_check_rows``: the norms finite with one
+        sum, with ``MarkedPoint.make``'s error, and the location rows simple,
+        with the constructor's error. The two arrays, made read-only, become
         ``locations()`` and ``mark_norms()``; the atoms are built, without
         ``MarkedPoint.make``'s per-atom norm and check, only when ``points``
         is first read.
         """
-        # a sum of finite norms is finite unless it overflows
-        if not math.isfinite(sum(norms.tolist())):
-            for i, norm in enumerate(norms.tolist()):
-                if not math.isfinite(norm):
-                    raise ValueError(f"mark {marks[i]!r} has non-finite norm {norm!r}")
-        locs = locations.tolist()
-        # two atoms at one location share their first coordinate
-        if len(set(locations[:, 0].tolist())) < len(locs):
-            _check_simple(list(map(tuple, locs)))
+        _check_rows(locations, marks, norms, [0, len(norms)])
+        return Configuration._of_checked(locations, marks, norms)
+
+    @staticmethod
+    def _of_checked(locations: np.ndarray, marks: list, norms: np.ndarray) -> "Configuration":
+        """``from_arrays`` on arrays that ``_check_rows`` has already passed."""
         locations.setflags(write=False)
         norms.setflags(write=False)
         config = object.__new__(Configuration)
         put = object.__setattr__
         put(config, "_points", None)
         put(config, "dimension", locations.shape[1])
-        put(config, "_coords", locs)
+        put(config, "_coords", locations.tolist())
         put(config, "_marks", marks)
         put(config, "_locs", locations)
         put(config, "_norms", norms)
@@ -215,6 +245,47 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration(n={len(self)}, d={self.dimension})"
+
+
+class Draws:
+    """A block of configurations stored back to back, as the samplers draw
+    Poisson configurations in blocks: the atoms of draw k are the rows
+    ``starts[k]:starts[k + 1]`` of ``locations``, ``marks`` and ``norms``.
+
+    The rows are checked once, with ``from_arrays``' refusals, at
+    construction. ``config(k)`` builds draw k's configuration from copies of
+    its rows, so a draw that nobody asks for builds neither atoms nor a
+    configuration. Draws that are not made from arrays (see
+    ``sampler.sample_poisson``) are held as configurations (``of``), and
+    ``locations`` is then None.
+    """
+
+    __slots__ = ("locations", "marks", "norms", "starts", "_configs")
+
+    def __init__(self, locations: np.ndarray, marks: list, norms: np.ndarray, starts: list):
+        _check_rows(locations, marks, norms, starts)
+        self.locations = locations
+        self.marks = marks
+        self.norms = norms
+        self.starts = starts
+        self._configs = None
+
+    @staticmethod
+    def of(configs: list[Configuration]) -> "Draws":
+        draws = object.__new__(Draws)
+        draws.locations = draws.marks = draws.norms = draws.starts = None
+        draws._configs = configs
+        return draws
+
+    def __len__(self) -> int:
+        return len(self._configs) if self.locations is None else len(self.starts) - 1
+
+    def config(self, k: int) -> Configuration:
+        if self.locations is None:
+            return self._configs[k]
+        first, end = self.starts[k], self.starts[k + 1]
+        return Configuration._of_checked(self.locations[first:end].copy(),
+                                         self.marks[first:end], self.norms[first:end].copy())
 
 
 # ---------------------------------------------------------------------------

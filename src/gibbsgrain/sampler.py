@@ -3,22 +3,29 @@ birth-death-move-remark Metropolis-Hastings chain.
 
 The Poisson reference on a box, with a law whose ``MarkLaw.uniforms`` is set,
 takes all the doubles of one configuration from a single ``rng.random`` call
-instead of one call per point and mark, and builds the configuration from
-that block in one array pass. The block holds the same doubles in the same
-order as the per-point loop, and the locations come from ``Box.draw``'s
-expression, lo + u * span, on its location columns. The marks and their
-norms come from ``MarkLaw.marks_from_uniforms`` on its mark columns:
-``UniformLaw`` evaluates one array formula that returns, for every row, the
-mark its ``sample`` returns on that row's doubles (same type, same value to
-the bit) and the norm ``MarkedPoint.make`` computes for it; every other law
-falls back to replaying its ``sample`` row by row. So every configuration is
-the loop's to the bit, while ``Configuration.from_arrays`` checks the norms
-finite and the locations simple once per block, keeps the location and norm
+instead of one call per point and mark, and ``_from_uniforms`` builds the
+atoms from that block in one array pass. The block holds the same doubles in
+the same order as the per-point loop, and the locations come from
+``Box.draw``'s expression, lo + u * span, on its location columns. The marks
+and their norms come from ``MarkLaw.marks_from_uniforms`` on its mark
+columns: ``UniformLaw`` evaluates one array formula that returns, for every
+row, the mark its ``sample`` returns on that row's doubles (same type, same
+value to the bit) and the norm ``MarkedPoint.make`` computes for it; every
+other law falls back to replaying its ``sample`` row by row. So every
+configuration is the loop's to the bit. ``Configuration.from_arrays`` checks
+the norms finite and the locations simple, keeps the location and norm
 arrays as the configuration's ``locations()`` and ``mark_norms()``, and
-builds the atoms only when ``points`` is first read. The pairwise energies,
-the mark statistics and ``len`` read the arrays, so the draws that
-``rejection_sample`` rejects, and those that ``partition_estimate`` and the
-stability audits price, never build their atoms.
+builds the atoms only when ``points`` is first read.
+
+``rejection_sample`` and ``estimators.partition_estimate`` read their draws
+in blocks (``_poisson_draws``): the draws read the stream one after another,
+as calls of ``sample_poisson`` do, and their stacked blocks of doubles go
+through one ``_from_uniforms`` call and one ``points.Draws`` check. A block
+is priced by one ``energy.draw_energies`` call, and only the draws that are
+kept become configurations. Energies read no randomness, so drawing a
+block before pricing it changes nothing in the stream; ``rejection_sample``
+sizes its chunks so that it stops where a loop of one proposal at a time
+stops (see there).
 
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
@@ -85,16 +92,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
+from .energy import draw_energies
 from .errors import NumericalFailure, PreconditionError
 from .geometry import Disc, meeting_discs
 from .marks import MarkLaw
 from .points import (
     Box,
     Configuration,
+    Draws,
     MarkedPoint,
     Window,
     restrict,
@@ -116,38 +125,75 @@ __all__ = [
 ]
 
 
+def _from_uniforms(window: Box, mark_law: MarkLaw, u: np.ndarray):
+    """Locations, marks and norms of the atoms whose doubles are the rows of
+    ``u``, an (n, d + uniforms) array: ``Box.draw``'s expression,
+    lo + u * span, on the location columns, and the law's
+    ``marks_from_uniforms`` on the mark columns. Both work row by row, so an
+    atom does not depend on the rows around it."""
+    d = window.dimension
+    marks, norms = mark_law.marks_from_uniforms(u[:, d:])
+    return np.add(window.lo, u[:, :d] * window.span), marks, norms
+
+
+def _read_draw(window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator):
+    """One Poisson draw read from the stream: its count, then, on a box with a
+    law whose ``uniforms`` is set, the (n, d + uniforms) block of its doubles,
+    returned as it is; otherwise the per-point loop, whose configuration is
+    returned. An activity of 0 reads nothing."""
+    if z < 0:
+        raise ValueError("activity z must be non-negative")
+    n = int(rng.poisson(z * window.volume())) if z else 0
+    k = mark_law.uniforms
+    if k is None or not isinstance(window, Box):
+        return Configuration(
+            [MarkedPoint.make(window.draw(rng), mark_law.sample(rng)) for _ in range(n)],
+            dimension=window.dimension)
+    return rng.random((n, window.dimension + k))
+
+
+def _poisson_draws(
+    window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator, count: int,
+    accept: bool = False,
+) -> tuple[Draws, list[float]]:
+    """``count`` >= 1 Poisson draws read from the stream one after another, as
+    ``count`` calls of ``sample_poisson`` read it; with ``accept``, one
+    ``rng.random()`` follows each draw, and those doubles are returned too.
+
+    The blocks of doubles of all the draws are stacked and turned into atoms
+    by one ``_from_uniforms`` call and checked by one ``Draws``; draws made by
+    the per-point loop are held as configurations.
+    """
+    reads, uniforms = [], []
+    for _ in range(count):
+        reads.append(_read_draw(window, z, mark_law, rng))
+        if accept:
+            uniforms.append(rng.random())
+    if isinstance(reads[0], Configuration):
+        return Draws.of(reads), uniforms
+    starts = [0, *accumulate(map(len, reads))]
+    return Draws(*_from_uniforms(window, mark_law, np.concatenate(reads)), starts), uniforms
+
+
 def sample_poisson(
     window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator
 ) -> Configuration:
     """Poisson configuration: Poisson(z |W|) points placed uniformly, marks iid.
 
     On a box, with a law whose ``uniforms`` is set, the n points' doubles are
-    drawn as one (n, d + uniforms) block. The per-point loop reads d location
-    doubles, then the mark's, point after point, which is the block's row-major
-    order, so both read the same doubles in the same order. The locations go
-    through ``Box.draw``'s expression, lo + u * span, as one array operation,
-    and the marks through the law's ``marks_from_uniforms`` (see the module
-    docstring), so the configuration is the loop's to the bit and the stream
-    is left where the loop leaves it. Balls (whose bounding-box rejection
-    reads a variable number of doubles) and other laws keep the loop.
+    drawn as one (n, d + uniforms) block (``_read_draw``). The per-point loop
+    reads d location doubles, then the mark's, point after point, which is the
+    block's row-major order, so both read the same doubles in the same order.
+    ``_from_uniforms`` turns the block into atoms, as it does for the blocks
+    of ``_poisson_draws``, so the configuration is the loop's to the bit and
+    the stream is left where the loop leaves it. Balls (whose bounding-box
+    rejection reads a variable number of doubles) and other laws keep the
+    loop.
     """
-    if z < 0:
-        raise ValueError("activity z must be non-negative")
-    if z == 0:
-        return Configuration.empty(window.dimension)
-    n = int(rng.poisson(z * window.volume()))
-    k = mark_law.uniforms
-    if k is None or not isinstance(window, Box):
-        pts = [
-            MarkedPoint.make(window.draw(rng), mark_law.sample(rng))
-            for _ in range(n)
-        ]
-        return Configuration(pts, dimension=window.dimension)
-    d = window.dimension
-    block = rng.random((n, d + k))
-    marks, norms = mark_law.marks_from_uniforms(block[:, d:])
-    locations = np.add(window.lo, block[:, :d] * window.span)
-    return Configuration.from_arrays(locations, marks, norms)
+    draw = _read_draw(window, z, mark_law, rng)
+    if isinstance(draw, Configuration):
+        return draw
+    return Configuration.from_arrays(*_from_uniforms(window, mark_law, draw))
 
 
 @dataclass(frozen=True)
@@ -159,6 +205,10 @@ class RejectionResult:
     energies: tuple[float, ...]
     n_proposed: int
     n_accepted: int
+
+
+# Proposals between two checks of the acceptance rate.
+_RATE_CHECK_EVERY = 2000
 
 
 def rejection_sample(
@@ -177,8 +227,16 @@ def rejection_sample(
     Proposes Poisson configurations and accepts with probability exp(-H),
     which is a valid thinning exactly because H >= 0. With an environment the
     conditional energy is used (still non-negative for these models). Aborts
-    with a diagnostic when the realised acceptance rate falls below
-    ``min_rate``, rather than spinning forever.
+    with a diagnostic when the realised acceptance rate, checked every 2000
+    proposals, falls below ``min_rate``, rather than spinning forever.
+
+    Proposals are drawn in chunks and each chunk is priced by one
+    ``energy.draw_energies`` call. Each proposal reads its count, its block of
+    doubles and then its acceptance uniform, as a loop of one proposal at a
+    time does. A chunk ends at the first of: the acceptance that could
+    complete the batch (``n_samples`` - accepted proposals), the next rate
+    check, and the proposal budget. So no chunk reads past the double where
+    that loop stops, and both checks fire at its proposal counts.
     """
     if not getattr(model, "nonnegative", False):
         raise PreconditionError(
@@ -188,29 +246,27 @@ def rejection_sample(
     samples: list[Configuration] = []
     energies: list[float] = []
     proposed = accepted = 0
-    while len(samples) < n_samples:
+    while accepted < n_samples:
         if proposed >= max_proposals:
             raise NumericalFailure(
                 f"rejection sampler exceeded {max_proposals} proposals "
                 f"({accepted} accepted)"
             )
-        gamma = sample_poisson(window, z, mark_law, rng)
-        proposed += 1
-        h = (
-            model.conditional_energy(gamma, env_out)
-            if env_out is not None
-            else model.energy(gamma)
-        )
-        if h < 0:
-            raise NumericalFailure(
-                f"model {model.model_id!r} produced negative energy {h} despite "
-                "its non-negativity certificate"
-            )
-        if rng.random() < math.exp(-h):
-            samples.append(gamma)
-            energies.append(h)
-            accepted += 1
-        if proposed % 2000 == 0 and accepted / proposed < min_rate:
+        count = min(n_samples - accepted, _RATE_CHECK_EVERY - proposed % _RATE_CHECK_EVERY,
+                    max_proposals - proposed)
+        draws, uniforms = _poisson_draws(window, z, mark_law, rng, count, accept=True)
+        for k, h in enumerate(draw_energies(model, draws, env_out)):
+            if h < 0:
+                raise NumericalFailure(
+                    f"model {model.model_id!r} produced negative energy {h} despite "
+                    "its non-negativity certificate"
+                )
+            if uniforms[k] < math.exp(-h):
+                samples.append(draws.config(k))
+                energies.append(h)
+                accepted += 1
+        proposed += count
+        if proposed % _RATE_CHECK_EVERY == 0 and accepted / proposed < min_rate:
             raise NumericalFailure(
                 f"rejection acceptance rate {accepted}/{proposed} below {min_rate}; "
                 "the energy scale is too large for exact sampling"

@@ -1,6 +1,7 @@
 """Energy models: values, gating, locality, conditional energies, additivity."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,12 +27,15 @@ from gibbsgrain import (
     minimal_t,
     restrict,
     restrict_complement,
+    sample_poisson,
     stream,
     union_area_perimeter,
 )
-from gibbsgrain.energy import _ALL_PAIRS_BELOW
+from gibbsgrain import energy as energy_module
+from gibbsgrain.energy import _ALL_PAIRS_BELOW, _CHUNK_ATOMS
 from gibbsgrain.geometry import _DEGENERACY_TOL, _find_degenerate
-from gibbsgrain.marks import LangevinSpec, PathMark
+from gibbsgrain.marks import LangevinSpec, PathMark, UniformLaw
+from gibbsgrain.points import Draws
 from conftest import config, mp, random_scalar_config
 
 
@@ -566,6 +570,127 @@ class TestWithinReach:
             tracemalloc.stop()
         assert 0.0 < h < math.inf
         assert peak < n * n  # bytes of one n x n array of bools
+
+
+def stacked(configs, d):
+    """The configurations as one block of draws, stored back to back."""
+    locs = [c.locations() for c in configs]
+    starts = [0]
+    for c in configs:
+        starts.append(starts[-1] + len(c))
+    return Draws(np.concatenate(locs) if configs else np.zeros((0, d)),
+                 [p.mark for c in configs for p in c.points],
+                 np.concatenate([c.mark_norms() for c in configs]), starts)
+
+
+def block_case(kind, d, sizes, reach_pairs, inf_at, seed):
+    """Draws of the given sizes in [10, 14)^d, uniform marks up to 0.8; one
+    draw carries the at-reach and beyond-reach pairs, one a +inf pair."""
+    configs = []
+    for k, n in enumerate(sizes):
+        interior, _ = within_reach_case(kind, d, n, 0, reach_pairs and k == 1,
+                                        inf_at if k == 2 else None, seed + k)
+        configs.append(interior)
+    return configs
+
+
+def lattice_draw(d, m, norm, jitter=0.0):
+    """m^d atoms of norm ``norm`` on the lattice of spacing 2 * norm (the
+    hard-core and bump reach), shifted off the origin: neighbours sit exactly
+    at reach, and every row of atoms lies on the edge of a cell of the block
+    search (its side is the reach, padded by a millionth)."""
+    side = 2.0 * norm
+    locs = [tuple(5.0 + side * k + jitter * (-1) ** sum(idx) for k in idx)
+            for idx in product(range(m), repeat=d)]
+    return Configuration([MarkedPoint.make(x, norm) for x in locs], d)
+
+
+BLOCK_MODELS = {k: WITHIN_REACH_MODELS[k] for k in ("ideal", "hardcore", "nonnegpair")}
+
+
+class TestBlockEnergies:
+    """``energies`` on a block of array draws: one candidate search for the
+    block, and every energy the draw's ``energy`` by ``float.hex``."""
+
+    @staticmethod
+    def assert_block_is_per_draw(model, configs, d):
+        got = model.energies(stacked(configs, d))
+        assert [h.hex() for h in got] == [model.energy(c).hex() for c in configs]
+        assert [h.hex() for h in got] == [all_pairs_energy(model, c).hex() for c in configs]
+        return got
+
+    @settings(max_examples=120)
+    @given(
+        kind=st.sampled_from(sorted(BLOCK_MODELS)),
+        d=st.sampled_from([1, 2, 3]),
+        sizes=st.lists(st.sampled_from([0, 1, 2, 7, _ALL_PAIRS_BELOW, 40]), min_size=1,
+                       max_size=6),
+        reach_pairs=st.booleans(),
+        inf_at=st.sampled_from([None, "first", "late"]),
+        chunk=st.sampled_from([1, 7, 50, _CHUNK_ATOMS]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="nonnegpair", d=2, sizes=[0, 1, 40, 0, 13], reach_pairs=True, inf_at="first",
+             chunk=7, seed=1)
+    @example(kind="hardcore", d=1, sizes=[40, 40, 40], reach_pairs=True, inf_at="first",
+             chunk=50, seed=2)
+    @example(kind="nonnegpair", d=3, sizes=[2, 40, 40, 1], reach_pairs=True, inf_at="late",
+             chunk=1, seed=3)
+    def test_block_matches_energy(self, kind, d, sizes, reach_pairs, inf_at, chunk, seed):
+        model = BLOCK_MODELS[kind]
+        configs = block_case(kind, d, sizes, reach_pairs, inf_at, seed)
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(energy_module, "_CHUNK_ATOMS", chunk)
+            got = self.assert_block_is_per_draw(model, configs, d)
+        if inf_at is not None and kind != "ideal" and len(sizes) > 2:
+            assert got[2] == math.inf
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_MODELS))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_large_block_of_poisson_draws(self, kind, d):
+        # 400 dense draws, tens of atoms each: several chunks of the default
+        # size, with many terms per draw, so a sum taken out of row-major
+        # order shows in the last bits
+        window = Box.centered_cube({1: 8.0, 2: 3.0, 3: 1.5}[d], d)
+        rng = stream(531, d)
+        configs = [sample_poisson(window, 2.5, UniformLaw(0.6), rng) for _ in range(400)]
+        assert sum(map(len, configs)) > 2 * _CHUNK_ATOMS
+        got = self.assert_block_is_per_draw(BLOCK_MODELS[kind], configs, d)
+        if kind == "nonnegpair":
+            assert 0 < sum(0.0 < h < math.inf for h in got)
+
+    @pytest.mark.parametrize("kind", ["hardcore", "nonnegpair"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("jitter", [0.0, 1e-12])
+    def test_atoms_on_cell_edges(self, kind, d, jitter):
+        # every neighbour pair sits exactly at reach (nonnegpair: a nonzero
+        # term) or just inside or beyond it, across the edges of the cells
+        m = {1: 30, 2: 6, 3: 3}[d]
+        configs = [lattice_draw(d, m, 0.375, jitter), lattice_draw(d, m, 0.5, jitter)]
+        got = self.assert_block_is_per_draw(BLOCK_MODELS[kind], configs, d)
+        if kind == "nonnegpair" and jitter == 0.0:
+            assert all(h > 0.0 for h in got)
+
+    def test_empty_and_one_atom_draws(self):
+        one = Configuration([MarkedPoint.make((0.5, 0.5), 0.3)], 2)
+        for configs in ([Configuration.empty(2)], [one], [one, Configuration.empty(2), one]):
+            for model in BLOCK_MODELS.values():
+                assert self.assert_block_is_per_draw(model, configs, 2) == [0.0] * len(configs)
+
+    def test_conditional_energies_are_priced_per_draw(self):
+        model = BLOCK_MODELS["nonnegpair"]
+        configs = block_case("nonnegpair", 2, [7, 13, 2], True, None, 9)
+        _, env = within_reach_case("nonnegpair", 2, 0, 30, False, None, 9)
+        got = model.energies(stacked(configs, 2), env)
+        assert [h.hex() for h in got] == [model.conditional_energy(c, env).hex()
+                                         for c in configs]
+
+    def test_diffusion_prices_per_draw(self):
+        model = WITHIN_REACH_MODELS["diffusion"]
+        configs = block_case("diffusion", 2, [7, 13], True, None, 10)
+        assert model.energies(stacked(configs, 2)) == [model.energy(c) for c in configs]
+        with pytest.raises(PreconditionError, match="path marks"):
+            model.energies(stacked([random_scalar_config(stream(532, 0))], 2))
 
 
 class TestTranslationInvariance:

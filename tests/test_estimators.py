@@ -42,6 +42,7 @@ from gibbsgrain.estimators import (
     specific_entropy_curve,
 )
 from gibbsgrain.functionals import build_library
+from gibbsgrain.references import hard_rods_log_z
 
 from conftest import config, mp, random_scalar_config
 
@@ -241,6 +242,34 @@ class TestPartition:
             AlwaysInf(), Box.unit(2), 0.5, PointMassLaw(0.2), 1000, stream(907, 0)
         )
         assert rep.degenerate and rep.ess == 0.0 and rep.max_weight_share == 0.0
+
+
+class TestHardRodsExact:
+    """``partition_estimate`` against Tonks' closed form for hard rods,
+    which exercises the block draws and the block search in d = 1."""
+
+    def test_closed_form(self):
+        # rods of length 1 on [0, 2): at most two fit, with the pair volume
+        # of the quadrature oracle above
+        assert hard_rods_log_z(ROD_Z, 1.0, 2.0) == pytest.approx(
+            math.log(rod_partition_oracle()), rel=0, abs=1e-14)
+        assert hard_rods_log_z(0.7, 0.0, 3.0) == 0.0
+        # rods of length 0.5 on a window of length 2: up to five fit
+        z = 0.5
+        terms = [z**k * (2.0 - (k - 1) * 0.5) ** k / math.factorial(k) for k in range(6)]
+        assert hard_rods_log_z(z, 0.5, 2.0) == pytest.approx(
+            -z * 2.0 + math.log(sum(terms)), rel=1e-14)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_partition_estimate_pulls(self, z, n):
+        # sigma = 0.5 on [-n, n); seed 701 of the sweep 701-710, whose pulls
+        # stayed within 2.9 sigma
+        rep = partition_estimate(HardSphereModel(), Box.centered_cube(n, 1), z,
+                                 PointMassLaw(0.25), 5000, stream(701, 10 * int(z == 1.0) + n))
+        pull = (rep.log_z_hat - hard_rods_log_z(z, 0.5, 2.0 * n)) / rep.log_stderr
+        assert abs(pull) <= 4.0
+        assert rep.ess > 0.09 * rep.n_samples
 
 
 class TestJStatistic:
@@ -490,9 +519,12 @@ class TestEntropyCurve:
         class Planted(IdealModel):
             calls = 0
 
-            def energy(self, c):
-                self.calls += 1
-                return -40.0 if self.calls == 40 + 500 else 0.0
+            def energies(self, draws, env=None):
+                out = []
+                for h in super().energies(draws, env):
+                    self.calls += 1
+                    out.append(-40.0 if self.calls == 40 + 500 else h)
+                return out
 
         def run(model):
             caplog.clear()

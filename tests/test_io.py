@@ -197,6 +197,38 @@ class TestLinesFromAtomTexts:
         assert_lines_are_dumps(tmp_path, views(), list(views()))
 
 
+def moved_path_samples():
+    """Diffusion chain samples thinned to every step, so that a move, which
+    puts the same path mark on a new atom object, shows on the next line."""
+    return run_chain(DiffusionModel(), Box.centered_cube(1, 2), 0.6,
+                     LangevinSpec.named("quartic", 12), 300, stream(424245, 0),
+                     burn_in=50, thin=1).samples
+
+
+class TestPathEncodedOncePerRun:
+    def test_moved_atoms_reuse_their_path_text(self, tmp_path, monkeypatch):
+        import gibbsgrain.io as io_module
+
+        batch = moved_path_samples()
+        encoded = []
+        payload = io_module._mark_payload
+        monkeypatch.setattr(io_module, "_mark_payload",
+                            lambda mark: encoded.append(mark) or payload(mark))
+        write_configs_jsonl(tmp_path / "counted.jsonl", batch)
+        monkeypatch.undo()
+        assert_lines_are_dumps(tmp_path, batch, batch)
+        assert (tmp_path / "counted.jsonl").read_bytes() == (tmp_path / "lines.jsonl").read_bytes()
+        # a path is encoded when it joins a line that did not hold it
+        joins = sum(len({id(p.mark) for p in b.points} - {id(p.mark) for p in a.points})
+                    for a, b in zip([Configuration.empty(2)] + list(batch), batch))
+        assert sum(isinstance(m, PathMark) for m in encoded) == joins
+        # moves do carry marks to new atoms here, which an atom-keyed map alone
+        # would encode again
+        moved = sum(len({id(p.mark) for p in a.points} & {id(p.mark) for p in b.points})
+                    for a, b in zip(batch, batch[1:])) - shared_atoms(batch)
+        assert moved > 5
+
+
 class LazyAtoms:
     """A configuration that builds new atoms each time its ``points`` are
     read, as a view over stored arrays might."""

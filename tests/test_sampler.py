@@ -39,7 +39,9 @@ from gibbsgrain import (
 from gibbsgrain import energy as energy_module
 from gibbsgrain import sampler
 from gibbsgrain.geometry import _DEGENERACY_TOL, Disc, _find_degenerate, link_increment
+from gibbsgrain.estimators import partition_estimate
 from gibbsgrain.io import write_configs_jsonl
+from gibbsgrain.points import Draws
 from gibbsgrain.sampler import (
     ChainState,
     bdm_step,
@@ -386,6 +388,21 @@ class TestBlockFormulas:
         with pytest.raises(ValueError, match="mark 'x' has non-finite norm nan"):
             Configuration.from_arrays(locations, [0.5, "x"], np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("rows", [3, 100])
+    def test_a_block_refuses_per_draw(self, rows):
+        # short and long blocks (the check switches to numpy above 64 rows):
+        # a location may repeat across draws, not within one
+        x = np.arange(rows, dtype=float)
+        locations = np.stack([np.concatenate([x, x]), np.zeros(2 * rows)], axis=1)
+        norms = np.full(2 * rows, 0.5)
+        marks = norms.tolist()
+        assert len(Draws(locations, marks, norms, [0, rows, 2 * rows])) == 2
+        with pytest.raises(ValueError, match=r"duplicate location \(0.0, 0.0\)"):
+            Draws(locations, marks, norms, [0, rows + 1, 2 * rows])
+        norms[-1] = math.inf
+        with pytest.raises(ValueError, match="mark 0.5 has non-finite norm inf"):
+            Draws(locations, marks, norms, [0, rows, 2 * rows])
+
 
 class TestRejection:
     def test_requires_certified_nonnegative_model(self):
@@ -476,9 +493,140 @@ class TestRejection:
 
     def test_negative_energy_breaks_the_certificate(self, monkeypatch):
         model = HardSphereModel()
-        monkeypatch.setattr(model, "energy", lambda gamma: -1.0)
+        monkeypatch.setattr(model, "energies", lambda draws, env=None: [-1.0] * len(draws))
         with pytest.raises(NumericalFailure, match="negative energy -1.0"):
             rejection_sample(model, Box.unit(2), 1.0, UniformLaw(0.5), 5, stream(641, 0))
+
+
+def stream_state(rng):
+    """The generator's state as text (Philox keeps numpy arrays in it)."""
+    return repr(rng.bit_generator.state)
+
+
+def one_at_a_time_rejection(model, window, z, law, n_samples, rng, env=None,
+                            max_proposals=5_000_000, min_rate=1e-4):
+    """The rejection loop of one proposal at a time: its count and block of
+    doubles (``sample_poisson``), its energy, then its acceptance uniform."""
+    env_out = restrict_complement(env, window) if env is not None else None
+    samples, energies = [], []
+    proposed = accepted = 0
+    while accepted < n_samples:
+        if proposed >= max_proposals:
+            raise NumericalFailure(f"rejection sampler exceeded {max_proposals} proposals "
+                                   f"({accepted} accepted)")
+        gamma = sample_poisson(window, z, law, rng)
+        proposed += 1
+        h = model.energy(gamma) if env is None else model.conditional_energy(gamma, env_out)
+        if rng.random() < math.exp(-h):
+            samples.append(gamma)
+            energies.append(h)
+            accepted += 1
+        if proposed % 2000 == 0 and accepted / proposed < min_rate:
+            raise NumericalFailure(f"rejection acceptance rate {accepted}/{proposed} below "
+                                   f"{min_rate}")
+    return samples, energies, proposed
+
+
+def one_at_a_time_log_weights(model, window, z, law, n_samples, rng):
+    """-H of ``n_samples`` Poisson draws, drawn and priced one at a time."""
+    return np.array([-model.energy(sample_poisson(window, z, law, rng))
+                     for _ in range(n_samples)])
+
+
+BLOCK_CASES = {
+    "rods": (HardSphereModel(), Box.centered_cube(2.0, 1), 1.0, PointMassLaw(0.25)),
+    "bump-n4": (PairPotentialModel(soft_bump), Box.centered_cube(4.0, 2), 0.5, UniformLaw(0.6)),
+    "hardcore-3d": (HardSphereModel(), Box.centered_cube(1.0, 3), 1.5, UniformLaw(0.4)),
+    "ideal-two-doubles": (IdealModel(), Box([(0.0, 2.0), (1.0, 2.0)]), 2.0, TwoDoubleLaw()),
+    "bump-ball": (PairPotentialModel(soft_bump), Ball([0.0, 0.0], 1.7), 1.2, UniformLaw(0.6)),
+    "bump-table": (PairPotentialModel(soft_bump), Box.centered_cube(2.0, 2), 0.8,
+                   TableLaw([0.1, 0.5, 1.0], [0.6, 0.3, 0.1])),
+    "zero-activity": (HardSphereModel(), Box.unit(2), 0.0, UniformLaw(0.5)),
+}
+
+
+class TestBlockDraws:
+    """Poisson draws read and priced in blocks leave the stream where the
+    one-at-a-time loops leave it, and give their results."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("accept", [False, True])
+    def test_block_reads_as_sample_poisson_does(self, case, accept):
+        _, window, z, law = BLOCK_CASES[case]
+        rng, ref = stream(661, 0), stream(661, 0)
+        draws, uniforms = sampler._poisson_draws(window, z, law, rng, 37, accept=accept)
+        want, want_u = [], []
+        for _ in range(37):
+            want.append(sample_poisson(window, z, law, ref))
+            if accept:
+                want_u.append(ref.random())
+        assert len(draws) == 37 and uniforms == want_u
+        assert atoms_hex([draws.config(k) for k in range(37)]) == atoms_hex(want)
+        assert stream_state(rng) == stream_state(ref)
+
+    def test_path_marks_are_drawn_by_the_loop(self):
+        spec = LangevinSpec.named("quartic", 8)
+        rng, ref = stream(662, 0), stream(662, 0)
+        draws, _ = sampler._poisson_draws(Box.unit(2), 2.0, spec, rng, 5)
+        want = [sample_poisson(Box.unit(2), 2.0, spec, ref) for _ in range(5)]
+        assert draws.locations is None
+        assert atoms_hex([draws.config(k) for k in range(5)]) == atoms_hex(want)
+        assert stream_state(rng) == stream_state(ref)
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_partition_estimate(self, case):
+        model, window, z, law = BLOCK_CASES[case]
+        rng, ref = stream(663, 0), stream(663, 0)
+        report = partition_estimate(model, window, z, law, 1000, rng)
+        neg_h = one_at_a_time_log_weights(model, window, z, law, 1000, ref)
+        assert stream_state(rng) == stream_state(ref)
+        assert report.n_infinite == int(np.count_nonzero(neg_h == -math.inf))
+        shift = neg_h.max()
+        mean = float(np.exp(neg_h - shift).sum()) / 1000
+        assert report.z_hat.hex() == math.exp(math.log(mean) + shift).hex()
+
+    @pytest.mark.parametrize("case", sorted(set(BLOCK_CASES) - {"ideal-two-doubles"}))
+    @pytest.mark.parametrize("with_env", [False, True])
+    def test_rejection_sample(self, case, with_env):
+        model, window, z, law = BLOCK_CASES[case]
+        env = None
+        if with_env:
+            # three grains just past the window's upper face, within reach
+            edge = window.bounding_box().hi[0]
+            env = Configuration([MarkedPoint.make((edge + 0.1 + 0.2 * k,) + (0.0,) * (
+                window.dimension - 1), 0.5) for k in range(3)], window.dimension)
+        rng, ref = stream(664, 0), stream(664, 0)
+        res = rejection_sample(model, window, z, law, 60, rng, env=env)
+        samples, energies, proposed = one_at_a_time_rejection(model, window, z, law, 60, ref,
+                                                              env=env)
+        assert stream_state(rng) == stream_state(ref)
+        assert res.n_proposed == proposed and res.n_accepted == 60
+        assert atoms_hex(res.samples) == atoms_hex(samples)
+        assert [h.hex() for h in res.energies] == [h.hex() for h in energies]
+
+    @pytest.mark.parametrize("budget", [1, 37, 2000, 2001])
+    def test_runs_that_stop_at_the_proposal_budget(self, budget):
+        args = (HardSphereModel(), Box.unit(2), 3.0, PointMassLaw(0.3), 10**6)
+        rng, ref = stream(665, budget), stream(665, budget)
+        with pytest.raises(NumericalFailure, match="exceeded") as got:
+            rejection_sample(*args, rng, max_proposals=budget)
+        with pytest.raises(NumericalFailure) as want:
+            one_at_a_time_rejection(*args, ref, max_proposals=budget)
+        assert str(got.value) == str(want.value)
+        assert stream_state(rng) == stream_state(ref)
+
+    @pytest.mark.parametrize("n_samples", [10, 5000])
+    def test_runs_that_stop_at_the_rate_check(self, n_samples):
+        # a few proposals in 2000 are accepted, so the check at 2000 trips on
+        # a rate of 1e-2; n_samples 10 makes every chunk short, 5000 one long
+        args = (HardSphereModel(), Box.unit(2), 10.0, PointMassLaw(0.3), n_samples)
+        rng, ref = stream(666, n_samples), stream(666, n_samples)
+        with pytest.raises(NumericalFailure, match="below 0.01") as got:
+            rejection_sample(*args, rng, min_rate=0.01)
+        with pytest.raises(NumericalFailure) as want:
+            one_at_a_time_rejection(*args, ref, min_rate=0.01)
+        assert str(got.value).startswith(str(want.value))
+        assert stream_state(rng) == stream_state(ref)
 
 
 class TestAcceptanceRatios:
