@@ -30,19 +30,19 @@ out has a term of exactly +0.0; a total that starts at +0.0 never becomes
 -0.0, so adding +0.0 leaves it unchanged; and no pair left out is +inf, so
 the first +inf term, where the sum stops, is the same pair.
 
-The samplers price their Poisson draws a block at a time, through the
-model's ``energies`` entry (``draw_energies``). Its default prices draw by
-draw with ``energy``, or ``conditional_energy`` given an environment. A
-pairwise model prices a block of draws held as arrays (``points.Draws``)
-itself: in chunks of draws, each searched once by ``_block_candidates``,
-keyed by (draw, cell), for the pairs of one draw that the same reach rule
-(``_near``) keeps, a superset of the pairs within reach. Each draw's
-candidates are added from +0.0 by ``_add_terms``, in row-major order, each
-term ``_term`` on ``math.hypot`` of the coordinate differences, which is
-``math.dist`` of the two rows to the bit; a model without self terms starts
-``energy`` at +0.0 too. So each energy is the draw's ``energy`` to the bit,
-by the argument above, and a draw that nobody keeps is priced without
-building a configuration. Conditional energies, the diffusion model (self
+The samplers price the unconditional energies of their Poisson draws a
+block at a time, through the model's ``energies``, whose default prices
+draw by draw with ``energy`` (a conditional energy is priced draw by draw
+with ``conditional_energy``). A pairwise model prices a block of draws held
+as arrays (``points.Draws``) itself: in chunks of draws, each searched once
+by ``_block_candidates``, keyed by (draw, cell), for the pairs of one draw
+that the same reach rule (``_near``) keeps, a superset of the pairs within
+reach. Each draw's candidates are added from +0.0 by ``_add_terms``, in
+row-major order, each term ``_term`` on ``math.hypot`` of the coordinate
+differences, which is ``math.dist`` of the two rows to the bit; a model
+without self terms starts ``energy`` at +0.0 too. So each energy is the
+draw's ``energy`` to the bit, by the argument above, and a draw that nobody
+keeps is priced without building a configuration. The diffusion model (self
 terms and path marks) and draws held as configurations keep the default.
 
 The quermass functional F is a valuation of the grain union, so adding a
@@ -214,17 +214,11 @@ class EnergyModel:
     def validate_config(self, config: Configuration) -> None:
         """Hook for mark-type and dimension requirements; default accepts all."""
 
-    def energies(self, draws: Draws, env: Configuration | None = None) -> list[float]:
-        """The energies of a block's draws, in draw order: ``energy`` of each
-        draw, or its ``conditional_energy`` given ``env`` (environment atoms
-        already outside the window) when one is given. The samplers price
-        their Poisson draws through here (``draw_energies``); pairwise models
+    def energies(self, draws: Draws) -> list[float]:
+        """``energy`` of each of a block's draws, in draw order; pairwise models
         price a block of array draws with one candidate search (see the
-        module docstring), and every other case keeps this per-draw default."""
-        configs = map(draws.config, range(len(draws)))
-        if env is None:
-            return [self.energy(c) for c in configs]
-        return [self.conditional_energy(c, env) for c in configs]
+        module docstring)."""
+        return [self.energy(draws.config(k)) for k in range(len(draws))]
 
 
 class _PairwiseModel(EnergyModel):
@@ -393,17 +387,17 @@ class _PairwiseModel(EnergyModel):
             pairs = self._candidates(config, config, upper=True)
         return self._add_pairs(config, config, pairs, self._self_sum(config))
 
-    def energies(self, draws: Draws, env: Configuration | None = None) -> list[float]:
+    def energies(self, draws: Draws) -> list[float]:
         """``EnergyModel.energies``, with a block of array draws priced
         together: in chunks of about ``_CHUNK_ATOMS`` atoms, cut between
         draws, each searched once by ``_block_candidates``; then each draw's
         candidates are added by ``_add_terms`` in row-major order from +0.0.
         So every energy is the draw's ``energy`` to the bit (see the module
-        docstring). Conditional energies and draws held as configurations
-        keep the per-draw default, and so does ``DiffusionModel``, whose self
-        terms and path marks the block does not price."""
-        if env is not None or draws.locations is None:
-            return super().energies(draws, env)
+        docstring). Draws held as configurations keep the per-draw default,
+        and so does ``DiffusionModel``, whose self terms and path marks the
+        block does not price."""
+        if draws.locations is None:
+            return super().energies(draws)
         starts, out, k = draws.starts, [], 0
         while k < len(draws):
             # draws k to stop - 1: about _CHUNK_ATOMS atoms, or one larger draw
@@ -703,16 +697,6 @@ class DiffusionModel(_PairwiseModel):
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
-
-
-def draw_energies(model, draws: Draws, env: Configuration | None = None) -> list[float]:
-    """``model.energies(draws, env)``; a model without that entry (any object
-    with ``energy``, and ``conditional_energy`` when ``env`` is given) is
-    priced per draw, as ``EnergyModel.energies`` does."""
-    entry = getattr(model, "energies", None)
-    if entry is None:
-        return EnergyModel.energies(model, draws, env)
-    return entry(draws, env)
 
 
 def interaction_range(

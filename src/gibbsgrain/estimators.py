@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import draw_energies
 from .errors import ConfigError, PreconditionError
 from .functionals import LocalFunctional
 from .marks import MarkLaw
@@ -60,7 +59,7 @@ MIN_OUTER_SAMPLES = 2
 # states for n >= MIN_ENERGIES energies: at least 2 from c = 3 on, 1 at c = 2
 MIN_CHAIN_STEPS = 3
 # Draws per block of ``partition_estimate``: the draws of a block are read
-# from the stream one after another, then priced by one ``draw_energies``
+# from the stream one after another, then priced by one ``model.energies``
 # call. On the ``entropy-nonnegpair`` settings, blocks of 64 to 256 draws
 # took the same time within the noise, and each doubling added up to about
 # 0.5 MB to the peak RSS of an entropy run.
@@ -127,7 +126,7 @@ def partition_estimate(
     ``log_stderr`` is +inf. The empty configuration contributes weight one,
     so the true value is at least exp(-z |W|); the report carries that
     floor. The draws are read and priced in blocks of ``DRAW_BLOCK``
-    (``sampler._poisson_draws``, ``energy.draw_energies``), which leaves the
+    (``sampler._poisson_draws``, ``model.energies``), which leaves the
     stream and every energy as draws priced one at a time would. A batch in
     which every draw has infinite energy yields estimate 0
     with a logged warning instead of an exception (it is a legitimate
@@ -141,7 +140,7 @@ def partition_estimate(
     for start in range(0, n_samples, DRAW_BLOCK):
         count = min(DRAW_BLOCK, n_samples - start)
         draws, _ = _poisson_draws(window, z, mark_law, rng, count)
-        neg_h[start:start + count] = draw_energies(model, draws)
+        neg_h[start:start + count] = model.energies(draws)
     np.negative(neg_h, out=neg_h)
     n_inf = int(np.count_nonzero(neg_h == -math.inf))
     lower = math.exp(-z * window.volume())

@@ -38,12 +38,13 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _whole
 from .marks import PathMark
 from .points import Configuration, MarkedPoint
 
@@ -115,18 +116,28 @@ def record_to_config(record: dict) -> Configuration:
     return _config_from_record(record, {}, {})
 
 
+_NOT_NUMBERS = frozenset((bool, str))
+
+
 def _config_from_record(record: dict, seen: dict, kept: dict) -> Configuration:
     """The configuration of one record, built from its location rows, marks
     and mark norms (a scalar's absolute value, a path's sup norm) without
-    building an atom. Location rows of mixed widths, or of a width other
-    than the declared dimension, and non-finite coordinates are refused
-    here; duplicate locations and non-finite norms by ``from_arrays``."""
+    building an atom. Numbers follow the config rule: ``dim`` is read by
+    ``errors._whole`` (at least 1), and a coordinate or a scalar mark that is
+    a bool or a string is refused, as are location rows of mixed widths, or
+    of a width other than ``dim``, and non-finite coordinates; duplicate
+    locations and non-finite norms are refused by ``from_arrays``."""
+    dimension = _whole(record["dim"], "dim", 1)
     xs, marks, norms = [], [], []
     for entry in record["points"]:
         payload = entry["mark"]
         kind = payload.get("kind") if isinstance(payload, dict) else None
         if kind == "scalar":
-            mark = float(payload["value"])
+            mark = payload["value"]
+            if type(mark) is not float:  # floats, nearly every mark, skip both checks
+                if type(mark) in _NOT_NUMBERS:
+                    raise ValueError(f"scalar mark {mark!r} is not a number")
+                mark = float(mark)
             norm = abs(mark)
         elif kind == "path":
             mark = _path_mark(payload, seen, kept)
@@ -136,15 +147,19 @@ def _config_from_record(record: dict, seen: dict, kept: dict) -> Configuration:
         xs.append(entry["x"])
         marks.append(mark)
         norms.append(norm)
-    dimension = int(record["dim"])
     if not xs:
         return Configuration.empty(dimension)
     widths = set(map(len, xs))
     if len(widths) != 1:
         raise ValueError(f"mixed dimensions in configuration: {sorted(widths)}")
-    locations = np.array(xs, dtype=float)
-    if locations.ndim != 2 or not locations.shape[1]:
+    flat = list(chain.from_iterable(xs))  # its type scan + conversion cost the rows' conversion
+    if not _NOT_NUMBERS.isdisjoint(map(type, flat)):
+        row = next(x for x in xs if not _NOT_NUMBERS.isdisjoint(map(type, x)))
+        raise ValueError(f"location {row!r} is not a list of numbers")
+    locations = np.array(flat, dtype=float)
+    if locations.ndim != 1 or not len(locations):
         raise ValueError(f"location {xs[0]!r} is not a list of numbers")
+    locations = locations.reshape(len(xs), -1)
     if locations.shape[1] != dimension:
         raise ValueError(f"declared dimension {dimension} != point dimension "
                          f"{locations.shape[1]}")

@@ -21,11 +21,12 @@ builds the atoms only when ``points`` is first read.
 in blocks (``_poisson_draws``): the draws read the stream one after another,
 as calls of ``sample_poisson`` do, and their stacked blocks of doubles go
 through one ``_from_uniforms`` call and one ``points.Draws`` check. A block
-is priced by one ``energy.draw_energies`` call, and only the draws that are
-kept become configurations. Energies read no randomness, so drawing a
-block before pricing it changes nothing in the stream; ``rejection_sample``
-sizes its chunks so that it stops where a loop of one proposal at a time
-stops (see there).
+is priced by one ``model.energies`` call, and only the draws that are kept
+become configurations; against an environment, each draw becomes a
+configuration once, priced by ``conditional_energy`` and kept as it is.
+Energies read no randomness, so drawing a block before pricing it changes
+nothing in the stream; ``rejection_sample`` sizes its chunks so that it stops
+where a loop of one proposal at a time stops (see there).
 
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
@@ -96,7 +97,6 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .energy import draw_energies
 from .errors import NumericalFailure, PreconditionError
 from .geometry import Disc, meeting_discs
 from .marks import MarkLaw
@@ -231,9 +231,10 @@ def rejection_sample(
     proposals, falls below ``min_rate``, rather than spinning forever.
 
     Proposals are drawn in chunks and each chunk is priced by one
-    ``energy.draw_energies`` call. Each proposal reads its count, its block of
-    doubles and then its acceptance uniform, as a loop of one proposal at a
-    time does. A chunk ends at the first of: the acceptance that could
+    ``model.energies`` call, or with an environment each proposal's
+    configuration by ``conditional_energy``. Each proposal reads its count,
+    its block of doubles and then its acceptance uniform, as a loop of one
+    proposal at a time does. A chunk ends at the first of: the acceptance that could
     complete the batch (``n_samples`` - accepted proposals), the next rate
     check, and the proposal budget. So no chunk reads past the double where
     that loop stops, and both checks fire at its proposal counts.
@@ -255,14 +256,17 @@ def rejection_sample(
         count = min(n_samples - accepted, _RATE_CHECK_EVERY - proposed % _RATE_CHECK_EVERY,
                     max_proposals - proposed)
         draws, uniforms = _poisson_draws(window, z, mark_law, rng, count, accept=True)
-        for k, h in enumerate(draw_energies(model, draws, env_out)):
+        configs = None if env_out is None else [draws.config(k) for k in range(count)]
+        priced = (model.energies(draws) if configs is None
+                  else [model.conditional_energy(c, env_out) for c in configs])
+        for k, h in enumerate(priced):
             if h < 0:
                 raise NumericalFailure(
                     f"model {model.model_id!r} produced negative energy {h} despite "
                     "its non-negativity certificate"
                 )
             if uniforms[k] < math.exp(-h):
-                samples.append(draws.config(k))
+                samples.append(draws.config(k) if configs is None else configs[k])
                 energies.append(h)
                 accepted += 1
         proposed += count

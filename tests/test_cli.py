@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import numpy as np
 
 import gibbsgrain
+import gibbsgrain.cli as cli
 from gibbsgrain import Ball, MarkedPoint, PathMark, sampler
 from gibbsgrain.cli import build_law, build_window, main
 from gibbsgrain.errors import ConfigError
@@ -346,6 +348,27 @@ class TestTemperCommand:
         assert "bad.jsonl line 1" in err and "is not finite" in err
         record = json.loads((tmp_path / "bad" / "record.json").read_text())
         assert record["exit_code"] == 2
+        boundary = {"file": str(inp), "t": 1, "delta": 1.0}
+        cfg = write_cfg(tmp_path, "bc.json", {"seed": 1, "boundary": boundary})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        assert "bad.jsonl line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        ['{"dim": 2.9, "points": [{"x": [1.5, 0.0], "mark": {"kind": "scalar", "value": 0.25}}]}',
+         '{"dim": 2, "points": [{"x": [1.5, true], "mark": {"kind": "scalar", "value": 0.25}}]}',
+         '{"dim": 2, "points": [{"x": [1.5, 0.0], "mark": {"kind": "scalar", "value": "0.25"}}]}'],
+        ids=["fractional-dim", "bool-coordinate", "string-mark"],
+    )
+    def test_record_numbers_follow_the_config_rule(self, tmp_path, capsys, record):
+        inp = tmp_path / "bad.jsonl"
+        inp.write_text(record + "\n")
+        rc = main(["temper", "--input", str(inp), "--seed", "3",
+                   "--out", str(tmp_path), "--name", "bad"])
+        assert rc == 2
+        assert "bad.jsonl line 1" in capsys.readouterr().err
+        assert json.loads((tmp_path / "bad" / "record.json").read_text())["exit_code"] == 2
         boundary = {"file": str(inp), "t": 1, "delta": 1.0}
         cfg = write_cfg(tmp_path, "bc.json", {"seed": 1, "boundary": boundary})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -1043,6 +1066,53 @@ class TestRunWrapper:
     def test_window_block_needs_a_kind(self, spec):
         with pytest.raises(ConfigError, match="window block needs a 'kind' key"):
             build_window(spec)
+
+
+class TestConfigTables:
+    """Each command's table is the one declaration of its keys: a flag and its
+    config key are read alike, and --help offers exactly the table's flags.
+    Both tests iterate the tables, so a key added later is covered too."""
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_a_flag_and_its_config_key_write_one_manifest(self, tmp_path, monkeypatch,
+                                                          command):
+        help_text, prepare, table = cli._COMMANDS[command]
+
+        def prepare_only(**values):
+            # prepare still checks the values; the run body is skipped
+            prepare(**values)
+            return lambda out, digest: {}
+
+        monkeypatch.setitem(cli._COMMANDS, command, (help_text, prepare_only, table))
+        xi = tmp_path / "xi.jsonl"
+        write_configs_jsonl(xi, [config([mp((0.0, 0.0), 0.5)])])
+        base = {"seed": 1, "input": str(xi)} if command == "temper" else {"seed": 1}
+        flagged = {key: k for key, k in table.items() if k.flag is not None}
+        assert flagged
+        for key, k in flagged.items():
+            # the flag's text: the default, or the input file temper needs
+            default = str(xi) if key == "input" else k.default
+            text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+            manifests = []
+            for name, flags, payload in (
+                ("flag", ["--" + key.replace("_", "-"), text], base),
+                ("config", [], dict(base, **{key: k.flag(text)})),
+            ):
+                cfg = write_cfg(tmp_path, f"{name}.json", payload)
+                argv = [command, "--config", cfg, "--out", str(tmp_path / key), "--name", name]
+                assert main(argv + flags) == 0, (command, key)
+                manifests.append((tmp_path / key / name / "manifest.json").read_bytes())
+            assert manifests[0] == manifests[1], (command, key)
+            assert json.loads(manifests[0])["config"][key] == k.flag(text)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_offers_exactly_the_table_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        table = cli._COMMANDS[command][2]
+        flags = {"--" + key.replace("_", "-") for key, k in table.items() if k.flag is not None}
+        assert offered == flags | {"--help", "--config", "--seed", "--out", "--name"}
 
 
 # Builds the model, window and mark law of each config in a fresh interpreter

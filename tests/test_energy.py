@@ -677,14 +677,6 @@ class TestBlockEnergies:
             for model in BLOCK_MODELS.values():
                 assert self.assert_block_is_per_draw(model, configs, 2) == [0.0] * len(configs)
 
-    def test_conditional_energies_are_priced_per_draw(self):
-        model = BLOCK_MODELS["nonnegpair"]
-        configs = block_case("nonnegpair", 2, [7, 13, 2], True, None, 9)
-        _, env = within_reach_case("nonnegpair", 2, 0, 30, False, None, 9)
-        got = model.energies(stacked(configs, 2), env)
-        assert [h.hex() for h in got] == [model.conditional_energy(c, env).hex()
-                                         for c in configs]
-
     def test_diffusion_prices_per_draw(self):
         model = WITHIN_REACH_MODELS["diffusion"]
         configs = block_case("diffusion", 2, [7, 13], True, None, 10)

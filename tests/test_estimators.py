@@ -14,6 +14,7 @@ from gibbsgrain import (
     Box,
     Configuration,
     ConfigError,
+    EnergyModel,
     HardSphereModel,
     IdealModel,
     MarkedPoint,
@@ -116,7 +117,7 @@ class TestPartition:
         assert abs(rep.log_z_hat - math.log(oracle)) <= 3.0 * rep.log_stderr
 
     def test_degenerate_batch_warns_not_raises(self, caplog):
-        class AlwaysInf:
+        class AlwaysInf(EnergyModel):
             def energy(self, c):
                 return math.inf
 
@@ -146,7 +147,7 @@ class TestPartition:
         assert flat.ess == 1500.0
         assert flat.max_weight_share == 1.0 / 1500
 
-        class OneDominantDraw:
+        class OneDominantDraw(EnergyModel):
             calls = 0
 
             def energy(self, c):
@@ -163,7 +164,7 @@ class TestPartition:
     def planted(h_top, at=700):
         """A model with energy ``h_top`` on draw ``at`` and 0 on every other."""
 
-        class Planted:
+        class Planted(EnergyModel):
             calls = 0
 
             def energy(self, c):
@@ -216,7 +217,7 @@ class TestPartition:
     def test_one_finite_draw_gives_the_plug_in_estimate(self, h_one):
         # Every leave-one-out sum but the finite draw's own is 0 here, and
         # its own is log 0, which made the jackknife +inf with a NaN stderr.
-        class OneFinite:
+        class OneFinite(EnergyModel):
             calls = 0
 
             def energy(self, c):
@@ -234,7 +235,7 @@ class TestPartition:
         assert rep.ess == 1.0 and rep.max_weight_share == 1.0
 
     def test_weight_diagnostics_of_a_degenerate_batch(self):
-        class AlwaysInf:
+        class AlwaysInf(EnergyModel):
             def energy(self, c):
                 return math.inf
 
@@ -519,9 +520,9 @@ class TestEntropyCurve:
         class Planted(IdealModel):
             calls = 0
 
-            def energies(self, draws, env=None):
+            def energies(self, draws):
                 out = []
-                for h in super().energies(draws, env):
+                for h in super().energies(draws):
                     self.calls += 1
                     out.append(-40.0 if self.calls == 40 + 500 else h)
                 return out

@@ -402,7 +402,9 @@ class TestPathEncoding:
         with open(path, "a") as fh:
             fh.write('{"dim": 2, "points": [{"x": [1.0, 0.0], '
                      f'"mark": {{"kind": "scalar", "value": {value}}}}}]}}\n')
-        with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 .*non-finite norm"):
+        # a string is refused as such, before its value is read
+        reason = "is not a number" if value.startswith('"') else "non-finite norm"
+        with pytest.raises(ConfigError, match=rf"bad\.jsonl line 2 .*{reason}"):
             list(read_configs_jsonl(path))
 
     def test_mark_that_is_not_an_object_is_config_error(self, tmp_path):
@@ -506,6 +508,41 @@ class TestArrayBackedReads:
         with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 ") as err:
             list(read_configs_jsonl(path))
         assert reason in str(err.value)
+
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (_scalar_atoms(2.9, "[1.0, 0.0]"), "dim must be an integer, got 2.9"),
+            (_scalar_atoms('"2"', "[1.0, 0.0]"), "dim must be an integer, got '2'"),
+            (_scalar_atoms("true", "[1.0]"), "dim must be an integer, got True"),
+            (_scalar_atoms(0, "[1.0]"), "dim must be >= 1, got 0"),
+            (_scalar_atoms(2, "[1.0, 0.0]", '["1.5", 0.0]'), "['1.5', 0.0] is not a list of"),
+            (_scalar_atoms(2, "[1.0, 0.0]", "[1.5, true]"), "[1.5, True] is not a list of"),
+            ('{"dim": 2, "points": [{"x": [1.5, 0.0], '
+             '"mark": {"kind": "scalar", "value": "0.25"}}]}', "'0.25' is not a number"),
+            ('{"dim": 2, "points": [{"x": [1.5, 0.0], '
+             '"mark": {"kind": "scalar", "value": true}}]}', "True is not a number"),
+        ],
+        ids=["fractional-dim", "string-dim", "bool-dim", "zero-dim", "string-coordinate",
+             "bool-coordinate", "string-mark", "bool-mark"],
+    )
+    def test_numbers_follow_the_config_rule(self, tmp_path, line, reason):
+        # the config readers' rule: a bool or a string is not a number, and a
+        # dimension is a whole number >= 1
+        path = tmp_path / "bad.jsonl"
+        _append_line(path, line)
+        with pytest.raises(ConfigError, match=r"bad\.jsonl line 2 ") as err:
+            list(read_configs_jsonl(path))
+        assert reason in str(err.value)
+
+    def test_integral_numbers_are_read_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"dim": 2.0, "points": [{"x": [1, 0], '
+                        '"mark": {"kind": "scalar", "value": 1}}]}\n')
+        (c,) = read_configs_jsonl(path)
+        assert c.dimension == 2 and c.locations().tolist() == [[1.0, 0.0]]
+        assert c.mark_norms().tolist() == [1.0] and type(c.points[0].mark) is float
 
 
 class TestReportCsv:

@@ -470,6 +470,19 @@ class TestRejection:
         if with_env:
             assert any(h != model.energy(g) for g, h in zip(res.samples, res.energies))
 
+    @pytest.mark.parametrize("with_env", [False, True])
+    def test_each_kept_or_conditioned_draw_is_built_once(self, monkeypatch, with_env):
+        # unconditional blocks build only the accepted draws; against an
+        # environment every proposal is built once, priced and kept as it is
+        built = []
+        draw_config = Draws.config
+        monkeypatch.setattr(Draws, "config", lambda d, k: built.append(k) or draw_config(d, k))
+        env = config([mp((1.3, 0.2), 0.5), mp((-0.4, -1.2), 0.3)]) if with_env else None
+        res = rejection_sample(PairPotentialModel(soft_bump), Box.centered_cube(1.0, 2), 0.8,
+                               UniformLaw(0.6), 100, stream(616, 0), env=env)
+        assert res.n_proposed > res.n_accepted == 100
+        assert len(built) == (res.n_proposed if with_env else res.n_accepted)
+
     def test_min_rate_abort(self):
         # Nearly every proposal overlaps, so the acceptance monitor trips.
         rng = stream(609, 0)
@@ -493,7 +506,7 @@ class TestRejection:
 
     def test_negative_energy_breaks_the_certificate(self, monkeypatch):
         model = HardSphereModel()
-        monkeypatch.setattr(model, "energies", lambda draws, env=None: [-1.0] * len(draws))
+        monkeypatch.setattr(model, "energies", lambda draws: [-1.0] * len(draws))
         with pytest.raises(NumericalFailure, match="negative energy -1.0"):
             rejection_sample(model, Box.unit(2), 1.0, UniformLaw(0.5), 5, stream(641, 0))
 
