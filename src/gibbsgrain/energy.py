@@ -34,11 +34,12 @@ The samplers price the unconditional energies of their Poisson draws a
 block at a time, through the model's ``energies``, whose default prices
 draw by draw with ``energy`` (a conditional energy is priced draw by draw
 with ``conditional_energy``). A pairwise model prices a block of draws held
-as arrays (``points.Draws``) itself: in chunks of draws, each searched once
-by ``_block_candidates``, keyed by (draw, cell), for the pairs of one draw
-that the same reach rule (``_near``) keeps, a superset of the pairs within
-reach. Each draw's candidates are added from +0.0 by ``_add_terms``, in
-row-major order, each term ``_term`` on ``math.hypot`` of the coordinate
+as arrays (``points.Draws``) itself, as the sampler hands it
+(``sampler._BLOCK_SIZE`` bounds one), with one search by
+``_block_candidates``, keyed by (draw, cell), for the pairs of one draw that
+the same reach rule (``_near``) keeps, a superset of the pairs within reach.
+Each draw's candidates are added from +0.0 by ``_add_terms``, in row-major
+order, each term ``_term`` on ``math.hypot`` of the coordinate
 differences, which is ``math.dist`` of the two rows to the bit; a model
 without self terms starts ``energy`` at +0.0 too. So each energy is the
 draw's ``energy`` to the bit, by the argument above, and a draw that nobody
@@ -72,7 +73,6 @@ NaN. The chain's increments refuse the same states through ``band``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, groupby, product
 from operator import itemgetter
@@ -135,12 +135,6 @@ _REACH_SLACK = 1e-9
 _REACH_FLOOR = float(np.finfo(float).tiny)
 # Upper triangle of a block of the candidate search of ``energy``.
 _UPPER = np.triu(np.ones((_CANDIDATE_ROWS, _CANDIDATE_ROWS), dtype=bool))
-# Atoms per chunk of a block of draws priced by ``_PairwiseModel.energies``;
-# a chunk's search holds about twenty arrays of ~2.5 pairs per atom (uniform
-# atoms at density 0.5, U(0.6) marks). Chunks of 1024 to 4096 atoms priced
-# the ``entropy-nonnegpair`` draws equally fast within the noise; larger
-# chunks raised the process's peak RSS.
-_CHUNK_ATOMS = 2048
 
 
 def lj_pair(u: float) -> float:
@@ -389,30 +383,17 @@ class _PairwiseModel(EnergyModel):
 
     def energies(self, draws: Draws) -> list[float]:
         """``EnergyModel.energies``, with a block of array draws priced
-        together: in chunks of about ``_CHUNK_ATOMS`` atoms, cut between
-        draws, each searched once by ``_block_candidates``; then each draw's
-        candidates are added by ``_add_terms`` in row-major order from +0.0.
-        So every energy is the draw's ``energy`` to the bit (see the module
-        docstring). Draws held as configurations keep the per-draw default,
-        and so does ``DiffusionModel``, whose self terms and path marks the
-        block does not price."""
+        together: one ``_block_candidates`` search for the block, then each
+        draw's candidates added by ``_add_terms`` in row-major order from
+        +0.0. So every energy is the draw's ``energy`` to the bit (see the
+        module docstring). Draws held as configurations keep the per-draw
+        default, and so does ``DiffusionModel``, whose self terms and path
+        marks the block does not price."""
         if draws.locations is None:
             return super().energies(draws)
-        starts, out, k = draws.starts, [], 0
-        while k < len(draws):
-            # draws k to stop - 1: about _CHUNK_ATOMS atoms, or one larger draw
-            stop = max(k + 1, bisect_right(starts, starts[k] + _CHUNK_ATOMS) - 1)
-            first, end = starts[k], starts[stop]
-            out += self._chunk_energies(draws.locations[first:end], draws.norms[first:end],
-                                        [s - first for s in starts[k:stop + 1]])
-            k = stop
-        return out
-
-    def _chunk_energies(self, x: np.ndarray, norms: np.ndarray, starts: list) -> list[float]:
-        """The energies of the stacked draws whose atoms are the rows
-        ``starts[k]:starts[k + 1]`` of ``x`` (see ``energies``)."""
+        x, norms, starts = draws.locations, draws.norms, draws.starts
         if len(x) < 2:
-            return [0.0] * (len(starts) - 1)
+            return [0.0] * len(draws)
         i, j, diffs = self._block_candidates(x, norms, starts)
         # math.dist(x, y) is math.hypot of the differences x - y
         dist = list(map(math.hypot, *[diff.tolist() for diff in diffs]))

@@ -58,12 +58,6 @@ MIN_OUTER_SAMPLES = 2
 # a chain of c steps keeps ceil(c/2) // max(1, c // (2n)) of its last c/2
 # states for n >= MIN_ENERGIES energies: at least 2 from c = 3 on, 1 at c = 2
 MIN_CHAIN_STEPS = 3
-# Draws per block of ``partition_estimate``: the draws of a block are read
-# from the stream one after another, then priced by one ``model.energies``
-# call. On the ``entropy-nonnegpair`` settings, blocks of 64 to 256 draws
-# took the same time within the noise, and each doubling added up to about
-# 0.5 MB to the peak RSS of an entropy run.
-DRAW_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +119,22 @@ def partition_estimate(
     so there is no jackknife: ``log_z_hat`` is the plug-in log-mean and
     ``log_stderr`` is +inf. The empty configuration contributes weight one,
     so the true value is at least exp(-z |W|); the report carries that
-    floor. The draws are read and priced in blocks of ``DRAW_BLOCK``
-    (``sampler._poisson_draws``, ``model.energies``), which leaves the
+    floor. The draws are read in blocks that ``sampler._poisson_draws``
+    sizes, each priced by one ``model.energies`` call, which leaves the
     stream and every energy as draws priced one at a time would. A batch in
-    which every draw has infinite energy yields estimate 0
-    with a logged warning instead of an exception (it is a legitimate
-    outcome for hard cores at high activity, and the caller sees
-    ``degenerate=True``).
+    which every draw has infinite energy yields estimate 0 with a logged
+    warning instead of an exception (it is a legitimate outcome for hard
+    cores at high activity, and the caller sees ``degenerate=True``).
     """
     if n_samples < MIN_PARTITION_SAMPLES:
         raise PreconditionError(
             f"partition_estimate needs at least {MIN_PARTITION_SAMPLES} samples")
     neg_h = np.empty(n_samples)
-    for start in range(0, n_samples, DRAW_BLOCK):
-        count = min(DRAW_BLOCK, n_samples - start)
-        draws, _ = _poisson_draws(window, z, mark_law, rng, count)
-        neg_h[start:start + count] = model.energies(draws)
+    start = 0
+    while start < n_samples:
+        draws, _ = _poisson_draws(window, z, mark_law, rng, n_samples - start)
+        neg_h[start:start + len(draws)] = model.energies(draws)
+        start += len(draws)
     np.negative(neg_h, out=neg_h)
     n_inf = int(np.count_nonzero(neg_h == -math.inf))
     lower = math.exp(-z * window.volume())

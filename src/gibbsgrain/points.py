@@ -249,7 +249,8 @@ class Configuration:
 
 class Draws:
     """A block of configurations stored back to back, as the samplers draw
-    Poisson configurations in blocks: the atoms of draw k are the rows
+    Poisson configurations in blocks (``sampler._poisson_draws`` sizes
+    them): the atoms of draw k are the rows
     ``starts[k]:starts[k + 1]`` of ``locations``, ``marks`` and ``norms``.
 
     The rows are checked once, with ``from_arrays``' refusals, at
@@ -469,14 +470,16 @@ def _select(config: Configuration, window: Window, inside: bool) -> Configuratio
     decided row by row on the location rows.
 
     When the atoms are not built yet, the result is built from the kept rows
-    of the location array, the marks and the norms, so no atom is built.
+    of the location array, the marks and the norms, so no atom is built; those
+    rows passed ``_check_rows`` with the configuration, so they are not
+    checked again.
     """
     if len(config) == 0:
         return config
     keep = [i for i, loc in enumerate(config._coords) if (loc in window) == inside]
     if config._points is None:
         marks = config._marks
-        return Configuration.from_arrays(
+        return Configuration._of_checked(
             config._locs[keep], [marks[i] for i in keep], config._norms[keep]
         )
     points = config._points

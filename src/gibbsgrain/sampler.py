@@ -18,15 +18,16 @@ arrays as the configuration's ``locations()`` and ``mark_norms()``, and
 builds the atoms only when ``points`` is first read.
 
 ``rejection_sample`` and ``estimators.partition_estimate`` read their draws
-in blocks (``_poisson_draws``): the draws read the stream one after another,
-as calls of ``sample_poisson`` do, and their stacked blocks of doubles go
-through one ``_from_uniforms`` call and one ``points.Draws`` check. A block
-is priced by one ``model.energies`` call, and only the draws that are kept
-become configurations; against an environment, each draw becomes a
-configuration once, priced by ``conditional_energy`` and kept as it is.
-Energies read no randomness, so drawing a block before pricing it changes
-nothing in the stream; ``rejection_sample`` sizes its chunks so that it stops
-where a loop of one proposal at a time stops (see there).
+in blocks (``_poisson_draws``, which alone sizes them): the draws read the
+stream one after another, as calls of ``sample_poisson`` do, and their
+stacked blocks of doubles go through one ``_from_uniforms`` call and one
+``points.Draws`` check. A block is priced by one ``model.energies`` call,
+and only the draws that are kept become configurations; against an
+environment, each draw becomes a configuration once, priced by
+``conditional_energy`` and kept as it is. Energies read no randomness, so
+drawing a block before pricing it changes nothing in the stream;
+``rejection_sample`` asks for no more proposals than it can use, so that it
+stops where a loop of one proposal at a time stops (see there).
 
 The chain draws a fixed schedule of variates per proposal kind (selector,
 location/index, mark, acceptance uniform) before any accept/reject decision,
@@ -152,21 +153,35 @@ def _read_draw(window: Window, z: float, mark_law: MarkLaw, rng: np.random.Gener
     return rng.random((n, window.dimension + k))
 
 
+# Draws plus atoms at which ``_poisson_draws`` ends a block. A block's search
+# in ``energy._PairwiseModel.energies`` holds about twenty arrays of ~2.5
+# pairs per atom (uniform atoms at density 0.5, U(0.6) marks). Blocks of 1024
+# to 4096 atoms priced the ``entropy-nonnegpair`` draws equally fast within
+# the noise; larger blocks raised the process's peak RSS. Counting the draws
+# too bounds a block of near-empty draws, which keeps the search's int64
+# (draw, cell) keys far from overflow (about 8 million draws at 2^20 cells
+# per axis).
+_BLOCK_SIZE = 2048
+
+
 def _poisson_draws(
     window: Window, z: float, mark_law: MarkLaw, rng: np.random.Generator, count: int,
     accept: bool = False,
 ) -> tuple[Draws, list[float]]:
-    """``count`` >= 1 Poisson draws read from the stream one after another, as
-    ``count`` calls of ``sample_poisson`` read it; with ``accept``, one
-    ``rng.random()`` follows each draw, and those doubles are returned too.
+    """Poisson draws read from the stream one after another, as calls of
+    ``sample_poisson`` read it, until there are ``count`` >= 1 of them or the
+    draws plus their atoms reach ``_BLOCK_SIZE``; the caller reads how many
+    from ``len(draws)``. With ``accept``, one ``rng.random()`` follows each
+    draw, and those doubles are returned too.
 
     The blocks of doubles of all the draws are stacked and turned into atoms
     by one ``_from_uniforms`` call and checked by one ``Draws``; draws made by
     the per-point loop are held as configurations.
     """
-    reads, uniforms = [], []
-    for _ in range(count):
+    reads, uniforms, size = [], [], 0
+    while len(reads) < count and size < _BLOCK_SIZE:
         reads.append(_read_draw(window, z, mark_law, rng))
+        size += 1 + len(reads[-1])
         if accept:
             uniforms.append(rng.random())
     if isinstance(reads[0], Configuration):
@@ -230,14 +245,15 @@ def rejection_sample(
     with a diagnostic when the realised acceptance rate, checked every 2000
     proposals, falls below ``min_rate``, rather than spinning forever.
 
-    Proposals are drawn in chunks and each chunk is priced by one
-    ``model.energies`` call, or with an environment each proposal's
-    configuration by ``conditional_energy``. Each proposal reads its count,
-    its block of doubles and then its acceptance uniform, as a loop of one
-    proposal at a time does. A chunk ends at the first of: the acceptance that could
-    complete the batch (``n_samples`` - accepted proposals), the next rate
-    check, and the proposal budget. So no chunk reads past the double where
-    that loop stops, and both checks fire at its proposal counts.
+    Proposals are drawn in blocks (``_poisson_draws``) and each block is
+    priced by one ``model.energies`` call, or with an environment each
+    proposal's configuration by ``conditional_energy``. Each proposal reads
+    its count, its block of doubles and then its acceptance uniform, as a
+    loop of one proposal at a time does. A block asks for no more proposals
+    than the first of: the acceptances that could complete the batch
+    (``n_samples`` - accepted proposals), the next rate check, and the
+    proposal budget. So no block reads past the double where that loop
+    stops, and both checks fire at its proposal counts.
     """
     if not getattr(model, "nonnegative", False):
         raise PreconditionError(
@@ -256,6 +272,7 @@ def rejection_sample(
         count = min(n_samples - accepted, _RATE_CHECK_EVERY - proposed % _RATE_CHECK_EVERY,
                     max_proposals - proposed)
         draws, uniforms = _poisson_draws(window, z, mark_law, rng, count, accept=True)
+        count = len(draws)
         configs = None if env_out is None else [draws.config(k) for k in range(count)]
         priced = (model.energies(draws) if configs is None
                   else [model.conditional_energy(c, env_out) for c in configs])

@@ -31,8 +31,8 @@ from gibbsgrain import (
     stream,
     union_area_perimeter,
 )
-from gibbsgrain import energy as energy_module
-from gibbsgrain.energy import _ALL_PAIRS_BELOW, _CHUNK_ATOMS
+from gibbsgrain import sampler
+from gibbsgrain.energy import _ALL_PAIRS_BELOW
 from gibbsgrain.geometry import _DEGENERACY_TOL, _find_degenerate
 from gibbsgrain.marks import LangevinSpec, PathMark, UniformLaw
 from gibbsgrain.points import Draws
@@ -627,34 +627,31 @@ class TestBlockEnergies:
                        max_size=6),
         reach_pairs=st.booleans(),
         inf_at=st.sampled_from([None, "first", "late"]),
-        chunk=st.sampled_from([1, 7, 50, _CHUNK_ATOMS]),
         seed=st.integers(0, 2**16),
     )
     @example(kind="nonnegpair", d=2, sizes=[0, 1, 40, 0, 13], reach_pairs=True, inf_at="first",
-             chunk=7, seed=1)
+             seed=1)
     @example(kind="hardcore", d=1, sizes=[40, 40, 40], reach_pairs=True, inf_at="first",
-             chunk=50, seed=2)
+             seed=2)
     @example(kind="nonnegpair", d=3, sizes=[2, 40, 40, 1], reach_pairs=True, inf_at="late",
-             chunk=1, seed=3)
-    def test_block_matches_energy(self, kind, d, sizes, reach_pairs, inf_at, chunk, seed):
+             seed=3)
+    def test_block_matches_energy(self, kind, d, sizes, reach_pairs, inf_at, seed):
         model = BLOCK_MODELS[kind]
         configs = block_case(kind, d, sizes, reach_pairs, inf_at, seed)
-        with pytest.MonkeyPatch.context() as mp_:
-            mp_.setattr(energy_module, "_CHUNK_ATOMS", chunk)
-            got = self.assert_block_is_per_draw(model, configs, d)
+        got = self.assert_block_is_per_draw(model, configs, d)
         if inf_at is not None and kind != "ideal" and len(sizes) > 2:
             assert got[2] == math.inf
 
     @pytest.mark.parametrize("kind", sorted(BLOCK_MODELS))
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_large_block_of_poisson_draws(self, kind, d):
-        # 400 dense draws, tens of atoms each: several chunks of the default
-        # size, with many terms per draw, so a sum taken out of row-major
-        # order shows in the last bits
+        # 400 dense draws, tens of atoms each: a block larger than the
+        # samplers ever read, with many terms per draw, so a sum taken out of
+        # row-major order shows in the last bits
         window = Box.centered_cube({1: 8.0, 2: 3.0, 3: 1.5}[d], d)
         rng = stream(531, d)
         configs = [sample_poisson(window, 2.5, UniformLaw(0.6), rng) for _ in range(400)]
-        assert sum(map(len, configs)) > 2 * _CHUNK_ATOMS
+        assert sum(map(len, configs)) > 2 * sampler._BLOCK_SIZE
         got = self.assert_block_is_per_draw(BLOCK_MODELS[kind], configs, d)
         if kind == "nonnegpair":
             assert 0 < sum(0.0 < h < math.inf for h in got)

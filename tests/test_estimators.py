@@ -43,7 +43,7 @@ from gibbsgrain.estimators import (
     specific_entropy_curve,
 )
 from gibbsgrain.functionals import build_library
-from gibbsgrain.references import hard_rods_log_z
+from gibbsgrain.references import hard_rods_count_law, hard_rods_log_z
 
 from conftest import config, mp, random_scalar_config
 
@@ -245,9 +245,23 @@ class TestPartition:
         assert rep.degenerate and rep.ess == 0.0 and rep.max_weight_share == 0.0
 
 
+def pooled(observed, expected, floor=5.0):
+    """The bins of a count histogram with each tail pooled into one bin
+    whose expected count is at least ``floor``."""
+    lo, hi = 0, len(expected) - 1
+    while sum(expected[:lo + 1]) < floor:
+        lo += 1
+    while sum(expected[hi:]) < floor:
+        hi -= 1
+    obs = [sum(observed[:lo + 1]), *observed[lo + 1:hi], sum(observed[hi:])]
+    exp = [sum(expected[:lo + 1]), *expected[lo + 1:hi], sum(expected[hi:])]
+    return obs, exp
+
+
 class TestHardRodsExact:
-    """``partition_estimate`` against Tonks' closed form for hard rods,
-    which exercises the block draws and the block search in d = 1."""
+    """``partition_estimate`` and ``rejection_sample`` against Tonks' closed
+    forms for hard rods, which exercises the block draws and the block
+    search in d = 1."""
 
     def test_closed_form(self):
         # rods of length 1 on [0, 2): at most two fit, with the pair volume
@@ -271,6 +285,39 @@ class TestHardRodsExact:
         pull = (rep.log_z_hat - hard_rods_log_z(z, 0.5, 2.0 * n)) / rep.log_stderr
         assert abs(pull) <= 4.0
         assert rep.ess > 0.09 * rep.n_samples
+
+    def test_count_law(self):
+        # rods of length 0.5 on a window of length 2: up to four fit, and
+        # five only on a null set
+        z = 0.5
+        terms = [z**k * (2.0 - (k - 1) * 0.5) ** k / math.factorial(k) for k in range(5)]
+        law = hard_rods_count_law(z, 0.5, 2.0)
+        assert law == pytest.approx([t / sum(terms) for t in terms], rel=1e-14)
+        for z, sigma, length in [(0.5, 0.5, 8.0), (1.0, 0.5, 8.0), (1.0, 0.3, 64.0)]:
+            law = hard_rods_count_law(z, sigma, length)
+            assert math.fsum(law) == pytest.approx(1.0, rel=0, abs=1e-14)
+            # the k = 0 term is 1, so P(N = 0) is one over the normaliser
+            assert -math.log(law[0]) - z * length == pytest.approx(
+                hard_rods_log_z(z, sigma, length), rel=1e-13)
+        assert hard_rods_count_law(0.0, 0.5, 2.0) == [1.0]
+        with pytest.raises(ValueError):
+            hard_rods_count_law(0.5, 0.0, 2.0)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0])
+    def test_rejection_count_histogram(self, z):
+        # sigma = 0.5 on [-4, 4), 2000 samples: chi-square of the counts
+        # against the exact law. Seed 804 of the sweep 801-810, whose p-values
+        # stayed above 0.02; a sampler that accepts every proposal fails at
+        # both activities (p 0.0 at z 0.5, counts past the most rods that fit
+        # at z 1)
+        res = rejection_sample(HardSphereModel(), Box.centered_cube(4.0, 1), z,
+                               PointMassLaw(0.25), 2000, stream(804, int(z == 1.0)))
+        law = hard_rods_count_law(z, 0.5, 8.0)
+        counts = np.bincount([len(c) for c in res.samples], minlength=len(law))
+        assert len(counts) == len(law)
+        obs, exp = pooled(counts.tolist(), [2000 * p for p in law])
+        assert min(exp) >= 5.0 and len(obs) >= 6
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
 
 
 class TestJStatistic:

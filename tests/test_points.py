@@ -174,6 +174,20 @@ class TestLazyConfiguration:
         lazy, _ = self.pair([(0.0, 1.0), (2.0, 1.0)], [0.1, 0.2])
         assert lazy.points is lazy.points
 
+    def test_restrict_checks_no_rows_again(self, monkeypatch):
+        # the kept rows passed ``_check_rows`` with the whole configuration
+        lazy, eager = self.pair([(0.0, 1.0), (2.0, 1.0), (5.0, 0.5)], [0.1, 0.2, 0.3])
+        box = Box.centered_cube(3.0, 2)
+        want = [hexes(cut(eager, box)) for cut in (restrict, restrict_complement)]
+        calls = []
+        check = points_module._check_rows
+        monkeypatch.setattr(points_module, "_check_rows",
+                            lambda *args: calls.append(args) or check(*args))
+        got = [cut(lazy, box) for cut in (restrict, restrict_complement)]
+        assert calls == [] and lazy._points is None
+        assert [c._points for c in got] == [None, None]
+        assert [hexes(c) for c in got] == want
+
 
 class TestRestrict:
     def test_empty_any_window(self):

@@ -586,8 +586,25 @@ class TestBlockDraws:
         assert atoms_hex([draws.config(k) for k in range(5)]) == atoms_hex(want)
         assert stream_state(rng) == stream_state(ref)
 
-    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-    def test_partition_estimate(self, case):
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    def test_a_block_ends_at_the_bound(self, block, monkeypatch):
+        # a block ends at the first draw whose draws plus atoms reach the
+        # bound, as a prefix of the one-at-a-time loop's draws
+        monkeypatch.setattr(sampler, "_BLOCK_SIZE", block)
+        _, window, z, law = BLOCK_CASES["bump-table"]
+        rng, ref = stream(667, block), stream(667, block)
+        draws, uniforms = sampler._poisson_draws(window, z, law, rng, 10**6, accept=True)
+        want, want_u, size = [], [], 0
+        while size < block:
+            want.append(sample_poisson(window, z, law, ref))
+            want_u.append(ref.random())
+            size += 1 + len(want[-1])
+        assert len(draws) == len(want) and uniforms == want_u
+        assert atoms_hex([draws.config(k) for k in range(len(draws))]) == atoms_hex(want)
+        assert stream_state(rng) == stream_state(ref)
+
+    @staticmethod
+    def check_partition_estimate(case):
         model, window, z, law = BLOCK_CASES[case]
         rng, ref = stream(663, 0), stream(663, 0)
         report = partition_estimate(model, window, z, law, 1000, rng)
@@ -598,9 +615,8 @@ class TestBlockDraws:
         mean = float(np.exp(neg_h - shift).sum()) / 1000
         assert report.z_hat.hex() == math.exp(math.log(mean) + shift).hex()
 
-    @pytest.mark.parametrize("case", sorted(set(BLOCK_CASES) - {"ideal-two-doubles"}))
-    @pytest.mark.parametrize("with_env", [False, True])
-    def test_rejection_sample(self, case, with_env):
+    @staticmethod
+    def check_rejection_sample(case, with_env):
         model, window, z, law = BLOCK_CASES[case]
         env = None
         if with_env:
@@ -617,8 +633,8 @@ class TestBlockDraws:
         assert atoms_hex(res.samples) == atoms_hex(samples)
         assert [h.hex() for h in res.energies] == [h.hex() for h in energies]
 
-    @pytest.mark.parametrize("budget", [1, 37, 2000, 2001])
-    def test_runs_that_stop_at_the_proposal_budget(self, budget):
+    @staticmethod
+    def check_budget_stop(budget):
         args = (HardSphereModel(), Box.unit(2), 3.0, PointMassLaw(0.3), 10**6)
         rng, ref = stream(665, budget), stream(665, budget)
         with pytest.raises(NumericalFailure, match="exceeded") as got:
@@ -628,10 +644,10 @@ class TestBlockDraws:
         assert str(got.value) == str(want.value)
         assert stream_state(rng) == stream_state(ref)
 
-    @pytest.mark.parametrize("n_samples", [10, 5000])
-    def test_runs_that_stop_at_the_rate_check(self, n_samples):
+    @staticmethod
+    def check_rate_stop(n_samples):
         # a few proposals in 2000 are accepted, so the check at 2000 trips on
-        # a rate of 1e-2; n_samples 10 makes every chunk short, 5000 one long
+        # a rate of 1e-2; n_samples 10 makes every block short, 5000 one long
         args = (HardSphereModel(), Box.unit(2), 10.0, PointMassLaw(0.3), n_samples)
         rng, ref = stream(666, n_samples), stream(666, n_samples)
         with pytest.raises(NumericalFailure, match="below 0.01") as got:
@@ -640,6 +656,41 @@ class TestBlockDraws:
             one_at_a_time_rejection(*args, ref, min_rate=0.01)
         assert str(got.value).startswith(str(want.value))
         assert stream_state(rng) == stream_state(ref)
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_partition_estimate(self, case):
+        self.check_partition_estimate(case)
+
+    @pytest.mark.parametrize("case", sorted(set(BLOCK_CASES) - {"ideal-two-doubles"}))
+    @pytest.mark.parametrize("with_env", [False, True])
+    def test_rejection_sample(self, case, with_env):
+        self.check_rejection_sample(case, with_env)
+
+    @pytest.mark.parametrize("budget", [1, 37, 2000, 2001])
+    def test_runs_that_stop_at_the_proposal_budget(self, budget):
+        self.check_budget_stop(budget)
+
+    @pytest.mark.parametrize("n_samples", [10, 5000])
+    def test_runs_that_stop_at_the_rate_check(self, n_samples):
+        self.check_rate_stop(n_samples)
+
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_short_blocks(self, case, block, monkeypatch):
+        # blocks cut at a few draws plus atoms give the loops' results too
+        monkeypatch.setattr(sampler, "_BLOCK_SIZE", block)
+        self.check_partition_estimate(case)
+        if case != "ideal-two-doubles":
+            self.check_rejection_sample(case, False)
+            self.check_rejection_sample(case, True)
+
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    def test_short_blocks_stop_where_the_loop_stops(self, block, monkeypatch):
+        monkeypatch.setattr(sampler, "_BLOCK_SIZE", block)
+        for budget in (1, 37, 2000, 2001):
+            self.check_budget_stop(budget)
+        for n_samples in (10, 5000):
+            self.check_rate_stop(n_samples)
 
 
 class TestAcceptanceRatios:
