@@ -34,7 +34,8 @@ from .energy import (DiffusionModel, HardSphereModel, IdealModel, PairPotentialM
                      QuermassModel)
 from .errors import ConfigError, NumericalFailure, PreconditionError, _real, _whole
 from .estimators import (MIN_CHAIN_STEPS, MIN_ENERGIES, MIN_INNER_SAMPLES, MIN_OUTER_SAMPLES,
-                         MIN_PARTITION_SAMPLES, dlr_residual, specific_entropy_curve)
+                         MIN_PARTITION_SAMPLES, batch_means_stderr, dlr_residual,
+                         specific_entropy_curve)
 from .functionals import build_library
 from .geometry import (euler_characteristic, mc_geometry_oracle, random_disc_system,
                        union_area_perimeter)
@@ -562,9 +563,10 @@ def _prepare_diffusion(seed, steps, z, burn_in, thin, step_count, potential):
     def report(out: Path, result) -> str:
         counts = [len(c) for c in result.samples]
         sups = [mark_sup(c) for c in result.samples if len(c)]
-        mid, stderr = DiffusionModel.model_id, float(np.std(counts) / math.sqrt(len(counts)))
+        mid = DiffusionModel.model_id
         rows = [
-            ReportRow("mean_count", float(np.mean(counts)), stderr, len(counts), mid, seed),
+            ReportRow("mean_count", float(np.mean(counts)), batch_means_stderr(counts),
+                      len(counts), mid, seed),
             ReportRow("mean_mark_sup", float(np.mean(sups)) if sups else 0.0, 0.0, len(sups), mid,
                       seed),
             ReportRow("final_energy", result.stats.final_energy, 0.0, len(result.final), mid, seed),

@@ -36,6 +36,7 @@ __all__ = [
     "partition_estimate",
     "JStatistic",
     "j_statistic",
+    "batch_means_stderr",
     "EntropyReport",
     "relative_entropy_estimate",
     "EntropyPoint",
@@ -195,6 +196,21 @@ def j_statistic(samples: Sequence[Configuration], delta: float) -> JStatistic:
         float(vals.std(ddof=1) / math.sqrt(len(vals))),
         len(vals),
     )
+
+
+def batch_means_stderr(values: Sequence[float]) -> float:
+    """Standard error of the mean of a correlated series by batch means: the
+    n values make b = floor(sqrt(n)) batches of floor(n / b) consecutive
+    values, the leftover values at the start are dropped, and the stderr is
+    the ddof-1 standard deviation of the batch means over sqrt(b). NaN when
+    b < 2."""
+    x = np.asarray(values, dtype=float)
+    b = math.isqrt(len(x))
+    if b < 2:
+        return math.nan
+    size = len(x) // b
+    means = x[len(x) - b * size:].reshape(b, size).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(b))
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,19 @@ that cell, over the interior atoms and the fixed environment. Interior atoms
 are stamped in birth order and keep their stamp through moves and remarks,
 which replace in place, so ``stamps`` runs parallel to ``points`` and stamp
 order is ``points`` order; environment atoms are stamped after every
-interior atom, in environment order. A query collects the cells within
-reach(|p|, bound) + band of p (padded against roundoff), sorts the entries
-by stamp and hands them to ``model.local_delta``. ``bound`` is the largest
+interior atom, in environment order. A query is one walk. ``near`` collects
+the entries of the cells within r = reach(|p|, bound) + band of p (padded
+against roundoff; the band is computed only for a model that has one): in
+the plane by two nested ranges of cell keys, in any other dimension by the
+product of the axes' ranges. It sorts them by stamp, and ``neighbours``
+goes over them once: it drops the skipped atom's stamp, returns None at the
+first interior atom on p's location, and keeps every other atom, or with
+r = 0 (always for the ideal model) only the environment atoms on p's
+location. The list goes to ``model.local_delta``. ``bound`` is the largest
 mark norm held so far and never decreases; the cell side is reach(bound,
 bound), or 1.0 when that is 0, and the grid is rebuilt, in O(n), whenever an
 accepted atom raises the bound; otherwise an accepted proposal writes,
-deletes or appends its one entry in place. A query whose reach is 0 (always
-for the ideal model) keeps only the atoms at p's own location.
+deletes or appends its one entry in place.
 
 Pairwise models' ``local_delta`` is ``model.interaction`` over the
 neighbours, which adds the terms in the plain loop's order (points, then
@@ -452,33 +457,55 @@ class ChainState:
             self.cells.setdefault(self._key(p.location), []).append((stamp, p))
 
     def near(self, loc: tuple[float, ...], r: float) -> list[tuple[int, MarkedPoint]]:
-        """(stamp, atom) entries of the cells within r of loc, in stamp order."""
-        side = self.side
-        spans = []
-        for c in loc:
+        """(stamp, atom) entries of the cells within r of loc, in stamp order.
+        In the plane the cells are walked by two nested ranges; every other
+        dimension walks the product of the axes' ranges."""
+        side, cells, found = self.side, self.cells, []
+        if len(loc) == 2:
+            x, y = loc
             # the slack covers roundoff in distances and cell keys
-            slack = r + 1e-9 * (r + abs(c))
-            spans.append(range(math.floor((c - slack) / side), math.floor((c + slack) / side) + 1))
-        found = []
-        for key in product(*spans):
-            cell = self.cells.get(key)
-            if cell:
-                found += cell
+            sx, sy = r + 1e-9 * (r + abs(x)), r + 1e-9 * (r + abs(y))
+            rows = range(math.floor((y - sy) / side), math.floor((y + sy) / side) + 1)
+            for i in range(math.floor((x - sx) / side), math.floor((x + sx) / side) + 1):
+                for j in rows:
+                    cell = cells.get((i, j))
+                    if cell:
+                        found += cell
+        else:
+            spans = []
+            for c in loc:
+                slack = r + 1e-9 * (r + abs(c))
+                spans.append(range(math.floor((c - slack) / side),
+                                   math.floor((c + slack) / side) + 1))
+            for key in product(*spans):
+                cell = cells.get(key)
+                if cell:
+                    found += cell
         found.sort()
         return found
 
     def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint] | None:
         """Atoms within reach of p, interior index ``skip`` left out, in
         list order: interior atoms first, then the environment; None when
-        another interior atom sits at p's location, which p's own cell holds."""
-        r = self.reach(p.mark_norm, self.bound) + self.band(p.mark_norm)
+        another interior atom sits at p's location, which p's own cell holds.
+        One pass over ``near``'s entries: with a zero reach only atoms at p's
+        own location can interact, and only environment ones are left."""
+        loc, norm = p.location, p.mark_norm
+        r = self.reach(norm, self.bound)
+        if self.tol:
+            r += self.band(norm)
         hidden = self.stamps[skip] if skip >= 0 else -1
-        found = [entry for entry in self.near(p.location, r) if entry[0] != hidden]
-        here = [entry for entry in found if entry[1].location == p.location]
-        if here and here[0][0] < _ENV_STAMP:  # interior stamps sort first
-            return None
-        # with a zero reach only atoms at p's own location can interact
-        return [q for _, q in (found if r else here)]
+        found = []
+        for stamp, q in self.near(loc, r):
+            if stamp == hidden:
+                continue
+            if q.location == loc:
+                if stamp < _ENV_STAMP:
+                    return None
+                found.append(q)
+            elif r:
+                found.append(q)
+        return found
 
     def delta(self, idx: int, added: list[MarkedPoint]) -> float:
         """Energy increment of ``points[idx : idx + 1] = added`` (see module

@@ -526,7 +526,7 @@ class TestDiffusionCommand:
         )
         report = (run / "diffusion.csv").read_bytes()
         assert hashlib.sha256(report).hexdigest() == (
-            "cfe4df229341a365a289acb6445bd87db51d8b2380622f6a69b591551a22bbf9"
+            "1bc7d2ce7aa5ed516dacbf6044d29f80c0d98af2423e8ee0f49bbca166a6ad0e"
         )
 
 

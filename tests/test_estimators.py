@@ -35,6 +35,7 @@ from gibbsgrain.estimators import (
     EntropyCurve,
     EntropyPoint,
     PartitionReport,
+    batch_means_stderr,
     dlr_residual,
     empirical_field_draw,
     j_statistic,
@@ -364,6 +365,27 @@ class TestJStatistic:
     def test_sample_floor(self):
         with pytest.raises(PreconditionError):
             j_statistic([Configuration.empty(2)] * 99, delta=1.0)
+
+
+class TestBatchMeansStderr:
+    def test_formula_on_a_fixed_count_sequence(self):
+        # n = 11: b = 3 batches of 3, the first 2 counts dropped. Batch means
+        # 11/3, 3 and 7/3 deviate by 2/3, 0 and -2/3 from their mean 3, so
+        # their ddof-1 variance is 4/9 and the stderr (2/3) / sqrt(3).
+        counts = [9, 0, 3, 4, 4, 5, 2, 2, 3, 3, 1]
+        assert batch_means_stderr(counts) == pytest.approx(2 / (3 * math.sqrt(3)), rel=1e-15)
+        # a perfect square: n = 16 makes 4 batches of 4 and drops nothing
+        counts = [1] * 4 + [2] * 4 + [4] * 4 + [5] * 4
+        assert batch_means_stderr(counts) == pytest.approx(math.sqrt(10 / 3) / 2, rel=1e-15)
+        # the iid formula reads these counts as if they were independent
+        assert batch_means_stderr(counts) > np.std(counts) / math.sqrt(len(counts))
+
+    def test_constant_series_and_too_few_batches(self):
+        assert batch_means_stderr([3] * 15) == 0.0
+        for n in range(4):
+            assert math.isnan(batch_means_stderr([1.0, 2.0, 3.0, 4.0][:n]))
+        # n = 4: batch means 1.5 and 3.5, ddof-1 sd sqrt(2), over sqrt(2)
+        assert batch_means_stderr([1.0, 2.0, 3.0, 4.0]) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestRelativeEntropy:

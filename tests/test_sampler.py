@@ -1027,6 +1027,33 @@ def scramble(state, rng, law, n_ops, n_births=0):
             state.replace(idx, [MarkedPoint.make(state.points[idx].location, law.sample(rng))])
 
 
+def assert_neighbours_contract(state, p, skip=-1):
+    """``state.neighbours(p, skip)`` against a brute-force oracle: every
+    interior atom but ``skip``, then every environment atom, kept when within
+    reach(|p|, bound) + band(|p|) of p. The walk returns those atoms in that
+    order, and only with a positive reach the other atoms of the cells it
+    walks; None exactly when another interior atom sits at p's location."""
+    interior = [q for i, q in enumerate(state.points) if i != skip]
+    listed = interior + list(state.env.points)
+    r = state.reach(p.mark_norm, state.bound) + state.band(p.mark_norm)
+    oracle = [q for q in listed if math.dist(p.location, q.location) <= r]
+    got = state.neighbours(p, skip)
+    if any(q.location == p.location for q in interior):
+        assert got is None
+        return None
+    assert got is not None
+    # a subsequence of the listed atoms, by identity
+    rest = iter(listed)
+    assert all(any(q is x for x in rest) for q in got)
+    assert [q for q in got if math.dist(p.location, q.location) <= r] == oracle
+    if not r:
+        assert got == oracle
+    # every other atom lies in a walked cell
+    for q in got:
+        assert all(abs(a - b) < r + state.side + 1e-6 for a, b in zip(p.location, q.location))
+    return got
+
+
 class TestNeighbourIndex:
     @settings(max_examples=60)
     @given(
@@ -1118,6 +1145,49 @@ class TestNeighbourIndex:
         probe = mp(outside.location, 0.2)
         assert state.delta(2, [probe]) == plain_add(model, state, probe)
         assert math.isfinite(state.delta(2, [probe]))
+
+    @pytest.mark.parametrize("name, d", [
+        *((name, d) for name in sorted(INDEX_MODELS) for d in (1, 2, 3)), ("quermass", 2)])
+    def test_neighbours_match_a_brute_force_oracle(self, name, d):
+        model = AUDIT_MODELS[name]
+        rng = stream(631, d)
+        law = PATH_LAW if name == "diffusion" else UniformLaw(0.6)
+        window = Box.centered_cube(3.0, d)
+        shell = [Box.centered_cube(4.0, d).draw(rng) for _ in range(12)]
+        env = Configuration([MarkedPoint.make(loc, law.sample(rng)) for loc in shell],
+                            dimension=d)
+        state = ChainState(model, window, env)
+        scramble_finite(model, state, rng, law, 40, 20)
+        n = len(state.points)
+        assert n >= 5 and len(state.env.points) > 0
+        big = 5.0 * state.bound
+        for _ in range(20):
+            p = MarkedPoint.make(window.draw(rng), law.sample(rng))
+            assert_neighbours_contract(state, p)
+            assert_neighbours_contract(state, p, int(rng.integers(0, n)))
+        # a norm above the bound: r exceeds the cell side, and the walk spans
+        # more than 3 cells per axis
+        for _ in range(5):
+            p = MarkedPoint(window.draw(rng), big, big)
+            r = state.reach(big, state.bound) + state.band(big)
+            if r:
+                assert r > state.side
+                assert all(math.floor((c + r) / state.side) - math.floor((c - r) / state.side) > 3
+                           for c in p.location)
+            assert_neighbours_contract(state, p, int(rng.integers(0, n)))
+        for idx in (0, n // 2, n - 1):
+            here = state.points[idx]
+            p = MarkedPoint(here.location, 0.1, 0.1)
+            # a coincident interior atom refuses p, unless it is the skipped one
+            assert assert_neighbours_contract(state, p) is None
+            assert assert_neighbours_contract(state, p, (idx + 1) % n) is None
+            skipped = assert_neighbours_contract(state, p, idx)
+            assert all(q is not here for q in skipped)
+        for there in state.env.points:
+            # a coincident environment atom is kept, whatever the reach
+            p = MarkedPoint(there.location, 0.1, 0.1)
+            got = assert_neighbours_contract(state, p, int(rng.integers(0, n)))
+            assert any(q is there for q in got)
 
     def test_zero_reach_queries_only_coincident_atoms(self, monkeypatch):
         # The ideal model's reach is 0, so an increment can only meet atoms at

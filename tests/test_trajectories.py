@@ -59,36 +59,61 @@ ENV_W6 = config(
     ]
 )
 
+# Atoms just outside [-1.5, 1.5) and [-1.5, 1.5)^3.
+ENV_D1 = config([mp((1.8,), 0.6), mp((-1.7,), 0.5), mp((2.4,), 0.4)])
+ENV_D3 = config(
+    [
+        mp((1.8, 0.1, -0.3), 0.6),
+        mp((-1.7, 1.2, 0.4), 0.5),
+        mp((0.3, -1.9, 1.0), 0.7),
+        mp((0.2, 0.6, 2.1), 0.4),
+    ]
+)
+
 CASES = {
     "ideal": dict(
-        model=IdealModel(), half=1.5, z=0.8, law=UniformLaw(0.5), steps=20_000, env=ENV
+        model=IdealModel(), window=Box.centered_cube(1.5, 2),
+        z=0.8, law=UniformLaw(0.5), steps=20_000, env=ENV,
     ),
     "hardcore": dict(
-        model=HardSphereModel(), half=1.5, z=1.5, law=UniformLaw(0.5), steps=20_000, env=ENV
+        model=HardSphereModel(), window=Box.centered_cube(1.5, 2),
+        z=1.5, law=UniformLaw(0.5), steps=20_000, env=ENV,
     ),
     "nonnegpair": dict(
         model=PairPotentialModel(soft_bump),
-        half=1.5, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
+        window=Box.centered_cube(1.5, 2), z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
     ),
     "quermass": dict(
-        model=QuermassModel(0.4, -0.2, 0.3), half=1.0, z=0.6, law=UniformLaw(0.6),
-        steps=3000, env=None,
+        model=QuermassModel(0.4, -0.2, 0.3), window=Box.centered_cube(1.0, 2),
+        z=0.6, law=UniformLaw(0.6), steps=3000, env=None,
     ),
     "diffusion": dict(
-        model=DiffusionModel(), half=2.0, z=0.4, law=LangevinSpec.named("quartic", 32),
-        steps=2000, env=None,
+        model=DiffusionModel(), window=Box.centered_cube(2.0, 2),
+        z=0.4, law=LangevinSpec.named("quartic", 32), steps=2000, env=None,
     ),
     # Wide enough (~140 atoms) that the chain's neighbour cells tile the
-    # window; the name sorts last so the other cases keep their streams.
+    # window; the name sorts after the cases above, which keep their streams.
     "wide-nonnegpair": dict(
         model=PairPotentialModel(soft_bump),
-        half=6.0, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_W6,
+        window=Box.centered_cube(6.0, 2), z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_W6,
     ),
     # A disc window: births by bounding-box rejection, moves refused when
-    # they leave the disc. ENV lies outside it; the name sorts last.
+    # they leave the disc. ENV lies outside it; the name sorts after the
+    # cases above.
     "window-ball-nonnegpair": dict(
         model=PairPotentialModel(soft_bump), window=Ball((0.0, 0.0), 1.7),
         z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
+    ),
+    # Boxes in d = 1 and d = 3, where the neighbour walk takes the product
+    # of the axes' cell ranges (the plane has its own nested walk). The
+    # names sort after the cases above.
+    "window-box-d1-hardcore": dict(
+        model=HardSphereModel(), window=Box.centered_cube(1.5, 1),
+        z=1.5, law=UniformLaw(0.5), steps=20_000, env=ENV_D1,
+    ),
+    "window-box-d3-nonnegpair": dict(
+        model=PairPotentialModel(soft_bump), window=Box.centered_cube(1.5, 3),
+        z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_D3,
     ),
 }
 
@@ -138,6 +163,18 @@ PINNED = {
         "accepts": {"birth": 5592, "death": 5582, "move": 3122, "remark": 1825},
         "final_energy": "0x1.3000a2bc8e7e5p+1",
     },
+    "window-box-d1-hardcore": {
+        "samples": "a041c54c4a4f5552a18739d5691d952f23d4ef01fdd4cb8ebf32a2c5cf750d76",
+        "proposals": {"birth": 7088, "death": 6871, "move": 4116, "remark": 1925},
+        "accepts": {"birth": 2295, "death": 2293, "move": 2763, "remark": 1356},
+        "final_energy": "0x0.0p+0",
+    },
+    "window-box-d3-nonnegpair": {
+        "samples": "1cb37e03b7c7cc013a764357d8b2ccc91c6fef9be4c33951326f8b228a1eea39",
+        "proposals": {"birth": 6858, "death": 7063, "move": 4039, "remark": 2040},
+        "accepts": {"birth": 5851, "death": 5828, "move": 2879, "remark": 1858},
+        "final_energy": "0x1.1468ac55d916dp+1",
+    },
 }
 
 PINNED_VISITS = [
@@ -161,10 +198,9 @@ def samples_digest(samples) -> str:
 
 def fingerprint(name):
     case = CASES[name]
-    window = case.get("window") or Box.centered_cube(case["half"], 2)
     res = run_chain(
         case["model"],
-        window,
+        case["window"],
         case["z"],
         case["law"],
         case["steps"],
