@@ -64,13 +64,12 @@ which replace in place, so ``stamps`` runs parallel to ``points`` and stamp
 order is ``points`` order; environment atoms are stamped after every
 interior atom, in environment order. A query is one walk. ``near`` collects
 the entries of the cells within r = reach(|p|, bound) + band of p (padded
-against roundoff; the band is computed only for a model that has one): in
-the plane by two nested ranges of cell keys, in any other dimension by the
-product of the axes' ranges. It sorts them by stamp, and ``neighbours``
-goes over them once: it drops the skipped atom's stamp, returns None at the
-first interior atom on p's location, and keeps every other atom, or with
-r = 0 (always for the ideal model) only the environment atoms on p's
-location. The list goes to ``model.local_delta``. ``bound`` is the largest
+against roundoff; the band is computed only for a model that has one) and
+sorts them by stamp, and ``neighbours`` goes over them once: it drops the
+skipped atom's stamp, returns None at the first interior atom on p's
+location, and keeps every other atom, or with r = 0 (always for the ideal
+model) only the environment atoms on p's location. The list goes to
+``model.local_delta``. ``bound`` is the largest
 mark norm held so far and never decreases; the cell side is reach(bound,
 bound), or 1.0 when that is 0, and the grid is rebuilt, in O(n), whenever an
 accepted atom raises the bound; otherwise an accepted proposal writes,
@@ -457,39 +456,23 @@ class ChainState:
             self.cells.setdefault(self._key(p.location), []).append((stamp, p))
 
     def near(self, loc: tuple[float, ...], r: float) -> list[tuple[int, MarkedPoint]]:
-        """(stamp, atom) entries of the cells within r of loc, in stamp order.
-        In the plane the cells are walked by two nested ranges; every other
-        dimension walks the product of the axes' ranges."""
-        side, cells, found = self.side, self.cells, []
-        if len(loc) == 2:
-            x, y = loc
+        """(stamp, atom) entries of the cells within r of loc, in stamp order."""
+        side, cells, spans, found = self.side, self.cells, [], []
+        for c in loc:
             # the slack covers roundoff in distances and cell keys
-            sx, sy = r + 1e-9 * (r + abs(x)), r + 1e-9 * (r + abs(y))
-            rows = range(math.floor((y - sy) / side), math.floor((y + sy) / side) + 1)
-            for i in range(math.floor((x - sx) / side), math.floor((x + sx) / side) + 1):
-                for j in rows:
-                    cell = cells.get((i, j))
-                    if cell:
-                        found += cell
-        else:
-            spans = []
-            for c in loc:
-                slack = r + 1e-9 * (r + abs(c))
-                spans.append(range(math.floor((c - slack) / side),
-                                   math.floor((c + slack) / side) + 1))
-            for key in product(*spans):
-                cell = cells.get(key)
-                if cell:
-                    found += cell
+            slack = r + 1e-9 * (r + abs(c))
+            spans.append(range(math.floor((c - slack) / side), math.floor((c + slack) / side) + 1))
+        for key in product(*spans):
+            cell = cells.get(key)
+            if cell:
+                found += cell
         found.sort()
         return found
 
     def neighbours(self, p: MarkedPoint, skip: int = -1) -> list[MarkedPoint] | None:
         """Atoms within reach of p, interior index ``skip`` left out, in
         list order: interior atoms first, then the environment; None when
-        another interior atom sits at p's location, which p's own cell holds.
-        One pass over ``near``'s entries: with a zero reach only atoms at p's
-        own location can interact, and only environment ones are left."""
+        another interior atom sits at p's location, which p's own cell holds."""
         loc, norm = p.location, p.mark_norm
         r = self.reach(norm, self.bound)
         if self.tol:
@@ -503,7 +486,7 @@ class ChainState:
                 if stamp < _ENV_STAMP:
                     return None
                 found.append(q)
-            elif r:
+            elif r:  # with a zero reach only atoms at p's own location can interact
                 found.append(q)
         return found
 

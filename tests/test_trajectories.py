@@ -72,41 +72,37 @@ ENV_D3 = config(
 
 CASES = {
     "ideal": dict(
-        model=IdealModel(), window=Box.centered_cube(1.5, 2),
-        z=0.8, law=UniformLaw(0.5), steps=20_000, env=ENV,
+        model=IdealModel(), half=1.5, z=0.8, law=UniformLaw(0.5), steps=20_000, env=ENV
     ),
     "hardcore": dict(
-        model=HardSphereModel(), window=Box.centered_cube(1.5, 2),
-        z=1.5, law=UniformLaw(0.5), steps=20_000, env=ENV,
+        model=HardSphereModel(), half=1.5, z=1.5, law=UniformLaw(0.5), steps=20_000, env=ENV
     ),
     "nonnegpair": dict(
         model=PairPotentialModel(soft_bump),
-        window=Box.centered_cube(1.5, 2), z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
+        half=1.5, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
     ),
     "quermass": dict(
-        model=QuermassModel(0.4, -0.2, 0.3), window=Box.centered_cube(1.0, 2),
-        z=0.6, law=UniformLaw(0.6), steps=3000, env=None,
+        model=QuermassModel(0.4, -0.2, 0.3), half=1.0, z=0.6, law=UniformLaw(0.6),
+        steps=3000, env=None,
     ),
     "diffusion": dict(
-        model=DiffusionModel(), window=Box.centered_cube(2.0, 2),
-        z=0.4, law=LangevinSpec.named("quartic", 32), steps=2000, env=None,
+        model=DiffusionModel(), half=2.0, z=0.4, law=LangevinSpec.named("quartic", 32),
+        steps=2000, env=None,
     ),
     # Wide enough (~140 atoms) that the chain's neighbour cells tile the
-    # window; the name sorts after the cases above, which keep their streams.
+    # window; the name sorts last so the other cases keep their streams.
     "wide-nonnegpair": dict(
         model=PairPotentialModel(soft_bump),
-        window=Box.centered_cube(6.0, 2), z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_W6,
+        half=6.0, z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV_W6,
     ),
     # A disc window: births by bounding-box rejection, moves refused when
-    # they leave the disc. ENV lies outside it; the name sorts after the
-    # cases above.
+    # they leave the disc. ENV lies outside it; the name sorts last.
     "window-ball-nonnegpair": dict(
         model=PairPotentialModel(soft_bump), window=Ball((0.0, 0.0), 1.7),
         z=1.2, law=UniformLaw(0.6), steps=20_000, env=ENV,
     ),
-    # Boxes in d = 1 and d = 3, where the neighbour walk takes the product
-    # of the axes' cell ranges (the plane has its own nested walk). The
-    # names sort after the cases above.
+    # Boxes in d = 1 and d = 3 pin the neighbour walk outside the plane.
+    # The names sort after the cases above.
     "window-box-d1-hardcore": dict(
         model=HardSphereModel(), window=Box.centered_cube(1.5, 1),
         z=1.5, law=UniformLaw(0.5), steps=20_000, env=ENV_D1,
@@ -198,9 +194,10 @@ def samples_digest(samples) -> str:
 
 def fingerprint(name):
     case = CASES[name]
+    window = case.get("window") or Box.centered_cube(case["half"], 2)
     res = run_chain(
         case["model"],
-        case["window"],
+        window,
         case["z"],
         case["law"],
         case["steps"],
